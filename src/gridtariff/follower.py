@@ -8,6 +8,12 @@ while scenarios are indistinguishable.  The generated model is tagged so the
 multiplier of every row can be recovered mechanically, which is what the
 single-level reformulation consumes.
 
+Leader prices enter only the objective.  ``build_follower_system`` assembles
+the constraint matrix, senses, right-hand sides and bounds once, into a
+read-only skeleton LP; ``build_follower_lp`` prices that skeleton by swapping
+in a new objective vector, and ``extract_solution``/``extract_duals`` read a
+solve back through index arrays stored alongside it.
+
 Variable families (per scenario ``s``): ``x`` leader purchase, ``xb``
 competitor purchase, ``lam`` direct generation use, ``sd`` battery draw (all
 per device/slot); ``xs``/``xbs``/``lams`` stored purchases and stored
@@ -16,13 +22,15 @@ generation per slot; ``S`` battery state over slots ``0..H+1``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .model import Instance
 from .scenario import nonanticipativity_pairs
-from .solver import (GE, LE, EQ, LinearProgram, LpBuilder, LpSolution,
+from .solver import (GE, LE, EQ, LinearProgram, LpSolution,
                      SolveOptions, Status, get_backend)
 
 DEVICE_FAMILIES = ("x", "xb", "lam", "sd")
@@ -41,12 +49,16 @@ class FollowerUnbounded(RuntimeError):
 
 @dataclass
 class FollowerSystem:
-    """Price-agnostic LP skeleton: rows, bounds-free columns, objective split.
+    """The operator LP, built once: tagged rows, the skeleton LP assembled
+    from them, the objective split, and index arrays for reading results.
 
-    The objective coefficient of a column is ``c0 + prob * p[slot]`` where
-    ``(slot, prob)`` is ``price_link`` (absent for columns the leader price
-    does not touch).  Leader profit is ``sum prob * (p[slot] - K[slot]) * v``
-    over the leader-purchase columns.
+    The objective coefficient of a column is ``c0 + prob * p[slot]`` with
+    ``(slot, prob)`` from ``price_slot``/``price_prob`` (slot -1 for columns
+    the leader price does not touch), so prices change only the objective:
+    ``skeleton`` holds every row and bound, with ``c0`` as its objective, and
+    its arrays are read-only because every priced LP shares them.  Leader
+    profit is ``sum prob * (p[slot] - K[slot]) * v`` over the leader-purchase
+    columns.
     """
 
     instance: Instance
@@ -59,6 +71,11 @@ class FollowerSystem:
     leader_cols: np.ndarray     # columns sold by the leader (x and xs families)
     leader_prob: np.ndarray
     leader_slot: np.ndarray
+    skeleton: LinearProgram
+    device_cols: dict           # (family, scenario, device) -> columns over the window
+    slot_cols: dict             # slot family or "S" -> (n_scen, slots) columns
+    row_sign: np.ndarray        # -1 on <= rows, +1 elsewhere
+    row_families: dict          # family -> (row indices, tag tails)
 
     @property
     def n_vars(self) -> int:
@@ -106,30 +123,51 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
             leader_slot.append(slot)
         return j
 
+    n_scen = tree.n_leaves
+    device_cols: dict = {}
+    slot_cols = {f: np.empty((n_scen, n_slots), dtype=np.int64)
+                 for f in SLOT_FAMILIES}
+    slot_cols["S"] = np.empty((n_scen, n_slots + 1), dtype=np.int64)
     for s, leaf in enumerate(tree.leaves):
         p = float(probs[s])
         for d, dev in enumerate(instance.devices):
+            first = len(tags)
             for h in dev.window.slots:
                 cdh = p * dev.penalty_at(h)
                 add(("x", s, d, h), cdh, slot=h, prob=p, leader=True)
                 add(("xb", s, d, h), cdh + p * comp[h])
                 add(("lam", s, d, h), cdh)
                 add(("sd", s, d, h), cdh)
+            for k, f in enumerate(DEVICE_FAMILIES):
+                device_cols[(f, s, d)] = np.arange(first + k, len(tags),
+                                                   len(DEVICE_FAMILIES))
+        first = len(tags)
         for h in range(n_slots):
             add(("xs", s, h), 0.0, slot=h, prob=p, leader=True)
             add(("xbs", s, h), p * comp[h])
             add(("lams", s, h), 0.0)
+        for k, f in enumerate(SLOT_FAMILIES):
+            slot_cols[f][s] = np.arange(first + k, len(tags), len(SLOT_FAMILIES))
+        first = len(tags)
         for h in range(n_slots + 1):
             add(("S", s, h), 0.0)
+        slot_cols["S"][s] = np.arange(first, len(tags))
 
+    active = [[d for d, dev in enumerate(instance.devices)
+               if dev.window.first <= h <= dev.window.last]
+              for h in range(n_slots)]      # devices whose window holds slot h
+    col_ids = list(index.values())      # column order; shares the int objects
+    n_fam = len(DEVICE_FAMILIES)
     rows: list = []
     for s, leaf in enumerate(tree.leaves):
         for d, dev in enumerate(instance.devices):
-            terms = [(index[(f, s, d, h)], 1.0)
-                     for h in dev.window.slots for f in DEVICE_FAMILIES]
-            rows.append((("demand_min", s, d), terms, GE, dev.energy_demand))
-            for h in dev.window.slots:
-                terms = [(index[(f, s, d, h)], 1.0) for f in DEVICE_FAMILIES]
+            # a device's columns are contiguous: x, xb, lam, sd per window slot
+            first = index[(DEVICE_FAMILIES[0], s, d, dev.window.first)]
+            block = col_ids[first: first + n_fam * len(dev.window)]
+            rows.append((("demand_min", s, d), [(j, 1.0) for j in block], GE,
+                         dev.energy_demand))
+            for k, h in enumerate(dev.window.slots):
+                terms = [(j, 1.0) for j in block[n_fam * k: n_fam * (k + 1)]]
                 rows.append((("power_cap", s, d, h), terms, LE, dev.max_power))
 
         rows.append((("batt_init", s), [(index[("S", s, 0)], 1.0)], EQ, bat.initial))
@@ -139,35 +177,28 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
                      (index[("lams", s, h)], -bat.charge_eff),
                      (index[("xs", s, h)], -bat.charge_eff),
                      (index[("xbs", s, h)], -bat.charge_eff)]
-            terms += [(index[("sd", s, d, h)], 1.0)
-                      for d, dev in enumerate(instance.devices)
-                      if dev.window.first <= h <= dev.window.last]
+            terms += [(index[("sd", s, d, h)], 1.0) for d in active[h]]
             rows.append((("batt_balance", s, h), terms, EQ, 0.0))
         for h in range(1, n_slots + 1):
             col = index[("S", s, h)]
             rows.append((("batt_floor", s, h), [(col, 1.0)], GE, bat.min_level))
             rows.append((("batt_ceiling", s, h), [(col, 1.0)], LE, bat.max_level))
         for h in range(n_slots):
-            terms = [(index[("sd", s, d, h)], 1.0)
-                     for d, dev in enumerate(instance.devices)
-                     if dev.window.first <= h <= dev.window.last]
+            terms = [(index[("sd", s, d, h)], 1.0) for d in active[h]]
             terms.append((index[("S", s, h)], -1.0))
             rows.append((("draw_cap", s, h), terms, LE, 0.0))
         for h in range(n_slots):
             terms = [(index[("lams", s, h)], 1.0)]
-            terms += [(index[("lam", s, d, h)], 1.0)
-                      for d, dev in enumerate(instance.devices)
-                      if dev.window.first <= h <= dev.window.last]
+            terms += [(index[("lam", s, d, h)], 1.0) for d in active[h]]
             rows.append((("dg_cap", s, h), terms, LE, float(leaf.dg_bound[h])))
 
     for a, b, h_max in nonanticipativity_pairs(tree):
         for h in range(h_max + 1):
-            for d, dev in enumerate(instance.devices):
-                if dev.window.first <= h <= dev.window.last:
-                    for f in DEVICE_FAMILIES:
-                        rows.append((("tie", f, d, a, b, h),
-                                     [(index[(f, a, d, h)], 1.0),
-                                      (index[(f, b, d, h)], -1.0)], EQ, 0.0))
+            for d in active[h]:
+                for f in DEVICE_FAMILIES:
+                    rows.append((("tie", f, d, a, b, h),
+                                 [(index[(f, a, d, h)], 1.0),
+                                  (index[(f, b, d, h)], -1.0)], EQ, 0.0))
             for f in SLOT_FAMILIES:
                 rows.append((("tie", f, -1, a, b, h),
                              [(index[(f, a, h)], 1.0),
@@ -176,35 +207,73 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
                          [(index[("S", a, h)], 1.0),
                           (index[("S", b, h)], -1.0)], EQ, 0.0))
 
+    c0 = np.asarray(c0)
+    skeleton, row_families = _assemble(tags, c0, rows)
     return FollowerSystem(
         instance=instance,
         var_tags=tags,
         var_index=index,
-        c0=np.asarray(c0),
+        c0=c0,
         price_slot=np.asarray(p_slot, dtype=np.int64),
         price_prob=np.asarray(p_prob),
         rows=rows,
         leader_cols=np.asarray(leader_cols, dtype=np.int64),
         leader_prob=np.asarray(leader_prob),
         leader_slot=np.asarray(leader_slot, dtype=np.int64),
+        skeleton=skeleton,
+        device_cols=device_cols,
+        slot_cols=slot_cols,
+        row_sign=np.where(skeleton.sense == LE, -1.0, 1.0),
+        row_families=row_families,
     )
+
+
+def _assemble(var_tags: list, c0: np.ndarray,
+              rows: list) -> tuple[LinearProgram, dict]:
+    """The skeleton LP of ``rows`` (columns in ``[0, inf)``, objective
+    ``c0``), plus each row family's row indices and tag tails.  The
+    skeleton's arrays are made read-only."""
+    n, m = len(var_tags), len(rows)
+    row_tags = [tag for tag, _, _, _ in rows]
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum([len(t) for _, t, _, _ in rows], out=indptr[1:])
+    terms = list(itertools.chain.from_iterable(t for _, t, _, _ in rows))
+    cols = np.fromiter((j for j, _ in terms), np.int64, len(terms))
+    vals = np.fromiter((v for _, v in terms), float, len(terms))
+    mat = sp.csr_matrix((vals, cols, indptr), shape=(m, n))
+    mat.sum_duplicates()            # canonical form, as LpBuilder builds it
+    mat.eliminate_zeros()
+    skeleton = LinearProgram(
+        n_vars=n, obj=c0, lower=np.zeros(n), upper=np.full(n, np.inf),
+        a_rows=mat, sense=np.array([sn for _, _, sn, _ in rows], dtype=object),
+        rhs=np.array([b for _, _, _, b in rows], dtype=float),
+        maximize=False, var_tags=var_tags, row_tags=row_tags)
+    skeleton.validate()
+    for arr in (c0, skeleton.lower, skeleton.upper, skeleton.sense,
+                skeleton.rhs, mat.data, mat.indices, mat.indptr):
+        arr.setflags(write=False)
+    families: dict = {}
+    for i, tag in enumerate(row_tags):
+        idx, tails = families.setdefault(tag[0], ([], []))
+        idx.append(i)
+        tails.append(tag[1:])
+    row_families = {fam: (np.asarray(idx, dtype=np.int64), tails)
+                    for fam, (idx, tails) in families.items()}
+    return skeleton, row_families
 
 
 def build_follower_lp(instance: Instance, prices: np.ndarray,
                       system: FollowerSystem | None = None) -> LinearProgram:
-    """Materialize the scheduling LP at fixed leader prices (minimization)."""
+    """The scheduling LP at fixed leader prices (minimization): the system's
+    skeleton with the priced objective swapped in.  The returned LP shares
+    the skeleton's read-only matrix, senses, right-hand sides and bounds;
+    only its objective array is its own."""
     prices = np.asarray(prices, dtype=float)
     if len(prices) != instance.n_slots:
         raise ValueError(f"price vector has {len(prices)} entries,"
                          f" expected {instance.n_slots}")
     system = system or build_follower_system(instance)
-    builder = LpBuilder(maximize=False)
-    obj = system.objective(prices)
-    for tag, cost in zip(system.var_tags, obj):
-        builder.add_var(tag, 0.0, np.inf, obj=float(cost))
-    for tag, terms, sense, rhs in system.rows:
-        builder.add_row(tag, terms, sense, rhs)
-    return builder.build()
+    return system.skeleton.with_objective(system.objective(prices))
 
 
 # -- solutions ---------------------------------------------------------------
@@ -242,24 +311,12 @@ class FollowerSolution:
 
 def extract_solution(system: FollowerSystem, x: np.ndarray,
                      objective: float) -> FollowerSolution:
+    x = np.asarray(x)
+    device_values = {key: x[cols] for key, cols in system.device_cols.items()}
+    stored = {f: x[system.slot_cols[f]] for f in SLOT_FAMILIES}
     inst = system.instance
-    n_scen = inst.tree.n_leaves
-    n_slots = inst.n_slots
-    device_values: dict = {}
-    stored = {f: np.zeros((n_scen, n_slots)) for f in SLOT_FAMILIES}
-    battery = np.zeros((n_scen, n_slots + 1))
-    for s in range(n_scen):
-        for d, dev in enumerate(inst.devices):
-            lo = dev.window.first
-            for f in DEVICE_FAMILIES:
-                vals = np.array([x[system.var_index[(f, s, d, h)]]
-                                 for h in dev.window.slots])
-                device_values[(f, s, d)] = vals
-        for f in SLOT_FAMILIES:
-            stored[f][s] = [x[system.var_index[(f, s, h)]] for h in range(n_slots)]
-        battery[s] = [x[system.var_index[("S", s, h)]] for h in range(n_slots + 1)]
-    return FollowerSolution(n_scen, n_slots, device_values, stored, battery,
-                            float(objective))
+    return FollowerSolution(inst.tree.n_leaves, inst.n_slots, device_values,
+                            stored, x[system.slot_cols["S"]], float(objective))
 
 
 @dataclass
@@ -275,13 +332,16 @@ class FollowerDuals:
 
 
 def extract_duals(system: FollowerSystem, duals: np.ndarray) -> FollowerDuals:
-    by_family: dict = {}
-    for (tag, _, sense, _), y in zip(system.rows, duals):
-        fam = tag[0]
-        value = -y if sense == LE else y
-        by_family.setdefault(fam, {})[tag[1:]] = float(value)
-    return FollowerDuals(by_family, np.asarray(duals),
-                         [tag for tag, _, _, _ in system.rows])
+    duals = np.asarray(duals)
+    return FollowerDuals(duals_by_family(system, duals * system.row_sign),
+                         duals, system.skeleton.row_tags)
+
+
+def duals_by_family(system: FollowerSystem, values: np.ndarray) -> dict:
+    """``FollowerDuals.by_family`` of row multipliers already in the
+    nonnegative convention."""
+    return {fam: dict(zip(tails, values[idx].tolist()))
+            for fam, (idx, tails) in system.row_families.items()}
 
 
 def solve_follower(lp: LinearProgram, backend: str | None = None,

@@ -38,7 +38,8 @@ import numpy as np
 
 from .follower import (FollowerDuals, FollowerSolution, FollowerSystem,
                        build_follower_lp, build_follower_system,
-                       extract_solution, leader_profit, solve_follower)
+                       duals_by_family, extract_solution, leader_profit,
+                       solve_follower)
 from .model import Instance, validate
 from .solver import (EQ, GE, LE, LinearProgram, LpBuilder, MilpModel,
                      MilpResult, SolveOptions, Status, get_backend,
@@ -165,11 +166,8 @@ def build_mpcc(instance: Instance, system: FollowerSystem | None = None) -> Mpcc
     system = system or build_follower_system(instance)
     n_vars = system.n_vars
     cols: list[list] = [[] for _ in range(n_vars)]
-    row_sign = np.ones(len(system.rows))
     pairs: list[Pair] = []
     for i, (tag, terms, sense, rhs) in enumerate(system.rows):
-        if sense == LE:
-            row_sign[i] = -1.0
         for j, coef in terms:
             cols[j].append((i, coef))
         if sense != EQ:
@@ -177,7 +175,7 @@ def build_mpcc(instance: Instance, system: FollowerSystem | None = None) -> Mpcc
     pairs.extend(Pair("var", j) for j in range(n_vars))
     upper = _structural_upper_bounds(system)
     bound = _pair_primal_bounds(system, pairs, upper)
-    return MpccSystem(system, pairs, cols, row_sign, upper, bound,
+    return MpccSystem(system, pairs, cols, system.row_sign, upper, bound,
                       _switch_rules(system, pairs, bound))
 
 
@@ -470,11 +468,8 @@ def extract_bilevel(mpcc: MpccSystem, layout: _MilpLayout, result: MilpResult,
         raise ExtractionMismatch(
             f"strong-duality objective {model_obj} vs direct profit {profit}")
 
-    by_family: dict = {}
-    for (tag, _, sense, _), d in zip(system.rows, dual):
-        by_family.setdefault(tag[0], {})[tag[1:]] = float(d)
-    duals = FollowerDuals(by_family, dual.copy(),
-                          [tag for tag, _, _, _ in system.rows])
+    duals = FollowerDuals(duals_by_family(system, dual), dual.copy(),
+                          system.skeleton.row_tags)
     pv, dv = _pair_values(mpcc, primal, dual, prices)
     return BilevelSolution(
         prices=prices, follower=fsol, duals=duals, binaries=binaries,

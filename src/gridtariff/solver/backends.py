@@ -63,10 +63,9 @@ class ScipyBackend:
         lp.validate()
         sign = -1.0 if lp.maximize else 1.0
         le, ge, eq, a_ub, b_ub, a_eq, b_eq = self._split(lp)
-        bounds = [(lo if np.isfinite(lo) else None, up if np.isfinite(up) else None)
-                  for lo, up in zip(lp.lower, lp.upper)]
         res = sopt.linprog(sign * lp.obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq,
-                           b_eq=b_eq, bounds=bounds, method="highs")
+                           b_eq=b_eq, bounds=np.column_stack([lp.lower, lp.upper]),
+                           method="highs")
         if res.status == 2:
             return LpSolution(Status.INFEASIBLE, None, None, None, None)
         if res.status == 3:
@@ -120,9 +119,16 @@ class ScipyBackend:
             )
         if res.status == 2:
             return MilpResult(Status.INFEASIBLE, None, None, np.nan, np.inf, 0)
+        if res.status == 3:
+            return MilpResult(Status.UNBOUNDED, None, None, np.nan, np.inf, 0)
+        if res.status not in (0, 1):
+            raise SolverError(f"scipy milp failed: {res.message}")
         if res.x is None:
             return MilpResult(Status.NO_SOLUTION, None, None, np.nan, np.inf, 0)
-        x = self._polish(model, res.x)
+        # binaries rounded only: the caller's polish step re-solves the
+        # continuous part with the switches fixed
+        x = res.x.copy()
+        x[model.binary_idx] = np.round(x[model.binary_idx])
         obj = float(lp.obj @ x)
         bound = res.mip_dual_bound if res.mip_dual_bound is not None else sign * res.fun
         bound = sign * float(bound)
@@ -130,25 +136,6 @@ class ScipyBackend:
         status = Status.OPTIMAL if res.status == 0 else Status.TIME_LIMIT
         return MilpResult(status, x, obj, bound, float(gap),
                           int(getattr(res, "mip_node_count", 0) or 0))
-
-    def _polish(self, model: MilpModel, x: np.ndarray) -> np.ndarray:
-        """Fix binaries at their rounded values and re-solve the continuous LP.
-
-        MIP tolerances scaled by big-M coefficients can hide real violations
-        in switched rows; the polished vertex restores exact feasibility.
-        """
-        rounded = np.round(x[model.binary_idx])
-        lp = model.lp
-        lo = lp.lower.copy()
-        up = lp.upper.copy()
-        lo[model.binary_idx] = rounded
-        up[model.binary_idx] = rounded
-        sol = self.solve_lp(lp.with_bounds(lo, up))
-        if sol.status is not Status.OPTIMAL:
-            out = x.copy()
-            out[model.binary_idx] = rounded
-            return out
-        return sol.x
 
 
 _REGISTRY: dict[str, SolverBackend] = {}

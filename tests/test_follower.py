@@ -5,14 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gridtariff.follower import (build_follower_lp, build_follower_system,
+from gridtariff.follower import (DEVICE_FAMILIES, SLOT_FAMILIES,
+                                 build_follower_lp, build_follower_system,
                                  complementarity_products, evaluate_schedule,
                                  extract_solution, leader_profit,
                                  solve_follower, FollowerInfeasible)
+from gridtariff.generator import generate_instance, generate_week_instance
 from gridtariff.model import Battery, Device, Horizon, Instance, PriceData, TimeWindow
 from gridtariff.scenario import (BaseScenario, flat_tree,
                                  indistinguishability_time, single_path_tree)
-from gridtariff.solver import EQ, Status
+from gridtariff.solver import EQ, LE, LpBuilder, Status
 
 from conftest import make_t1, random_tiny_instance
 
@@ -186,9 +188,134 @@ class TestDuality:
 
 
 def test_week_scale_build_and_counts():
-    from gridtariff.generator import generate_week_instance
     inst = generate_week_instance(1)
     system = build_follower_system(inst)
     # single scenario: variables and rows both land in the tens of thousands
     assert 8_000 <= system.n_vars <= 60_000
     assert 3_000 <= system.n_rows <= 60_000
+
+
+# -- the skeleton and the index-array extractors ------------------------------
+
+DESK_SHAPE = dict(n_bases=1, n_slots=4, n_devices=2, slot_minutes=360,
+                  total_demand=8, duration_range=(1, 2), battery_hours=1.5,
+                  dg_level=0.8)
+
+
+@pytest.fixture(scope="module")
+def week3():
+    inst = generate_week_instance(1, n_bases=3)
+    return inst, build_follower_system(inst)
+
+
+def _profiles(inst, seed):
+    """Two price profiles between supply cost and the competitor tariff."""
+    supply, comp = inst.prices.supply_cost, inst.prices.competitor
+    u = np.random.default_rng(seed).uniform(0.0, 1.0, (2, inst.n_slots))
+    return list(supply + u * (comp - supply))
+
+
+def _builder_lp(system, prices):
+    """The operator LP built row by row from ``system.rows``."""
+    b = LpBuilder(maximize=False)
+    for tag, cost in zip(system.var_tags, system.objective(prices)):
+        b.add_var(tag, 0.0, np.inf, obj=float(cost))
+    for tag, terms, sense, rhs in system.rows:
+        b.add_row(tag, terms, sense, rhs)
+    return b.build()
+
+
+def _assert_same_lp(lp, ref):
+    assert (lp.n_vars, lp.maximize) == (ref.n_vars, ref.maximize)
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(lp.a_rows, name),
+                                      getattr(ref.a_rows, name))
+    assert lp.a_rows.shape == ref.a_rows.shape
+    assert lp.sense.tolist() == ref.sense.tolist()
+    for name in ("rhs", "lower", "upper", "obj"):
+        np.testing.assert_array_equal(getattr(lp, name), getattr(ref, name))
+    assert lp.var_tags == ref.var_tags
+    assert lp.row_tags == ref.row_tags
+
+
+class TestSkeleton:
+    @pytest.mark.parametrize("which", ["desk", "week"])
+    def test_priced_skeleton_equals_builder_lp(self, which, week3):
+        if which == "week":
+            inst, system = week3
+        else:
+            inst = generate_instance(1, **DESK_SHAPE)
+            system = build_follower_system(inst)
+        for prices in _profiles(inst, seed=3):
+            _assert_same_lp(build_follower_lp(inst, prices, system),
+                            _builder_lp(system, prices))
+
+    def test_priced_lps_own_their_objectives(self, week3):
+        inst, system = week3
+        p1, p2 = _profiles(inst, seed=4)
+        lp1 = build_follower_lp(inst, p1, system)
+        lp2 = build_follower_lp(inst, p2, system)
+        assert not np.shares_memory(lp1.obj, lp2.obj)
+        assert not np.shares_memory(lp1.obj, system.skeleton.obj)
+        before = lp2.obj.copy()
+        lp1.obj[:] = 0.0
+        np.testing.assert_array_equal(lp2.obj, before)
+        np.testing.assert_array_equal(system.skeleton.obj, system.c0)
+
+    def test_skeleton_arrays_are_read_only(self, week3):
+        inst, system = week3
+        lp = build_follower_lp(inst, inst.prices.competitor, system)
+        for arr in (lp.lower, lp.upper, lp.rhs, lp.sense, lp.a_rows.data,
+                    system.skeleton.lower, system.c0):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+        # callers that need other bounds copy them first
+        fixed = lp.with_bounds(lp.lower.copy(), np.minimum(lp.upper, 1.0))
+        assert fixed.upper.max() == 1.0 and np.isinf(lp.upper).all()
+
+
+class TestExtraction:
+    """The index-array extractors against a per-tag oracle, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def solved(self, week3):
+        inst, system = week3
+        lp = build_follower_lp(inst, _profiles(inst, seed=5)[0], system)
+        sol, fsol, fduals = solve_follower(lp, backend="scipy", system=system)
+        return system, sol, fsol, fduals
+
+    def test_solution_matches_tag_oracle(self, solved):
+        system, sol, fsol, _ = solved
+        inst = system.instance
+        n_scen, n_slots = inst.tree.n_leaves, inst.n_slots
+        idx, x = system.var_index, sol.x
+        assert (fsol.n_scenarios, fsol.n_slots) == (n_scen, n_slots)
+        assert fsol.objective_value == float(sol.objective)
+        keys = [(f, s, d) for s in range(n_scen)
+                for d in range(len(inst.devices)) for f in DEVICE_FAMILIES]
+        assert list(fsol.device_values) == keys
+        for f, s, d in keys:
+            want = np.array([x[idx[(f, s, d, h)]]
+                             for h in inst.devices[d].window.slots])
+            got = fsol.device_values[(f, s, d)]
+            assert got.dtype == want.dtype and (got == want).all()
+        assert sorted(fsol.stored) == sorted(SLOT_FAMILIES)
+        for f in SLOT_FAMILIES:
+            want = np.array([[x[idx[(f, s, h)]] for h in range(n_slots)]
+                             for s in range(n_scen)])
+            assert fsol.stored[f].shape == want.shape
+            assert (fsol.stored[f] == want).all()
+        want = np.array([[x[idx[("S", s, h)]] for h in range(n_slots + 1)]
+                         for s in range(n_scen)])
+        assert fsol.battery_state.shape == want.shape
+        assert (fsol.battery_state == want).all()
+
+    def test_duals_match_row_oracle(self, solved):
+        system, sol, _, fduals = solved
+        want: dict = {}
+        for (tag, _, sense, _), y in zip(system.rows, sol.duals):
+            want.setdefault(tag[0], {})[tag[1:]] = float(-y if sense == LE else y)
+        assert fduals.by_family == want
+        assert list(fduals.by_family) == list(want)
+        assert (fduals.raw == sol.duals).all()
+        assert fduals.row_tags == [tag for tag, _, _, _ in system.rows]

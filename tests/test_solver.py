@@ -288,3 +288,41 @@ class TestBackends:
         mine = solve_milp(model, SolveOptions(rel_gap=0.0))
         ref = ScipyBackend().solve_milp(model, SolveOptions(rel_gap=0.0))
         assert ref.objective == pytest.approx(mine.objective, rel=1e-9)
+
+
+class TestScipyMilpStatus:
+    """``ScipyBackend.solve_milp`` classifies each scipy ``milp`` status."""
+
+    @staticmethod
+    def solve_with(monkeypatch, **canned):
+        import scipy.optimize as sopt
+        result = sopt.OptimizeResult(x=None, fun=None, mip_dual_bound=None,
+                                     mip_node_count=7, message="canned")
+        result.update(canned)
+        monkeypatch.setattr(sopt, "milp", lambda *args, **kwargs: result)
+        model = knapsack_model(np.array([3.0, 2.0]), np.array([1.0, 1.0]), 1.0)
+        return ScipyBackend().solve_milp(model, SolveOptions(rel_gap=0.0))
+
+    def test_limit_with_incumbent_is_time_limit(self, monkeypatch):
+        res = self.solve_with(monkeypatch, status=1, x=np.array([0.9999999, 1e-8]),
+                              fun=-3.0, mip_dual_bound=-3.5)
+        assert res.status is Status.TIME_LIMIT
+        assert res.x.tolist() == [1.0, 0.0]        # binaries rounded, not re-solved
+        assert res.objective == 3.0
+        assert res.bound == 3.5
+        assert res.nodes == 7
+
+    def test_limit_without_incumbent_is_no_solution(self, monkeypatch):
+        res = self.solve_with(monkeypatch, status=1)
+        assert res.status is Status.NO_SOLUTION
+        assert res.x is None
+
+    def test_unbounded(self, monkeypatch):
+        res = self.solve_with(monkeypatch, status=3)
+        assert res.status is Status.UNBOUNDED
+        assert res.x is None
+
+    def test_other_status_raises_with_scipy_message(self, monkeypatch):
+        with pytest.raises(SolverError, match="numerical trouble"):
+            self.solve_with(monkeypatch, status=4, x=np.array([1.0, 0.0]),
+                            fun=-3.0, message="numerical trouble")
