@@ -12,7 +12,9 @@ Leader prices enter only the objective.  ``build_follower_system`` assembles
 the constraint matrix, senses, right-hand sides and bounds once, into a
 read-only skeleton LP; ``build_follower_lp`` prices that skeleton by swapping
 in a new objective vector, and ``extract_solution``/``extract_duals`` read a
-solve back through index arrays stored alongside it.
+solve back through index arrays stored alongside it.  The skeleton is the
+only copy of the LP kept; the single-level reformulation builds its MILP
+from the skeleton's matrix, too.
 
 Variable families (per scenario ``s``): ``x`` leader purchase, ``xb``
 competitor purchase, ``lam`` direct generation use, ``sd`` battery draw (all
@@ -49,8 +51,8 @@ class FollowerUnbounded(RuntimeError):
 
 @dataclass
 class FollowerSystem:
-    """The operator LP, built once: tagged rows, the skeleton LP assembled
-    from them, the objective split, and index arrays for reading results.
+    """The operator LP, built once: the skeleton LP, the objective split,
+    and index arrays for reading results.
 
     The objective coefficient of a column is ``c0 + prob * p[slot]`` with
     ``(slot, prob)`` from ``price_slot``/``price_prob`` (slot -1 for columns
@@ -67,7 +69,6 @@ class FollowerSystem:
     c0: np.ndarray
     price_slot: np.ndarray      # -1 where the leader price does not enter
     price_prob: np.ndarray
-    rows: list                  # (tag, [(var, coef)], sense, rhs)
     leader_cols: np.ndarray     # columns sold by the leader (x and xs families)
     leader_prob: np.ndarray
     leader_slot: np.ndarray
@@ -83,7 +84,7 @@ class FollowerSystem:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.skeleton.n_rows
 
     def objective(self, prices: np.ndarray) -> np.ndarray:
         c = self.c0.copy()
@@ -97,7 +98,6 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
     n_slots = hz.n_slots
     tree = instance.tree
     probs = np.asarray(tree.probabilities, dtype=float)
-    bat = instance.battery
     comp = instance.prices.competitor
 
     tags: list = []
@@ -153,6 +153,30 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
             add(("S", s, h), 0.0)
         slot_cols["S"][s] = np.arange(first, len(tags))
 
+    c0 = np.asarray(c0)
+    skeleton, row_families = _assemble(tags, c0, _follower_rows(instance, index))
+    return FollowerSystem(
+        instance=instance,
+        var_tags=tags,
+        var_index=index,
+        c0=c0,
+        price_slot=np.asarray(p_slot, dtype=np.int64),
+        price_prob=np.asarray(p_prob),
+        leader_cols=np.asarray(leader_cols, dtype=np.int64),
+        leader_prob=np.asarray(leader_prob),
+        leader_slot=np.asarray(leader_slot, dtype=np.int64),
+        skeleton=skeleton,
+        device_cols=device_cols,
+        slot_cols=slot_cols,
+        row_sign=np.where(skeleton.sense == LE, -1.0, 1.0),
+        row_families=row_families,
+    )
+
+
+def _follower_rows(instance: Instance, index: dict) -> list:
+    """The operator LP's rows as ``(tag, [(column, coef)], sense, rhs)``
+    tuples over the columns of ``index``, in skeleton order."""
+    n_slots, tree, bat = instance.n_slots, instance.tree, instance.battery
     active = [[d for d, dev in enumerate(instance.devices)
                if dev.window.first <= h <= dev.window.last]
               for h in range(n_slots)]      # devices whose window holds slot h
@@ -206,26 +230,7 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
             rows.append((("tie", "S", -1, a, b, h),
                          [(index[("S", a, h)], 1.0),
                           (index[("S", b, h)], -1.0)], EQ, 0.0))
-
-    c0 = np.asarray(c0)
-    skeleton, row_families = _assemble(tags, c0, rows)
-    return FollowerSystem(
-        instance=instance,
-        var_tags=tags,
-        var_index=index,
-        c0=c0,
-        price_slot=np.asarray(p_slot, dtype=np.int64),
-        price_prob=np.asarray(p_prob),
-        rows=rows,
-        leader_cols=np.asarray(leader_cols, dtype=np.int64),
-        leader_prob=np.asarray(leader_prob),
-        leader_slot=np.asarray(leader_slot, dtype=np.int64),
-        skeleton=skeleton,
-        device_cols=device_cols,
-        slot_cols=slot_cols,
-        row_sign=np.where(skeleton.sense == LE, -1.0, 1.0),
-        row_families=row_families,
-    )
+    return rows
 
 
 def _assemble(var_tags: list, c0: np.ndarray,
@@ -420,12 +425,7 @@ def leader_profit(instance: Instance, prices: np.ndarray,
 
 def complementarity_products(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
     """|slack * multiplier| per inequality row and |value * reduced cost| per var."""
-    ax = lp.a_rows @ sol.x
-    out = []
-    for i in range(lp.n_rows):
-        if lp.sense[i] == EQ:
-            continue
-        slack = lp.rhs[i] - ax[i] if lp.sense[i] == LE else ax[i] - lp.rhs[i]
-        out.append(abs(slack * sol.duals[i]))
-    out.extend(abs((sol.x - lp.lower) * sol.reduced_costs))
-    return np.asarray(out)
+    ineq = lp.sense != EQ
+    slack = np.where(lp.sense == LE, -1.0, 1.0) * (lp.a_rows @ sol.x - lp.rhs)
+    return np.abs(np.concatenate([(slack * sol.duals)[ineq],
+                                  (sol.x - lp.lower) * sol.reduced_costs]))

@@ -23,6 +23,10 @@ bilinear revenue terms in the supplier objective be replaced by the
 multiplier objective minus the price-independent cost terms, which is what
 the MILP maximizes.
 
+The operator LP enters only through ``FollowerSystem.skeleton``: the MILP is
+assembled from its matrix in blocks (``_linearize``), and no row-by-row copy
+of the LP is kept.
+
 Primal-side M values are structural bounds implied by the constraints, so a
 pair value hitting them never truncates the optimum; multiplier-side M values
 default to a large scalar and are escalated when the post-solve audit flags
@@ -33,17 +37,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import add
 
 import numpy as np
+import scipy.sparse as sp
 
 from .follower import (FollowerDuals, FollowerSolution, FollowerSystem,
                        build_follower_lp, build_follower_system,
                        duals_by_family, extract_solution, leader_profit,
                        solve_follower)
 from .model import Instance, validate
-from .solver import (EQ, GE, LE, LinearProgram, LpBuilder, MilpModel,
-                     MilpResult, SolveOptions, Status, get_backend,
-                     verify_milp_solution)
+from .solver import (EQ, GE, LE, LinearProgram, MilpModel, MilpResult,
+                     SolveOptions, Status, get_backend, verify_milp_solution)
 
 DEFAULT_DUAL_M = 1e5
 
@@ -72,9 +78,7 @@ class Pair:
 @dataclass
 class MpccSystem:
     system: FollowerSystem
-    pairs: list[Pair]
-    cols: list                 # per system var: [(row, coef)] transpose
-    row_sign: np.ndarray       # +1 for >=/= rows, -1 for <= rows
+    pairs: list[Pair]          # inequality rows in row order, then every column
     var_upper: np.ndarray      # structural upper bounds of primal columns
     primal_bound: np.ndarray   # per pair: structural bound on its primal side
     rule: np.ndarray           # per pair: SWITCHED, or why it needs no switch
@@ -82,6 +86,11 @@ class MpccSystem:
     @property
     def n_pairs(self) -> int:
         return len(self.pairs)
+
+    @property
+    def ineq_rows(self) -> np.ndarray:
+        """Skeleton rows of the row pairs, which are the first pairs."""
+        return np.flatnonzero(self.system.skeleton.sense != EQ)
 
     @property
     def switched(self) -> np.ndarray:
@@ -96,8 +105,8 @@ class MpccSystem:
 
     def refs(self, rule: int) -> np.ndarray:
         """Row or column indices of the pairs classified under ``rule``."""
-        return np.array([self.pairs[k].ref for k in np.flatnonzero(self.rule == rule)],
-                        dtype=np.int64)
+        refs = np.concatenate([self.ineq_rows, np.arange(self.system.n_vars)])
+        return refs[self.rule == rule]
 
 
 @dataclass
@@ -164,18 +173,12 @@ def build_mpcc(instance: Instance, system: FollowerSystem | None = None) -> Mpcc
     """Pair every inequality row and nonnegative column with its multiplier,
     and classify which pairs need a switch (``_switch_rules``)."""
     system = system or build_follower_system(instance)
-    n_vars = system.n_vars
-    cols: list[list] = [[] for _ in range(n_vars)]
-    pairs: list[Pair] = []
-    for i, (tag, terms, sense, rhs) in enumerate(system.rows):
-        for j, coef in terms:
-            cols[j].append((i, coef))
-        if sense != EQ:
-            pairs.append(Pair("row", i))
-    pairs.extend(Pair("var", j) for j in range(n_vars))
+    ineq = np.flatnonzero(system.skeleton.sense != EQ)
+    pairs = [Pair("row", i) for i in ineq.tolist()]
+    pairs.extend(Pair("var", j) for j in range(system.n_vars))
     upper = _structural_upper_bounds(system)
     bound = _pair_primal_bounds(system, pairs, upper)
-    return MpccSystem(system, pairs, cols, system.row_sign, upper, bound,
+    return MpccSystem(system, pairs, upper, bound,
                       _switch_rules(system, pairs, bound))
 
 
@@ -214,7 +217,7 @@ def _pair_primal_bounds(system: FollowerSystem, pairs: list[Pair],
         if pair.kind == "var":
             bound[k] = var_upper[pair.ref]
             continue
-        tag, terms, sense, rhs = system.rows[pair.ref]
+        tag = system.skeleton.row_tags[pair.ref]
         fam = tag[0]
         if fam == "demand_min":                 # power caps bound the total
             dev = inst.devices[tag[2]]
@@ -226,7 +229,7 @@ def _pair_primal_bounds(system: FollowerSystem, pairs: list[Pair],
         elif fam == "draw_cap":
             bound[k] = max(bat.max_level, bat.initial)
         elif fam == "dg_cap":
-            bound[k] = rhs
+            bound[k] = system.skeleton.rhs[pair.ref]
         else:
             raise ValueError(f"unexpected inequality family {fam!r}")
     return bound
@@ -272,6 +275,7 @@ def _switch_rules(system: FollowerSystem, pairs: list[Pair],
     multiplier-feasibility row stay in the model.
     """
     bat = system.instance.battery
+    row_tags = system.skeleton.row_tags
     rule = np.full(len(pairs), SWITCHED, dtype=np.int8)
     for k, pair in enumerate(pairs):
         if primal_bound[k] <= 0.0:
@@ -279,7 +283,7 @@ def _switch_rules(system: FollowerSystem, pairs: list[Pair],
         elif pair.kind == "var":
             if system.var_tags[pair.ref][0] in COMPETITOR_FAMILIES:
                 rule[k] = DOMINATED_PURCHASE
-        elif system.rows[pair.ref][0][0] == "batt_floor" and bat.min_level == 0.0:
+        elif row_tags[pair.ref][0] == "batt_floor" and bat.min_level == 0.0:
             rule[k] = DUPLICATE_FLOOR
     return rule
 
@@ -325,95 +329,99 @@ class _MilpLayout:
 def _linearize(mpcc: MpccSystem, config: BigMConfig,
                pinned_prices: dict[int, float] | None = None
                ) -> tuple[MilpModel, _MilpLayout]:
+    """The big-M MILP over columns ``[p | primal | multipliers | switches]``.
+
+    Every block is the skeleton matrix ``A``, its sign-adjusted transpose
+    ``(diag(row_sign) A)^T`` or rows of either: primal feasibility ``A``;
+    multiplier feasibility ``sum_i sgn_i a_ij d_i - prob_j p_slot(j) <= c0_j``;
+    then per pair ``a <= M_a * delta`` (``comp_p``) and
+    ``b <= M_b * (1 - delta)`` (``comp_d``).  A pair without a switch has
+    delta fixed at its implied value (``_switch_rules``): its ``comp_p`` row
+    holds by the bounds and is left out, and its multiplier cap is a column
+    bound for a row pair and a ``comp_d`` row for a column pair.
+    """
     system = mpcc.system
+    skel = system.skeleton
     inst = system.instance
-    n_slots = inst.n_slots
+    n_slots, n, m = inst.n_slots, system.n_vars, system.n_rows
     comp = inst.prices.competitor
     supply = inst.prices.supply_cost
-    builder = LpBuilder(maximize=True)
+    row_sign = system.row_sign
+    ineq = mpcc.ineq_rows
+    n_ineq, n_pairs = len(ineq), mpcc.n_pairs
+    switched = mpcc.switched
+    n_sw = len(switched)
+    layout = _MilpLayout(n_slots, n_slots, n_slots + n, n_slots + n + m)
 
+    p_lo, p_up = np.zeros(n_slots), np.array(comp, dtype=float)
     for h in range(n_slots):
-        lo, up = 0.0, float(comp[h])
         if pinned_prices and h in pinned_prices:
             v = float(pinned_prices[h])
             if not (-1e-9 <= v <= comp[h] + 1e-9):
                 raise ValueError(f"pinned price {v} at slot {h} outside [0, {comp[h]}]")
-            lo = up = min(max(v, 0.0), float(comp[h]))
-        builder.add_var(("p", h), lo, up, obj=0.0)
+            p_lo[h] = p_up[h] = min(max(v, 0.0), float(comp[h]))
 
-    primal_off = builder.n_vars
-    obj_primal = -system.c0.copy()
+    obj_primal = -system.c0
     obj_primal[system.leader_cols] -= system.leader_prob * supply[system.leader_slot]
     col_upper = mpcc.var_upper.copy()
-    col_upper[mpcc.refs(DOMINATED_PURCHASE)] = 0.0
-    for j, tag in enumerate(system.var_tags):
-        builder.add_var(("pv",) + tag, 0.0, float(col_upper[j]),
-                        obj=float(obj_primal[j]))
+    col_upper[mpcc.rule[n_ineq:] == DOMINATED_PURCHASE] = 0.0
+    dual_upper = np.full(m, np.inf)
+    fixed = np.flatnonzero(mpcc.rule[:n_ineq] != SWITCHED)
+    dual_upper[ineq[fixed]] = config.dual[fixed] * (1.0 - mpcc.implied_delta[fixed])
 
-    dual_off = builder.n_vars
-    dual_upper = np.full(len(system.rows), np.inf)
-    implied = mpcc.implied_delta
-    for k in np.flatnonzero(mpcc.rule != SWITCHED):
-        if mpcc.pairs[k].kind == "row":
-            dual_upper[mpcc.pairs[k].ref] = config.dual[k] * (1.0 - implied[k])
-    for i, (tag, terms, sense, rhs) in enumerate(system.rows):
-        lo = -np.inf if sense == EQ else 0.0
-        builder.add_var(("d", i), lo, float(dual_upper[i]),
-                        obj=float(mpcc.row_sign[i] * rhs))
+    a = skel.a_rows
+    signed = sp.csr_matrix((np.repeat(row_sign, np.diff(a.indptr)) * a.data,
+                            a.indices, a.indptr), shape=a.shape)   # rows as >= or =
+    signed_t = signed.T.tocsr()
+    linked = np.flatnonzero(system.price_slot >= 0)
+    price = sp.csr_matrix((system.price_prob[linked],
+                           (linked, system.price_slot[linked])), shape=(n, n_slots))
+    pick = sp.csr_matrix((np.ones(n_ineq), ineq, np.arange(n_ineq + 1)),
+                         shape=(n_ineq, m))                 # the multipliers of row pairs
+    cols = (switched, np.arange(n_sw))                      # each switched pair's M
+    big_p = sp.csr_matrix((-config.primal[switched], cols), shape=(n_pairs, n_sw))
+    big_d = sp.csr_matrix((config.dual[switched], cols), shape=(n_pairs, n_sw))
+    mat = sp.bmat([
+        [None, a, None, None],                              # primal feasibility
+        [-price, None, signed_t, None],                     # multiplier feasibility
+        [None, signed[ineq], None, big_p[:n_ineq]],         # comp_p of row pairs
+        [None, sp.identity(n), None, big_p[n_ineq:]],       # comp_p of column pairs
+        [None, None, pick, big_d[:n_ineq]],                 # comp_d of row pairs
+        [price, None, -signed_t, big_d[n_ineq:]],           # comp_d of column pairs
+    ], format="csr")
+    signed_rhs = row_sign * skel.rhs
+    comp_rhs = np.concatenate([signed_rhs[ineq], np.zeros(n),
+                               config.dual[:n_ineq], config.dual[n_ineq:] - system.c0])
+    # interleave per pair: comp_p if switched, then comp_d if switched or a column
+    is_switched = mpcc.rule == SWITCHED
+    has = np.column_stack([is_switched, is_switched])
+    has[n_ineq:, 1] = True
+    comp_rows = np.column_stack([np.arange(n_pairs), n_pairs + np.arange(n_pairs)])[has]
+    mat = mat[np.concatenate([np.arange(m + n), m + n + comp_rows])]
+    mat.eliminate_zeros()
+    mat.sort_indices()
 
-    delta_off = builder.n_vars
-    switched = mpcc.switched.tolist()
-    for k in switched:
-        builder.add_var(("delta", k), 0.0, 1.0, obj=0.0)
-
-    # primal feasibility
-    for tag, terms, sense, rhs in system.rows:
-        builder.add_row(("primal",) + tag,
-                        [(primal_off + j, c) for j, c in terms], sense, rhs)
-
-    # multiplier feasibility: sum sgn_i a_ij d_i - gamma_j p_slot <= c0_j
-    for j in range(system.n_vars):
-        terms = [(dual_off + i, mpcc.row_sign[i] * coef) for i, coef in mpcc.cols[j]]
-        if system.price_slot[j] >= 0:
-            terms.append((int(system.price_slot[j]), -float(system.price_prob[j])))
-        builder.add_row(("dual",) + system.var_tags[j], terms, LE,
-                        float(system.c0[j]))
-
-    # complementarity: a <= M_a * delta and b <= M_b * (1 - delta).  A pair
-    # without a switch has delta fixed at the value its structure implies:
-    # its primal-side row then holds by the bounds (``_switch_rules``), and
-    # its multiplier cap is the column bound above for a row pair and a row
-    # for a column pair (whose implied delta is always 0).
-    delta_of = dict(zip(switched, range(delta_off, delta_off + len(switched))))
-    for k, pair in enumerate(mpcc.pairs):
-        dk = delta_of.get(k)
-        mp, md = float(config.primal[k]), float(config.dual[k])
-        if pair.kind == "row":
-            if dk is None:
-                continue
-            i = pair.ref
-            tag, terms, sense, rhs = system.rows[i]
-            shifted = [(primal_off + j, c if sense == GE else -c) for j, c in terms]
-            shifted.append((dk, -mp))
-            builder.add_row(("comp_p", k), shifted, LE,
-                            float(rhs if sense == GE else -rhs))
-            builder.add_row(("comp_d", k), [(dual_off + i, 1.0), (dk, md)], LE, md)
-        else:
-            j = pair.ref
-            terms = [(dual_off + i, -mpcc.row_sign[i] * coef)
-                     for i, coef in mpcc.cols[j]]
-            if system.price_slot[j] >= 0:
-                terms.append((int(system.price_slot[j]), float(system.price_prob[j])))
-            if dk is not None:
-                builder.add_row(("comp_p", k), [(primal_off + j, 1.0), (dk, -mp)],
-                                LE, 0.0)
-                terms.append((dk, md))
-            builder.add_row(("comp_d", k), terms, LE, md - float(system.c0[j]))
-
-    lp = builder.build()
-    binaries = np.arange(delta_off, delta_off + len(switched), dtype=np.int64)
-    return MilpModel(lp, binaries), _MilpLayout(n_slots, primal_off, dual_off,
-                                                delta_off)
+    lp = LinearProgram(
+        n_vars=layout.delta_off + n_sw,
+        obj=np.concatenate([np.zeros(n_slots), obj_primal, signed_rhs, np.zeros(n_sw)]),
+        lower=np.concatenate([p_lo, np.zeros(n), np.where(skel.sense == EQ, -np.inf, 0.0),
+                              np.zeros(n_sw)]),
+        upper=np.concatenate([p_up, col_upper, dual_upper, np.ones(n_sw)]),
+        a_rows=mat,
+        sense=np.concatenate([skel.sense, np.full(n + len(comp_rows), LE, dtype=object)]),
+        rhs=np.concatenate([skel.rhs, system.c0, comp_rhs[comp_rows]]),
+        maximize=True,
+        var_tags=[*zip(repeat("p"), range(n_slots)),
+                  *map(add, repeat(("pv",)), system.var_tags),
+                  *zip(repeat("d"), range(m)),
+                  *zip(repeat("delta"), switched.tolist())],
+        row_tags=[*map(add, repeat(("primal",)), skel.row_tags),
+                  *map(add, repeat(("dual",)), system.var_tags),
+                  *zip(np.where(comp_rows < n_pairs, "comp_p", "comp_d").tolist(),
+                       (comp_rows % n_pairs).tolist())])
+    lp.validate()
+    binaries = np.arange(layout.delta_off, lp.n_vars, dtype=np.int64)
+    return MilpModel(lp, binaries), layout
 
 
 def linearize(mpcc: MpccSystem, config: BigMConfig,
@@ -428,24 +436,16 @@ def linearize(mpcc: MpccSystem, config: BigMConfig,
 
 def _pair_values(mpcc: MpccSystem, primal: np.ndarray, dual: np.ndarray,
                  prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of every pair: the slack ``row_sign * (A x - rhs)`` and
+    multiplier of each inequality row, then the value and reduced cost
+    ``c(p) - (diag(row_sign) A)^T dual`` of each column."""
     system = mpcc.system
-    pv = np.empty(mpcc.n_pairs)
-    dv = np.empty(mpcc.n_pairs)
-    for k, pair in enumerate(mpcc.pairs):
-        if pair.kind == "row":
-            tag, terms, sense, rhs = system.rows[pair.ref]
-            lhs = sum(coef * primal[j] for j, coef in terms)
-            pv[k] = (lhs - rhs) if sense == GE else (rhs - lhs)
-            dv[k] = dual[pair.ref]
-        else:
-            j = pair.ref
-            pv[k] = primal[j]
-            expr = sum(mpcc.row_sign[i] * coef * dual[i] for i, coef in mpcc.cols[j])
-            cj = system.c0[j]
-            if system.price_slot[j] >= 0:
-                cj += system.price_prob[j] * prices[system.price_slot[j]]
-            dv[k] = cj - expr
-    return pv, dv
+    skel = system.skeleton
+    ineq = mpcc.ineq_rows
+    slack = system.row_sign * (skel.a_rows @ primal - skel.rhs)
+    reduced = system.objective(prices) - skel.a_rows.T @ (system.row_sign * dual)
+    return (np.concatenate([slack[ineq], primal]),
+            np.concatenate([dual[ineq], reduced]))
 
 
 def extract_bilevel(mpcc: MpccSystem, layout: _MilpLayout, result: MilpResult,
@@ -455,7 +455,7 @@ def extract_bilevel(mpcc: MpccSystem, layout: _MilpLayout, result: MilpResult,
     x = result.x
     prices = x[: layout.n_slots].copy()
     primal = x[layout.primal_off: layout.primal_off + system.n_vars]
-    dual = x[layout.dual_off: layout.dual_off + len(system.rows)]
+    dual = x[layout.dual_off: layout.dual_off + system.n_rows]
     binaries = mpcc.implied_delta
     switched = mpcc.switched
     binaries[switched] = x[layout.delta_off: layout.delta_off + len(switched)]
@@ -509,6 +509,12 @@ def _priming_points(mpcc: MpccSystem, layout: _MilpLayout, model: MilpModel,
     fixes both at 0; a point that does is dropped by the final check); the
     competitor profile in particular makes the dominance bound hold from the
     first node.
+
+    Only the bundled branch-and-bound reads these points, as its first
+    incumbents; HiGHS through ``ScipyBackend`` ignores them.  Without them a
+    node- or time-limited bundled solve can end with no incumbent at all:
+    desk seed 1 with ``node_limit=1`` returns ``NODE_LIMIT`` with priming
+    and raises ``BilevelInfeasible`` without it.
     """
     system = mpcc.system
     inst = system.instance
@@ -527,7 +533,7 @@ def _priming_points(mpcc: MpccSystem, layout: _MilpLayout, model: MilpModel,
             sol, _, duals = solve_follower(lp, backend=backend, system=system)
         except RuntimeError:
             continue
-        d_pos = duals.raw * mpcc.row_sign          # paper-positive multipliers
+        d_pos = duals.raw * system.row_sign        # paper-positive multipliers
         pv, dv = _pair_values(mpcc, sol.x, d_pos, prof)
         delta = (pv > 1e-7).astype(float)
         conflict = (pv > 1e-7) & (dv > 1e-7)
@@ -536,7 +542,7 @@ def _priming_points(mpcc: MpccSystem, layout: _MilpLayout, model: MilpModel,
         full = np.zeros(model.lp.n_vars)
         full[: layout.n_slots] = prof
         full[layout.primal_off: layout.primal_off + system.n_vars] = sol.x
-        full[layout.dual_off: layout.dual_off + len(system.rows)] = d_pos
+        full[layout.dual_off: layout.dual_off + system.n_rows] = d_pos
         full[model.binary_idx] = delta[mpcc.switched]
         if not verify_milp_solution(model, full, tol=1e-6):
             points.append(full)
@@ -555,8 +561,6 @@ def _polish_incumbent(solver, model: MilpModel, layout: _MilpLayout,
     audit.  Returns None when even the fixed-switch LP is infeasible, i.e.
     the incumbent was an artifact of solver tolerances.
     """
-    import scipy.sparse as sp
-
     lp = model.lp
     binaries = model.binary_idx
     rounded = np.round(result.x[binaries])
@@ -572,14 +576,12 @@ def _polish_incumbent(solver, model: MilpModel, layout: _MilpLayout,
     x_best = s1.x
 
     n = lp.n_vars
+    eq = mpcc.system.skeleton.sense == EQ
+    dual_cols = layout.dual_off + np.arange(len(eq))
     shrink = np.zeros(n)
-    eq_rows = []
-    for i, (_, _, sense, _) in enumerate(mpcc.system.rows):
-        if sense == EQ:
-            eq_rows.append(layout.dual_off + i)
-        else:
-            shrink[layout.dual_off + i] = 1.0
-    n_aux = len(eq_rows)
+    shrink[dual_cols[~eq]] = 1.0
+    eq_cols = dual_cols[eq]
+    n_aux = len(eq_cols)
     hold_sense = GE if lp.maximize else LE
 
     def shrink_lp(hold_rhs: float) -> LinearProgram:
@@ -591,11 +593,9 @@ def _polish_incumbent(solver, model: MilpModel, layout: _MilpLayout,
         if n_aux:
             # aux_i >= |d_eq_i| rows: aux - d >= 0 and aux + d >= 0
             rows_i = np.repeat(np.arange(2 * n_aux), 2)
-            cols = np.empty(4 * n_aux, dtype=np.int64)
-            vals = np.empty(4 * n_aux)
-            for k, col in enumerate(eq_rows):
-                cols[4 * k: 4 * k + 4] = [n + k, col, n + k, col]
-                vals[4 * k: 4 * k + 4] = [1.0, -1.0, 1.0, 1.0]
+            aux = n + np.arange(n_aux)
+            cols = np.column_stack([aux, eq_cols, aux, eq_cols]).ravel()
+            vals = np.tile([1.0, -1.0, 1.0, 1.0], n_aux)
             abs_block = sp.coo_matrix((vals, (rows_i, cols)),
                                       shape=(2 * n_aux, n + n_aux)).tocsr()
             base = sp.hstack([base, sp.csr_matrix((base.shape[0], n_aux))],
@@ -627,7 +627,7 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
                   opts: SolveOptions | None = None, *,
                   backend: str | None = None,
                   pinned_prices: dict[int, float] | None = None,
-                  prime: bool = True, max_retries: int = 3) -> BilevelSolution:
+                  max_retries: int = 3) -> BilevelSolution:
     """Optimistic pricing optimum via the big-M MILP, with audited M escalation."""
     report = validate(instance)
     if not report.ok:
@@ -649,8 +649,7 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
                 f"time budget exhausted after {attempt} attempts")
         attempt_opts = replace(opts, time_limit=max(remaining, 0.5))
         model, layout = _linearize(mpcc, cfg, pinned_prices)
-        warm = _priming_points(mpcc, layout, model, pinned_prices, backend) \
-            if prime else []
+        warm = _priming_points(mpcc, layout, model, pinned_prices, backend)
         result = solver.solve_milp(model, attempt_opts, initial_solutions=warm)
         if result.status is Status.INFEASIBLE:
             # undersized multiplier caps can choke the whole system; larger M

@@ -22,7 +22,7 @@ import numpy as np
 
 from .follower import DEVICE_FAMILIES
 from .model import Battery, Device, Horizon, Instance, PriceData, TimeWindow
-from .reformulation import BigMConfig, BilevelSolution, solve_bilevel
+from .reformulation import BigMConfig, BilevelInfeasible, BilevelSolution, solve_bilevel
 from .scenario import BaseScenario, MarkovSelector, flat_tree, realize_next
 from .solver import SolveOptions
 
@@ -278,7 +278,7 @@ def _solve_window(sub: Instance, opts: SolveOptions, pinned: dict,
         try:
             return solve_bilevel(sub, big_m, opts, backend=config.backend,
                                  pinned_prices=pinned), ""
-        except Exception as exc:
+        except BilevelInfeasible as exc:        # limits ran out; bugs propagate
             failure = f"{type(exc).__name__}: {exc}"
             if attempt == 1:
                 return None, failure

@@ -84,7 +84,7 @@ class LinearProgram:
             raise SolverError("objective must be finite")
         if np.any(self.lower > self.upper + 1e-12):
             raise SolverError("crossed variable bounds")
-        bad = set(np.unique(self.sense)) - set(_SENSES)
+        bad = set(self.sense.tolist()) - set(_SENSES)
         if bad:
             raise SolverError(f"unknown row senses {bad}")
 

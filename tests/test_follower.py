@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gridtariff.follower import (DEVICE_FAMILIES, SLOT_FAMILIES,
+from gridtariff.follower import (DEVICE_FAMILIES, SLOT_FAMILIES, _follower_rows,
                                  build_follower_lp, build_follower_system,
                                  complementarity_products, evaluate_schedule,
                                  extract_solution, leader_profit,
@@ -31,7 +31,7 @@ class TestBuildCounts:
         inst = make_t1()
         system = build_follower_system(inst)
         fams = {}
-        for tag, _, _, _ in system.rows:
+        for tag in system.skeleton.row_tags:
             fams[tag[0]] = fams.get(tag[0], 0) + 1
         assert fams["demand_min"] == 1
         assert fams["power_cap"] == 2
@@ -47,7 +47,7 @@ class TestBuildCounts:
             [BaseScenario(0, np.array([0.0, 1.0])),
              BaseScenario(1, np.array([0.0, 2.0]))], 2))
         system = build_follower_system(inst)
-        ties = [tag for tag, _, _, _ in system.rows if tag[0] == "tie"]
+        ties = [tag for tag in system.skeleton.row_tags if tag[0] == "tie"]
         assert len(ties) == 8                    # all eight families at h=0
         assert {t[1] for t in ties} == {"x", "xb", "lam", "sd",
                                         "xs", "xbs", "lams", "S"}
@@ -215,12 +215,17 @@ def _profiles(inst, seed):
     return list(supply + u * (comp - supply))
 
 
+def _tagged_rows(system):
+    """The tagged row tuples the skeleton is assembled from."""
+    return _follower_rows(system.instance, system.var_index)
+
+
 def _builder_lp(system, prices):
-    """The operator LP built row by row from ``system.rows``."""
+    """The operator LP built row by row from the tagged rows."""
     b = LpBuilder(maximize=False)
     for tag, cost in zip(system.var_tags, system.objective(prices)):
         b.add_var(tag, 0.0, np.inf, obj=float(cost))
-    for tag, terms, sense, rhs in system.rows:
+    for tag, terms, sense, rhs in _tagged_rows(system):
         b.add_row(tag, terms, sense, rhs)
     return b.build()
 
@@ -312,10 +317,11 @@ class TestExtraction:
 
     def test_duals_match_row_oracle(self, solved):
         system, sol, _, fduals = solved
+        rows = _tagged_rows(system)
         want: dict = {}
-        for (tag, _, sense, _), y in zip(system.rows, sol.duals):
+        for (tag, _, sense, _), y in zip(rows, sol.duals):
             want.setdefault(tag[0], {})[tag[1:]] = float(-y if sense == LE else y)
         assert fduals.by_family == want
         assert list(fduals.by_family) == list(want)
         assert (fduals.raw == sol.duals).all()
-        assert fduals.row_tags == [tag for tag, _, _, _ in system.rows]
+        assert fduals.row_tags == [tag for tag, _, _, _ in rows]

@@ -8,25 +8,33 @@ import numpy as np
 import pytest
 
 from gridtariff.follower import (build_follower_lp, build_follower_system,
-                                 evaluate_schedule, solve_follower)
-from gridtariff.generator import generate_week_instance
+                                 evaluate_schedule, extract_solution,
+                                 leader_profit, solve_follower)
+from gridtariff.generator import (generate_instance, generate_mini_instance,
+                                  generate_week_instance)
 from gridtariff.model import Battery, Device, TimeWindow
 from gridtariff.reformulation import (DOMINATED_PURCHASE, DUPLICATE_FLOOR,
                                       SWITCHED, ZERO_CAPACITY, AuditReport,
                                       BigMConfig, BilevelSolution,
                                       audit_big_m, build_mpcc, default_big_m,
-                                      linearize, solve_bilevel)
+                                      _linearize, _priming_points, linearize,
+                                      solve_bilevel)
 from gridtariff.scenario import BaseScenario, flat_tree, single_path_tree
 from gridtariff.solver import EQ, LE, SolveOptions, Status, solve_milp
 
 from conftest import (OptimisticResponder, grid_oracle, make_t1,
                       random_tiny_instance)
 
+# the instance shape of perfbench's desk workload
+DESK_SHAPE = dict(n_bases=1, n_slots=4, n_devices=2, slot_minutes=360,
+                  total_demand=8, duration_range=(1, 2), battery_hours=1.5,
+                  dg_level=0.8)
+
 
 class TestBuildMpcc:
     def test_pair_count_is_inequalities_plus_variables(self, t1):
         mpcc = build_mpcc(t1)
-        n_ineq = sum(1 for _, _, sense, _ in mpcc.system.rows if sense != EQ)
+        n_ineq = int((mpcc.system.skeleton.sense != EQ).sum())
         assert mpcc.n_pairs == n_ineq + mpcc.system.n_vars
 
     def test_zero_capacity_battery_pairs_forced_tight(self, t1):
@@ -35,7 +43,7 @@ class TestBuildMpcc:
         cfg = default_big_m(mpcc)
         ceiling = [k for k, p in enumerate(mpcc.pairs)
                    if p.kind == "row"
-                   and mpcc.system.rows[p.ref][0][0] == "batt_ceiling"]
+                   and mpcc.system.skeleton.row_tags[p.ref][0] == "batt_ceiling"]
         assert ceiling
         assert all(cfg.primal[k] == 0.0 for k in ceiling)
 
@@ -44,12 +52,16 @@ class TestBuildMpcc:
             [BaseScenario(0, np.array([0.0, 1.0])),
              BaseScenario(1, np.array([0.0, 2.0]))], 2))
         mpcc = build_mpcc(inst)
-        tie_rows = {i for i, (tag, _, _, _) in enumerate(mpcc.system.rows)
-                    if tag[0] == "tie"}
+        skel = mpcc.system.skeleton
+        tie_rows = {i for i, tag in enumerate(skel.row_tags) if tag[0] == "tie"}
         assert tie_rows
         j = mpcc.system.var_index[("x", 0, 0, 0)]
-        touching = {i for i, _ in mpcc.cols[j]}
+        touching = set(skel.a_rows.tocsc()[:, j].indices.tolist())
         assert touching & tie_rows            # tied variable sees the tie row
+        lp = linearize(mpcc, default_big_m(mpcc)).lp
+        stationarity = lp.a_rows[lp.row_tags.index(("dual", "x", 0, 0, 0))]
+        assert {lp.var_tags[c] for c in stationarity.indices} \
+            & {("d", i) for i in tie_rows}     # its stationarity row too
 
     def test_price_variable_only_in_dual_and_switch_rows(self, t1):
         mpcc = build_mpcc(t1)
@@ -171,7 +183,7 @@ class TestSolveBilevel:
 def _pair_family(mpcc, k) -> str:
     pair = mpcc.pairs[k]
     if pair.kind == "row":
-        return mpcc.system.rows[pair.ref][0][0]
+        return mpcc.system.skeleton.row_tags[pair.ref][0]
     return mpcc.system.var_tags[pair.ref][0]
 
 
@@ -325,3 +337,39 @@ class TestAudit:
         with pytest.raises(Exception):
             solve_bilevel(inst, config=cramped, opts=SolveOptions(rel_gap=0.0),
                           max_retries=2)
+
+
+def _desk(seed):
+    return generate_instance(seed, **DESK_SHAPE)
+
+
+class TestPriming:
+    """Operator optima written into the MILP: feasible points whose MILP
+    objective is the leader's profit, and the only first incumbent the
+    bundled branch-and-bound gets."""
+
+    @pytest.mark.parametrize("backend", ["bundled", "scipy"])
+    @pytest.mark.parametrize("make", [
+        pytest.param(make_t1, id="t1"),
+        pytest.param(lambda: _desk(1), id="desk1"),
+        pytest.param(lambda: _desk(4), id="desk4"),
+        pytest.param(lambda: generate_mini_instance(5, n_bases=3), id="mini5x3"),
+    ])
+    def test_points_are_priced_at_the_leader_profit(self, make, backend):
+        inst = make()
+        mpcc = build_mpcc(inst)
+        model, layout = _linearize(mpcc, default_big_m(mpcc))
+        points = _priming_points(mpcc, layout, model, None, backend)
+        assert len(points) == 2
+        n = mpcc.system.n_vars
+        for point in points:
+            prices = point[: layout.n_slots]
+            schedule = extract_solution(
+                mpcc.system, point[layout.primal_off: layout.primal_off + n], 0.0)
+            assert float(model.lp.obj @ point) == pytest.approx(
+                leader_profit(inst, prices, schedule), rel=1e-6)
+
+    def test_node_limited_bundled_solve_keeps_the_primed_incumbent(self):
+        sol = solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0, node_limit=1))
+        assert sol.status is Status.NODE_LIMIT
+        assert sol.leader_objective == pytest.approx(44.921807, rel=1e-6)

@@ -8,7 +8,8 @@ import pytest
 from gridtariff.follower import DEVICE_FAMILIES
 from gridtariff.generator import generate_mini_instance
 from gridtariff.model import Device, TimeWindow
-from gridtariff.reformulation import solve_bilevel
+from gridtariff import rolling
+from gridtariff.reformulation import BilevelInfeasible, solve_bilevel
 from gridtariff.rolling import (RhConfig, RhTrajectory, audit_trajectory,
                                 make_subinstance, run)
 from gridtariff.scenario import MarkovSelector, uniform_selector
@@ -189,6 +190,42 @@ class TestRun:
         assert t0.complete and t4.complete
         assert audit_trajectory(inst, t0).ok
         assert audit_trajectory(inst, t4).ok
+
+
+class TestWindowRetry:
+    """A window is retried only when the solve ran out of limits."""
+
+    def test_programming_error_propagates(self, monkeypatch):
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(args)
+            raise TypeError("bug in the pricing code")
+
+        monkeypatch.setattr(rolling, "solve_bilevel", broken)
+        inst = generate_mini_instance(3)
+        cfg = RhConfig(window=inst.horizon.last_slot, step=1, frozen=0, **EXACT)
+        with pytest.raises(TypeError, match="bug in the pricing code"):
+            run(inst, cfg)
+        assert len(calls) == 1
+
+    def test_solver_limit_retried_with_twice_the_time(self, monkeypatch):
+        limits = []
+
+        def out_of_time_once(sub, big_m, opts, **kwargs):
+            limits.append(opts.time_limit)
+            if len(limits) == 1:
+                raise BilevelInfeasible("no incumbent within limits")
+            return solve_bilevel(sub, big_m, opts, **kwargs)
+
+        monkeypatch.setattr(rolling, "solve_bilevel", out_of_time_once)
+        inst = generate_mini_instance(3)
+        cfg = RhConfig(window=inst.horizon.last_slot, step=1, frozen=0, **EXACT)
+        traj = run(inst, cfg)
+        assert limits == [300.0, 600.0]
+        assert traj.complete and len(traj.per_iteration_log) == 1
+        assert bool(traj.price_committed.all())
+        assert audit_trajectory(inst, traj).ok
 
 
 class TestAuditTrajectory:
