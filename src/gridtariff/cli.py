@@ -5,7 +5,8 @@ MILP), ``baseline`` (reference / perfect cases), ``rh`` (rolling horizon),
 ``sensitivity`` (the thirteen-variant study grid) and ``rh-study`` (frozen
 horizon sweep over replayed scenario paths).
 
-Exit codes: 0 success, 2 validation failure, 3 solver failure, 4 partial
+Exit codes: 0 success, 2 validation failure, 3 solver failure (including a
+big-M optimum whose audit escalation could not certify), 4 partial
 results (a time limit truncated something).
 """
 
@@ -24,7 +25,7 @@ from .follower import FollowerInfeasible
 from .generator import (MINI_PRESETS, VariantSpec, generate_mini_instance,
                         generate_week_instance)
 from .model import Instance, validate
-from .reformulation import BilevelInfeasible, solve_bilevel
+from .reformulation import BilevelInfeasible, UncertifiedOptimum, solve_bilevel
 from .rolling import RhAborted, RhConfig
 from .scenario import MarkovSelector, uniform_selector
 from .solver import SolveOptions, Status, write_lp
@@ -430,6 +431,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UncertifiedOptimum as exc:
+        print(f"uncertified optimum: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
 

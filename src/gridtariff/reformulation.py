@@ -67,6 +67,22 @@ class ExtractionMismatch(RuntimeError):
     """Strong-duality objective and direct profit evaluation disagree."""
 
 
+class UncertifiedOptimum(RuntimeError):
+    """The best big-M optimum found still has multipliers at an M that its
+    escalation could not clear, so a larger M might raise the profit.
+
+    Not a ``BilevelInfeasible``: more time does not fix an M.  ``solution``
+    holds the answer (with its audit) and ``flags`` its risky audit flags.
+    """
+
+    def __init__(self, solution: "BilevelSolution", why: str):
+        self.solution = solution
+        self.flags = solution.audit.risky
+        super().__init__(
+            f"{why}: profit {solution.leader_objective:.6f} has"
+            f" {len(self.flags)} multiplier(s) at their big-M bound")
+
+
 @dataclass(frozen=True)
 class Pair:
     """One complementarity pair: a primal quantity and its multiplier."""
@@ -619,8 +635,7 @@ def _polish_incumbent(solver, model: MilpModel, layout: _MilpLayout,
     obj = float(lp.obj @ x_best)
     gap = abs(obj - result.bound) / max(1.0, abs(obj)) \
         if np.isfinite(result.bound) else result.rel_gap
-    return MilpResult(result.status, x_best, obj, result.bound, gap,
-                      result.nodes, result.log)
+    return replace(result, x=x_best, objective=obj, rel_gap=gap)
 
 
 def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
@@ -628,7 +643,12 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
                   backend: str | None = None,
                   pinned_prices: dict[int, float] | None = None,
                   max_retries: int = 3) -> BilevelSolution:
-    """Optimistic pricing optimum via the big-M MILP, with audited M escalation."""
+    """Optimistic pricing optimum via the big-M MILP, with audited M escalation.
+
+    Every returned solution has a clean audit.  Raises ``UncertifiedOptimum``
+    when escalation ends with multipliers still at their M, and
+    ``BilevelInfeasible`` when no incumbent is found within the limits.
+    """
     report = validate(instance)
     if not report.ok:
         raise ValueError(f"invalid instance: {[v.code for v in report]}")
@@ -644,7 +664,7 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
         remaining = deadline - time.monotonic()
         if remaining <= 0.5 and attempt > 0:
             if best is not None:
-                return best
+                raise UncertifiedOptimum(best, "time budget exhausted")
             raise BilevelInfeasible(
                 f"time budget exhausted after {attempt} attempts")
         attempt_opts = replace(opts, time_limit=max(remaining, 0.5))
@@ -673,23 +693,21 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
         if solution is not None:
             solution.retries = attempt
             solution.audit = audit_big_m(solution, cfg)
+            if solution.audit.clean:
+                return solution
             # enlarging M only enlarges the feasible set, so a retry that does
-            # not improve the objective added nothing: keep the earlier result
+            # not improve the objective added nothing: stop escalating
             if best is not None and solution.leader_objective \
                     <= best.leader_objective + 1e-9 * (1 + abs(best.leader_objective)):
-                return best
-            if solution.audit.clean or attempt == max_retries:
-                return solution
+                raise UncertifiedOptimum(best, "a larger M did not move the profit")
+            if attempt == max_retries:
+                raise UncertifiedOptimum(solution, f"risky after {attempt} escalations")
             best = solution
         elif best is not None:
-            return best                        # retry produced only artifacts
+            raise UncertifiedOptimum(best, "a larger M gave no exact incumbent")
         elif attempt == max_retries:
             raise BilevelInfeasible(
                 "no tolerance-exact incumbent recoverable; consider a tighter"
                 " backend or larger explicit big-M values")
         cfg = cfg.escalate()
-    return best if best is not None else _unreachable()
-
-
-def _unreachable() -> BilevelSolution:
-    raise RuntimeError("unreachable")
+    raise RuntimeError("unreachable: the last attempt returns or raises")

@@ -2,8 +2,11 @@
 
 Nodes are LP relaxations with tightened binary bounds; selection is
 best-bound with FIFO tie-breaking, branching picks the most fractional
-binary (ties by lowest variable index).  Everything is deterministic for a
-fixed model, so repeated runs produce identical node trails.
+binary (ties by lowest variable index).  The root LP starts from the slack
+crash basis; every other node starts from its parent's optimal basis, which
+a fixed binary leaves dual feasible, so a few dual simplex steps re-solve it.
+Everything is deterministic for a fixed model, so repeated runs produce
+identical node trails.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ class _Node:
     ub_patch: dict
     bound: float
     depth: int
+    basis: tuple | None = None      # the parent's (basis, vstat)
 
 
 def _relative_gap(incumbent: float | None, bound: float) -> float:
@@ -75,6 +79,22 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None,
             up[j] = v
         return lo, up
 
+    lp_iterations = 0
+    cold_nodes = 0
+
+    def node_lp(lo: np.ndarray, up: np.ndarray, basis: tuple | None):
+        nonlocal lp_iterations, cold_nodes
+        sol = simplex.solve_with_workspace(ws, work_lp.obj, False, lo, up,
+                                           basis=basis)
+        lp_iterations += sol.iterations
+        cold_nodes += not sol.warm
+        return sol
+
+    def result(status: Status, x=None, objective=None, bound=np.nan,
+               gap=np.inf) -> MilpResult:
+        return MilpResult(status, x, objective, bound, gap, nodes_done, log,
+                          lp_iterations=lp_iterations, cold_nodes=cold_nodes)
+
     t0 = time.monotonic()
     log: list[tuple] = []
     nodes_done = 0
@@ -104,11 +124,10 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None,
                 break
 
         lo, up = node_bounds(node)
-        sol = simplex.solve_with_workspace(ws, work_lp.obj, False, lo, up)
+        sol = node_lp(lo, up, node.basis)
         nodes_done += 1
         if sol.status is Status.UNBOUNDED:
-            return MilpResult(Status.UNBOUNDED, None, None, np.nan, np.inf,
-                              nodes_done, log)
+            return result(Status.UNBOUNDED)
         if sol.status is not Status.OPTIMAL:
             log.append((nodes_done, node.depth, None, "infeasible"))
             continue
@@ -125,7 +144,7 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None,
                 # scaled by big row coefficients can hide real slack
                 lo, up = node_bounds(node)
                 lo[binaries] = up[binaries] = np.round(sol.x[binaries])
-                sol = simplex.solve_with_workspace(ws, work_lp.obj, False, lo, up)
+                sol = node_lp(lo, up, (sol.basis, sol.vstat))
                 if sol.status is not Status.OPTIMAL:
                     log.append((nodes_done, node.depth, node_bound, "leaf"))
                     continue
@@ -146,7 +165,8 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None,
             lbp[branch_var] = fix
             ubp[branch_var] = fix
             heapq.heappush(heap, (node_bound, counter,
-                                  _Node(lbp, ubp, node_bound, node.depth + 1)))
+                                  _Node(lbp, ubp, node_bound, node.depth + 1,
+                                        (sol.basis, sol.vstat))))
             counter += 1
 
     if heap:                                   # stopped early; open nodes remain
@@ -158,11 +178,9 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None,
 
     if incumbent_obj is None:
         if stop_status in (Status.TIME_LIMIT, Status.NODE_LIMIT):
-            return MilpResult(Status.NO_SOLUTION, None, None,
-                              sign * dual_bound if np.isfinite(dual_bound) else np.nan,
-                              np.inf, nodes_done, log)
-        return MilpResult(Status.INFEASIBLE, None, None, np.nan, np.inf,
-                          nodes_done, log)
+            return result(Status.NO_SOLUTION, bound=sign * dual_bound
+                          if np.isfinite(dual_bound) else np.nan)
+        return result(Status.INFEASIBLE)
 
     if proven_optimal:
         dual_bound = incumbent_obj
@@ -170,5 +188,4 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None,
     status = Status.OPTIMAL if stop_status is None else stop_status
     if status is not Status.OPTIMAL and gap <= opts.rel_gap:
         status = Status.OPTIMAL
-    return MilpResult(status, incumbent_x, sign * incumbent_obj,
-                      sign * dual_bound, gap, nodes_done, log)
+    return result(status, incumbent_x, sign * incumbent_obj, sign * dual_bound, gap)

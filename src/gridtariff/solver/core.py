@@ -39,16 +39,10 @@ class SolveOptions:
     time_limit: float = 600.0
     rel_gap: float = 1e-4
     node_limit: int = 2_000_000
-    branching: str = "most_fractional"
-    seed: int = 0
-    feas_tol: float = 1e-6
-    lp_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
-        if self.branching not in ("most_fractional",):
-            raise ValueError(f"unknown branching rule {self.branching!r}")
 
 
 @dataclass
@@ -126,6 +120,13 @@ class LpSolution:
     objective: float | None
     iterations: int = 0
     farkas: np.ndarray | None = None   # phase-1 multipliers certifying infeasibility
+    # bundled simplex only: the column of [A | I] basic in each row and the
+    # status of every structural and slack column at the optimum, which can
+    # seed a re-solve under tighter bounds; ``warm`` says the solve started
+    # from such a basis (and has no ``farkas``) instead of the crash basis
+    basis: np.ndarray | None = None
+    vstat: np.ndarray | None = None
+    warm: bool = False
 
 
 @dataclass
@@ -137,6 +138,8 @@ class MilpResult:
     rel_gap: float
     nodes: int
     log: list = field(default_factory=list)   # (node id, depth, bound, branch var)
+    lp_iterations: int = 0     # bundled: simplex iterations over all node LPs
+    cold_nodes: int = 0        # bundled: node LPs solved from the crash basis
 
 
 class LpBuilder:

@@ -1,4 +1,4 @@
-"""Bounded-variable primal simplex with dual certificates.
+"""Bounded-variable primal and dual simplex with dual certificates.
 
 Two-phase revised simplex over the equality system [A | I]x = b obtained by
 slack augmentation.  Nonbasic variables rest on a finite bound (or at zero if
@@ -6,10 +6,13 @@ free); an explicit dense basis inverse is maintained with product-form updates
 and periodic refactorization.  Dantzig pricing switches to Bland's rule after
 a run of degenerate steps, which guarantees termination.
 
-A ``Workspace`` holds the standardized arrays and can be reused across solves
-of the same constraint matrix with different objectives or variable bounds
-(branch-and-bound nodes); every solve still starts from the slack crash
-basis.
+A ``Workspace`` holds the standardized arrays, including the transpose that
+pricing reads, and can be reused across solves of the same constraint matrix
+with different objectives or variable bounds (branch-and-bound nodes).  A
+solve starts from the slack crash basis, or from the optimal basis of an
+earlier solve whose bounds were looser: that basis is still dual feasible, so
+a bounded dual simplex (Koberstein 2005, *The dual simplex method*) restores
+primal feasibility and the primal loop then confirms optimality.
 
 Multiplier convention (minimization): binding ">=" rows have nonnegative
 multipliers, binding "<=" rows nonpositive ones, equalities are free, and the
@@ -33,6 +36,8 @@ _FIXED = 4
 
 _PIVOT_TOL = 1e-7
 _RC_TOL = 1e-9
+_DUAL_FEAS_TOL = 1e-7                # a warm basis must price out within this
+_FEAS_TOL = 1e-9                     # relative bound violation the dual repairs
 _DEGEN_RUN = 40
 _REFACTOR_EVERY = 120
 _DENSE_CACHE_LIMIT = 6_000_000      # entries of A kept dense for fast refactor
@@ -56,6 +61,7 @@ class Workspace:
         self.base_lower = lp.lower.copy()
         self.base_upper = lp.upper.copy()
         self.a = sp.hstack([lp.a_rows, sp.eye(m, format="csc")], format="csc")
+        self.a_t = self.a.T.tocsr()         # pricing reads [A | I]^T every step
         self.a_struct = lp.a_rows.tocsc()
         self.b = lp.rhs.copy()
         n_tot = n + m
@@ -78,38 +84,82 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
 def solve_with_workspace(ws: Workspace, obj: np.ndarray, maximize: bool,
                          lower: np.ndarray | None = None,
                          upper: np.ndarray | None = None,
-                         max_iters: int | None = None) -> LpSolution:
+                         max_iters: int | None = None,
+                         basis: tuple[np.ndarray, np.ndarray] | None = None
+                         ) -> LpSolution:
+    """Solve over ``ws`` with the given objective and bounds.
+
+    ``basis`` is the ``(basis, vstat)`` pair of an optimal solve on ``ws``
+    with the same objective and looser bounds.  The dual simplex then
+    restores primal feasibility from it and the primal loop checks
+    optimality.  The solve falls back to the slack crash basis when the pair
+    holds a phase-1 artificial, is singular or is not dual feasible within
+    1e-7 (``_DUAL_FEAS_TOL``); ``LpSolution.warm`` says which start was used.
+    """
     lb, ub = ws.bounds(lower, upper)
     if np.any(lb > ub + 1e-12):
         return LpSolution(Status.INFEASIBLE, None, None, None, None)
-    sim = _Simplex(ws, lb, ub)
-    feasible = sim.phase1()
-    if not feasible:
-        return LpSolution(Status.INFEASIBLE, None, None, None, None,
-                          iterations=sim.iterations, farkas=sim.multipliers())
     c = np.zeros(ws.n_struct + ws.m)
     c[: ws.n_struct] = -obj if maximize else obj
+    sim = _Simplex.restore(ws, lb, ub, c, basis) if basis is not None else None
+    warm = sim is not None
+    if warm:
+        if not sim.dual(max_iters):
+            return LpSolution(Status.INFEASIBLE, None, None, None, None,
+                              iterations=sim.iterations, warm=True)
+    else:
+        sim = _Simplex.crash(ws, lb, ub)
+        if not sim.phase1():
+            return LpSolution(Status.INFEASIBLE, None, None, None, None,
+                              iterations=sim.iterations, farkas=sim.multipliers())
     status = sim.phase2(c, max_iters)
     if status is Status.UNBOUNDED:
         return LpSolution(Status.UNBOUNDED, None, None, None, None,
-                          iterations=sim.iterations)
+                          iterations=sim.iterations, warm=warm)
     x = sim.x[: ws.n_struct].copy()
     y = sim.multipliers()
-    rc = np.asarray(c[: ws.n_struct] - ws.a_struct.T @ y).ravel()
+    rc = (c - ws.a_t @ y)[: ws.n_struct]
     obj_val = float(np.dot(obj, x))
     if maximize:
         y, rc = -y, -rc
-    return LpSolution(Status.OPTIMAL, x, y, rc, obj_val, iterations=sim.iterations)
+    return LpSolution(Status.OPTIMAL, x, y, rc, obj_val, iterations=sim.iterations,
+                      basis=sim.basis.copy(), vstat=sim.vstat[: sim.n_tot].copy(),
+                      warm=warm)
 
 
 class _Simplex:
-    def __init__(self, ws: Workspace, lb: np.ndarray, ub: np.ndarray):
+    def __init__(self, ws: Workspace, lb: np.ndarray, ub: np.ndarray,
+                 x: np.ndarray, vstat: np.ndarray, basis: np.ndarray,
+                 art: sp.csc_matrix | None = None):
         self.ws = ws
         self.iterations = 0
+        self.n_tot = ws.n_struct + ws.m
+        self.n_art = 0 if art is None else art.shape[1]
+        if self.n_art:
+            self.a = sp.hstack([ws.a, art], format="csc")
+            self.a_t = self.a.T.tocsr()
+            self.a_dense = (np.hstack([ws.a_dense, art.toarray()])
+                            if ws.a_dense is not None else None)
+            self.lb = np.concatenate([lb, np.zeros(self.n_art)])
+            self.ub = np.concatenate([ub, np.full(self.n_art, np.inf)])
+        else:
+            self.a, self.a_t, self.a_dense = ws.a, ws.a_t, ws.a_dense
+            self.lb, self.ub = lb, ub
+        self.x = x
+        self.vstat = vstat
+        self.basis = basis
+        self.c = np.zeros(self.a.shape[1])
+        self.binv: np.ndarray | None = None
+        self._refactor()
+        self._bland = False
+        self._degen_run = 0
+
+    @classmethod
+    def crash(cls, ws: Workspace, lb: np.ndarray, ub: np.ndarray) -> "_Simplex":
+        """Slack-first crash basis; rows whose slack cannot absorb the
+        residual get an artificial column instead."""
         m = ws.m
         n_tot = ws.n_struct + m
-        self.n_tot = n_tot
-
         # Nonbasic starting point: nearest finite bound, or 0 for free vars.
         x = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
         status = np.full(n_tot, _AT_LB, dtype=np.int8)
@@ -117,8 +167,6 @@ class _Simplex:
         status[~np.isfinite(lb) & ~np.isfinite(ub)] = _FREE_NB
         status[lb == ub] = _FIXED
 
-        # Slack-first crash basis; rows whose slack cannot absorb the residual
-        # get an artificial column instead.
         resid = ws.b - ws.a_struct @ x[: ws.n_struct]
         basis = np.empty(m, dtype=np.int64)
         art_rows: list[int] = []
@@ -140,32 +188,45 @@ class _Simplex:
                 art_signs.append(1.0 if gap >= 0 else -1.0)
                 art_vals.append(abs(gap))
 
-        self.n_art = len(art_rows)
-        if self.n_art:
-            art_mat = sp.coo_matrix(
-                (art_signs, (art_rows, range(self.n_art))),
-                shape=(m, self.n_art)).tocsc()
-            self.a = sp.hstack([ws.a, art_mat], format="csc")
-            self.a_dense = (np.hstack([ws.a_dense, art_mat.toarray()])
-                            if ws.a_dense is not None else None)
-            self.lb = np.concatenate([lb, np.zeros(self.n_art)])
-            self.ub = np.concatenate([ub, np.full(self.n_art, np.inf)])
-            x = np.concatenate([x, np.asarray(art_vals)])
-            status = np.concatenate([status,
-                                     np.full(self.n_art, _BASIC, dtype=np.int8)])
-        else:
-            self.a = ws.a
-            self.a_dense = ws.a_dense
-            self.lb = lb
-            self.ub = ub
-        self.x = x
-        self.vstat = status
-        self.basis = basis
-        self.c = np.zeros(self.a.shape[1])
-        self.binv: np.ndarray | None = None
-        self._refactor()
-        self._bland = False
-        self._degen_run = 0
+        if not art_rows:
+            return cls(ws, lb, ub, x, status, basis)
+        n_art = len(art_rows)
+        art = sp.coo_matrix((art_signs, (art_rows, range(n_art))),
+                            shape=(m, n_art)).tocsc()
+        x = np.concatenate([x, np.asarray(art_vals)])
+        status = np.concatenate([status, np.full(n_art, _BASIC, dtype=np.int8)])
+        return cls(ws, lb, ub, x, status, basis, art)
+
+    @classmethod
+    def restore(cls, ws: Workspace, lb: np.ndarray, ub: np.ndarray,
+                c: np.ndarray, start: tuple[np.ndarray, np.ndarray]
+                ) -> "_Simplex | None":
+        """The basis of an earlier solve under new bounds, or None when it
+        cannot seed a dual simplex."""
+        basis, vstat = start
+        n_tot = ws.n_struct + ws.m
+        if len(basis) != ws.m or basis.min(initial=0) < 0 \
+                or basis.max(initial=-1) >= n_tot:
+            return None                        # holds a phase-1 artificial
+        fin_lb, fin_ub = np.isfinite(lb), np.isfinite(ub)
+        # nonbasic columns keep the bound they rested on where it is finite
+        to_ub = fin_ub & ((vstat == _AT_UB) | ~fin_lb)
+        status = np.where(lb == ub, _FIXED,
+                          np.where(to_ub, _AT_UB,
+                                   np.where(fin_lb, _AT_LB, _FREE_NB))).astype(np.int8)
+        status[basis] = _BASIC
+        x = np.where(status == _AT_UB, ub, np.where(fin_lb, lb, 0.0))
+        try:
+            sim = cls(ws, lb, ub, x, status, basis.copy())
+        except SolverError:
+            return None                        # singular under refactorization
+        sim.c[:] = c
+        d = sim.reduced_costs()
+        if np.any(((status == _AT_LB) & (d < -_DUAL_FEAS_TOL))
+                  | ((status == _AT_UB) & (d > _DUAL_FEAS_TOL))
+                  | ((status == _FREE_NB) & (np.abs(d) > _DUAL_FEAS_TOL))):
+            return None
+        return sim
 
     # -- basis linear algebra --------------------------------------------
 
@@ -202,6 +263,9 @@ class _Simplex:
     def multipliers(self) -> np.ndarray:
         return self.c[self.basis] @ self.binv
 
+    def reduced_costs(self) -> np.ndarray:
+        return self.c - self.a_t @ self.multipliers()
+
     # -- phases -------------------------------------------------------------
 
     def phase1(self) -> bool:
@@ -225,7 +289,7 @@ class _Simplex:
             j = self.basis[pos]
             if j < self.n_tot:
                 continue
-            row = np.asarray(self.binv[pos] @ self.a).ravel()
+            row = self.a_t @ self.binv[pos]
             candidates = np.flatnonzero(np.abs(row[: self.n_tot]) > 1e-7)
             for cand in candidates:
                 if self.vstat[cand] != _BASIC and self.lb[cand] != self.ub[cand]:
@@ -246,14 +310,80 @@ class _Simplex:
             self._refactor()
         return self._iterate(max_iters)
 
+    def dual(self, max_iters: int | None) -> bool:
+        """Bounded dual simplex from a dual feasible basis: True once every
+        basic value is within its bounds, False when a row proves the bounds
+        infeasible."""
+        limit = max_iters or (80 * (self.ws.m + self.n_tot) + 2000)
+        for _ in range(limit):
+            xb = self.x[self.basis]
+            lb_b = self.lb[self.basis]
+            ub_b = self.ub[self.basis]
+            below = lb_b - xb
+            above = xb - ub_b
+            viol = np.maximum(below, above)
+            infeasible = viol > _FEAS_TOL * np.maximum(
+                1.0, np.abs(np.where(below > above, lb_b, ub_b)))
+            if not infeasible.any():
+                return True
+            self.iterations += 1
+            if self._bland:
+                rows = np.flatnonzero(infeasible)
+                pos = int(rows[np.argmin(self.basis[rows])])
+            else:
+                pos = int(np.argmax(np.where(infeasible, viol, -np.inf)))
+            to_upper = bool(above[pos] > below[pos])
+            sgn = 1.0 if to_upper else -1.0
+
+            # x_B[pos] moves by -alpha_j per unit of nonbasic x_j; the entering
+            # column must push it toward the violated bound
+            alpha = sgn * (self.a_t @ self.binv[pos])
+            d = self.reduced_costs()
+            up = (((self.vstat == _AT_LB) | (self.vstat == _FREE_NB))
+                  & (alpha > _PIVOT_TOL))
+            down = (((self.vstat == _AT_UB) | (self.vstat == _FREE_NB))
+                    & (alpha < -_PIVOT_TOL))
+            eligible = np.flatnonzero(up | down)
+            if eligible.size == 0:
+                if self._since_refactor > 0:
+                    self._refactor()           # confirm on fresh factors
+                    continue
+                return False
+            slack = np.where(up[eligible], d[eligible], -d[eligible])
+            ratio = np.maximum(slack, 0.0) / np.abs(alpha[eligible])
+            tmin = ratio.min()
+            ties = eligible[ratio <= tmin + 1e-12]
+            if self._bland:
+                j = int(ties.min())
+            else:
+                j = int(ties[np.argmax(np.abs(alpha[ties]))])
+
+            if tmin <= 1e-12:
+                self._degen_run += 1
+                if self._degen_run > _DEGEN_RUN:
+                    self._bland = True
+            else:
+                self._degen_run = 0
+
+            w = self._col(j)
+            if abs(w[pos]) < 10 * _PIVOT_TOL and self._since_refactor > 0:
+                self._refactor()
+                continue
+            leaving = self.basis[pos]
+            bound = self.ub[leaving] if to_upper else self.lb[leaving]
+            t = (self.x[leaving] - bound) / w[pos]
+            self._pivot(j, pos, w, t, 1.0, to_upper)
+            if self._since_refactor >= _REFACTOR_EVERY:
+                self._refactor()
+        raise SolverError("dual simplex iteration limit exceeded")
+
     # -- core loop ------------------------------------------------------------
 
     def _iterate(self, max_iters: int | None) -> Status:
         limit = max_iters or (80 * (self.ws.m + self.n_tot) + 2000)
         for _ in range(limit):
             self.iterations += 1
-            y = self.multipliers()
-            rc = np.asarray(self.c - self.a.T @ y).ravel()
+            rc = self.reduced_costs()
 
             at_lb = (self.vstat == _AT_LB) & (rc < -_RC_TOL)
             at_ub = (self.vstat == _AT_UB) & (rc > _RC_TOL)

@@ -49,6 +49,24 @@ def test_baseline_reference_hand_value(tmp_path):
     assert doc["leader_profit"] == pytest.approx(1.0)
 
 
+def test_solve_uncertified_optimum_exit_code(tmp_path, monkeypatch, capsys):
+    import gridtariff.cli as cli
+    from gridtariff.reformulation import build_mpcc, default_big_m
+
+    t1 = make_t1(C=(0.0, 0.0))
+    cramped = default_big_m(build_mpcc(t1), default_dual=1.5)
+    real = cli.solve_bilevel
+    monkeypatch.setattr(cli, "solve_bilevel", lambda inst, **kw: real(
+        inst, config=cramped, max_retries=0, **kw))
+    inst_path = tmp_path / "t1.json"
+    write_instance(t1, inst_path)
+    out = tmp_path / "out.json"
+    code = run_cli("solve", inst_path, "--gap", "0", "-o", out)
+    assert code == 3
+    assert "uncertified optimum" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_invalid_instance_exit_code(tmp_path):
     inst_path = tmp_path / "bad.json"
     bad = make_t1()

@@ -15,7 +15,8 @@ from gridtariff.generator import (generate_instance, generate_mini_instance,
 from gridtariff.model import Battery, Device, TimeWindow
 from gridtariff.reformulation import (DOMINATED_PURCHASE, DUPLICATE_FLOOR,
                                       SWITCHED, ZERO_CAPACITY, AuditReport,
-                                      BigMConfig, BilevelSolution,
+                                      BigMConfig, BilevelInfeasible,
+                                      BilevelSolution, UncertifiedOptimum,
                                       audit_big_m, build_mpcc, default_big_m,
                                       _linearize, _priming_points, linearize,
                                       solve_bilevel)
@@ -330,6 +331,26 @@ class TestAudit:
         assert sol.leader_objective == pytest.approx(4.0, abs=1e-6)
         assert sol.retries >= 1
 
+    def test_risky_last_attempt_raises_uncertified(self):
+        # true multipliers reach the competitor price (3): an M of 1.5 cuts
+        # them off and the MILP optimum is 1.0, not 4.0
+        inst = make_t1(C=(0.0, 0.0))
+        mpcc = build_mpcc(inst)
+        cramped = default_big_m(mpcc, default_dual=1.5)
+        with pytest.raises(UncertifiedOptimum) as info:
+            solve_bilevel(inst, config=cramped, opts=SolveOptions(rel_gap=0.0),
+                          max_retries=0)
+        exc = info.value
+        assert not isinstance(exc, BilevelInfeasible)
+        assert exc.solution.leader_objective == pytest.approx(1.0, abs=1e-6)
+        assert not exc.solution.audit.clean
+        assert exc.flags == exc.solution.audit.risky
+        assert exc.flags and not any(f.structural for f in exc.flags)
+        # the same M with its escalation budget certifies the true optimum
+        sol = solve_bilevel(inst, config=cramped, opts=SolveOptions(rel_gap=0.0))
+        assert sol.leader_objective == pytest.approx(4.0, abs=1e-6)
+        assert sol.audit.clean
+
     def test_hopelessly_tiny_m_raises(self):
         inst = make_t1(C=(0.0, 0.0))
         mpcc = build_mpcc(inst)
@@ -373,3 +394,59 @@ class TestPriming:
         sol = solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0, node_limit=1))
         assert sol.status is Status.NODE_LIMIT
         assert sol.leader_objective == pytest.approx(44.921807, rel=1e-6)
+
+
+# perfbench's desk-bundled roster, and the desk seeds it leaves out as slow
+DESK_ROSTER = (1, 4, 7, 9, 13, 21)
+DESK_SLOW = (5, 12, 20, 25, 35)
+
+
+class TestBundledNodes:
+    """Branch-and-bound nodes re-solved from their parent's basis."""
+
+    @pytest.mark.parametrize("seed", DESK_ROSTER)
+    def test_warm_nodes_match_cold_resolves(self, seed, monkeypatch):
+        from gridtariff.solver import simplex
+        solve = simplex.solve_with_workspace
+        checked = []
+
+        def checked_solve(ws, obj, maximize, lower=None, upper=None,
+                          max_iters=None, basis=None):
+            sol = solve(ws, obj, maximize, lower, upper, max_iters, basis)
+            if basis is not None:
+                cold = solve(ws, obj, maximize, lower, upper, max_iters)
+                assert sol.warm and not cold.warm
+                assert sol.status is cold.status
+                if cold.status is Status.OPTIMAL:
+                    assert sol.objective == pytest.approx(cold.objective,
+                                                          rel=1e-9, abs=1e-9)
+                checked.append(sol.status)
+            return sol
+
+        monkeypatch.setattr(simplex, "solve_with_workspace", checked_solve)
+        mpcc = build_mpcc(_desk(seed))
+        res = solve_milp(linearize(mpcc, default_big_m(mpcc)),
+                         SolveOptions(rel_gap=0.0))
+        assert res.status is Status.OPTIMAL
+        assert res.nodes > 1
+        assert len(checked) >= res.nodes - 1   # every node but the root
+        assert res.cold_nodes == 1
+
+    @pytest.mark.parametrize("seed", DESK_ROSTER)
+    def test_node_work_repeats_exactly(self, seed):
+        opts = SolveOptions(rel_gap=0.0)
+        first = solve_bilevel(_desk(seed), opts=opts).milp
+        again = solve_bilevel(_desk(seed), opts=opts).milp
+        assert first.cold_nodes == again.cold_nodes == 1
+        assert first.lp_iterations == again.lp_iterations > 0
+        assert first.nodes == again.nodes
+        assert first.log == again.log
+
+    @pytest.mark.parametrize("seed", DESK_SLOW)
+    def test_slow_desk_seeds_finish(self, seed):
+        inst = _desk(seed)
+        ref = solve_bilevel(inst, opts=SolveOptions(rel_gap=1e-9), backend="scipy")
+        sol = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0, time_limit=60.0),
+                            backend="bundled")
+        assert sol.status is Status.OPTIMAL
+        assert sol.leader_objective == pytest.approx(ref.leader_objective, rel=1e-6)

@@ -9,7 +9,8 @@ from gridtariff.follower import DEVICE_FAMILIES
 from gridtariff.generator import generate_mini_instance
 from gridtariff.model import Device, TimeWindow
 from gridtariff import rolling
-from gridtariff.reformulation import BilevelInfeasible, solve_bilevel
+from gridtariff.reformulation import (AuditFlag, BilevelInfeasible,
+                                      UncertifiedOptimum, solve_bilevel)
 from gridtariff.rolling import (RhConfig, RhTrajectory, audit_trajectory,
                                 make_subinstance, run)
 from gridtariff.scenario import MarkovSelector, uniform_selector
@@ -208,6 +209,22 @@ class TestWindowRetry:
         with pytest.raises(TypeError, match="bug in the pricing code"):
             run(inst, cfg)
         assert len(calls) == 1
+
+    def test_uncertified_optimum_not_retried(self, monkeypatch):
+        inst = generate_mini_instance(3)
+        calls = []
+
+        def risky(sub, big_m, opts, **kwargs):
+            calls.append(opts.time_limit)
+            sol = solve_bilevel(sub, big_m, opts, **kwargs)
+            sol.audit.flags.append(AuditFlag(0, "dual", 1.0, 1.0, False))
+            raise UncertifiedOptimum(sol, "forced")
+
+        monkeypatch.setattr(rolling, "solve_bilevel", risky)
+        cfg = RhConfig(window=inst.horizon.last_slot, step=1, frozen=0, **EXACT)
+        with pytest.raises(UncertifiedOptimum, match="forced"):
+            run(inst, cfg)
+        assert calls == [300.0]
 
     def test_solver_limit_retried_with_twice_the_time(self, monkeypatch):
         limits = []

@@ -12,6 +12,7 @@ from gridtariff.solver import (GE, LE, LinearProgram, LpBuilder, MilpModel,
                                check_lp_solution, get_backend,
                                register_backend, solve_lp, solve_milp,
                                verify_milp_solution)
+from gridtariff.solver import simplex
 from gridtariff.solver.backends import ScipyBackend
 
 
@@ -147,6 +148,141 @@ class TestSimplex:
             assert not check_lp_solution(lp, sol.x)
 
 
+def _random_mixed_lp(rng) -> LinearProgram:
+    """GE, LE and EQ rows around a feasible anchor; free, boxed and
+    half-bounded columns."""
+    n = int(rng.integers(2, 10))
+    m = int(rng.integers(1, 10))
+    anchor = rng.uniform(-2, 2, n)
+    b = LpBuilder(maximize=bool(rng.integers(0, 2)))
+    for j in range(n):
+        kind = rng.choice(["free", "box", "lower"], p=[0.25, 0.45, 0.3])
+        lo = -np.inf if kind == "free" else anchor[j] - rng.uniform(0, 2)
+        up = anchor[j] + rng.uniform(0, 2) if kind == "box" else np.inf
+        b.add_var(f"x{j}", lo, up, obj=float(rng.normal()))
+    for _ in range(m):
+        terms = [(j, float(rng.normal())) for j in range(n)
+                 if rng.random() < 0.6] or [(int(rng.integers(0, n)), 1.0)]
+        lhs = sum(anchor[j] * v for j, v in terms)
+        sense = rng.choice([LE, GE, "="], p=[0.4, 0.4, 0.2])
+        off = {"<": 1.0, ">": -1.0, "=": 0.0}[sense] * rng.uniform(0, 2)
+        b.add_row(None, terms, sense, lhs + off)
+    # every column bounded on its objective's side keeps the LP bounded
+    b.add_row(None, [(j, 1.0) for j in range(n)], LE, float(anchor.sum() + 5))
+    b.add_row(None, [(j, 1.0) for j in range(n)], GE, float(anchor.sum() - 5))
+    for j in range(n):
+        b.add_row(None, [(j, 1.0)], "<", float(anchor[j] + 4))
+        b.add_row(None, [(j, 1.0)], ">", float(anchor[j] - 4))
+    return b.build()
+
+
+def _tighten(rng, lo, up, x):
+    """Shrink a few columns' intervals, around or away from the point x."""
+    lo, up = lo.copy(), up.copy()
+    k = int(rng.integers(1, min(3, len(lo)) + 1))
+    for j in rng.choice(len(lo), size=k, replace=False):
+        mid = x[j] + rng.normal(scale=1.5)
+        a = max(lo[j], mid - rng.uniform(0, 1))
+        b = min(up[j], mid + rng.uniform(0, 1))
+        if a > b:
+            a = b = min(max(mid, lo[j]), up[j])
+        if rng.random() < 0.3:
+            a = b                               # fix the column, as branching does
+        lo[j], up[j] = a, b
+    return lo, up
+
+
+class TestWarmStart:
+    """A re-solve from an earlier optimal basis (dual simplex, then the
+    primal loop) against a cold solve of the same LP."""
+
+    @staticmethod
+    def _same(warm, cold):
+        assert warm.status is cold.status
+        if cold.status is Status.OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+
+    def test_tightened_children_match_cold_solves(self):
+        rng = np.random.default_rng(41)
+        statuses = []
+        for _ in range(60):
+            lp = _random_mixed_lp(rng)
+            ws = simplex.Workspace(lp)
+            parent = simplex.solve_with_workspace(ws, lp.obj, lp.maximize)
+            if parent.status is not Status.OPTIMAL:
+                continue
+            for _ in range(4):
+                lo, up = _tighten(rng, lp.lower, lp.upper, parent.x)
+                start = (parent.basis, parent.vstat)
+                child = simplex.solve_with_workspace(ws, lp.obj, lp.maximize,
+                                                     lo, up, basis=start)
+                cold = simplex.solve_with_workspace(ws, lp.obj, lp.maximize, lo, up)
+                self._same(child, cold)
+                statuses.append(child.status)
+                if parent.basis.max() < ws.n_struct + ws.m and np.all(lo <= up):
+                    assert child.warm
+                if child.status is Status.OPTIMAL:
+                    assert not check_lp_solution(lp.with_bounds(lo, up), child.x)
+                    lo2, up2 = _tighten(rng, lo, up, child.x)
+                    grand = simplex.solve_with_workspace(
+                        ws, lp.obj, lp.maximize, lo2, up2,
+                        basis=(child.basis, child.vstat))
+                    self._same(grand, simplex.solve_with_workspace(
+                        ws, lp.obj, lp.maximize, lo2, up2))
+        assert statuses.count(Status.OPTIMAL) >= 50
+        assert statuses.count(Status.INFEASIBLE) >= 20
+
+    def test_basis_with_artificial_falls_back(self):
+        b = LpBuilder()
+        x = b.add_var("x", 0, 4, obj=1.0)
+        y = b.add_var("y", 0, 4, obj=2.0)
+        b.add_row(None, [(x, 1.0), (y, 1.0)], "=", 3.0)
+        b.add_row(None, [(x, 2.0), (y, 2.0)], "=", 6.0)   # redundant copy
+        lp = b.build()
+        ws = simplex.Workspace(lp)
+        parent = simplex.solve_with_workspace(ws, lp.obj, False)
+        assert parent.basis.max() >= ws.n_struct + ws.m   # artificial stays basic
+        up = lp.upper.copy()
+        up[x] = 2.0
+        child = simplex.solve_with_workspace(ws, lp.obj, False, lp.lower, up,
+                                             basis=(parent.basis, parent.vstat))
+        assert not child.warm
+        self._same(child, simplex.solve_with_workspace(ws, lp.obj, False,
+                                                       lp.lower, up))
+        assert child.objective == pytest.approx(4.0)
+
+    def test_dual_infeasible_basis_falls_back(self):
+        lp = simple_lp(maximize=True)
+        ws = simplex.Workspace(lp)
+        parent = simplex.solve_with_workspace(ws, lp.obj, True)
+        other = simplex.solve_with_workspace(ws, lp.obj, False,
+                                             basis=(parent.basis, parent.vstat))
+        assert not other.warm
+        self._same(other, simplex.solve_with_workspace(ws, lp.obj, False))
+        assert other.objective == pytest.approx(0.0)
+
+    def test_singular_basis_falls_back(self):
+        b = LpBuilder(maximize=True)
+        x1 = b.add_var("x1", 0, np.inf, obj=1.0)
+        x2 = b.add_var("x2", 0, np.inf, obj=2.0)
+        x3 = b.add_var("x3", 0, np.inf, obj=1.0)
+        b.add_row(None, [(x1, 1.0), (x2, 1.0), (x3, 1.0)], "<", 4.0)
+        b.add_row(None, [(x3, 1.0)], "<", 1.0)
+        lp = b.build()
+        ws = simplex.Workspace(lp)
+        vstat = np.array([0, 0, 1, 1, 1], dtype=np.int8)
+        sol = simplex.solve_with_workspace(ws, lp.obj, True,
+                                           basis=(np.array([x1, x2]), vstat))
+        assert not sol.warm                    # x1 and x2 share one column
+        self._same(sol, simplex.solve_with_workspace(ws, lp.obj, True))
+        assert sol.objective == pytest.approx(8.0)
+
+    def test_plain_solve_lp_is_cold(self):
+        sol = solve_lp(simple_lp())
+        assert not sol.warm
+        assert sol.basis is not None and sol.vstat is not None
+
+
 def _vertex_enumeration_optimum(lp: LinearProgram) -> float:
     """Brute-force optimum: intersect every n-subset of tight hyperplanes."""
     n = lp.n_vars
@@ -232,11 +368,13 @@ class TestBranchAndBound:
         v = rng.uniform(1, 20, 9)
         w = rng.uniform(1, 10, 9)
         model = knapsack_model(v, w, float(w.sum() * 0.45))
-        r1 = solve_milp(model, SolveOptions(rel_gap=0.0, seed=42))
-        r2 = solve_milp(model, SolveOptions(rel_gap=0.0, seed=42))
+        r1 = solve_milp(model, SolveOptions(rel_gap=0.0))
+        r2 = solve_milp(model, SolveOptions(rel_gap=0.0))
         assert r1.log == r2.log
         assert r1.objective == r2.objective
         assert np.array_equal(r1.x, r2.x)
+        assert (r1.lp_iterations, r1.cold_nodes) == (r2.lp_iterations, r2.cold_nodes)
+        assert r1.cold_nodes == 1 and r1.nodes > 1
 
     def test_infeasible_milp(self):
         b = LpBuilder(maximize=True)
