@@ -83,30 +83,26 @@ class UncertifiedOptimum(RuntimeError):
             f" {len(self.flags)} multiplier(s) at their big-M bound")
 
 
-@dataclass(frozen=True)
-class Pair:
-    """One complementarity pair: a primal quantity and its multiplier."""
-
-    kind: str                  # "row" (inequality slack) or "var" (nonnegativity)
-    ref: int                   # row index or column index in the follower system
-
-
 @dataclass
 class MpccSystem:
+    """The complementarity pairs of the operator LP: every inequality row
+    (slack and multiplier) in row order, then every column (value and
+    reduced cost)."""
+
     system: FollowerSystem
-    pairs: list[Pair]          # inequality rows in row order, then every column
+    pair_ref: np.ndarray       # per pair: its skeleton row, or its column
     var_upper: np.ndarray      # structural upper bounds of primal columns
     primal_bound: np.ndarray   # per pair: structural bound on its primal side
     rule: np.ndarray           # per pair: SWITCHED, or why it needs no switch
 
     @property
     def n_pairs(self) -> int:
-        return len(self.pairs)
+        return len(self.pair_ref)
 
     @property
     def ineq_rows(self) -> np.ndarray:
         """Skeleton rows of the row pairs, which are the first pairs."""
-        return np.flatnonzero(self.system.skeleton.sense != EQ)
+        return self.pair_ref[: self.n_pairs - self.system.n_vars]
 
     @property
     def switched(self) -> np.ndarray:
@@ -121,8 +117,7 @@ class MpccSystem:
 
     def refs(self, rule: int) -> np.ndarray:
         """Row or column indices of the pairs classified under ``rule``."""
-        refs = np.concatenate([self.ineq_rows, np.arange(self.system.n_vars)])
-        return refs[self.rule == rule]
+        return self.pair_ref[self.rule == rule]
 
 
 @dataclass
@@ -190,12 +185,10 @@ def build_mpcc(instance: Instance, system: FollowerSystem | None = None) -> Mpcc
     and classify which pairs need a switch (``_switch_rules``)."""
     system = system or build_follower_system(instance)
     ineq = np.flatnonzero(system.skeleton.sense != EQ)
-    pairs = [Pair("row", i) for i in ineq.tolist()]
-    pairs.extend(Pair("var", j) for j in range(system.n_vars))
     upper = _structural_upper_bounds(system)
-    bound = _pair_primal_bounds(system, pairs, upper)
-    return MpccSystem(system, pairs, upper, bound,
-                      _switch_rules(system, pairs, bound))
+    bound = np.concatenate([_row_primal_bounds(system)[ineq], upper])
+    return MpccSystem(system, np.concatenate([ineq, np.arange(system.n_vars)]),
+                      upper, bound, _switch_rules(system, ineq, bound))
 
 
 def _structural_upper_bounds(system: FollowerSystem) -> np.ndarray:
@@ -204,54 +197,48 @@ def _structural_upper_bounds(system: FollowerSystem) -> np.ndarray:
     charge_cap = max(0.0, (2.0 * bat.max_level - bat.discharge_eff * bat.min_level)
                      / bat.charge_eff)
     dg = inst.tree.dg_matrix()
-    upper = np.empty(system.n_vars)
-    for j, tag in enumerate(system.var_tags):
-        fam = tag[0]
-        if fam in ("x", "xb"):
-            upper[j] = inst.devices[tag[2]].max_power
-        elif fam == "lam":
-            upper[j] = min(inst.devices[tag[2]].max_power, dg[tag[1], tag[3]])
+    upper = np.full(system.n_vars, max(bat.max_level, bat.initial))   # battery state
+    for (fam, s, d), cols in system.device_cols.items():
+        dev = inst.devices[d]
+        if fam == "lam":
+            upper[cols] = np.minimum(dev.max_power,
+                                     dg[s, dev.window.first: dev.window.last + 1])
         elif fam == "sd":
-            upper[j] = min(inst.devices[tag[2]].max_power, bat.max_level)
-        elif fam in ("xs", "xbs"):
-            upper[j] = charge_cap
-        elif fam == "lams":
-            upper[j] = min(charge_cap, dg[tag[1], tag[2]])
-        else:                                   # battery state
-            upper[j] = max(bat.max_level, bat.initial)
+            upper[cols] = min(dev.max_power, bat.max_level)
+        else:                                   # x, xb
+            upper[cols] = dev.max_power
+    upper[system.slot_cols["xs"]] = charge_cap
+    upper[system.slot_cols["xbs"]] = charge_cap
+    upper[system.slot_cols["lams"]] = np.minimum(charge_cap, dg)
     return upper
 
 
-def _pair_primal_bounds(system: FollowerSystem, pairs: list[Pair],
-                        var_upper: np.ndarray) -> np.ndarray:
-    """Bound on each pair's primal side (slack or column value), implied by
-    the primal rows and column bounds of the single-level model."""
+def _row_primal_bounds(system: FollowerSystem) -> np.ndarray:
+    """Bound on each inequality row's slack, implied by the primal rows and
+    column bounds of the single-level model (NaN on equality rows)."""
     inst = system.instance
     bat = inst.battery
-    bound = np.empty(len(pairs))
-    for k, pair in enumerate(pairs):
-        if pair.kind == "var":
-            bound[k] = var_upper[pair.ref]
-            continue
-        tag = system.skeleton.row_tags[pair.ref]
-        fam = tag[0]
+    max_power = np.array([dev.max_power for dev in inst.devices], dtype=float)
+    spare = np.array([len(dev.window) * dev.max_power - dev.energy_demand
+                      for dev in inst.devices], dtype=float)
+    bound = np.full(system.n_rows, np.nan)
+    for fam, (rows, tails) in system.row_families.items():
         if fam == "demand_min":                 # power caps bound the total
-            dev = inst.devices[tag[2]]
-            bound[k] = len(dev.window) * dev.max_power - dev.energy_demand
+            bound[rows] = spare[[tail[1] for tail in tails]]
         elif fam == "power_cap":
-            bound[k] = inst.devices[tag[2]].max_power
+            bound[rows] = max_power[[tail[1] for tail in tails]]
         elif fam in ("batt_floor", "batt_ceiling"):   # each bounds the other
-            bound[k] = bat.max_level - bat.min_level
+            bound[rows] = bat.max_level - bat.min_level
         elif fam == "draw_cap":
-            bound[k] = max(bat.max_level, bat.initial)
+            bound[rows] = max(bat.max_level, bat.initial)
         elif fam == "dg_cap":
-            bound[k] = system.skeleton.rhs[pair.ref]
-        else:
+            bound[rows] = system.skeleton.rhs[rows]
+        elif system.skeleton.sense[rows[0]] != EQ:
             raise ValueError(f"unexpected inequality family {fam!r}")
     return bound
 
 
-def _switch_rules(system: FollowerSystem, pairs: list[Pair],
+def _switch_rules(system: FollowerSystem, ineq: np.ndarray,
                   primal_bound: np.ndarray) -> np.ndarray:
     """Classify each pair: ``SWITCHED``, or the rule that makes one side zero
     in every point of the single-level model, so complementarity needs no
@@ -262,8 +249,9 @@ def _switch_rules(system: FollowerSystem, pairs: list[Pair],
 
     ``ZERO_CAPACITY``: the primal side's structural bound is 0.  That bound
     follows from the model's own primal rows and column bounds
-    (``_pair_primal_bounds``), so the primal side is 0 at every feasible
-    point and the product with any multiplier vanishes: switch value 0.
+    (``_row_primal_bounds``, ``_structural_upper_bounds``), so the primal
+    side is 0 at every feasible point and the product with any multiplier
+    vanishes: switch value 0.
 
     ``DUPLICATE_FLOOR``: with ``min_level == 0`` the row ``batt_floor`` reads
     ``S_h >= 0``, the bound of its only column.  Its multiplier ``mu`` is
@@ -290,17 +278,19 @@ def _switch_rules(system: FollowerSystem, pairs: list[Pair],
     which makes its primal side 0 (switch value 0); the column and its
     multiplier-feasibility row stay in the model.
     """
-    bat = system.instance.battery
-    row_tags = system.skeleton.row_tags
-    rule = np.full(len(pairs), SWITCHED, dtype=np.int8)
-    for k, pair in enumerate(pairs):
-        if primal_bound[k] <= 0.0:
-            rule[k] = ZERO_CAPACITY
-        elif pair.kind == "var":
-            if system.var_tags[pair.ref][0] in COMPETITOR_FAMILIES:
-                rule[k] = DOMINATED_PURCHASE
-        elif row_tags[pair.ref][0] == "batt_floor" and bat.min_level == 0.0:
-            rule[k] = DUPLICATE_FLOOR
+    n_ineq = len(ineq)
+    floor = np.zeros(system.n_rows, dtype=bool)
+    if system.instance.battery.min_level == 0.0:
+        floor[system.row_families["batt_floor"][0]] = True
+    purchase = np.zeros(system.n_vars, dtype=bool)
+    for (fam, _, _), cols in system.device_cols.items():
+        purchase[cols] = fam in COMPETITOR_FAMILIES
+    for fam, cols in system.slot_cols.items():
+        purchase[cols] = fam in COMPETITOR_FAMILIES
+    rule = np.full(len(primal_bound), SWITCHED, dtype=np.int8)
+    rule[:n_ineq][floor[ineq]] = DUPLICATE_FLOOR
+    rule[n_ineq:][purchase] = DOMINATED_PURCHASE
+    rule[primal_bound <= 0.0] = ZERO_CAPACITY           # the first rule wins
     return rule
 
 

@@ -2,9 +2,14 @@
 
 Two-phase revised simplex over the equality system [A | I]x = b obtained by
 slack augmentation.  Nonbasic variables rest on a finite bound (or at zero if
-free); an explicit dense basis inverse is maintained with product-form updates
-and periodic refactorization.  Dantzig pricing switches to Bland's rule after
-a run of degenerate steps, which guarantees termination.
+free).  An explicit dense basis inverse is kept: a refactorization eliminates
+the basic unit columns (slacks and phase-1 artificials, one +-1 each) first
+and inverts only the structural "bump" left over (Suhl & Suhl 1990,
+*Computing sparse LU factorizations for large-scale linear programming
+bases*), then checks the whole inverse against the basis; each pivot updates
+the inverse in place with one BLAS rank-1 update, and the basis is
+refactorized periodically.  Dantzig pricing switches to Bland's rule after a
+run of degenerate steps, which guarantees termination.
 
 A ``Workspace`` holds the standardized arrays, including the transpose that
 pricing reads, and can be reused across solves of the same constraint matrix
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dger
 
 from .core import GE, LE, LinearProgram, LpSolution, SolverError, Status
 
@@ -40,7 +46,6 @@ _DUAL_FEAS_TOL = 1e-7                # a warm basis must price out within this
 _FEAS_TOL = 1e-9                     # relative bound violation the dual repairs
 _DEGEN_RUN = 40
 _REFACTOR_EVERY = 120
-_DENSE_CACHE_LIMIT = 6_000_000      # entries of A kept dense for fast refactor
 
 
 class Workspace:
@@ -64,8 +69,6 @@ class Workspace:
         self.a_t = self.a.T.tocsr()         # pricing reads [A | I]^T every step
         self.a_struct = lp.a_rows.tocsc()
         self.b = lp.rhs.copy()
-        n_tot = n + m
-        self.a_dense = self.a.toarray() if m * n_tot <= _DENSE_CACHE_LIMIT else None
 
     def bounds(self, lower: np.ndarray | None, upper: np.ndarray | None
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -138,12 +141,10 @@ class _Simplex:
         if self.n_art:
             self.a = sp.hstack([ws.a, art], format="csc")
             self.a_t = self.a.T.tocsr()
-            self.a_dense = (np.hstack([ws.a_dense, art.toarray()])
-                            if ws.a_dense is not None else None)
             self.lb = np.concatenate([lb, np.zeros(self.n_art)])
             self.ub = np.concatenate([ub, np.full(self.n_art, np.inf)])
         else:
-            self.a, self.a_t, self.a_dense = ws.a, ws.a_t, ws.a_dense
+            self.a, self.a_t = ws.a, ws.a_t
             self.lb, self.ub = lb, ub
         self.x = x
         self.vstat = vstat
@@ -230,19 +231,45 @@ class _Simplex:
 
     # -- basis linear algebra --------------------------------------------
 
-    def _basis_matrix(self) -> np.ndarray:
-        if self.a_dense is not None:
-            return self.a_dense[:, self.basis]
-        return self.a[:, self.basis].toarray()
-
     def _refactor(self) -> None:
-        m = self.ws.m
-        bmat = self._basis_matrix()
+        """Invert the basis through its structural bump.
+
+        Each basic unit column ``u`` (slack or artificial) is ``s_u`` times
+        the unit vector of its row ``r_u``.  The basic structural columns
+        ``J`` and the rows ``R`` that no unit column covers form the bump
+        ``K = A[R, J]``, and the inverse is ``binv[J, R] = K^-1``,
+        ``binv[U, r_U] = s_U``, ``binv[U, R] = -s_U A[r_U, J] K^-1`` and zero
+        elsewhere.  Two unit columns on one row or a singular bump make the
+        basis singular.
+        """
+        m, a, basis = self.ws.m, self.a, self.basis
+        unit = basis >= self.ws.n_struct
+        u_pos, j_pos = np.flatnonzero(unit), np.flatnonzero(~unit)
+        first = a.indptr[basis[u_pos]]
+        u_rows, u_sign = a.indices[first], a.data[first]
+        uncovered = np.ones(m, dtype=bool)
+        uncovered[u_rows] = False
+        r_rows = np.flatnonzero(uncovered)
+        if len(r_rows) != len(j_pos):
+            raise SolverError("singular basis: two unit columns on one row")
+        a_j = a[:, basis[j_pos]]
+        cols = a_j.toarray()
         try:
-            self.binv = np.linalg.inv(bmat)
+            k_inv = np.linalg.inv(cols[r_rows])
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular basis during refactorization: {exc}") from exc
-        resid = np.abs(bmat @ self.binv - np.eye(m)).max() if m else 0.0
+        on_r = np.empty((m, len(r_rows)))             # binv[:, R]
+        on_r[j_pos] = k_inv
+        on_r[u_pos] = -u_sign[:, None] * (cols[u_rows] @ k_inv)
+        binv = np.zeros((m, m))
+        binv[:, r_rows] = on_r
+        binv[u_pos, u_rows] = u_sign
+        self.binv = binv
+        # B binv - I over the whole basis: structural columns, then unit rows
+        prod = a_j @ binv[j_pos]
+        prod[u_rows] += u_sign[:, None] * binv[u_pos]
+        prod.flat[:: m + 1] -= 1.0
+        resid = max(prod.max(), -prod.min()) if m else 0.0
         if not np.isfinite(resid) or resid > 1e-6:
             raise SolverError(
                 f"numerical breakdown: basis inverse residual {resid:.2e}")
@@ -474,6 +501,7 @@ class _Simplex:
             self._refactor()
             return
         row = self.binv[pos] / piv
-        self.binv -= np.outer(w, row)
+        # binv -= outer(w, row), in place on the Fortran view of binv
+        self.binv = dger(-1.0, row, w, a=self.binv.T, overwrite_a=True).T
         self.binv[pos] = row
         self._since_refactor += 1

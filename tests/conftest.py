@@ -20,6 +20,11 @@ from gridtariff.model import (Battery, Device, Horizon, Instance, PriceData,
 from gridtariff.scenario import BaseScenario, flat_tree, single_path_tree
 from gridtariff.solver import Status, simplex
 
+# the instance shape of perfbench's desk workload
+DESK_SHAPE = dict(n_bases=1, n_slots=4, n_devices=2, slot_minutes=360,
+                  total_demand=8, duration_range=(1, 2), battery_hours=1.5,
+                  dg_level=0.8)
+
 
 def make_t1(C=(0.0, 0.1), K=(2.5, 1.0), pbar=(3.0, 3.0)) -> Instance:
     """Two slots, one device needing 2 units at up to 2 per slot."""

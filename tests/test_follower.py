@@ -16,7 +16,7 @@ from gridtariff.scenario import (BaseScenario, flat_tree,
                                  indistinguishability_time, single_path_tree)
 from gridtariff.solver import EQ, LE, LpBuilder, Status
 
-from conftest import make_t1, random_tiny_instance
+from conftest import DESK_SHAPE, make_t1, random_tiny_instance
 
 
 def solve_at(instance, prices):
@@ -196,10 +196,6 @@ def test_week_scale_build_and_counts():
 
 
 # -- the skeleton and the index-array extractors ------------------------------
-
-DESK_SHAPE = dict(n_bases=1, n_slots=4, n_devices=2, slot_minutes=360,
-                  total_demand=8, duration_range=(1, 2), battery_hours=1.5,
-                  dg_level=0.8)
 
 
 @pytest.fixture(scope="module")

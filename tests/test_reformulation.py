@@ -23,13 +23,60 @@ from gridtariff.reformulation import (DOMINATED_PURCHASE, DUPLICATE_FLOOR,
 from gridtariff.scenario import BaseScenario, flat_tree, single_path_tree
 from gridtariff.solver import EQ, LE, SolveOptions, Status, solve_milp
 
-from conftest import (OptimisticResponder, grid_oracle, make_t1,
+from conftest import (DESK_SHAPE, OptimisticResponder, grid_oracle, make_t1,
                       random_tiny_instance)
 
-# the instance shape of perfbench's desk workload
-DESK_SHAPE = dict(n_bases=1, n_slots=4, n_devices=2, slot_minutes=360,
-                  total_demand=8, duration_range=(1, 2), battery_hours=1.5,
-                  dg_level=0.8)
+
+def _tag_loop_classification(system):
+    """Pair refs, structural bounds and switch rules read tag by tag: the
+    per-pair reference for ``build_mpcc``'s array classification."""
+    inst, bat = system.instance, system.instance.battery
+    dg = inst.tree.dg_matrix()
+    charge_cap = max(0.0, (2.0 * bat.max_level - bat.discharge_eff * bat.min_level)
+                     / bat.charge_eff)
+    upper = []
+    for tag in system.var_tags:
+        fam = tag[0]
+        if fam in ("x", "xb"):
+            upper.append(inst.devices[tag[2]].max_power)
+        elif fam == "lam":
+            upper.append(min(inst.devices[tag[2]].max_power, dg[tag[1], tag[3]]))
+        elif fam == "sd":
+            upper.append(min(inst.devices[tag[2]].max_power, bat.max_level))
+        elif fam in ("xs", "xbs"):
+            upper.append(charge_cap)
+        elif fam == "lams":
+            upper.append(min(charge_cap, dg[tag[1], tag[2]]))
+        else:
+            upper.append(max(bat.max_level, bat.initial))
+    refs, bound, rule = [], [], []
+    skel = system.skeleton
+    for i, tag in enumerate(skel.row_tags):
+        if skel.sense[i] == EQ:
+            continue
+        fam = tag[0]
+        if fam == "demand_min":
+            dev = inst.devices[tag[2]]
+            b = len(dev.window) * dev.max_power - dev.energy_demand
+        elif fam == "power_cap":
+            b = inst.devices[tag[2]].max_power
+        elif fam in ("batt_floor", "batt_ceiling"):
+            b = bat.max_level - bat.min_level
+        elif fam == "draw_cap":
+            b = max(bat.max_level, bat.initial)
+        else:
+            assert fam == "dg_cap"
+            b = skel.rhs[i]
+        refs.append(i)
+        bound.append(b)
+        rule.append(ZERO_CAPACITY if b <= 0 else DUPLICATE_FLOOR
+                    if fam == "batt_floor" and bat.min_level == 0.0 else SWITCHED)
+    for j, tag in enumerate(system.var_tags):
+        refs.append(j)
+        bound.append(upper[j])
+        rule.append(ZERO_CAPACITY if upper[j] <= 0 else DOMINATED_PURCHASE
+                    if tag[0] in ("xb", "xbs") else SWITCHED)
+    return refs, upper, bound, rule
 
 
 class TestBuildMpcc:
@@ -38,13 +85,31 @@ class TestBuildMpcc:
         n_ineq = int((mpcc.system.skeleton.sense != EQ).sum())
         assert mpcc.n_pairs == n_ineq + mpcc.system.n_vars
 
+    @pytest.mark.parametrize("make", [
+        make_t1, lambda: make_t1(C=(0.0, 0.0)),
+        lambda: generate_instance(1, **DESK_SHAPE),
+        lambda: generate_instance(9, **DESK_SHAPE),
+        lambda: generate_mini_instance(5, n_bases=3),
+        *[lambda k=k: random_tiny_instance(
+            np.random.default_rng(k), n_slots=1 + k % 3, n_devices=k % 3,
+            n_scenarios=1 + k % 2, battery=k % 2 == 1, generation=k % 3 > 0)
+          for k in range(6)]])
+    def test_classification_matches_tag_loop(self, make):
+        mpcc = build_mpcc(make())
+        refs, upper, bound, rule = _tag_loop_classification(mpcc.system)
+        np.testing.assert_array_equal(mpcc.pair_ref, refs)
+        np.testing.assert_array_equal(mpcc.var_upper, upper)
+        np.testing.assert_array_equal(mpcc.primal_bound, bound)
+        np.testing.assert_array_equal(mpcc.rule, rule)
+
     def test_zero_capacity_battery_pairs_forced_tight(self, t1):
         # battery ceiling rows exist with zero structural slack
         mpcc = build_mpcc(t1)
         cfg = default_big_m(mpcc)
-        ceiling = [k for k, p in enumerate(mpcc.pairs)
-                   if p.kind == "row"
-                   and mpcc.system.skeleton.row_tags[p.ref][0] == "batt_ceiling"]
+        n_ineq = len(mpcc.ineq_rows)
+        ceiling = [k for k, ref in enumerate(mpcc.pair_ref)
+                   if k < n_ineq
+                   and mpcc.system.skeleton.row_tags[ref][0] == "batt_ceiling"]
         assert ceiling
         assert all(cfg.primal[k] == 0.0 for k in ceiling)
 
@@ -182,10 +247,10 @@ class TestSolveBilevel:
 
 
 def _pair_family(mpcc, k) -> str:
-    pair = mpcc.pairs[k]
-    if pair.kind == "row":
-        return mpcc.system.skeleton.row_tags[pair.ref][0]
-    return mpcc.system.var_tags[pair.ref][0]
+    ref = mpcc.pair_ref[k]
+    if k < len(mpcc.ineq_rows):
+        return mpcc.system.skeleton.row_tags[ref][0]
+    return mpcc.system.var_tags[ref][0]
 
 
 def _zero_generation_slot():
@@ -239,7 +304,7 @@ class TestSwitchRules:
 
     def test_zero_generation_slot_triggers(self):
         mpcc = build_mpcc(_zero_generation_slot())
-        lam = {mpcc.system.var_tags[mpcc.pairs[k].ref][3]: mpcc.rule[k]
+        lam = {mpcc.system.var_tags[mpcc.pair_ref[k]][3]: mpcc.rule[k]
                for k in range(mpcc.n_pairs) if _pair_family(mpcc, k) == "lam"}
         assert lam == {0: ZERO_CAPACITY, 1: SWITCHED}
 

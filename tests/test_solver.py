@@ -12,8 +12,12 @@ from gridtariff.solver import (GE, LE, LinearProgram, LpBuilder, MilpModel,
                                check_lp_solution, get_backend,
                                register_backend, solve_lp, solve_milp,
                                verify_milp_solution)
+from gridtariff.generator import generate_instance
+from gridtariff.reformulation import build_mpcc, default_big_m, linearize
 from gridtariff.solver import simplex
 from gridtariff.solver.backends import ScipyBackend
+
+from conftest import DESK_SHAPE
 
 
 def simple_lp(maximize=True):
@@ -192,6 +196,16 @@ def _tighten(rng, lo, up, x):
     return lo, up
 
 
+def _redundant_rows_lp() -> LinearProgram:
+    """Two copies of one equality: phase 1 leaves an artificial basic."""
+    b = LpBuilder()
+    x = b.add_var("x", 0, 4, obj=1.0)
+    y = b.add_var("y", 0, 4, obj=2.0)
+    b.add_row(None, [(x, 1.0), (y, 1.0)], "=", 3.0)
+    b.add_row(None, [(x, 2.0), (y, 2.0)], "=", 6.0)
+    return b.build()
+
+
 class TestWarmStart:
     """A re-solve from an earlier optimal basis (dual simplex, then the
     primal loop) against a cold solve of the same LP."""
@@ -233,17 +247,12 @@ class TestWarmStart:
         assert statuses.count(Status.INFEASIBLE) >= 20
 
     def test_basis_with_artificial_falls_back(self):
-        b = LpBuilder()
-        x = b.add_var("x", 0, 4, obj=1.0)
-        y = b.add_var("y", 0, 4, obj=2.0)
-        b.add_row(None, [(x, 1.0), (y, 1.0)], "=", 3.0)
-        b.add_row(None, [(x, 2.0), (y, 2.0)], "=", 6.0)   # redundant copy
-        lp = b.build()
+        lp = _redundant_rows_lp()
         ws = simplex.Workspace(lp)
         parent = simplex.solve_with_workspace(ws, lp.obj, False)
         assert parent.basis.max() >= ws.n_struct + ws.m   # artificial stays basic
         up = lp.upper.copy()
-        up[x] = 2.0
+        up[0] = 2.0                                       # x <= 2
         child = simplex.solve_with_workspace(ws, lp.obj, False, lp.lower, up,
                                              basis=(parent.basis, parent.vstat))
         assert not child.warm
@@ -281,6 +290,129 @@ class TestWarmStart:
         sol = solve_lp(simple_lp())
         assert not sol.warm
         assert sol.basis is not None and sol.vstat is not None
+
+
+def _dense_basis(sim) -> np.ndarray:
+    return sim.a[:, sim.basis].toarray()
+
+
+def _desk_milp(seed: int) -> MilpModel:
+    mpcc = build_mpcc(generate_instance(seed, **DESK_SHAPE))
+    return linearize(mpcc, default_big_m(mpcc))
+
+
+class TestRefactor:
+    """The bump refactorization against a dense inverse of the whole basis,
+    and the in-place rank-1 update."""
+
+    @pytest.fixture
+    def refactors(self, monkeypatch):
+        """Compare every refactorization with ``np.linalg.inv`` of the dense
+        basis and count the kinds of basis seen."""
+        refactor = simplex._Simplex._refactor
+        seen = {"crash": 0, "phase1": 0, "artificial": 0, "warm": 0}
+
+        def checked(sim):
+            refactor(sim)
+            dense = np.linalg.inv(_dense_basis(sim))
+            np.testing.assert_allclose(sim.binv, dense, rtol=0,
+                                       atol=1e-9 * max(1.0, np.abs(dense).max()))
+            n_struct = int((sim.basis < sim.ws.n_struct).sum())
+            if sim.iterations == 0:
+                seen["warm" if n_struct else "crash"] += 1
+            elif sim.n_art and n_struct:
+                seen["phase1"] += 1
+                seen["artificial"] += bool(sim.basis.max() >= sim.n_tot)
+
+        monkeypatch.setattr(simplex._Simplex, "_refactor", checked)
+        return seen
+
+    def test_random_lp_bases_match_dense_inverse(self, refactors):
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            lp = _random_mixed_lp(rng)
+            ws = simplex.Workspace(lp)
+            parent = simplex.solve_with_workspace(ws, lp.obj, lp.maximize)
+            if parent.status is not Status.OPTIMAL:
+                continue
+            for _ in range(3):
+                lo, up = _tighten(rng, lp.lower, lp.upper, parent.x)
+                simplex.solve_with_workspace(ws, lp.obj, lp.maximize, lo, up,
+                                             basis=(parent.basis, parent.vstat))
+        lp = _redundant_rows_lp()
+        assert solve_lp(lp).basis.max() >= lp.n_vars + lp.n_rows
+        assert min(refactors.values()) > 0, refactors
+
+    def test_desk_node_bases_match_dense_inverse(self, refactors):
+        res = solve_milp(_desk_milp(9), SolveOptions(rel_gap=0.0))
+        assert res.status is Status.OPTIMAL and res.nodes > 10
+        assert refactors["crash"] > 0 and refactors["phase1"] > 0
+        assert refactors["warm"] >= res.nodes - 1
+
+    @staticmethod
+    def _three_rows():
+        """x1 and x2 share their entries on rows 0 and 1; row 2 is x3's."""
+        b = LpBuilder(maximize=True)
+        x1 = b.add_var("x1", 0, np.inf, obj=1.0)
+        x2 = b.add_var("x2", 0, np.inf, obj=2.0)
+        x3 = b.add_var("x3", 0, np.inf, obj=1.0)
+        b.add_row(None, [(x1, 1.0), (x2, 1.0), (x3, 1.0)], "<", 4.0)
+        b.add_row(None, [(x1, 2.0), (x2, 2.0)], "<", 6.0)
+        b.add_row(None, [(x3, 1.0)], "<", 1.0)
+        lp = b.build()
+        return lp, simplex.Workspace(lp)
+
+    def _assert_singular(self, basis, match):
+        lp, ws = self._three_rows()
+        lb, ub = ws.bounds(None, None)
+        vstat = np.full(ws.n_struct + ws.m, simplex._AT_LB, dtype=np.int8)
+        vstat[basis] = simplex._BASIC
+        with pytest.raises(SolverError, match=match):
+            simplex._Simplex(ws, lb, ub, np.zeros(len(lb)), vstat, basis.copy())
+        sol = simplex.solve_with_workspace(ws, lp.obj, True, basis=(basis, vstat))
+        assert not sol.warm
+        assert sol.objective == pytest.approx(
+            simplex.solve_with_workspace(ws, lp.obj, True).objective)
+        assert sol.objective == pytest.approx(7.0)
+
+    def test_two_unit_columns_on_one_row_raise(self):
+        # the slack of row 0 twice, x3 for the last row
+        self._assert_singular(np.array([3, 3, 2]), "two unit columns")
+
+    def test_singular_bump_raises(self):
+        # x1 and x2 on rows 0 and 1 make a singular 2x2 bump
+        self._assert_singular(np.array([0, 1, 5]), "singular basis")
+
+    def test_corrupted_bump_inverse_trips_residual(self, monkeypatch):
+        lp = _desk_milp(1).lp
+        ws = simplex.Workspace(lp)
+        sol = simplex.solve_with_workspace(ws, lp.obj, lp.maximize)
+        assert (sol.basis < ws.n_struct).sum() > 10
+        lb, ub = ws.bounds(None, None)
+        inv = np.linalg.inv
+
+        def corrupted(k):
+            k_inv = inv(k)
+            k_inv[0, 0] += 1e-4
+            return k_inv
+
+        monkeypatch.setattr(simplex.np.linalg, "inv", corrupted)
+        with pytest.raises(SolverError, match="residual"):
+            simplex._Simplex(ws, lb, ub, np.zeros(len(lb)), sol.vstat.copy(),
+                             sol.basis.copy())
+
+    def test_in_place_update_stays_accurate(self):
+        lp = _desk_milp(1).lp
+        ws = simplex.Workspace(lp)
+        lb, ub = ws.bounds(None, None)
+        c = np.zeros(ws.n_struct + ws.m)
+        c[: ws.n_struct] = -lp.obj if lp.maximize else lp.obj
+        sim = simplex._Simplex.crash(ws, lb, ub)
+        assert sim.phase1()
+        assert sim.phase2(c, None) is Status.OPTIMAL
+        assert sim._since_refactor >= 20               # pivots since the last refactor
+        err = np.abs(sim.binv @ _dense_basis(sim) - np.eye(ws.m)).max()
+        assert err <= 1e-8
 
 
 def _vertex_enumeration_optimum(lp: LinearProgram) -> float:
