@@ -22,8 +22,8 @@ from .rolling import RhConfig, RhTrajectory, audit_trajectory, make_subinstance
 from .rolling import run as run_rolling_horizon
 from .scenario import (BaseScenario, MarkovSelector, ScenarioTree,
                        build_complete_tree, flat_tree,
-                       indistinguishability_time, nonanticipativity_pairs,
-                       realize_next, single_path_tree, uniform_selector)
+                       indistinguishability_time, node_map, realize_next,
+                       single_path_tree, uniform_selector)
 from .serialize import read_instance, write_instance
 from .solver import SolveOptions, Status, get_backend, register_backend
 
@@ -33,7 +33,7 @@ __all__ = [
     "Battery", "Device", "Horizon", "Instance", "PriceData", "PriceProfile",
     "TimeWindow", "validate",
     "BaseScenario", "MarkovSelector", "ScenarioTree", "build_complete_tree",
-    "flat_tree", "indistinguishability_time", "nonanticipativity_pairs",
+    "flat_tree", "indistinguishability_time", "node_map",
     "realize_next", "single_path_tree", "uniform_selector",
     "VariantSpec", "generate_instance", "generate_mini_instance",
     "generate_week_instance",

@@ -299,6 +299,7 @@ def cmd_rh_study(args) -> int:
             runtime = time.monotonic() - t0
             if forced is None:
                 forced = list(traj.realized_bases)
+                realized_path = traj.realized_dg_path(inst)
                 serialize.write_rows_csv(outdir / f"path{path_id}.csv",
                                          ["iteration", "base"],
                                          list(enumerate(forced)))
@@ -317,14 +318,12 @@ def cmd_rh_study(args) -> int:
             print(f"path {path_id} frozen {frozen}: leader="
                   f"{traj.realized_leader_profit(inst):.2f} ({runtime:.0f}s)")
         if forced is not None:
-            dg_path = np.array([inst.tree.bases[b].dg_bound[h] for h, b in
-                                enumerate(_path_by_slot(inst, forced, args.step))])
-            ref = baselines.reference_case(inst, dg_path)
+            ref = baselines.reference_case(inst, realized_path)
             base_rows.append([path_id, "reference", f"{ref.leader_profit:.6f}",
                               f"{ref.generalized_cost:.6f}"])
             if not args.skip_perfect:
                 try:
-                    perf = baselines.perfect_case(inst, dg_path,
+                    perf = baselines.perfect_case(inst, realized_path,
                                                   opts=_solve_opts(args),
                                                   backend=args.backend)
                     base_rows.append([path_id, "perfect",
@@ -338,15 +337,6 @@ def cmd_rh_study(args) -> int:
     flush_tables()
     print(f"wrote {outdir}/study.csv with {len(rows)} runs")
     return EXIT_OK if failures == 0 else EXIT_PARTIAL
-
-
-def _path_by_slot(inst: Instance, forced: list[int], step: int) -> list[int]:
-    out = []
-    for it, base in enumerate(forced):
-        out.extend([base] * step)
-    while len(out) < inst.n_slots:
-        out.append(forced[-1])
-    return out[: inst.n_slots]
 
 
 def build_parser() -> argparse.ArgumentParser:

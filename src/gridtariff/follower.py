@@ -3,8 +3,11 @@
 For every scenario the operator decides, per device and slot, how much energy
 to buy from the leader, buy from the competitor, take from on-site generation
 or draw from the battery, plus slot-level purchases routed into storage.  One
-LP covers all scenarios, with coupling equalities forcing identical decisions
-while scenarios are indistinguishable.  The generated model is tagged so the
+LP covers all scenarios.  Scenarios whose generation paths agree on slots
+``0..h`` are at one scenario-tree node in slot ``h`` (``node_map``) and must
+decide the same there, so every column and row of slot ``h`` is built once
+per node, by the node's first leaf; the battery state ``S[h + 1]`` belongs to
+the slot-``h`` decisions that set it.  The generated model is tagged so the
 multiplier of every row can be recovered mechanically, which is what the
 single-level reformulation consumes.
 
@@ -31,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import Instance
-from .scenario import nonanticipativity_pairs
+from .scenario import node_map
 from .solver import (GE, LE, EQ, LinearProgram, LpSolution,
                      SolveOptions, Status, get_backend)
 
@@ -56,7 +59,10 @@ class FollowerSystem:
 
     The objective coefficient of a column is ``c0 + prob * p[slot]`` with
     ``(slot, prob)`` from ``price_slot``/``price_prob`` (slot -1 for columns
-    the leader price does not touch), so prices change only the objective:
+    the leader price does not touch), where ``prob`` is the summed
+    probability of the leaves at the column's tree node.  Every leaf's key
+    is in ``var_index``; keys of leaves at one node map to one column, which
+    carries the first leaf's tag.  Prices change only the objective:
     ``skeleton`` holds every row and bound, with ``c0`` as its objective, and
     its arrays are read-only because every priced LP shares them.  Leader
     profit is ``sum prob * (p[slot] - K[slot]) * v`` over the leader-purchase
@@ -75,6 +81,7 @@ class FollowerSystem:
     skeleton: LinearProgram
     device_cols: dict           # (family, scenario, device) -> columns over the window
     slot_cols: dict             # slot family or "S" -> (n_scen, slots) columns
+                                # (both per leaf; leaves at one node share columns)
     row_sign: np.ndarray        # -1 on <= rows, +1 elsewhere
     row_families: dict          # family -> (row indices, tag tails)
 
@@ -99,6 +106,14 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
     tree = instance.tree
     probs = np.asarray(tree.probabilities, dtype=float)
     comp = instance.prices.competitor
+    nodes = node_map(tree)
+    node_prob = np.zeros(nodes.shape)       # [node, slot]: sum over its leaves
+    for s in range(tree.n_leaves):
+        node_prob[nodes[s], np.arange(n_slots)] += probs[s]
+    node_prob = node_prob.tolist()
+    # a leaf builds the nodes of a suffix of slots: from the first slot where
+    # its path differs from every earlier leaf's path
+    first_own = (nodes != np.arange(tree.n_leaves)[:, None]).sum(axis=1).tolist()
 
     tags: list = []
     index: dict = {}
@@ -128,33 +143,47 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
     slot_cols = {f: np.empty((n_scen, n_slots), dtype=np.int64)
                  for f in SLOT_FAMILIES}
     slot_cols["S"] = np.empty((n_scen, n_slots + 1), dtype=np.int64)
-    for s, leaf in enumerate(tree.leaves):
-        p = float(probs[s])
+    for s in range(n_scen):
+        node, first = nodes[s].tolist(), first_own[s]
         for d, dev in enumerate(instance.devices):
-            first = len(tags)
+            block = []                      # x, xb, lam, sd columns per window slot
             for h in dev.window.slots:
-                cdh = p * dev.penalty_at(h)
-                add(("x", s, d, h), cdh, slot=h, prob=p, leader=True)
-                add(("xb", s, d, h), cdh + p * comp[h])
-                add(("lam", s, d, h), cdh)
-                add(("sd", s, d, h), cdh)
-            for k, f in enumerate(DEVICE_FAMILIES):
-                device_cols[(f, s, d)] = np.arange(first + k, len(tags),
-                                                   len(DEVICE_FAMILIES))
-        first = len(tags)
+                if h < first:
+                    cols = [index[(f, node[h], d, h)] for f in DEVICE_FAMILIES]
+                    for f, j in zip(DEVICE_FAMILIES, cols):
+                        index[(f, s, d, h)] = j
+                else:
+                    p = node_prob[s][h]
+                    cdh = p * dev.penalty_at(h)
+                    cols = [add(("x", s, d, h), cdh, slot=h, prob=p, leader=True),
+                            add(("xb", s, d, h), cdh + p * comp[h]),
+                            add(("lam", s, d, h), cdh),
+                            add(("sd", s, d, h), cdh)]
+                block += cols
+            block = np.array(block, dtype=np.int64).reshape(-1, len(DEVICE_FAMILIES))
+            for f, cols in zip(DEVICE_FAMILIES, block.T):
+                device_cols[(f, s, d)] = cols
         for h in range(n_slots):
+            if h < first:
+                for f in SLOT_FAMILIES:
+                    index[(f, s, h)] = index[(f, node[h], h)]
+                continue
+            p = node_prob[s][h]
             add(("xs", s, h), 0.0, slot=h, prob=p, leader=True)
             add(("xbs", s, h), p * comp[h])
             add(("lams", s, h), 0.0)
-        for k, f in enumerate(SLOT_FAMILIES):
-            slot_cols[f][s] = np.arange(first + k, len(tags), len(SLOT_FAMILIES))
-        first = len(tags)
         for h in range(n_slots + 1):
-            add(("S", s, h), 0.0)
-        slot_cols["S"][s] = np.arange(first, len(tags))
+            slot = max(h - 1, 0)    # S[h] is set in slot h - 1; S[0] joins slot 0
+            if slot < first:
+                index[("S", s, h)] = index[("S", node[slot], h)]
+            else:
+                add(("S", s, h), 0.0)
+        for f, cols in slot_cols.items():
+            cols[s] = [index[(f, s, h)] for h in range(cols.shape[1])]
 
     c0 = np.asarray(c0)
-    skeleton, row_families = _assemble(tags, c0, _follower_rows(instance, index))
+    skeleton, row_families = _assemble(
+        tags, c0, _follower_rows(instance, index, device_cols, first_own))
     return FollowerSystem(
         instance=instance,
         var_tags=tags,
@@ -173,29 +202,36 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
     )
 
 
-def _follower_rows(instance: Instance, index: dict) -> list:
+def _follower_rows(instance: Instance, index: dict, device_cols: dict,
+                   first_own: list[int]) -> list:
     """The operator LP's rows as ``(tag, [(column, coef)], sense, rhs)``
-    tuples over the columns of ``index``, in skeleton order."""
+    tuples over the columns of ``index`` (``device_cols`` holds the same
+    device columns as arrays), in skeleton order.  A row belongs to the tree
+    node of the last slot it constrains and is built once, by that node's
+    first leaf: leaf ``s`` builds the rows of slots ``first_own[s]`` on."""
     n_slots, tree, bat = instance.n_slots, instance.tree, instance.battery
     active = [[d for d, dev in enumerate(instance.devices)
                if dev.window.first <= h <= dev.window.last]
               for h in range(n_slots)]      # devices whose window holds slot h
-    col_ids = list(index.values())      # column order; shares the int objects
-    n_fam = len(DEVICE_FAMILIES)
     rows: list = []
     for s, leaf in enumerate(tree.leaves):
+        first = first_own[s]
         for d, dev in enumerate(instance.devices):
-            # a device's columns are contiguous: x, xb, lam, sd per window slot
-            first = index[(DEVICE_FAMILIES[0], s, d, dev.window.first)]
-            block = col_ids[first: first + n_fam * len(dev.window)]
-            rows.append((("demand_min", s, d), [(j, 1.0) for j in block], GE,
-                         dev.energy_demand))
-            for k, h in enumerate(dev.window.slots):
-                terms = [(j, 1.0) for j in block[n_fam * k: n_fam * (k + 1)]]
-                rows.append((("power_cap", s, d, h), terms, LE, dev.max_power))
+            block = list(zip(*(device_cols[(f, s, d)].tolist()
+                               for f in DEVICE_FAMILIES)))     # per window slot
+            if dev.window.last >= first:
+                rows.append((("demand_min", s, d),
+                             [(j, 1.0) for cols in block for j in cols], GE,
+                             dev.energy_demand))
+            for h, cols in zip(dev.window.slots, block):
+                if h >= first:
+                    rows.append((("power_cap", s, d, h), [(j, 1.0) for j in cols],
+                                 LE, dev.max_power))
 
-        rows.append((("batt_init", s), [(index[("S", s, 0)], 1.0)], EQ, bat.initial))
-        for h in range(n_slots):
+        if first == 0:
+            rows.append((("batt_init", s), [(index[("S", s, 0)], 1.0)], EQ,
+                         bat.initial))
+        for h in range(first, n_slots):
             terms = [(index[("S", s, h + 1)], 1.0),
                      (index[("S", s, h)], -bat.discharge_eff),
                      (index[("lams", s, h)], -bat.charge_eff),
@@ -203,33 +239,18 @@ def _follower_rows(instance: Instance, index: dict) -> list:
                      (index[("xbs", s, h)], -bat.charge_eff)]
             terms += [(index[("sd", s, d, h)], 1.0) for d in active[h]]
             rows.append((("batt_balance", s, h), terms, EQ, 0.0))
-        for h in range(1, n_slots + 1):
+        for h in range(first + 1, n_slots + 1):
             col = index[("S", s, h)]
             rows.append((("batt_floor", s, h), [(col, 1.0)], GE, bat.min_level))
             rows.append((("batt_ceiling", s, h), [(col, 1.0)], LE, bat.max_level))
-        for h in range(n_slots):
+        for h in range(first, n_slots):
             terms = [(index[("sd", s, d, h)], 1.0) for d in active[h]]
             terms.append((index[("S", s, h)], -1.0))
             rows.append((("draw_cap", s, h), terms, LE, 0.0))
-        for h in range(n_slots):
+        for h in range(first, n_slots):
             terms = [(index[("lams", s, h)], 1.0)]
             terms += [(index[("lam", s, d, h)], 1.0) for d in active[h]]
             rows.append((("dg_cap", s, h), terms, LE, float(leaf.dg_bound[h])))
-
-    for a, b, h_max in nonanticipativity_pairs(tree):
-        for h in range(h_max + 1):
-            for d in active[h]:
-                for f in DEVICE_FAMILIES:
-                    rows.append((("tie", f, d, a, b, h),
-                                 [(index[(f, a, d, h)], 1.0),
-                                  (index[(f, b, d, h)], -1.0)], EQ, 0.0))
-            for f in SLOT_FAMILIES:
-                rows.append((("tie", f, -1, a, b, h),
-                             [(index[(f, a, h)], 1.0),
-                              (index[(f, b, h)], -1.0)], EQ, 0.0))
-            rows.append((("tie", "S", -1, a, b, h),
-                         [(index[("S", a, h)], 1.0),
-                          (index[("S", b, h)], -1.0)], EQ, 0.0))
     return rows
 
 

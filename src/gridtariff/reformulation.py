@@ -124,17 +124,13 @@ class MpccSystem:
 class BigMConfig:
     primal: np.ndarray
     dual: np.ndarray
-    dual_structural: np.ndarray
-    default_dual: float = DEFAULT_DUAL_M
 
     def __post_init__(self) -> None:
         if np.any(self.primal < 0) or np.any(self.dual <= 0):
             raise ValueError("big-M values must be positive")
 
     def escalate(self, factor: float = 2.0) -> "BigMConfig":
-        dual = np.where(self.dual_structural, self.dual, self.dual * factor)
-        return BigMConfig(self.primal.copy(), dual, self.dual_structural.copy(),
-                          self.default_dual * factor)
+        return BigMConfig(self.primal.copy(), self.dual * factor)
 
 
 @dataclass
@@ -319,9 +315,8 @@ def default_big_m(mpcc: MpccSystem, default_dual: float | None = None) -> BigMCo
     """
     if default_dual is None:
         default_dual = min(DEFAULT_DUAL_M, 1e3 * dual_m_scale(mpcc.system))
-    dual = np.full(mpcc.n_pairs, float(default_dual))
-    structural = np.zeros(mpcc.n_pairs, dtype=bool)
-    return BigMConfig(mpcc.primal_bound.copy(), dual, structural, default_dual)
+    return BigMConfig(mpcc.primal_bound.copy(),
+                      np.full(mpcc.n_pairs, float(default_dual)))
 
 
 @dataclass
@@ -495,8 +490,7 @@ def audit_big_m(solution: BilevelSolution, config: BigMConfig,
                                    float(config.primal[k]), True))
         if dv[k] >= (1.0 - margin) * config.dual[k]:
             flags.append(AuditFlag(k, "dual", float(dv[k]),
-                                   float(config.dual[k]),
-                                   bool(config.dual_structural[k])))
+                                   float(config.dual[k]), False))
     return AuditReport(flags, float(pv.max(initial=0.0)), float(dv.max(initial=0.0)))
 
 
@@ -664,7 +658,7 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
         if result.status is Status.INFEASIBLE:
             # undersized multiplier caps can choke the whole system; larger M
             # only enlarges it, so escalation is the right reflex here too
-            if attempt < max_retries and not cfg.dual_structural.all():
+            if attempt < max_retries:
                 cfg = cfg.escalate()
                 continue
             raise BilevelInfeasible(

@@ -121,13 +121,14 @@ class RhAborted(RuntimeError):
 
 def make_subinstance(instance: Instance, t: int, trajectory: RhTrajectory,
                      config: RhConfig, previous_base: int | None
-                     ) -> tuple[Instance, list[int], list[int]]:
+                     ) -> tuple[Instance, list[int]]:
     """Window instance starting at slot t with actualized demands and battery.
 
-    Returns the instance, the original index of each kept device, and the
-    window leaf index for each base scenario (bases whose generation paths
-    coincide on the window share one leaf with summed probability; their
-    decisions would be tied anyway).  Residual demand subtracts everything
+    Returns the instance and the original index of each kept device.  Base
+    ``b`` is leaf ``b`` of the window's flat tree; bases whose generation
+    paths coincide on the window share their decisions through the tree's
+    nodes (``node_map``), so the window LP is the same as with one leaf of
+    their summed probability.  Residual demand subtracts everything
     the realized path already served; demand reaching past the window is
     capped so the device consumes as much as possible inside it, and any
     residual exceeding the remaining window capacity is clamped with a
@@ -179,27 +180,12 @@ def make_subinstance(instance: Instance, t: int, trajectory: RhTrajectory,
         config.selector.validate(n_b)
         base_probs = np.full(n_b, config.selector.switch_prob)
         base_probs[previous_base] = config.selector.stay_prob
-
-    # bases indistinguishable over the window collapse into one leaf
-    leaf_of_base: list[int] = []
-    paths: list[np.ndarray] = []
-    probs: list[float] = []
-    for b, base in enumerate(instance.tree.bases):
-        seg = np.asarray(base.dg_bound[t: t_end + 1], dtype=float)
-        for li, existing in enumerate(paths):
-            if np.array_equal(existing, seg):
-                leaf_of_base.append(li)
-                probs[li] += float(base_probs[b])
-                break
-        else:
-            leaf_of_base.append(len(paths))
-            paths.append(seg)
-            probs.append(float(base_probs[b]))
-    bases = [BaseScenario(i, seg) for i, seg in enumerate(paths)]
-    tree = flat_tree(bases, n_sub, np.asarray(probs))
+    bases = [BaseScenario(b, base.dg_bound[t: t_end + 1])
+             for b, base in enumerate(instance.tree.bases)]
+    tree = flat_tree(bases, n_sub, base_probs)
     sub = Instance(Horizon(n_sub, instance.horizon.slot_minutes), devices,
                    battery, prices, tree, name=f"{instance.name}@t{t}")
-    return sub, kept, leaf_of_base
+    return sub, kept
 
 
 def run(instance: Instance, config: RhConfig,
@@ -227,8 +213,7 @@ def run(instance: Instance, config: RhConfig,
     while True:
         final = t + config.window >= H
         t_end = min(t + config.window, H)
-        sub, kept, leaf_of_base = make_subinstance(instance, t, traj, config,
-                                                   previous_base)
+        sub, kept = make_subinstance(instance, t, traj, config, previous_base)
         pinned = {h - t: float(traj.frozen_prices[h])
                   for h in range(t, t_end + 1) if traj.price_committed[h]}
         opts = SolveOptions(time_limit=config.per_iteration_time_limit,
@@ -247,7 +232,7 @@ def run(instance: Instance, config: RhConfig,
             realized = realize_next(config.selector, previous_base, rng, n_bases)
 
         commit_hi = t_end if final else min(t + config.step - 1, t_end)
-        _commit(instance, traj, sol, kept, t, commit_hi, leaf_of_base[realized])
+        _commit(instance, traj, sol, kept, t, commit_hi, realized)
         price_hi = t_end if final else min(t + config.step + config.frozen, t_end)
         _commit_prices(traj, sol, t, price_hi)
         _roll_battery(instance, traj, t, commit_hi)

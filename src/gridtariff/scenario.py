@@ -2,9 +2,11 @@
 
 A leaf scenario is a per-slot bound on distributed generation, assembled by
 concatenating segments of a small set of base scenarios stage by stage.  Two
-leaves must share all decisions while their bound vectors agree on a prefix;
-the helpers here compute that prefix and emit a minimal chained set of
-coupling triples equivalent to the all-pairs formulation.
+leaves must share all decisions while their bound vectors agree on a prefix:
+``node_map`` names the scenario-tree node each leaf is at in each slot, and
+the operator LP builds every decision once per node.  The quadratic
+``all_nonanticipativity_pairs`` lists the same sharing pair by pair, as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -186,27 +188,28 @@ def indistinguishability_time(a: Scenario, b: Scenario) -> int:
     return int(diff[0]) - 1
 
 
-def nonanticipativity_pairs(tree: ScenarioTree) -> list[tuple[int, int, int]]:
-    """Chained coupling triples ``(leaf, leaf', h_max)``.
+def node_map(tree: ScenarioTree) -> np.ndarray:
+    """``(n_leaves, n_slots)`` map from each leaf and slot to its tree node.
 
-    Leaves are ordered lexicographically by generation path; adjacent pairs
-    with their agreement prefix form a spanning set whose transitive closure
-    equals the all-pairs set (prefix agreement is an ultrametric).
+    A node is named by its first leaf: entry ``[s, h]`` is the lowest leaf
+    whose generation path agrees with leaf ``s`` on slots ``0..h``, so two
+    leaves are at the same node of slot ``h`` exactly when
+    ``indistinguishability_time`` of the pair is at least ``h``.
     """
-    if tree.n_leaves < 2:
-        return []
-    order = sorted(range(tree.n_leaves),
-                   key=lambda i: tuple(tree.leaves[i].dg_bound))
-    out: list[tuple[int, int, int]] = []
-    for a, b in zip(order, order[1:]):
-        h = indistinguishability_time(tree.leaves[a], tree.leaves[b])
-        if h >= 0:
-            out.append((a, b, h))
-    return out
+    dg = tree.dg_matrix().tolist()
+    nodes = np.empty((tree.n_leaves, tree.n_slots), dtype=np.int64)
+    parent = [0] * tree.n_leaves
+    for h in range(tree.n_slots):
+        first: dict = {}
+        parent = [first.setdefault((parent[s], path[h]), s)
+                  for s, path in enumerate(dg)]
+        nodes[:, h] = parent
+    return nodes
 
 
 def all_nonanticipativity_pairs(tree: ScenarioTree) -> list[tuple[int, int, int]]:
-    """Quadratic all-pairs variant, used to cross-check the chained set."""
+    """Every pair of leaves ``(leaf, leaf', h_max)`` that agree on slots
+    ``0..h_max``.  Quadratic; tests check ``node_map`` against it."""
     out = []
     for i in range(tree.n_leaves):
         for j in range(i + 1, tree.n_leaves):

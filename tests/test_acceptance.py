@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from gridtariff.baselines import reference_case
-from gridtariff.follower import (build_follower_lp, build_follower_system,
+from gridtariff.follower import (DEVICE_FAMILIES, SLOT_FAMILIES,
+                                 build_follower_lp, build_follower_system,
                                  complementarity_products, solve_follower)
 from gridtariff.generator import (VariantSpec, generate_mini_instance,
                                   generate_week_instance)
@@ -25,15 +26,12 @@ from gridtariff.reformulation import (build_mpcc, default_big_m, linearize,
                                       solve_bilevel)
 from gridtariff.rolling import RhConfig, audit_trajectory
 from gridtariff.rolling import run as rh_run
-from gridtariff.scenario import (all_nonanticipativity_pairs, BaseScenario,
-                                 build_complete_tree,
-                                 indistinguishability_time,
-                                 nonanticipativity_pairs, uniform_selector)
+from gridtariff.scenario import indistinguishability_time, uniform_selector
 from gridtariff.solver import (LpBuilder, MilpModel, SolveOptions, Status,
                                solve_lp, solve_milp)
 
 from conftest import OptimisticResponder, grid_oracle, random_tiny_instance
-from test_scenario import _closure
+from test_scenario import assert_node_map_matches_oracle, random_trees
 from test_solver import _vertex_enumeration_optimum, knapsack_model
 
 EXACT = SolveOptions(rel_gap=0.0, time_limit=120.0)
@@ -205,16 +203,32 @@ def test_criterion_7_nonanticipativity(oracle_runs):
                                        - fs.device_values[(f, b, d)][k]) <= 1e-9
         assert checked >= 5
 
-        # chained coupling set is equivalent to all pairs (union-find closure)
+        # the node map agrees with the all-pairs set, and two leaves share
+        # a decision column exactly while they are indistinguishable
         rng = np.random.default_rng(41)
-        for n_b, period, n_slots in ((3, 1, 4), (2, 1, 4), (3, 2, 8), (2, 2, 6)):
-            mat = rng.integers(0, 2, size=(n_b, n_slots)).astype(float)
-            tree = build_complete_tree(
-                [BaseScenario(i, row) for i, row in enumerate(mat)],
-                period, n_slots)
+        trees = random_trees(rng, ((3, 1, 4), (2, 1, 4), (3, 2, 8), (2, 2, 6)))
+        assert any(indistinguishability_time(t.leaves[0], t.leaves[-1]) < 0
+                   for t in trees)
+        for tree in trees:
             assert tree.n_leaves <= 81
-            assert _closure(tree, nonanticipativity_pairs(tree)) == \
-                _closure(tree, all_nonanticipativity_pairs(tree))
+            assert_node_map_matches_oracle(tree)
+            inst = random_tiny_instance(rng, n_slots=tree.n_slots, n_devices=2,
+                                        battery=True).replace(tree=tree)
+            index = build_follower_system(inst).var_index
+            for a, b in itertools.combinations(range(tree.n_leaves), 2):
+                h_max = indistinguishability_time(tree.leaves[a], tree.leaves[b])
+                for h in range(tree.n_slots):
+                    for f in SLOT_FAMILIES:
+                        assert (index[(f, a, h)] == index[(f, b, h)]) \
+                            == (h_max >= h)
+                    for d, dev in enumerate(inst.devices):
+                        if dev.window.first <= h <= dev.window.last:
+                            for f in DEVICE_FAMILIES:
+                                assert (index[(f, a, d, h)] == index[(f, b, d, h)]) \
+                                    == (h_max >= h)
+                for h in range(tree.n_slots + 1):     # S[h] is set in slot h - 1
+                    assert (index[("S", a, h)] == index[("S", b, h)]) \
+                        == (h_max >= max(h - 1, 0))
 
 
 def test_criterion_8_rolling_horizon_integrity():

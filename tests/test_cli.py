@@ -8,7 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from gridtariff.cli import SENSITIVITY_GRID, main
+from gridtariff.baselines import reference_case
+from gridtariff.cli import SENSITIVITY_GRID, _generate, build_parser, main
 from gridtariff.serialize import write_instance
 
 from conftest import make_t1
@@ -128,14 +129,24 @@ def test_sensitivity_run_mini(tmp_path):
 
 def test_rh_study_smoke(tmp_path):
     out = tmp_path / "rhstudy"
-    assert run_cli("rh-study", "--preset", "mini", "--seed", "3",
-                   "--window", "6", "--step", "2", "--paths", "1",
-                   "--frozen-values", "0,2", "--skip-perfect",
-                   *FAST, "-o", out) == 0
+    # rh-study always uses three bases; "--bases 3" lets _generate rebuild them
+    args = ["rh-study", "--preset", "mini", "--seed", "3", "--bases", "3",
+            "--window", "6", "--step", "2", "--paths", "1",
+            "--frozen-values", "0,2", "--skip-perfect", *FAST, "-o", out]
+    assert run_cli(*args) == 0
     rows = list(csv.DictReader((out / "study.csv").open()))
     assert len(rows) == 2                        # one path, two frozen lengths
     assert {r["frozen"] for r in rows} == {"0", "2"}
     paths = (out / "path0.csv").read_text().splitlines()
     assert paths[0] == "iteration,base"
     base_rows = list(csv.DictReader((out / "baselines.csv").open()))
-    assert any(r["kind"] == "reference" for r in base_rows)
+    ref_rows = [r for r in base_rows if r["kind"] == "reference"]
+    assert len(ref_rows) == 1
+    # the reference case runs on the generation path the first run realized
+    inst = _generate(build_parser().parse_args([str(a) for a in args]))
+    realized = json.loads((out / "run_p0_f0" / "trajectory.json").read_text())
+    dg_path = np.array([inst.tree.bases[b].dg_bound[h]
+                        for h, b in enumerate(realized["base_by_slot"])])
+    ref = reference_case(inst, dg_path)
+    assert ref_rows[0]["leader_obj"] == f"{ref.leader_profit:.6f}"
+    assert ref_rows[0]["generalized_cost"] == f"{ref.generalized_cost:.6f}"

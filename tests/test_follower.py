@@ -10,10 +10,12 @@ from gridtariff.follower import (DEVICE_FAMILIES, SLOT_FAMILIES, _follower_rows,
                                  complementarity_products, evaluate_schedule,
                                  extract_solution, leader_profit,
                                  solve_follower, FollowerInfeasible)
-from gridtariff.generator import generate_instance, generate_week_instance
+from gridtariff.generator import (generate_instance, generate_mini_instance,
+                                  generate_week_instance)
 from gridtariff.model import Battery, Device, Horizon, Instance, PriceData, TimeWindow
 from gridtariff.scenario import (BaseScenario, flat_tree,
-                                 indistinguishability_time, single_path_tree)
+                                 indistinguishability_time, node_map,
+                                 single_path_tree)
 from gridtariff.solver import EQ, LE, LpBuilder, Status
 
 from conftest import DESK_SHAPE, make_t1, random_tiny_instance
@@ -47,10 +49,21 @@ class TestBuildCounts:
             [BaseScenario(0, np.array([0.0, 1.0])),
              BaseScenario(1, np.array([0.0, 2.0]))], 2))
         system = build_follower_system(inst)
-        ties = [tag for tag in system.skeleton.row_tags if tag[0] == "tie"]
-        assert len(ties) == 8                    # all eight families at h=0
-        assert {t[1] for t in ties} == {"x", "xb", "lam", "sd",
-                                        "xs", "xbs", "lams", "S"}
+        idx = system.var_index
+        # all eight families share their slot-0 column (S[1] is set in slot 0)
+        shared = [(f, 0, 0) for f in DEVICE_FAMILIES] \
+            + [(f, 0) for f in SLOT_FAMILIES] + [("S", 0), ("S", 1)]
+        for key in shared:
+            assert idx[(key[0], 0, *key[1:])] == idx[(key[0], 1, *key[1:])]
+        later = [(f, 0, 1) for f in DEVICE_FAMILIES] \
+            + [(f, 1) for f in SLOT_FAMILIES] + [("S", 2)]
+        for key in later:
+            assert idx[(key[0], 0, *key[1:])] != idx[(key[0], 1, *key[1:])]
+        assert system.n_vars == 17 + len(later)  # the one-leaf count plus slot 1
+        assert len(set(idx.values())) == system.n_vars == len(system.var_tags)
+        # a shared column is priced with both leaves' probability
+        x = [idx[("x", 0, 0, h)] for h in (0, 1)]
+        np.testing.assert_array_equal(system.price_prob[x], [1.0, 0.5])
 
 
 class TestSolveFollower:
@@ -213,7 +226,10 @@ def _profiles(inst, seed):
 
 def _tagged_rows(system):
     """The tagged row tuples the skeleton is assembled from."""
-    return _follower_rows(system.instance, system.var_index)
+    nodes = node_map(system.instance.tree)
+    first_own = (nodes != np.arange(len(nodes))[:, None]).sum(axis=1).tolist()
+    return _follower_rows(system.instance, system.var_index, system.device_cols,
+                          first_own)
 
 
 def _builder_lp(system, prices):
@@ -250,6 +266,16 @@ class TestSkeleton:
         for prices in _profiles(inst, seed=3):
             _assert_same_lp(build_follower_lp(inst, prices, system),
                             _builder_lp(system, prices))
+
+    def test_identical_leaves_build_the_one_leaf_lp(self):
+        # the three bases of mini seed 1 are all zero: every node is shared
+        inst = generate_mini_instance(1, n_bases=3)
+        assert inst.tree.n_leaves == 3 and not inst.tree.dg_matrix().any()
+        three = build_follower_system(inst)
+        one = build_follower_system(generate_mini_instance(1))
+        _assert_same_lp(three.skeleton, one.skeleton)
+        np.testing.assert_array_equal(three.c0, one.c0)
+        np.testing.assert_array_equal(three.price_prob, one.price_prob)
 
     def test_priced_lps_own_their_objectives(self, week3):
         inst, system = week3

@@ -113,21 +113,25 @@ class TestBuildMpcc:
         assert ceiling
         assert all(cfg.primal[k] == 0.0 for k in ceiling)
 
-    def test_tie_multipliers_enter_stationarity_rows(self):
+    def test_shared_column_stationarity_sees_both_leaves(self):
         inst = make_t1().replace(tree=flat_tree(
             [BaseScenario(0, np.array([0.0, 1.0])),
              BaseScenario(1, np.array([0.0, 2.0]))], 2))
         mpcc = build_mpcc(inst)
         skel = mpcc.system.skeleton
-        tie_rows = {i for i, tag in enumerate(skel.row_tags) if tag[0] == "tie"}
-        assert tie_rows
         j = mpcc.system.var_index[("x", 0, 0, 0)]
-        touching = set(skel.a_rows.tocsc()[:, j].indices.tolist())
-        assert touching & tie_rows            # tied variable sees the tie row
+        assert mpcc.system.var_index[("x", 1, 0, 0)] == j
+        touching = {skel.row_tags[i]
+                    for i in skel.a_rows.tocsc()[:, j].indices.tolist()}
+        # both leaves' demand rows and the one shared power cap
+        assert touching == {("demand_min", 0, 0), ("demand_min", 1, 0),
+                            ("power_cap", 0, 0, 0)}
         lp = linearize(mpcc, default_big_m(mpcc)).lp
+        assert ("dual", "x", 1, 0, 0) not in lp.row_tags
         stationarity = lp.a_rows[lp.row_tags.index(("dual", "x", 0, 0, 0))]
+        rows = {skel.row_tags.index(tag) for tag in touching}
         assert {lp.var_tags[c] for c in stationarity.indices} \
-            & {("d", i) for i in tie_rows}     # its stationarity row too
+            == {("p", 0)} | {("d", i) for i in rows}
 
     def test_price_variable_only_in_dual_and_switch_rows(self, t1):
         mpcc = build_mpcc(t1)
@@ -146,7 +150,7 @@ class TestLinearize:
         mpcc = build_mpcc(t1)
         cfg = default_big_m(mpcc)
         with pytest.raises(ValueError):
-            BigMConfig(cfg.primal, np.zeros_like(cfg.dual), cfg.dual_structural)
+            BigMConfig(cfg.primal, np.zeros_like(cfg.dual))
 
     def test_switch_semantics(self):
         # a pair (slack, dual) with slack 0.5 at optimum needs delta = 1
@@ -236,6 +240,13 @@ class TestSolveBilevel:
         bad = t1.replace(battery=Battery(5.0, 0.0, 1.0, 0.9, 0.9))
         with pytest.raises(ValueError):
             solve_bilevel(bad)
+
+    def test_identical_bases_solve_like_one_base(self):
+        # three all-zero bases share every node, so this is the one-base MILP
+        sol = solve_bilevel(generate_mini_instance(1, n_bases=3),
+                            opts=SolveOptions(time_limit=30), backend="scipy")
+        assert sol.status is Status.OPTIMAL
+        assert sol.leader_objective == pytest.approx(219.883676, abs=1e-6)
 
     def test_scipy_backend_matches(self):
         rng = np.random.default_rng(4)
@@ -362,20 +373,19 @@ class TestAudit:
         return sol
 
     def test_clean_when_everything_midrange(self):
-        cfg = BigMConfig(np.array([10.0, 10.0]), np.array([100.0, 100.0]),
-                         np.array([False, False]))
+        cfg = BigMConfig(np.array([10.0, 10.0]), np.array([100.0, 100.0]))
         rep = audit_big_m(self._fake_solution([5.0, 0.0], [0.0, 50.0]), cfg)
         assert rep.clean and not rep.flags
         assert rep.max_primal == 5.0 and rep.max_dual == 50.0
 
     def test_dual_at_m_flagged(self):
-        cfg = BigMConfig(np.array([10.0]), np.array([100.0]), np.array([False]))
+        cfg = BigMConfig(np.array([10.0]), np.array([100.0]))
         rep = audit_big_m(self._fake_solution([0.0], [100.0]), cfg)
         assert not rep.clean
         assert rep.flags[0].side == "dual" and not rep.flags[0].structural
 
     def test_structural_primal_at_m_not_risky(self):
-        cfg = BigMConfig(np.array([10.0]), np.array([100.0]), np.array([False]))
+        cfg = BigMConfig(np.array([10.0]), np.array([100.0]))
         rep = audit_big_m(self._fake_solution([10.0], [0.0]), cfg)
         assert rep.clean                       # flagged but structural
         assert rep.flags and rep.flags[0].structural

@@ -62,19 +62,18 @@ class TestMakeSubinstance:
     def test_window_slice_and_prices(self):
         inst = self._mini()
         cfg = RhConfig(window=6, step=1, frozen=0)
-        sub, kept, leaf_of_base = make_subinstance(inst, 3, empty_trajectory(inst),
-                                                   cfg, None)
+        sub, kept = make_subinstance(inst, 3, empty_trajectory(inst), cfg, None)
         assert sub.n_slots == 7
         np.testing.assert_allclose(sub.prices.competitor,
                                    inst.prices.competitor[3:10])
-        assert len(leaf_of_base) == len(inst.tree.bases)
+        assert sub.tree.n_leaves == len(inst.tree.bases)
 
     def test_fully_served_device_excluded(self):
         inst = make_t1()
         traj = empty_trajectory(inst)
         traj.device_energy["x"][0, 0] = 2.0       # whole demand already served
         cfg = RhConfig(window=1, step=1, frozen=0)
-        sub, kept, _ = make_subinstance(inst, 1, traj, cfg, 0)
+        sub, kept = make_subinstance(inst, 1, traj, cfg, 0)
         assert kept == []
 
     def test_residual_demand_subtracts_served(self):
@@ -84,7 +83,7 @@ class TestMakeSubinstance:
         traj.device_energy["x"][0, 0] = 1.0
         traj.device_energy["lam"][0, 1] = 3.0      # 4 consumed before t=2
         cfg = RhConfig(window=4, step=2, frozen=0)
-        sub, kept, _ = make_subinstance(inst, 2, traj, cfg, 0)
+        sub, kept = make_subinstance(inst, 2, traj, cfg, 0)
         assert kept == [0]
         assert sub.devices[0].energy_demand == pytest.approx(6.0)
 
@@ -94,7 +93,7 @@ class TestMakeSubinstance:
         dev = Device("c", "a", TimeWindow(5, 11), 10.0, 2.0, (0.0,) * 7)
         inst = generate_mini_instance(1).replace(devices=[dev])
         cfg = RhConfig(window=8, step=1, frozen=0)
-        sub, kept, _ = make_subinstance(inst, 0, empty_trajectory(inst), cfg, None)
+        sub, kept = make_subinstance(inst, 0, empty_trajectory(inst), cfg, None)
         assert sub.devices[0].energy_demand == pytest.approx(min(10.0, 3 * 2.0))
 
     def test_clamp_warns_when_capacity_insufficient(self):
@@ -103,31 +102,23 @@ class TestMakeSubinstance:
         traj = empty_trajectory(inst)                 # nothing served yet
         cfg = RhConfig(window=2, step=1, frozen=0)
         with pytest.warns(UserWarning):
-            sub, _, _ = make_subinstance(inst, 2, traj, cfg, 0)
+            sub, _ = make_subinstance(inst, 2, traj, cfg, 0)
         assert sub.devices[0].energy_demand == pytest.approx(4.0)
 
     def test_markov_probabilities_condition_on_previous(self):
         inst = generate_mini_instance(1, n_bases=3)
         cfg = RhConfig(window=6, step=1, frozen=0,
                        selector=uniform_selector(3, 0.4))
-        sub, _, leaf_of_base = make_subinstance(
+        sub, _ = make_subinstance(
             inst, 4, empty_trajectory(inst), cfg, previous_base=1)
-        probs = np.zeros(len(inst.tree.bases))
-        for b, leaf in enumerate(leaf_of_base):
-            probs[b] = 0.0
-        collected = {}
-        for b, leaf in enumerate(leaf_of_base):
-            collected.setdefault(leaf, 0.0)
-            collected[leaf] += (0.4 if b == 1 else 0.3)
-        for leaf, p in collected.items():
-            assert sub.tree.probabilities[leaf] == pytest.approx(p)
+        np.testing.assert_allclose(sub.tree.probabilities, [0.3, 0.4, 0.3])
 
     def test_battery_carry_over(self):
         inst = generate_mini_instance(1)
         traj = empty_trajectory(inst)
         traj.battery_state[4] = 0.8
         cfg = RhConfig(window=4, step=1, frozen=0)
-        sub, _, _ = make_subinstance(inst, 4, traj, cfg, 0)
+        sub, _ = make_subinstance(inst, 4, traj, cfg, 0)
         assert sub.battery.initial == pytest.approx(0.8)
 
 

@@ -1,6 +1,8 @@
-"""Scenario trees: construction, indistinguishability, coupling, realization."""
+"""Scenario trees: construction, indistinguishability, node map, realization."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ from hypothesis import strategies as st
 from gridtariff.scenario import (BaseScenario, MarkovSelector,
                                  all_nonanticipativity_pairs,
                                  build_complete_tree, flat_tree,
-                                 indistinguishability_time,
-                                 nonanticipativity_pairs, realize_next,
-                                 single_path_tree, uniform_selector)
+                                 indistinguishability_time, node_map,
+                                 realize_next, single_path_tree,
+                                 uniform_selector)
 
 
 def bases_from(matrix) -> list[BaseScenario]:
@@ -103,69 +105,72 @@ class TestIndistinguishability:
                     assert hac >= min(hab, hbc)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
+def assert_node_map_matches_oracle(tree) -> None:
+    """Leaves share a node exactly in the slots where the all-pairs set ties
+    them, and each node is named by its first leaf."""
+    nodes = node_map(tree)
+    assert nodes.shape == (tree.n_leaves, tree.n_slots)
+    shared = {(a, b, h)
+              for a, b in itertools.combinations(range(tree.n_leaves), 2)
+              for h in range(tree.n_slots) if nodes[a, h] == nodes[b, h]}
+    assert shared == {(a, b, h)
+                      for a, b, h_max in all_nonanticipativity_pairs(tree)
+                      for h in range(h_max + 1)}
+    assert np.all(nodes <= np.arange(tree.n_leaves)[:, None])
+    np.testing.assert_array_equal(nodes[nodes, np.arange(tree.n_slots)], nodes)
 
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
 
-    def union(self, a, b):
-        self.parent[self.find(a)] = self.find(b)
-
-
-def _closure(tree, pairs):
-    """Per-slot equivalence classes induced by coupling triples."""
-    uf = _UnionFind()
-    for a, b, h_max in pairs:
-        for h in range(h_max + 1):
-            uf.union((a, h), (b, h))
-    groups = {}
-    for leaf in range(tree.n_leaves):
-        for h in range(tree.n_slots):
-            groups.setdefault(uf.find((leaf, h)), set()).add((leaf, h))
-    return {frozenset(g) for g in groups.values()}
+def random_trees(rng, shapes) -> list:
+    """Complete trees over random 0/1 bases, one per ``(n_b, period,
+    n_slots)``, and a flat tree over the same bases."""
+    trees = []
+    for n_b, period, n_slots in shapes:
+        mat = rng.integers(0, 2, size=(n_b, n_slots)).astype(float)
+        trees.append(build_complete_tree(bases_from(mat), period, n_slots))
+        trees.append(flat_tree(bases_from(mat), n_slots))
+    return trees
 
 
 class TestNonanticipativityPairs:
+    """A leaf's node chain is its row of ``node_map``: the tree node it is at
+    in each slot.  The chains must tie exactly the all-pairs set."""
+
     def test_two_leaf_tree(self):
         t = flat_tree(bases_from([[1, 1, 5], [1, 2, 5]]), 3)
-        assert nonanticipativity_pairs(t) == [(0, 1, 0)]
+        assert all_nonanticipativity_pairs(t) == [(0, 1, 0)]
+        np.testing.assert_array_equal(node_map(t), [[0, 0, 0], [0, 1, 1]])
 
     def test_nine_leaf_chain_count(self):
         tree = build_complete_tree(bases_from([[0] * 4, [1] * 4, [2] * 4]), 2, 4)
-        pairs = nonanticipativity_pairs(tree)
-        # two links inside each of the three first-stage groups; links across
-        # groups would sit at h = -1 and carry no constraints, so they are
-        # not emitted (equivalence to all-pairs is checked below)
-        assert len(pairs) == 6
-        assert all(h == 1 for _, _, h in pairs)
+        nodes = node_map(tree)
+        # the first stage splits into three nodes, the second into nine
+        assert [len(set(nodes[:, h])) for h in range(4)] == [3, 3, 9, 9]
+        assert_node_map_matches_oracle(tree)
 
     def test_single_scenario_empty(self):
-        assert nonanticipativity_pairs(single_path_tree(np.zeros(4))) == []
+        tree = single_path_tree(np.zeros(4))
+        assert all_nonanticipativity_pairs(tree) == []
+        np.testing.assert_array_equal(node_map(tree), [[0, 0, 0, 0]])
 
     @pytest.mark.parametrize("n_b,period,n_slots", [(2, 1, 4), (3, 1, 4),
                                                     (3, 2, 6), (2, 2, 8)])
     def test_chained_equivalent_to_all_pairs(self, n_b, period, n_slots):
         rng = np.random.default_rng(n_b * 100 + n_slots)
-        mat = rng.integers(0, 2, size=(n_b, n_slots)).astype(float)
-        tree = build_complete_tree(bases_from(mat), period, n_slots)
-        assert tree.n_leaves <= 81
-        assert _closure(tree, nonanticipativity_pairs(tree)) == \
-            _closure(tree, all_nonanticipativity_pairs(tree))
+        for tree in random_trees(rng, [(n_b, period, n_slots)]):
+            assert tree.n_leaves <= 81
+            assert_node_map_matches_oracle(tree)
+
+    def test_leaf_differing_at_slot_0_shares_nothing(self):
+        t = flat_tree(bases_from([[1, 0, 0], [2, 0, 0], [1, 0, 1]]), 3)
+        np.testing.assert_array_equal(node_map(t), [[0, 0, 0], [1, 1, 1],
+                                                    [0, 0, 2]])
+        assert_node_map_matches_oracle(t)
 
     def test_chain_handles_identical_night_prefix(self):
-        # bases share a zero prefix: leaves with different ids are still tied
         t = flat_tree(bases_from([[0, 0, 1.0], [0, 0, 2.0], [0, 0, 3.0]]), 3)
-        pairs = nonanticipativity_pairs(t)
-        assert _closure(t, pairs) == _closure(t, all_nonanticipativity_pairs(t))
-        slot1_class = {g for g in _closure(t, pairs)
-                       if (0, 1) in g}
-        assert {(0, 1), (1, 1), (2, 1)} <= next(iter(slot1_class))
+        np.testing.assert_array_equal(node_map(t), [[0, 0, 0], [0, 0, 1],
+                                                    [0, 0, 2]])
+        assert_node_map_matches_oracle(t)
 
 
 class TestRealizeNext:
