@@ -14,7 +14,7 @@ from .follower import (build_follower_lp, build_follower_system,
 from .generator import (VariantSpec, generate_instance,
                         generate_mini_instance, generate_week_instance)
 from .model import (Battery, Device, Horizon, Instance, PriceData,
-                    PriceProfile, TimeWindow, validate)
+                    TimeWindow, validate)
 from .reformulation import (BigMConfig, BilevelSolution, audit_big_m,
                             build_mpcc, default_big_m, linearize,
                             solve_bilevel)
@@ -30,8 +30,8 @@ from .solver import SolveOptions, Status, get_backend, register_backend
 __version__ = "0.1.0"
 
 __all__ = [
-    "Battery", "Device", "Horizon", "Instance", "PriceData", "PriceProfile",
-    "TimeWindow", "validate",
+    "Battery", "Device", "Horizon", "Instance", "PriceData", "TimeWindow",
+    "validate",
     "BaseScenario", "MarkovSelector", "ScenarioTree", "build_complete_tree",
     "flat_tree", "indistinguishability_time", "node_map",
     "realize_next", "single_path_tree", "uniform_selector",

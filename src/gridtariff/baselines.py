@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .follower import FollowerSolution, evaluate_schedule, leader_profit
+from .generator import greedy_device_profile
 from .model import Instance
 from .reformulation import BilevelSolution, solve_bilevel
 from .scenario import single_path_tree
@@ -36,21 +37,6 @@ class BaselineResult:
     bilevel: BilevelSolution | None = None
 
 
-def greedy_device_profile(instance: Instance) -> np.ndarray:
-    """Per-device-per-slot demand: full power from the window start."""
-    n = instance.n_slots
-    demand = np.zeros((len(instance.devices), n))
-    for d, dev in enumerate(instance.devices):
-        remaining = dev.energy_demand
-        for h in dev.window.slots:
-            take = min(dev.max_power, remaining)
-            demand[d, h] = take
-            remaining -= take
-            if remaining <= 1e-12:
-                break
-    return demand
-
-
 def reference_case(instance: Instance, dg_path: np.ndarray) -> BaselineResult:
     """Greedy minimal-delay schedule at competitor prices on a known path."""
     dg_path = np.asarray(dg_path, dtype=float)
@@ -58,7 +44,7 @@ def reference_case(instance: Instance, dg_path: np.ndarray) -> BaselineResult:
     if len(dg_path) != n:
         raise ValueError("generation path length mismatch")
     bat = instance.battery
-    demand = greedy_device_profile(instance)
+    demand = greedy_device_profile(instance.devices, n)
     n_dev = len(instance.devices)
 
     lam = np.zeros((n_dev, n))
@@ -97,18 +83,13 @@ def reference_case(instance: Instance, dg_path: np.ndarray) -> BaselineResult:
             nxt = bat.min_level
         state[h + 1] = nxt
 
-    device_values = {}
-    for d, dev in enumerate(instance.devices):
-        win = np.fromiter(dev.window.slots, dtype=np.int64)
-        device_values[("x", 0, d)] = x[d, win]
-        device_values[("xb", 0, d)] = np.zeros(len(win))
-        device_values[("lam", 0, d)] = lam[d, win]
-        device_values[("sd", 0, d)] = sd[d, win]
+    device = {"x": x[None], "xb": np.zeros((1, n_dev, n)), "lam": lam[None],
+              "sd": sd[None]}
     stored = {"xs": xs[None, :], "xbs": np.zeros((1, n)), "lams": lams[None, :]}
     prices = instance.prices.competitor.copy()
 
     single = instance.replace(tree=single_path_tree(dg_path))
-    schedule = FollowerSolution(1, n, device_values, stored, state[None, :], 0.0)
+    schedule = FollowerSolution(device, stored, state[None, :], 0.0)
     costs = evaluate_schedule(single, prices, schedule)
     schedule.objective_value = costs.generalized_cost
     profit = leader_profit(single, prices, schedule)

@@ -23,7 +23,7 @@ import numpy as np
 from . import baselines, reports, rolling, serialize
 from .follower import FollowerInfeasible
 from .generator import (MINI_PRESETS, VariantSpec, generate_mini_instance,
-                        generate_week_instance)
+                        generate_week_instance, greedy_device_profile)
 from .model import Instance, validate
 from .reformulation import BilevelInfeasible, UncertifiedOptimum, solve_bilevel
 from .rolling import RhAborted, RhConfig
@@ -93,13 +93,12 @@ def cmd_generate(args) -> int:
     if args.curves_dir:
         outdir = Path(args.curves_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        from .baselines import greedy_device_profile
         serialize.write_curve_csv(outdir / "supply_cost.csv",
                                   inst.prices.supply_cost, "supply_cost")
         serialize.write_curve_csv(outdir / "competitor_price.csv",
                                   inst.prices.competitor, "competitor_price")
-        serialize.write_curve_csv(outdir / "unshifted_demand.csv",
-                                  greedy_device_profile(inst).sum(axis=0), "demand")
+        demand = greedy_device_profile(inst.devices, inst.n_slots).sum(axis=0)
+        serialize.write_curve_csv(outdir / "unshifted_demand.csv", demand, "demand")
         serialize.write_curve_csv(outdir / "generation_bound.csv",
                                   inst.tree.bases[min(1, len(inst.tree.bases) - 1)].dg_bound,
                                   "generation_bound")
@@ -262,11 +261,8 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_rh_study(args) -> int:
-    variants = _variant_from_args(args)
-    args_gen = argparse.Namespace(**vars(args))
-    args_gen.bases = 3
-    inst = _generate(args_gen, variants)
-    selector = uniform_selector(3, args.stay)
+    inst = _generate(args)
+    selector = uniform_selector(args.bases, args.stay)
     frozen_values = [int(v) for v in args.frozen_values.split(",")]
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -345,11 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bilevel time-of-use pricing toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_gen_opts(p):
+    def add_gen_opts(p, bases=1):
         p.add_argument("--preset", default="mini",
                        choices=["week"] + sorted(MINI_PRESETS))
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--bases", type=int, default=1, choices=[1, 3])
+        p.add_argument("--bases", type=int, default=bases, choices=[1, 3])
         p.add_argument("--dg-scale", type=float, default=1.0)
         p.add_argument("--battery-scale", type=float, default=1.0)
         p.add_argument("--inconvenience-scale", type=float, default=1.0)
@@ -404,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("rh-study", help="frozen-horizon sweep over replayed paths")
-    add_gen_opts(p)
+    add_gen_opts(p, bases=3)
     add_solver_opts(p, time_limit=150.0)
     p.add_argument("--window", type=int, default=12)
     p.add_argument("--step", type=int, default=1)

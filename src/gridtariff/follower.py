@@ -14,15 +14,19 @@ single-level reformulation consumes.
 Leader prices enter only the objective.  ``build_follower_system`` assembles
 the constraint matrix, senses, right-hand sides and bounds once, into a
 read-only skeleton LP; ``build_follower_lp`` prices that skeleton by swapping
-in a new objective vector, and ``extract_solution``/``extract_duals`` read a
-solve back through index arrays stored alongside it.  The skeleton is the
+in a new objective vector, and ``extract_solution`` reads a solve back
+through index arrays stored alongside it.  The skeleton is the
 only copy of the LP kept; the single-level reformulation builds its MILP
 from the skeleton's matrix, too.
 
 Variable families (per scenario ``s``): ``x`` leader purchase, ``xb``
 competitor purchase, ``lam`` direct generation use, ``sd`` battery draw (all
 per device/slot); ``xs``/``xbs``/``lams`` stored purchases and stored
-generation per slot; ``S`` battery state over slots ``0..H+1``.
+generation per slot; ``S`` battery state over slots ``0..H+1``.  A schedule
+holds each device family as one ``(n_scenarios, n_devices, n_slots)`` array,
+zero outside each device's window, and each slot family as one
+``(n_scenarios, n_slots)`` array; the cost accounting is array arithmetic
+over them.
 """
 
 from __future__ import annotations
@@ -79,9 +83,12 @@ class FollowerSystem:
     leader_prob: np.ndarray
     leader_slot: np.ndarray
     skeleton: LinearProgram
-    device_cols: dict           # (family, scenario, device) -> columns over the window
+    device_index: dict          # device family -> (n_scen, n_dev, n_slots) columns,
+                                # -1 outside the device's window
     slot_cols: dict             # slot family or "S" -> (n_scen, slots) columns
                                 # (both per leaf; leaves at one node share columns)
+    window_pos: np.ndarray      # flat (scenario, device, slot) positions in windows
+    window_cols: np.ndarray     # (device family, window position) -> column
     row_sign: np.ndarray        # -1 on <= rows, +1 elsewhere
     row_families: dict          # family -> (row indices, tag tails)
 
@@ -139,7 +146,8 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
         return j
 
     n_scen = tree.n_leaves
-    device_cols: dict = {}
+    columns = np.full((len(DEVICE_FAMILIES), n_scen, len(instance.devices),
+                       n_slots), -1, dtype=np.int64)   # (family, s, d, slot)
     slot_cols = {f: np.empty((n_scen, n_slots), dtype=np.int64)
                  for f in SLOT_FAMILIES}
     slot_cols["S"] = np.empty((n_scen, n_slots + 1), dtype=np.int64)
@@ -160,9 +168,8 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
                             add(("lam", s, d, h), cdh),
                             add(("sd", s, d, h), cdh)]
                 block += cols
-            block = np.array(block, dtype=np.int64).reshape(-1, len(DEVICE_FAMILIES))
-            for f, cols in zip(DEVICE_FAMILIES, block.T):
-                device_cols[(f, s, d)] = cols
+            columns[:, s, d, dev.window.first: dev.window.last + 1] = \
+                np.reshape(block, (-1, len(DEVICE_FAMILIES))).T
         for h in range(n_slots):
             if h < first:
                 for f in SLOT_FAMILIES:
@@ -182,8 +189,10 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
             cols[s] = [index[(f, s, h)] for h in range(cols.shape[1])]
 
     c0 = np.asarray(c0)
+    device_index = dict(zip(DEVICE_FAMILIES, columns))
     skeleton, row_families = _assemble(
-        tags, c0, _follower_rows(instance, index, device_cols, first_own))
+        tags, c0, _follower_rows(instance, index, device_index, first_own))
+    window_pos = np.flatnonzero(columns[0] >= 0)
     return FollowerSystem(
         instance=instance,
         var_tags=tags,
@@ -195,17 +204,19 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
         leader_prob=np.asarray(leader_prob),
         leader_slot=np.asarray(leader_slot, dtype=np.int64),
         skeleton=skeleton,
-        device_cols=device_cols,
+        device_index=device_index,
         slot_cols=slot_cols,
+        window_pos=window_pos,
+        window_cols=columns.reshape(len(DEVICE_FAMILIES), -1)[:, window_pos],
         row_sign=np.where(skeleton.sense == LE, -1.0, 1.0),
         row_families=row_families,
     )
 
 
-def _follower_rows(instance: Instance, index: dict, device_cols: dict,
+def _follower_rows(instance: Instance, index: dict, device_index: dict,
                    first_own: list[int]) -> list:
     """The operator LP's rows as ``(tag, [(column, coef)], sense, rhs)``
-    tuples over the columns of ``index`` (``device_cols`` holds the same
+    tuples over the columns of ``index`` (``device_index`` holds the same
     device columns as arrays), in skeleton order.  A row belongs to the tree
     node of the last slot it constrains and is built once, by that node's
     first leaf: leaf ``s`` builds the rows of slots ``first_own[s]`` on."""
@@ -217,7 +228,8 @@ def _follower_rows(instance: Instance, index: dict, device_cols: dict,
     for s, leaf in enumerate(tree.leaves):
         first = first_own[s]
         for d, dev in enumerate(instance.devices):
-            block = list(zip(*(device_cols[(f, s, d)].tolist()
+            win = slice(dev.window.first, dev.window.last + 1)
+            block = list(zip(*(device_index[f][s, d, win].tolist()
                                for f in DEVICE_FAMILIES)))     # per window slot
             if dev.window.last >= first:
                 rows.append((("demand_min", s, d),
@@ -309,74 +321,40 @@ def build_follower_lp(instance: Instance, prices: np.ndarray,
 class FollowerSolution:
     """Per-scenario schedule plus the expected generalized cost."""
 
-    n_scenarios: int
-    n_slots: int
-    device_values: dict        # (family, scenario, device) -> array over window
+    device: dict               # family -> (n_scen, n_dev, n_slots), 0 off-window
     stored: dict               # family -> (n_scen, n_slots) array
     battery_state: np.ndarray  # (n_scen, n_slots + 1)
     objective_value: float
 
-    def device_consumption(self, s: int, d: int) -> np.ndarray:
-        return sum(self.device_values[(f, s, d)] for f in DEVICE_FAMILIES)
+    @property
+    def n_scenarios(self) -> int:
+        return self.battery_state.shape[0]
 
-    def family_by_slot(self, family: str, s: int, windows: list) -> np.ndarray:
-        """Aggregate a device family (x/xb/lam/sd) into a per-slot vector."""
-        out = np.zeros(self.n_slots)
-        for (f, ss, d), vals in self.device_values.items():
-            if f == family and ss == s:
-                first = windows[d].first
-                out[first:first + len(vals)] += vals
-        return out
-
-    def competitor_energy_total(self) -> float:
-        total = float(self.stored["xbs"].sum())
-        total += sum(float(v.sum()) for key, v in self.device_values.items()
-                     if key[0] == "xb")
-        return total
+    @property
+    def n_slots(self) -> int:
+        return self.battery_state.shape[1] - 1
 
 
 def extract_solution(system: FollowerSystem, x: np.ndarray,
                      objective: float) -> FollowerSolution:
     x = np.asarray(x)
-    device_values = {key: x[cols] for key, cols in system.device_cols.items()}
+    dense = np.zeros((len(DEVICE_FAMILIES), *system.device_index["x"].shape))
+    dense.reshape(len(DEVICE_FAMILIES), -1)[:, system.window_pos] = \
+        x[system.window_cols]
     stored = {f: x[system.slot_cols[f]] for f in SLOT_FAMILIES}
-    inst = system.instance
-    return FollowerSolution(inst.tree.n_leaves, inst.n_slots, device_values,
-                            stored, x[system.slot_cols["S"]], float(objective))
-
-
-@dataclass
-class FollowerDuals:
-    """Row multipliers in nonnegative convention for inequality families."""
-
-    by_family: dict            # family -> dict(tag tail -> value)
-    raw: np.ndarray            # solver multipliers, one per row
-    row_tags: list
-
-    def value(self, tag) -> float:
-        return self.by_family[tag[0]][tag[1:]]
-
-
-def extract_duals(system: FollowerSystem, duals: np.ndarray) -> FollowerDuals:
-    duals = np.asarray(duals)
-    return FollowerDuals(duals_by_family(system, duals * system.row_sign),
-                         duals, system.skeleton.row_tags)
-
-
-def duals_by_family(system: FollowerSystem, values: np.ndarray) -> dict:
-    """``FollowerDuals.by_family`` of row multipliers already in the
-    nonnegative convention."""
-    return {fam: dict(zip(tails, values[idx].tolist()))
-            for fam, (idx, tails) in system.row_families.items()}
+    return FollowerSolution(dict(zip(DEVICE_FAMILIES, dense)), stored,
+                            x[system.slot_cols["S"]], float(objective))
 
 
 def solve_follower(lp: LinearProgram, backend: str | None = None,
                    opts: SolveOptions | None = None,
                    system: FollowerSystem | None = None
-                   ) -> tuple[LpSolution, FollowerSolution | None, FollowerDuals | None]:
-    """Solve the scheduling LP; returns the raw solution plus typed views.
+                   ) -> tuple[LpSolution, FollowerSolution | None, np.ndarray | None]:
+    """Solve the scheduling LP; returns the raw solution, the schedule and
+    the row multipliers in the nonnegative convention for inequality rows.
 
-    Typed views require the tagged ``system`` the LP was built from.
+    The schedule and multipliers require the tagged ``system`` the LP was
+    built from.
     """
     sol = get_backend(backend).solve_lp(lp, opts)
     if sol.status is Status.INFEASIBLE:
@@ -387,7 +365,7 @@ def solve_follower(lp: LinearProgram, backend: str | None = None,
     if system is None:
         return sol, None, None
     return sol, extract_solution(system, sol.x, sol.objective), \
-        extract_duals(system, sol.duals)
+        sol.duals * system.row_sign
 
 
 # -- cost accounting ----------------------------------------------------------
@@ -401,47 +379,36 @@ class CostBreakdown:
     per_scenario: list = field(default_factory=list)   # (billing, inconvenience)
 
 
+def _penalty_matrix(instance: Instance) -> np.ndarray:
+    """Delay penalty per (device, slot), zero outside each device's window."""
+    penalty = np.zeros((len(instance.devices), instance.n_slots))
+    for d, dev in enumerate(instance.devices):
+        penalty[d, dev.window.first: dev.window.last + 1] = dev.inconvenience
+    return penalty
+
+
 def evaluate_schedule(instance: Instance, prices: np.ndarray,
                       solution: FollowerSolution) -> CostBreakdown:
     """Expected billing and inconvenience of a schedule at given prices."""
     prices = np.asarray(prices, dtype=float)
-    comp = instance.prices.competitor
-    probs = instance.tree.probabilities
-    per_scenario = []
-    billing = inconvenience = 0.0
-    for s in range(solution.n_scenarios):
-        bc = float(prices @ solution.stored["xs"][s]
-                   + comp @ solution.stored["xbs"][s])
-        ic = 0.0
-        for d, dev in enumerate(instance.devices):
-            win = np.fromiter(dev.window.slots, dtype=np.int64)
-            x = solution.device_values[("x", s, d)]
-            xb = solution.device_values[("xb", s, d)]
-            bc += float(prices[win] @ x + comp[win] @ xb)
-            cons = solution.device_consumption(s, d)
-            ic += float(np.asarray(dev.inconvenience) @ cons)
-        per_scenario.append((bc, ic))
-        billing += probs[s] * bc
-        inconvenience += probs[s] * ic
-    return CostBreakdown(billing, inconvenience, billing + inconvenience,
-                         per_scenario)
+    device, stored = solution.device, solution.stored
+    billing = ((device["x"].sum(axis=1) + stored["xs"]) @ prices
+               + (device["xb"].sum(axis=1) + stored["xbs"]) @ instance.prices.competitor)
+    used = sum(device[f] for f in DEVICE_FAMILIES)
+    inconvenience = np.einsum("sdh,dh->s", used, _penalty_matrix(instance))
+    probs = np.asarray(instance.tree.probabilities, dtype=float)
+    bc, ic = float(probs @ billing), float(probs @ inconvenience)
+    return CostBreakdown(bc, ic, bc + ic,
+                         list(zip(billing.tolist(), inconvenience.tolist())))
 
 
 def leader_profit(instance: Instance, prices: np.ndarray,
                   solution: FollowerSolution) -> float:
     """Expected supplier profit: revenue minus spot procurement cost."""
-    prices = np.asarray(prices, dtype=float)
-    cost = instance.prices.supply_cost
-    probs = instance.tree.probabilities
-    total = 0.0
-    for s in range(solution.n_scenarios):
-        margin = prices - cost
-        total += probs[s] * float(margin @ solution.stored["xs"][s])
-        for d, dev in enumerate(instance.devices):
-            win = np.fromiter(dev.window.slots, dtype=np.int64)
-            total += probs[s] * float(margin[win]
-                                      @ solution.device_values[("x", s, d)])
-    return total
+    margin = np.asarray(prices, dtype=float) - instance.prices.supply_cost
+    sold = solution.device["x"].sum(axis=1) + solution.stored["xs"]
+    probs = np.asarray(instance.tree.probabilities, dtype=float)
+    return float(probs @ (sold @ margin))
 
 
 def complementarity_products(lp: LinearProgram, sol: LpSolution) -> np.ndarray:

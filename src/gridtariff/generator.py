@@ -90,18 +90,19 @@ def dg_shape(n_slots: int, slot_minutes: int) -> np.ndarray:
     return shape
 
 
-def unshifted_demand(devices: list[Device], n_slots: int) -> np.ndarray:
-    """Per-slot demand when every device runs flat-out from its window start."""
-    out = np.zeros(n_slots)
-    for dev in devices:
+def greedy_device_profile(devices: list[Device], n_slots: int) -> np.ndarray:
+    """Per-device-per-slot demand when every device runs flat-out from its
+    window start; its sum over devices is the unshifted demand curve."""
+    demand = np.zeros((len(devices), n_slots))
+    for d, dev in enumerate(devices):
         remaining = dev.energy_demand
         for h in dev.window.slots:
             take = min(dev.max_power, remaining)
-            out[h] += take
+            demand[d, h] = take
             remaining -= take
             if remaining <= 1e-12:
                 break
-    return out
+    return demand
 
 
 def generate_instance(seed: int, variants: VariantSpec | None = None, *,
@@ -173,7 +174,7 @@ def generate_instance(seed: int, variants: VariantSpec | None = None, *,
                       charge_eff=0.95, discharge_eff=0.95)
 
     # -- generation scenarios ---------------------------------------------
-    demand_curve = unshifted_demand(devices, n_slots)
+    demand_curve = greedy_device_profile(devices, n_slots).sum(axis=0)
     amp = dg_level * 1.2 * float(np.quantile(demand_curve, 0.45))
     dg_curve = amp * dg_shape(n_slots, slot_minutes) * variants.dg_scale
     base_scales = [1.0] if n_bases == 1 else [0.5, 1.0, 1.5]

@@ -107,19 +107,6 @@ class PriceData:
         object.__setattr__(self, "supply_cost", np.asarray(self.supply_cost, dtype=float))
 
 
-@dataclass(frozen=True)
-class PriceProfile:
-    """Leader prices, one per slot, bounded by the competitor tariff."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 @dataclass
 class Instance:
     horizon: Horizon

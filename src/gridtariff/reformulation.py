@@ -43,9 +43,8 @@ from operator import add
 import numpy as np
 import scipy.sparse as sp
 
-from .follower import (FollowerDuals, FollowerSolution, FollowerSystem,
-                       build_follower_lp, build_follower_system,
-                       duals_by_family, extract_solution, leader_profit,
+from .follower import (FollowerSolution, FollowerSystem, build_follower_lp,
+                       build_follower_system, extract_solution, leader_profit,
                        solve_follower)
 from .model import Instance, validate
 from .solver import (EQ, GE, LE, LinearProgram, MilpModel, MilpResult,
@@ -55,8 +54,6 @@ DEFAULT_DUAL_M = 1e5
 
 # Why a pair carries no switch (``MpccSystem.rule``); see ``_switch_rules``.
 SWITCHED, ZERO_CAPACITY, DUPLICATE_FLOOR, DOMINATED_PURCHASE = range(4)
-# Competitor purchases; each has the same column as a leader purchase.
-COMPETITOR_FAMILIES = ("xb", "xbs")
 
 
 class BilevelInfeasible(RuntimeError):
@@ -161,7 +158,7 @@ class AuditReport:
 class BilevelSolution:
     prices: np.ndarray
     follower: FollowerSolution
-    duals: FollowerDuals
+    duals: np.ndarray          # row multipliers, nonnegative on inequality rows
     binaries: np.ndarray
     leader_objective: float
     follower_objective: float
@@ -193,16 +190,13 @@ def _structural_upper_bounds(system: FollowerSystem) -> np.ndarray:
     charge_cap = max(0.0, (2.0 * bat.max_level - bat.discharge_eff * bat.min_level)
                      / bat.charge_eff)
     dg = inst.tree.dg_matrix()
+    power = np.array([dev.max_power for dev in inst.devices], dtype=float)[:, None]
+    device_upper = {"x": power, "xb": power, "lam": np.minimum(power, dg[:, None, :]),
+                    "sd": np.minimum(power, bat.max_level)}
     upper = np.full(system.n_vars, max(bat.max_level, bat.initial))   # battery state
-    for (fam, s, d), cols in system.device_cols.items():
-        dev = inst.devices[d]
-        if fam == "lam":
-            upper[cols] = np.minimum(dev.max_power,
-                                     dg[s, dev.window.first: dev.window.last + 1])
-        elif fam == "sd":
-            upper[cols] = min(dev.max_power, bat.max_level)
-        else:                                   # x, xb
-            upper[cols] = dev.max_power
+    for fam, cols in system.device_index.items():
+        on = cols >= 0
+        upper[cols[on]] = np.broadcast_to(device_upper[fam], cols.shape)[on]
     upper[system.slot_cols["xs"]] = charge_cap
     upper[system.slot_cols["xbs"]] = charge_cap
     upper[system.slot_cols["lams"]] = np.minimum(charge_cap, dg)
@@ -279,10 +273,9 @@ def _switch_rules(system: FollowerSystem, ineq: np.ndarray,
     if system.instance.battery.min_level == 0.0:
         floor[system.row_families["batt_floor"][0]] = True
     purchase = np.zeros(system.n_vars, dtype=bool)
-    for (fam, _, _), cols in system.device_cols.items():
-        purchase[cols] = fam in COMPETITOR_FAMILIES
-    for fam, cols in system.slot_cols.items():
-        purchase[cols] = fam in COMPETITOR_FAMILIES
+    xb = system.device_index["xb"]
+    purchase[xb[xb >= 0]] = True
+    purchase[system.slot_cols["xbs"]] = True
     rule = np.full(len(primal_bound), SWITCHED, dtype=np.int8)
     rule[:n_ineq][floor[ineq]] = DUPLICATE_FLOOR
     rule[n_ineq:][purchase] = DOMINATED_PURCHASE
@@ -469,11 +462,9 @@ def extract_bilevel(mpcc: MpccSystem, layout: _MilpLayout, result: MilpResult,
         raise ExtractionMismatch(
             f"strong-duality objective {model_obj} vs direct profit {profit}")
 
-    duals = FollowerDuals(duals_by_family(system, dual), dual.copy(),
-                          system.skeleton.row_tags)
     pv, dv = _pair_values(mpcc, primal, dual, prices)
     return BilevelSolution(
-        prices=prices, follower=fsol, duals=duals, binaries=binaries,
+        prices=prices, follower=fsol, duals=dual.copy(), binaries=binaries,
         leader_objective=profit, follower_objective=follower_obj,
         mip_gap=float(result.rel_gap), status=result.status,
         pair_values=(pv, dv), milp=result)
@@ -530,10 +521,10 @@ def _priming_points(mpcc: MpccSystem, layout: _MilpLayout, model: MilpModel,
                 prof[h] = v
         lp = build_follower_lp(inst, prof, system)
         try:
-            sol, _, duals = solve_follower(lp, backend=backend, system=system)
+            sol, _, _ = solve_follower(lp, backend=backend)
         except RuntimeError:
             continue
-        d_pos = duals.raw * system.row_sign        # paper-positive multipliers
+        d_pos = sol.duals * system.row_sign        # paper-positive multipliers
         pv, dv = _pair_values(mpcc, sol.x, d_pos, prof)
         delta = (pv > 1e-7).astype(float)
         conflict = (pv > 1e-7) & (dv > 1e-7)

@@ -78,16 +78,16 @@ def comparison_rows(name: str, cmp: ComparisonReport) -> tuple[list, list]:
 def solution_to_dict(instance: Instance, solution: BilevelSolution) -> dict:
     costs = evaluate_schedule(instance, solution.prices, solution.follower)
     sched = solution.follower
+    leader = sched.device["x"].sum(axis=1) + sched.stored["xs"]
+    competitor = sched.device["xb"].sum(axis=1) + sched.stored["xbs"]
+    generation = sched.device["lam"].sum(axis=1) + sched.stored["lams"]
     per_scenario = []
     for s in range(sched.n_scenarios):
         per_scenario.append({
             "probability": float(instance.tree.probabilities[s]),
-            "leader_energy": (sched.family_by_slot("x", s, [d.window for d in instance.devices])
-                              + sched.stored["xs"][s]).tolist(),
-            "competitor_energy": (sched.family_by_slot("xb", s, [d.window for d in instance.devices])
-                                  + sched.stored["xbs"][s]).tolist(),
-            "generation_energy": (sched.family_by_slot("lam", s, [d.window for d in instance.devices])
-                                  + sched.stored["lams"][s]).tolist(),
+            "leader_energy": leader[s].tolist(),
+            "competitor_energy": competitor[s].tolist(),
+            "generation_energy": generation[s].tolist(),
             "battery_state": sched.battery_state[s].tolist(),
             "billing_cost": costs.per_scenario[s][0],
             "inconvenience_cost": costs.per_scenario[s][1],
@@ -126,15 +126,13 @@ def write_run_series(outdir: str | Path, instance: Instance,
     outdir.mkdir(parents=True, exist_ok=True)
     s = int(np.argmax(instance.tree.probabilities))
     sched = solution.follower
-    windows = [d.window for d in instance.devices]
-    demand = sum(sched.family_by_slot(f, s, windows)
-                 for f in ("x", "xb", "lam", "sd"))
+    used = {f: v[s].sum(axis=0) for f, v in sched.device.items()}   # per slot
     write_series_csv(outdir / "consumption.csv", {
-        "total": demand,
-        "from_leader": sched.family_by_slot("x", s, windows) + sched.stored["xs"][s],
-        "from_competitor": sched.family_by_slot("xb", s, windows) + sched.stored["xbs"][s],
-        "from_generation": sched.family_by_slot("lam", s, windows) + sched.stored["lams"][s],
-        "from_battery": sched.family_by_slot("sd", s, windows),
+        "total": sum(used.values()),
+        "from_leader": used["x"] + sched.stored["xs"][s],
+        "from_competitor": used["xb"] + sched.stored["xbs"][s],
+        "from_generation": used["lam"] + sched.stored["lams"][s],
+        "from_battery": used["sd"],
     })
     write_series_csv(outdir / "prices.csv", {
         "leader": solution.prices,

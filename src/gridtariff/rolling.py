@@ -20,10 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .follower import DEVICE_FAMILIES
+from .follower import (DEVICE_FAMILIES, SLOT_FAMILIES, FollowerSolution,
+                       evaluate_schedule, leader_profit)
 from .model import Battery, Device, Horizon, Instance, PriceData, TimeWindow
 from .reformulation import BigMConfig, BilevelInfeasible, BilevelSolution, solve_bilevel
-from .scenario import BaseScenario, MarkovSelector, flat_tree, realize_next
+from .scenario import (BaseScenario, MarkovSelector, flat_tree, realize_next,
+                       single_path_tree)
 from .solver import SolveOptions
 
 
@@ -93,24 +95,26 @@ class RhTrajectory:
     def consumption_by_slot(self) -> np.ndarray:
         return sum(self.device_energy[f].sum(axis=0) for f in DEVICE_FAMILIES)
 
+    def _realized(self, instance: Instance) -> tuple[Instance, FollowerSolution]:
+        """The instance over the realized generation path, and the committed
+        decisions as its one-scenario schedule (views of this trajectory)."""
+        single = instance.replace(
+            tree=single_path_tree(self.realized_dg_path(instance)))
+        schedule = FollowerSolution(
+            {f: v[None] for f, v in self.device_energy.items()},
+            {f: v[None] for f, v in self.stored.items()},
+            self.battery_state[None], float("nan"))
+        return single, schedule
+
     def realized_leader_profit(self, instance: Instance) -> float:
-        margin = self.frozen_prices - instance.prices.supply_cost
-        sold = self.device_energy["x"].sum(axis=0) + self.stored["xs"]
-        return float(margin @ sold)
+        single, schedule = self._realized(instance)
+        return leader_profit(single, self.frozen_prices, schedule)
 
     def realized_follower_cost(self, instance: Instance) -> tuple[float, float]:
         """(billing, inconvenience) of the realized schedule."""
-        p = self.frozen_prices
-        pbar = instance.prices.competitor
-        billing = float(p @ (self.device_energy["x"].sum(axis=0) + self.stored["xs"])
-                        + pbar @ (self.device_energy["xb"].sum(axis=0)
-                                  + self.stored["xbs"]))
-        inconvenience = 0.0
-        for d, dev in enumerate(instance.devices):
-            for h in dev.window.slots:
-                cons = sum(self.device_energy[f][d, h] for f in DEVICE_FAMILIES)
-                inconvenience += dev.penalty_at(h) * cons
-        return billing, inconvenience
+        single, schedule = self._realized(instance)
+        costs = evaluate_schedule(single, self.frozen_prices, schedule)
+        return costs.billing_cost, costs.inconvenience_cost
 
 
 class RhAborted(RuntimeError):
@@ -202,7 +206,7 @@ def run(instance: Instance, config: RhConfig,
     traj.price_committed = np.zeros(n_slots, dtype=bool)
     traj.base_by_slot = np.full(n_slots, -1, dtype=np.int64)
     traj.device_energy = {f: np.zeros((n_dev, n_slots)) for f in DEVICE_FAMILIES}
-    traj.stored = {f: np.zeros(n_slots) for f in ("xs", "xbs", "lams")}
+    traj.stored = {f: np.zeros(n_slots) for f in SLOT_FAMILIES}
     traj.battery_state = np.zeros(n_slots + 1)
     traj.battery_state[0] = instance.battery.initial
 
@@ -232,7 +236,7 @@ def run(instance: Instance, config: RhConfig,
             realized = realize_next(config.selector, previous_base, rng, n_bases)
 
         commit_hi = t_end if final else min(t + config.step - 1, t_end)
-        _commit(instance, traj, sol, kept, t, commit_hi, realized)
+        _commit(traj, sol, kept, t, commit_hi, realized)
         price_hi = t_end if final else min(t + config.step + config.frozen, t_end)
         _commit_prices(traj, sol, t, price_hi)
         _roll_battery(instance, traj, t, commit_hi)
@@ -272,21 +276,13 @@ def _solve_window(sub: Instance, opts: SolveOptions, pinned: dict,
     return None, failure
 
 
-def _commit(instance: Instance, traj: RhTrajectory, sol: BilevelSolution,
-            kept: list[int], t: int, hi: int, realized: int) -> None:
-    for local_d, d in enumerate(kept):
-        dev = instance.devices[d]
-        lo_abs = max(dev.window.first, t)      # absolute start of the local window
-        for f in DEVICE_FAMILIES:
-            vals = sol.follower.device_values[(f, realized, local_d)]
-            for k, v in enumerate(vals):
-                h = lo_abs + k
-                if t <= h <= hi:
-                    traj.device_energy[f][d, h] = v
-    for f in ("xs", "xbs", "lams"):
-        vals = sol.follower.stored[f][realized]
-        for h in range(t, hi + 1):
-            traj.stored[f][h] = vals[h - t]
+def _commit(traj: RhTrajectory, sol: BilevelSolution, kept: list[int], t: int,
+            hi: int, realized: int) -> None:
+    n = hi - t + 1                  # window slots 0..n-1 are slots t..hi
+    for f in DEVICE_FAMILIES:
+        traj.device_energy[f][kept, t: hi + 1] = sol.follower.device[f][realized, :, :n]
+    for f in SLOT_FAMILIES:
+        traj.stored[f][t: hi + 1] = sol.follower.stored[f][realized, :n]
 
 
 def _commit_prices(traj: RhTrajectory, sol: BilevelSolution, t: int,

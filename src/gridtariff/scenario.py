@@ -92,10 +92,6 @@ class ScenarioTree:
         return np.vstack([leaf.dg_bound for leaf in self.leaves])
 
 
-def stage_of_slot(slot: int, period_length: int) -> int:
-    return slot // period_length
-
-
 def build_complete_tree(bases: list[BaseScenario], period_length: int,
                         n_slots: int, prob_rule: str = "uniform",
                         selector: MarkovSelector | None = None) -> ScenarioTree:

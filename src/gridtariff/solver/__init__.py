@@ -1,7 +1,7 @@
 """Self-contained LP/MILP solving with dual certificates and backend plugins."""
 
-from .backends import (BundledBackend, ScipyBackend, available_backends,
-                       get_backend, register_backend)
+from .backends import (BundledBackend, ScipyBackend, get_backend,
+                       register_backend)
 from .bnb import solve_milp, verify_milp_solution
 from .core import (EQ, GE, LE, LinearProgram, LpBuilder, LpSolution,
                    MilpModel, MilpResult, SolveOptions, SolverError, Status,
@@ -14,7 +14,7 @@ __all__ = [
     "LinearProgram", "LpBuilder", "LpSolution", "MilpModel", "MilpResult",
     "SolveOptions", "SolverError", "Status",
     "BundledBackend", "ScipyBackend",
-    "available_backends", "get_backend", "register_backend",
+    "get_backend", "register_backend",
     "solve_lp", "solve_milp", "verify_milp_solution", "check_lp_solution",
     "read_lp", "write_lp",
 ]

@@ -159,9 +159,5 @@ def get_backend(name: str | None = None) -> SolverBackend:
         ) from None
 
 
-def available_backends() -> list[str]:
-    return sorted(_REGISTRY)
-
-
 register_backend(BundledBackend())
 register_backend(ScipyBackend())

@@ -168,9 +168,8 @@ def test_criterion_6_zero_inconvenience_price_law():
             assert abs(sol.leader_objective - at_pbar) <= \
                 1e-6 * (1 + abs(at_pbar)), f"seed {seed}"
             # wherever the supplier actually sells, its price sits at the tariff
-            windows = [d.window for d in inst.devices]
             for s in range(inst.tree.n_leaves):
-                sold = (sol.follower.family_by_slot("x", s, windows)
+                sold = (sol.follower.device["x"][s].sum(axis=0)
                         + sol.follower.stored["xs"][s])
                 active = sold > 1e-6
                 gap = inst.prices.competitor[active] - sol.prices[active]
@@ -197,10 +196,9 @@ def test_criterion_7_nonanticipativity(oracle_runs):
                     for d, dev in enumerate(inst.devices):
                         if not (dev.window.first <= h <= dev.window.last):
                             continue
-                        k = h - dev.window.first
                         for f in ("x", "xb", "lam", "sd"):
-                            assert abs(fs.device_values[(f, a, d)][k]
-                                       - fs.device_values[(f, b, d)][k]) <= 1e-9
+                            assert abs(fs.device[f][a, d, h]
+                                       - fs.device[f][b, d, h]) <= 1e-9
         assert checked >= 5
 
         # the node map agrees with the all-pairs set, and two leaves share

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from gridtariff.baselines import (BaselineResult, compare, compare_solutions,
-                                  greedy_device_profile, perfect_case,
-                                  reference_case)
+                                  perfect_case, reference_case)
 from gridtariff.follower import (build_follower_lp, build_follower_system,
                                  evaluate_schedule, solve_follower)
-from gridtariff.generator import generate_mini_instance
+from gridtariff.generator import generate_mini_instance, greedy_device_profile
 from gridtariff.model import Battery, Device, TimeWindow, validate
 from gridtariff.reformulation import solve_bilevel
 from gridtariff.scenario import single_path_tree
@@ -28,7 +27,7 @@ class TestGreedySchedule:
             prices=make_t1().prices)
         inst.horizon = type(inst.horizon)(4, 30)
         inst.prices = type(inst.prices)(np.full(4, 3.0), np.full(4, 1.0))
-        profile = greedy_device_profile(inst)
+        profile = greedy_device_profile(inst.devices, inst.n_slots)
         np.testing.assert_allclose(profile[0], [2.0, 2.0, 0.0, 0.0])
 
     def test_generation_covers_billing(self):
@@ -57,10 +56,10 @@ class TestGreedySchedule:
             lp = build_follower_lp(inst.replace(tree=single_path_tree(dg)),
                                    inst.prices.competitor, system)
             x = np.zeros(system.n_vars)
-            for (f, s, d), vals in ref.schedule.device_values.items():
-                lo = inst.devices[d].window.first
-                for k, v in enumerate(vals):
-                    x[system.var_index[(f, s, d, lo + k)]] = v
+            for f, vals in ref.schedule.device.items():
+                for d, dev in enumerate(inst.devices):
+                    for h in dev.window.slots:
+                        x[system.var_index[(f, 0, d, h)]] = vals[0, d, h]
             for f in ("xs", "xbs", "lams"):
                 for h in range(inst.n_slots):
                     x[system.var_index[(f, 0, h)]] = ref.schedule.stored[f][0][h]
@@ -99,6 +98,20 @@ class TestGreedySchedule:
                 lp = build_follower_lp(inst, prices, system)
                 s, _, _ = solve_follower(lp, system=system)
                 assert s.objective <= ref.generalized_cost + 1e-6
+
+    def test_reference_schedule_zero_outside_windows(self):
+        rng = np.random.default_rng(4)
+        insts = [generate_mini_instance(seed, preset=preset)
+                 for seed in (1, 2) for preset in ("mini", "mini24")]
+        insts += [random_tiny_instance(rng, n_slots=5, n_devices=3, battery=True,
+                                       generation=True) for _ in range(4)]
+        for inst in insts:
+            ref = reference_case(inst, inst.tree.leaves[0].dg_bound)
+            for f, vals in ref.schedule.device.items():
+                assert vals.shape == (1, len(inst.devices), inst.n_slots)
+                for d, dev in enumerate(inst.devices):
+                    outside = np.delete(vals[0, d], list(dev.window.slots))
+                    assert not outside.any(), (inst.name, f, d)
 
     def test_battery_floor_decay_top_up(self):
         # a positive floor forces a trickle charge when the state decays
@@ -173,7 +186,7 @@ def test_reference_on_mini_preset():
     ref = reference_case(inst, dg)
     # minimal-delay inconvenience has a closed form under front-loading
     expected_ic = 0.0
-    profile = greedy_device_profile(inst)
+    profile = greedy_device_profile(inst.devices, inst.n_slots)
     for d, dev in enumerate(inst.devices):
         for h in dev.window.slots:
             expected_ic += dev.penalty_at(h) * profile[d, h]

@@ -129,8 +129,7 @@ def test_sensitivity_run_mini(tmp_path):
 
 def test_rh_study_smoke(tmp_path):
     out = tmp_path / "rhstudy"
-    # rh-study always uses three bases; "--bases 3" lets _generate rebuild them
-    args = ["rh-study", "--preset", "mini", "--seed", "3", "--bases", "3",
+    args = ["rh-study", "--preset", "mini", "--seed", "3",
             "--window", "6", "--step", "2", "--paths", "1",
             "--frozen-values", "0,2", "--skip-perfect", *FAST, "-o", out]
     assert run_cli(*args) == 0
@@ -150,3 +149,15 @@ def test_rh_study_smoke(tmp_path):
     ref = reference_case(inst, dg_path)
     assert ref_rows[0]["leader_obj"] == f"{ref.leader_profit:.6f}"
     assert ref_rows[0]["generalized_cost"] == f"{ref.generalized_cost:.6f}"
+
+
+def test_rh_study_single_base(tmp_path):
+    out = tmp_path / "rhstudy"
+    assert build_parser().parse_args(["rh-study", "-o", "x"]).bases == 3
+    assert run_cli("rh-study", "--preset", "mini", "--seed", "3", "--bases", "1",
+                   "--window", "6", "--step", "2", "--paths", "1",
+                   "--frozen-values", "0", "--skip-perfect", *FAST, "-o", out) == 0
+    path = list(csv.DictReader((out / "path0.csv").open()))
+    assert path and {r["base"] for r in path} == {"0"}
+    realized = json.loads((out / "run_p0_f0" / "trajectory.json").read_text())
+    assert set(realized["base_by_slot"]) == {0}

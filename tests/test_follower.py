@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gridtariff.follower import (DEVICE_FAMILIES, SLOT_FAMILIES, _follower_rows,
+from gridtariff.follower import (DEVICE_FAMILIES, INEQ_ROW_FAMILIES,
+                                 SLOT_FAMILIES, _follower_rows,
                                  build_follower_lp, build_follower_system,
                                  complementarity_products, evaluate_schedule,
                                  extract_solution, leader_profit,
@@ -70,8 +71,7 @@ class TestSolveFollower:
     def test_t1_at_competitor_prices(self, t1):
         _, _, sol, fsol, _ = solve_at(t1, [3.0, 3.0])
         assert sol.objective == pytest.approx(6.0)
-        np.testing.assert_allclose(fsol.device_values[("x", 0, 0)], [2.0, 0.0],
-                                   atol=1e-9)
+        np.testing.assert_allclose(fsol.device["x"][0, 0], [2.0, 0.0], atol=1e-9)
 
     def test_zero_prices_zero_penalty(self):
         inst = make_t1(C=(0.0, 0.0))
@@ -83,8 +83,8 @@ class TestSolveFollower:
             tree=single_path_tree(np.array([5.0, 5.0])))
         _, _, sol, fsol, _ = solve_at(inst, [3.0, 3.0])
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
-        assert fsol.device_values[("x", 0, 0)].sum() == pytest.approx(0.0, abs=1e-9)
-        assert fsol.device_values[("xb", 0, 0)].sum() == pytest.approx(0.0, abs=1e-9)
+        assert fsol.device["x"][0, 0].sum() == pytest.approx(0.0, abs=1e-9)
+        assert fsol.device["xb"][0, 0].sum() == pytest.approx(0.0, abs=1e-9)
 
     def test_infeasible_demand_raises(self):
         dev = Device("c", "a", TimeWindow(0, 0), 5.0, 1.0, (0.0,))
@@ -143,10 +143,9 @@ class TestDuality:
             assert dual_obj == pytest.approx(sol.objective, rel=1e-6, abs=1e-8)
             assert complementarity_products(lp, sol).max() <= 1e-6
             # positive-sign convention for inequality multipliers
-            for fam in ("demand_min", "power_cap", "batt_floor",
-                        "batt_ceiling", "draw_cap", "dg_cap"):
-                for v in duals.by_family.get(fam, {}).values():
-                    assert v >= -1e-9
+            for tag, v in zip(system.skeleton.row_tags, duals):
+                if tag[0] in INEQ_ROW_FAMILIES:
+                    assert v >= -1e-9, tag
 
     def test_nonanticipativity_satisfied(self):
         rng = np.random.default_rng(5)
@@ -164,10 +163,9 @@ class TestDuality:
             for h in dev.window.slots:
                 if h > h_max:
                     continue
-                k = h - dev.window.first
                 for f in ("x", "xb", "lam", "sd"):
-                    assert fsol.device_values[(f, 0, d)][k] == pytest.approx(
-                        fsol.device_values[(f, 1, d)][k], abs=1e-9)
+                    assert fsol.device[f][0, d, h] == pytest.approx(
+                        fsol.device[f][1, d, h], abs=1e-9)
 
     def test_price_monotonicity(self):
         rng = np.random.default_rng(13)
@@ -228,7 +226,7 @@ def _tagged_rows(system):
     """The tagged row tuples the skeleton is assembled from."""
     nodes = node_map(system.instance.tree)
     first_own = (nodes != np.arange(len(nodes))[:, None]).sum(axis=1).tolist()
-    return _follower_rows(system.instance, system.var_index, system.device_cols,
+    return _follower_rows(system.instance, system.var_index, system.device_index,
                           first_own)
 
 
@@ -318,14 +316,20 @@ class TestExtraction:
         idx, x = system.var_index, sol.x
         assert (fsol.n_scenarios, fsol.n_slots) == (n_scen, n_slots)
         assert fsol.objective_value == float(sol.objective)
-        keys = [(f, s, d) for s in range(n_scen)
-                for d in range(len(inst.devices)) for f in DEVICE_FAMILIES]
-        assert list(fsol.device_values) == keys
-        for f, s, d in keys:
-            want = np.array([x[idx[(f, s, d, h)]]
-                             for h in inst.devices[d].window.slots])
-            got = fsol.device_values[(f, s, d)]
-            assert got.dtype == want.dtype and (got == want).all()
+        assert list(fsol.device) == list(system.device_index) == list(DEVICE_FAMILIES)
+        shape = (n_scen, len(inst.devices), n_slots)
+        for f in DEVICE_FAMILIES:
+            want = np.zeros(shape)                  # zero outside every window
+            want_cols = np.full(shape, -1)
+            for s in range(n_scen):
+                for d, dev in enumerate(inst.devices):
+                    for h in dev.window.slots:
+                        want_cols[s, d, h] = idx[(f, s, d, h)]
+                        want[s, d, h] = x[idx[(f, s, d, h)]]
+            np.testing.assert_array_equal(system.device_index[f], want_cols)
+            got = fsol.device[f]
+            assert got.dtype == want.dtype and got.shape == shape
+            assert (got == want).all()
         assert sorted(fsol.stored) == sorted(SLOT_FAMILIES)
         for f in SLOT_FAMILIES:
             want = np.array([[x[idx[(f, s, h)]] for h in range(n_slots)]
@@ -338,12 +342,10 @@ class TestExtraction:
         assert (fsol.battery_state == want).all()
 
     def test_duals_match_row_oracle(self, solved):
-        system, sol, _, fduals = solved
+        system, sol, _, duals = solved
         rows = _tagged_rows(system)
-        want: dict = {}
-        for (tag, _, sense, _), y in zip(rows, sol.duals):
-            want.setdefault(tag[0], {})[tag[1:]] = float(-y if sense == LE else y)
-        assert fduals.by_family == want
-        assert list(fduals.by_family) == list(want)
-        assert (fduals.raw == sol.duals).all()
-        assert fduals.row_tags == [tag for tag, _, _, _ in rows]
+        assert system.skeleton.row_tags == [tag for tag, _, _, _ in rows]
+        want = np.array([-y if sense == LE else y
+                         for (_, _, sense, _), y in zip(rows, sol.duals.tolist())])
+        assert duals.dtype == want.dtype and duals.shape == want.shape
+        assert (duals == want).all()

@@ -9,7 +9,7 @@ from gridtariff.generator import (BASE_INCONVENIENCE_SLOPE, MINI_PRESETS,
                                   SPOT_PEAK_THRESHOLD, InvalidVariant,
                                   VariantSpec, generate_instance,
                                   generate_mini_instance,
-                                  generate_week_instance, unshifted_demand)
+                                  generate_week_instance, greedy_device_profile)
 from gridtariff.model import validate
 from gridtariff.serialize import instance_to_dict
 
@@ -90,7 +90,7 @@ def test_dg_zero_at_night():
 
 def test_demand_curve_two_peaks_per_day():
     inst = generate_week_instance(1)
-    demand = unshifted_demand(inst.devices, inst.n_slots)
+    demand = greedy_device_profile(inst.devices, inst.n_slots).sum(axis=0)
     day = demand[:48]
     morning = day[12:22].sum()      # 06:00-11:00
     evening = day[34:44].sum()      # 17:00-22:00

@@ -339,8 +339,7 @@ class TestSwitchRules:
     def test_sold_at_tariff_triggers(self):
         inst = _sold_at_tariff()
         sol = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0))
-        windows = [d.window for d in inst.devices]
-        sold = sol.follower.family_by_slot("x", 0, windows)
+        sold = sol.follower.device["x"][0].sum(axis=0)
         at_tariff = np.isclose(sol.prices, inst.prices.competitor, atol=1e-9)
         assert np.any((sold > 1e-6) & at_tariff)
         mpcc = build_mpcc(inst)

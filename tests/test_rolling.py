@@ -183,6 +183,31 @@ class TestRun:
         assert audit_trajectory(inst, t0).ok
         assert audit_trajectory(inst, t4).ok
 
+    def test_realized_accounting_matches_per_slot_sums(self):
+        inst = generate_mini_instance(5, n_bases=3)
+        cfg = RhConfig(window=6, step=2, frozen=2, selector=uniform_selector(3, 0.4),
+                       seed=5, **EXACT)
+        traj = run(inst, cfg)
+        assert traj.complete and len(set(traj.realized_bases)) > 1
+        p, pbar = traj.frozen_prices, inst.prices.competitor
+        cost = inst.prices.supply_cost
+        e, st = traj.device_energy, traj.stored
+        billing = inconvenience = profit = 0.0
+        for h in range(inst.n_slots):
+            billing += p[h] * st["xs"][h] + pbar[h] * st["xbs"][h]
+            profit += (p[h] - cost[h]) * st["xs"][h]
+        for d, dev in enumerate(inst.devices):
+            for h in dev.window.slots:
+                billing += p[h] * e["x"][d, h] + pbar[h] * e["xb"][d, h]
+                profit += (p[h] - cost[h]) * e["x"][d, h]
+                used = e["x"][d, h] + e["xb"][d, h] + e["lam"][d, h] + e["sd"][d, h]
+                inconvenience += dev.penalty_at(h) * used
+        assert billing > 0.0 and inconvenience > 0.0
+        bc, ic = traj.realized_follower_cost(inst)
+        assert bc == pytest.approx(billing, rel=1e-12)
+        assert ic == pytest.approx(inconvenience, rel=1e-12)
+        assert traj.realized_leader_profit(inst) == pytest.approx(profit, rel=1e-12)
+
 
 class TestWindowRetry:
     """A window is retried only when the solve ran out of limits."""
