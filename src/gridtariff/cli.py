@@ -229,8 +229,7 @@ def cmd_sensitivity(args) -> int:
                             report_rows)
 
     for name, variants in SENSITIVITY_GRID:
-        args_v = argparse.Namespace(**vars(args))
-        inst = _generate(args_v, variants)
+        inst = _generate(args, variants)
         t0 = time.monotonic()
         try:
             sol = solve_bilevel(inst, opts=_solve_opts(args), backend=args.backend)

@@ -7,13 +7,14 @@ LP covers all scenarios.  Scenarios whose generation paths agree on slots
 ``0..h`` are at one scenario-tree node in slot ``h`` (``node_map``) and must
 decide the same there, so every column and row of slot ``h`` is built once
 per node, by the node's first leaf; the battery state ``S[h + 1]`` belongs to
-the slot-``h`` decisions that set it.  The generated model is tagged so the
-multiplier of every row can be recovered mechanically, which is what the
-single-level reformulation consumes.
+the slot-``h`` decisions that set it.  Index arrays name every column by its
+family, leaf, device and slot, and every row by its family, so the
+single-level reformulation reads bounds and multipliers mechanically.
 
-Leader prices enter only the objective.  ``build_follower_system`` assembles
-the constraint matrix, senses, right-hand sides and bounds once, into a
-read-only skeleton LP; ``build_follower_lp`` prices that skeleton by swapping
+Leader prices enter only the objective.  ``build_follower_system`` numbers
+every leaf's columns and rows from one layout that all leaves share, with
+array arithmetic, and assembles the constraint matrix, senses, right-hand
+sides and bounds once, into a read-only skeleton LP; ``build_follower_lp`` prices that skeleton by swapping
 in a new objective vector, and ``extract_solution`` reads a solve back
 through index arrays stored alongside it.  The skeleton is the
 only copy of the LP kept; the single-level reformulation builds its MILP
@@ -31,7 +32,6 @@ over them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +44,9 @@ from .solver import (GE, LE, EQ, LinearProgram, LpSolution,
 
 DEVICE_FAMILIES = ("x", "xb", "lam", "sd")
 SLOT_FAMILIES = ("xs", "xbs", "lams")
-INEQ_ROW_FAMILIES = ("demand_min", "power_cap", "batt_floor", "batt_ceiling",
-                     "draw_cap", "dg_cap")
+ROW_FAMILIES = ("demand_min", "power_cap", "batt_init", "batt_balance",
+                "batt_floor", "batt_ceiling", "draw_cap", "dg_cap")
+_ROW_SENSE = np.array([GE, LE, EQ, EQ, GE, LE, LE, LE], dtype=object)
 
 
 class FollowerInfeasible(RuntimeError):
@@ -64,37 +65,33 @@ class FollowerSystem:
     The objective coefficient of a column is ``c0 + prob * p[slot]`` with
     ``(slot, prob)`` from ``price_slot``/``price_prob`` (slot -1 for columns
     the leader price does not touch), where ``prob`` is the summed
-    probability of the leaves at the column's tree node.  Every leaf's key
-    is in ``var_index``; keys of leaves at one node map to one column, which
-    carries the first leaf's tag.  Prices change only the objective:
-    ``skeleton`` holds every row and bound, with ``c0`` as its objective, and
-    its arrays are read-only because every priced LP shares them.  Leader
-    profit is ``sum prob * (p[slot] - K[slot]) * v`` over the leader-purchase
-    columns.
+    probability of the leaves at the column's tree node.  The priced columns
+    are the leader's sales (families ``x`` and ``xs``), so leader profit is
+    ``sum prob * (p[slot] - K[slot]) * v`` over them.  ``device_index`` and
+    ``slot_cols`` are the one map from decisions to columns: they hold a cell
+    for every leaf, and leaves at one tree node hold the same column there.
+    Prices change only the objective: ``skeleton`` holds every row and bound,
+    with ``c0`` as its objective, and its arrays are read-only because every
+    priced LP shares them.
     """
 
     instance: Instance
-    var_tags: list
-    var_index: dict
     c0: np.ndarray
     price_slot: np.ndarray      # -1 where the leader price does not enter
     price_prob: np.ndarray
-    leader_cols: np.ndarray     # columns sold by the leader (x and xs families)
-    leader_prob: np.ndarray
-    leader_slot: np.ndarray
     skeleton: LinearProgram
     device_index: dict          # device family -> (n_scen, n_dev, n_slots) columns,
                                 # -1 outside the device's window
     slot_cols: dict             # slot family or "S" -> (n_scen, slots) columns
-                                # (both per leaf; leaves at one node share columns)
     window_pos: np.ndarray      # flat (scenario, device, slot) positions in windows
     window_cols: np.ndarray     # (device family, window position) -> column
     row_sign: np.ndarray        # -1 on <= rows, +1 elsewhere
-    row_families: dict          # family -> (row indices, tag tails)
+    row_families: dict          # row family -> row indices
+    row_device: np.ndarray      # device of each demand_min/power_cap row, else -1
 
     @property
     def n_vars(self) -> int:
-        return len(self.var_tags)
+        return len(self.c0)
 
     @property
     def n_rows(self) -> int:
@@ -108,196 +105,176 @@ class FollowerSystem:
 
 
 def build_follower_system(instance: Instance) -> FollowerSystem:
-    hz = instance.horizon
-    n_slots = hz.n_slots
-    tree = instance.tree
-    probs = np.asarray(tree.probabilities, dtype=float)
+    """Number the operator LP's columns and rows and assemble its skeleton.
+
+    Every leaf has the same column layout: ``x, xb, lam, sd`` per window cell
+    (device by device, slot by slot), then ``xs, xbs, lams`` per slot, then
+    ``S[0..H]``.  A leaf builds the layout columns whose slot is at its own
+    tree node (``S[h]`` is set in slot ``h - 1``; ``S[0]`` joins slot 0) and
+    takes the column of the node's first leaf elsewhere; columns are
+    numbered leaf by leaf in layout order.
+    """
+    n_slots, tree = instance.n_slots, instance.tree
+    n_scen, n_dev = tree.n_leaves, len(instance.devices)
     comp = instance.prices.competitor
     nodes = node_map(tree)
     node_prob = np.zeros(nodes.shape)       # [node, slot]: sum over its leaves
-    for s in range(tree.n_leaves):
-        node_prob[nodes[s], np.arange(n_slots)] += probs[s]
-    node_prob = node_prob.tolist()
-    # a leaf builds the nodes of a suffix of slots: from the first slot where
-    # its path differs from every earlier leaf's path
-    first_own = (nodes != np.arange(tree.n_leaves)[:, None]).sum(axis=1).tolist()
+    np.add.at(node_prob, (nodes, np.arange(n_slots)),
+              np.asarray(tree.probabilities, dtype=float)[:, None])
+    cell_dev, cell_slot = _window_cells(instance)
+    n_dcol = len(DEVICE_FAMILIES) * len(cell_dev)
+    s0 = n_dcol + len(SLOT_FAMILIES) * n_slots         # layout position of S[0]
 
-    tags: list = []
-    index: dict = {}
-    c0: list[float] = []
-    p_slot: list[int] = []
-    p_prob: list[float] = []
-    leader_cols: list[int] = []
-    leader_prob: list[float] = []
-    leader_slot: list[int] = []
+    slots = np.arange(n_slots)
+    col_slot = np.concatenate([np.repeat(cell_slot, 4), np.repeat(slots, 3),
+                               [0], slots])
+    penalty = np.zeros(len(col_slot))
+    penalty[:n_dcol] = np.repeat(_penalty_matrix(instance)[cell_dev, cell_slot], 4)
+    competitor = np.zeros(len(col_slot))               # on xb and xbs
+    competitor[1:n_dcol:4] = comp[cell_slot]
+    competitor[n_dcol + 1:s0:3] = comp
+    priced = np.zeros(len(col_slot), dtype=bool)       # x and xs
+    priced[:n_dcol:4] = priced[n_dcol:s0:3] = True
 
-    def add(tag, cost0: float, slot: int = -1, prob: float = 0.0,
-            leader: bool = False) -> int:
-        j = len(tags)
-        index[tag] = j
-        tags.append(tag)
-        c0.append(cost0)
-        p_slot.append(slot)
-        p_prob.append(prob)
-        if leader:
-            leader_cols.append(j)
-            leader_prob.append(prob)
-            leader_slot.append(slot)
-        return j
+    at = nodes[:, col_slot]                 # the tree node of each leaf's column
+    own = at == np.arange(n_scen)[:, None]
+    cols = (np.cumsum(own).reshape(own.shape) - 1)[at, np.arange(len(col_slot))]
+    leaf, pos = np.nonzero(own)             # the leaf and layout of each column
+    prob = node_prob[leaf, col_slot[pos]]
+    c0 = prob * penalty[pos] + prob * competitor[pos]
 
-    n_scen = tree.n_leaves
-    columns = np.full((len(DEVICE_FAMILIES), n_scen, len(instance.devices),
-                       n_slots), -1, dtype=np.int64)   # (family, s, d, slot)
-    slot_cols = {f: np.empty((n_scen, n_slots), dtype=np.int64)
-                 for f in SLOT_FAMILIES}
-    slot_cols["S"] = np.empty((n_scen, n_slots + 1), dtype=np.int64)
-    for s in range(n_scen):
-        node, first = nodes[s].tolist(), first_own[s]
-        for d, dev in enumerate(instance.devices):
-            block = []                      # x, xb, lam, sd columns per window slot
-            for h in dev.window.slots:
-                if h < first:
-                    cols = [index[(f, node[h], d, h)] for f in DEVICE_FAMILIES]
-                    for f, j in zip(DEVICE_FAMILIES, cols):
-                        index[(f, s, d, h)] = j
-                else:
-                    p = node_prob[s][h]
-                    cdh = p * dev.penalty_at(h)
-                    cols = [add(("x", s, d, h), cdh, slot=h, prob=p, leader=True),
-                            add(("xb", s, d, h), cdh + p * comp[h]),
-                            add(("lam", s, d, h), cdh),
-                            add(("sd", s, d, h), cdh)]
-                block += cols
-            columns[:, s, d, dev.window.first: dev.window.last + 1] = \
-                np.reshape(block, (-1, len(DEVICE_FAMILIES))).T
-        for h in range(n_slots):
-            if h < first:
-                for f in SLOT_FAMILIES:
-                    index[(f, s, h)] = index[(f, node[h], h)]
-                continue
-            p = node_prob[s][h]
-            add(("xs", s, h), 0.0, slot=h, prob=p, leader=True)
-            add(("xbs", s, h), p * comp[h])
-            add(("lams", s, h), 0.0)
-        for h in range(n_slots + 1):
-            slot = max(h - 1, 0)    # S[h] is set in slot h - 1; S[0] joins slot 0
-            if slot < first:
-                index[("S", s, h)] = index[("S", node[slot], h)]
-            else:
-                add(("S", s, h), 0.0)
-        for f, cols in slot_cols.items():
-            cols[s] = [index[(f, s, h)] for h in range(cols.shape[1])]
+    window_pos = ((np.arange(n_scen) * (n_dev * n_slots))[:, None]
+                  + cell_dev * n_slots + cell_slot).ravel()
+    window_cols = cols[:, :n_dcol].reshape(-1, len(DEVICE_FAMILIES)).T
+    columns = np.full((len(DEVICE_FAMILIES), n_scen, n_dev, n_slots), -1,
+                      dtype=np.int64)       # (family, s, d, slot)
+    columns.reshape(len(DEVICE_FAMILIES), -1)[:, window_pos] = window_cols
+    stored = cols[:, n_dcol:s0].reshape(n_scen, n_slots, len(SLOT_FAMILIES))
+    slot_cols = {f: stored[:, :, g] for g, f in enumerate(SLOT_FAMILIES)}
+    slot_cols["S"] = cols[:, s0:]
 
-    c0 = np.asarray(c0)
-    device_index = dict(zip(DEVICE_FAMILIES, columns))
-    skeleton, row_families = _assemble(
-        tags, c0, _follower_rows(instance, index, device_index, first_own))
-    window_pos = np.flatnonzero(columns[0] >= 0)
+    skeleton, row_families, row_device = _assemble(
+        instance, nodes, cell_dev, cell_slot, cols, c0)
     return FollowerSystem(
         instance=instance,
-        var_tags=tags,
-        var_index=index,
         c0=c0,
-        price_slot=np.asarray(p_slot, dtype=np.int64),
-        price_prob=np.asarray(p_prob),
-        leader_cols=np.asarray(leader_cols, dtype=np.int64),
-        leader_prob=np.asarray(leader_prob),
-        leader_slot=np.asarray(leader_slot, dtype=np.int64),
+        price_slot=np.where(priced[pos], col_slot[pos], -1),
+        price_prob=np.where(priced[pos], prob, 0.0),
         skeleton=skeleton,
-        device_index=device_index,
+        device_index=dict(zip(DEVICE_FAMILIES, columns)),
         slot_cols=slot_cols,
         window_pos=window_pos,
-        window_cols=columns.reshape(len(DEVICE_FAMILIES), -1)[:, window_pos],
+        window_cols=window_cols,
         row_sign=np.where(skeleton.sense == LE, -1.0, 1.0),
         row_families=row_families,
+        row_device=row_device,
     )
 
 
-def _follower_rows(instance: Instance, index: dict, device_index: dict,
-                   first_own: list[int]) -> list:
-    """The operator LP's rows as ``(tag, [(column, coef)], sense, rhs)``
-    tuples over the columns of ``index`` (``device_index`` holds the same
-    device columns as arrays), in skeleton order.  A row belongs to the tree
+def _window_cells(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Device and slot of every window cell, device by device."""
+    first = np.array([dev.window.first for dev in instance.devices], dtype=np.int64)
+    length = np.array([len(dev.window) for dev in instance.devices], dtype=np.int64)
+    cell_dev = np.repeat(np.arange(len(first)), length)
+    offset = first - (np.cumsum(length) - length)     # slot minus cell index
+    return cell_dev, np.arange(len(cell_dev)) + offset[cell_dev]
+
+
+def _assemble(instance: Instance, nodes: np.ndarray, cell_dev: np.ndarray,
+              cell_slot: np.ndarray, cols: np.ndarray, c0: np.ndarray
+              ) -> tuple[LinearProgram, dict, np.ndarray]:
+    """The skeleton LP over the columns ``cols[leaf, layout position]``
+    (bounds ``[0, inf)``, objective ``c0``), each row family's row indices,
+    and the device of each row (-1 on slot rows).
+
+    Every leaf has the same row layout: per device its ``demand_min`` and a
+    ``power_cap`` per window cell; ``batt_init``; a ``batt_balance`` per
+    slot; a ``batt_floor`` and a ``batt_ceiling`` per state ``S[1..H]``; a
+    ``draw_cap`` per slot; a ``dg_cap`` per slot.  A row belongs to the tree
     node of the last slot it constrains and is built once, by that node's
-    first leaf: leaf ``s`` builds the rows of slots ``first_own[s]`` on."""
-    n_slots, tree, bat = instance.n_slots, instance.tree, instance.battery
-    active = [[d for d, dev in enumerate(instance.devices)
-               if dev.window.first <= h <= dev.window.last]
-              for h in range(n_slots)]      # devices whose window holds slot h
-    rows: list = []
-    for s, leaf in enumerate(tree.leaves):
-        first = first_own[s]
-        for d, dev in enumerate(instance.devices):
-            win = slice(dev.window.first, dev.window.last + 1)
-            block = list(zip(*(device_index[f][s, d, win].tolist()
-                               for f in DEVICE_FAMILIES)))     # per window slot
-            if dev.window.last >= first:
-                rows.append((("demand_min", s, d),
-                             [(j, 1.0) for cols in block for j in cols], GE,
-                             dev.energy_demand))
-            for h, cols in zip(dev.window.slots, block):
-                if h >= first:
-                    rows.append((("power_cap", s, d, h), [(j, 1.0) for j in cols],
-                                 LE, dev.max_power))
+    first leaf, over that leaf's columns.  The skeleton's arrays are made
+    read-only.
+    """
+    n_slots, bat, devices = instance.n_slots, instance.battery, instance.devices
+    n_scen, n_dev, n_cells = len(cols), len(devices), len(cell_dev)
+    slots = np.arange(n_slots)
+    cell = np.arange(n_cells)
 
-        if first == 0:
-            rows.append((("batt_init", s), [(index[("S", s, 0)], 1.0)], EQ,
-                         bat.initial))
-        for h in range(first, n_slots):
-            terms = [(index[("S", s, h + 1)], 1.0),
-                     (index[("S", s, h)], -bat.discharge_eff),
-                     (index[("lams", s, h)], -bat.charge_eff),
-                     (index[("xs", s, h)], -bat.charge_eff),
-                     (index[("xbs", s, h)], -bat.charge_eff)]
-            terms += [(index[("sd", s, d, h)], 1.0) for d in active[h]]
-            rows.append((("batt_balance", s, h), terms, EQ, 0.0))
-        for h in range(first + 1, n_slots + 1):
-            col = index[("S", s, h)]
-            rows.append((("batt_floor", s, h), [(col, 1.0)], GE, bat.min_level))
-            rows.append((("batt_ceiling", s, h), [(col, 1.0)], LE, bat.max_level))
-        for h in range(first, n_slots):
-            terms = [(index[("sd", s, d, h)], 1.0) for d in active[h]]
-            terms.append((index[("S", s, h)], -1.0))
-            rows.append((("draw_cap", s, h), terms, LE, 0.0))
-        for h in range(first, n_slots):
-            terms = [(index[("lams", s, h)], 1.0)]
-            terms += [(index[("lam", s, d, h)], 1.0) for d in active[h]]
-            rows.append((("dg_cap", s, h), terms, LE, float(leaf.dg_bound[h])))
-    return rows
+    # row layout positions: per device its demand row, then its power caps;
+    # batt_init; then a block per slot family.  ``slot_rows[h]`` holds slot
+    # h's balance, the floor and ceiling of S[h + 1], its draw and dg caps.
+    demand = np.searchsorted(cell_dev, np.arange(n_dev)) + np.arange(n_dev)
+    cap = cell + cell_dev + 1
+    init = n_dev + n_cells
+    balance = init + 1 + slots
+    floor = balance + n_slots + slots
+    slot_rows = np.column_stack([balance, floor, floor + 1, balance + 3 * n_slots,
+                                 balance + 4 * n_slots])
+    n_layout = init + 1 + 5 * n_slots
+    family = np.empty(n_layout, dtype=np.int64)   # index into ROW_FAMILIES
+    row_slot = np.empty(n_layout, dtype=np.int64)
+    base_rhs = np.zeros(n_layout)                 # dg_cap's is per leaf
+    row_dev = np.full(n_layout, -1)
+    family[demand], family[cap], family[init] = 0, 1, 2
+    family[slot_rows] = [3, 4, 5, 6, 7]
+    row_slot[demand] = [dev.window.last for dev in devices]
+    row_slot[cap], row_slot[init], row_slot[slot_rows] = cell_slot, 0, slots[:, None]
+    base_rhs[demand] = [dev.energy_demand for dev in devices]
+    base_rhs[cap] = np.array([dev.max_power for dev in devices])[cell_dev]
+    base_rhs[init] = bat.initial
+    base_rhs[slot_rows[:, 1]], base_rhs[slot_rows[:, 2]] = bat.min_level, bat.max_level
+    row_dev[demand], row_dev[cap] = np.arange(n_dev), cell_dev
 
+    # the terms, one stencil per window cell and one per slot.  A cell's x,
+    # xb, lam, sd (layout columns 4c + f) enter its device's demand row and
+    # its power cap; sd also enters the balance and draw cap of the cell's
+    # slot, lam its dg cap.
+    cell_rows = np.column_stack([demand[cell_dev], cap,
+                                 slot_rows[cell_slot][:, [0, 3, 4]]])
+    cell_kind = [0, 0, 0, 0, 1, 1, 1, 1, 2, 3, 4]
+    cell_fam = [0, 1, 2, 3, 0, 1, 2, 3, 3, 3, 2]
+    # A slot's S[h + 1], S[h], xs, xbs, lams enter its balance; S[h + 1] its
+    # floor and ceiling; S[h] its draw cap; lams its dg cap.
+    xs = len(DEVICE_FAMILIES) * n_cells + len(SLOT_FAMILIES) * slots
+    s0 = len(DEVICE_FAMILIES) * n_cells + len(SLOT_FAMILIES) * n_slots   # S[0]
+    slot_vars = np.column_stack([s0 + 1 + slots, s0 + slots, xs, xs + 1, xs + 2])
+    ch, dis = -bat.charge_eff, -bat.discharge_eff
+    slot_kind = [0, 0, 0, 0, 0, 1, 2, 3, 4]
+    slot_var = [0, 1, 2, 3, 4, 0, 0, 1, 4]
+    slot_val = [1.0, dis, ch, ch, ch, 1.0, 1.0, -1.0, 1.0]
+    t_row = np.concatenate([cell_rows[:, cell_kind].ravel(),
+                            slot_rows[:, slot_kind].ravel(), [init]])
+    t_col = np.concatenate([(4 * cell[:, None] + cell_fam).ravel(),
+                            slot_vars[:, slot_var].ravel(), [s0]])
+    t_val = np.concatenate([np.ones(11 * n_cells), np.tile(slot_val, n_slots), [1.0]])
+    order = np.argsort(t_row, kind="stable")
+    t_row, t_col, t_val = t_row[order], t_col[order], t_val[order]
 
-def _assemble(var_tags: list, c0: np.ndarray,
-              rows: list) -> tuple[LinearProgram, dict]:
-    """The skeleton LP of ``rows`` (columns in ``[0, inf)``, objective
-    ``c0``), plus each row family's row indices and tag tails.  The
-    skeleton's arrays are made read-only."""
-    n, m = len(var_tags), len(rows)
-    row_tags = [tag for tag, _, _, _ in rows]
+    at = nodes[:, row_slot]                 # the tree node of each leaf's row
+    own = at == np.arange(n_scen)[:, None]
+    leaf, pos = np.nonzero(own)             # the leaf and layout of each row
+    t_leaf, t = np.nonzero(own[:, t_row])   # terms in row order
+    n, m = len(c0), len(pos)
     indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum([len(t) for _, t, _, _ in rows], out=indptr[1:])
-    terms = list(itertools.chain.from_iterable(t for _, t, _, _ in rows))
-    cols = np.fromiter((j for j, _ in terms), np.int64, len(terms))
-    vals = np.fromiter((v for _, v in terms), float, len(terms))
-    mat = sp.csr_matrix((vals, cols, indptr), shape=(m, n))
+    np.cumsum(np.bincount(t_row, minlength=n_layout)[pos], out=indptr[1:])
+    mat = sp.csr_matrix((t_val[t], cols[t_leaf, t_col[t]], indptr), shape=(m, n))
     mat.sum_duplicates()            # canonical form, as LpBuilder builds it
     mat.eliminate_zeros()
+    family = family[pos]
+    rhs = base_rhs[pos]
+    is_dg = family == ROW_FAMILIES.index("dg_cap")
+    rhs[is_dg] = instance.tree.dg_matrix()[leaf[is_dg], row_slot[pos[is_dg]]]
     skeleton = LinearProgram(
         n_vars=n, obj=c0, lower=np.zeros(n), upper=np.full(n, np.inf),
-        a_rows=mat, sense=np.array([sn for _, _, sn, _ in rows], dtype=object),
-        rhs=np.array([b for _, _, _, b in rows], dtype=float),
-        maximize=False, var_tags=var_tags, row_tags=row_tags)
+        a_rows=mat, sense=_ROW_SENSE[family], rhs=rhs, maximize=False)
     skeleton.validate()
     for arr in (c0, skeleton.lower, skeleton.upper, skeleton.sense,
                 skeleton.rhs, mat.data, mat.indices, mat.indptr):
         arr.setflags(write=False)
-    families: dict = {}
-    for i, tag in enumerate(row_tags):
-        idx, tails = families.setdefault(tag[0], ([], []))
-        idx.append(i)
-        tails.append(tag[1:])
-    row_families = {fam: (np.asarray(idx, dtype=np.int64), tails)
-                    for fam, (idx, tails) in families.items()}
-    return skeleton, row_families
+    by_family = np.argsort(family, kind="stable")
+    ends = np.searchsorted(family[by_family], np.arange(len(ROW_FAMILIES) + 1))
+    families = {f: by_family[ends[k]:ends[k + 1]] for k, f in enumerate(ROW_FAMILIES)}
+    return skeleton, families, row_dev[pos]
 
 
 def build_follower_lp(instance: Instance, prices: np.ndarray,
@@ -353,8 +330,8 @@ def solve_follower(lp: LinearProgram, backend: str | None = None,
     """Solve the scheduling LP; returns the raw solution, the schedule and
     the row multipliers in the nonnegative convention for inequality rows.
 
-    The schedule and multipliers require the tagged ``system`` the LP was
-    built from.
+    The schedule and multipliers require the ``system`` the LP was built
+    from, whose index arrays read them.
     """
     sol = get_backend(backend).solve_lp(lp, opts)
     if sol.status is Status.INFEASIBLE:

@@ -220,10 +220,3 @@ def validate(instance: Instance) -> ValidationReport:
 
     return rep
 
-
-def check_price_bounds(instance: Instance, prices: np.ndarray,
-                       tol: float = 1e-9) -> bool:
-    p = np.asarray(prices, dtype=float)
-    return (len(p) == instance.n_slots
-            and bool(np.all(p >= -tol))
-            and bool(np.all(p <= instance.prices.competitor + tol)))

@@ -37,8 +37,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from itertools import repeat
-from operator import add
 
 import numpy as np
 import scipy.sparse as sp
@@ -158,7 +156,6 @@ class AuditReport:
 class BilevelSolution:
     prices: np.ndarray
     follower: FollowerSolution
-    duals: np.ndarray          # row multipliers, nonnegative on inequality rows
     binaries: np.ndarray
     leader_objective: float
     follower_objective: float
@@ -211,20 +208,16 @@ def _row_primal_bounds(system: FollowerSystem) -> np.ndarray:
     max_power = np.array([dev.max_power for dev in inst.devices], dtype=float)
     spare = np.array([len(dev.window) * dev.max_power - dev.energy_demand
                       for dev in inst.devices], dtype=float)
+    fam, dev = system.row_families, system.row_device
     bound = np.full(system.n_rows, np.nan)
-    for fam, (rows, tails) in system.row_families.items():
-        if fam == "demand_min":                 # power caps bound the total
-            bound[rows] = spare[[tail[1] for tail in tails]]
-        elif fam == "power_cap":
-            bound[rows] = max_power[[tail[1] for tail in tails]]
-        elif fam in ("batt_floor", "batt_ceiling"):   # each bounds the other
-            bound[rows] = bat.max_level - bat.min_level
-        elif fam == "draw_cap":
-            bound[rows] = max(bat.max_level, bat.initial)
-        elif fam == "dg_cap":
-            bound[rows] = system.skeleton.rhs[rows]
-        elif system.skeleton.sense[rows[0]] != EQ:
-            raise ValueError(f"unexpected inequality family {fam!r}")
+    # power caps bound a demand row's total; a floor and a ceiling bound
+    # each other
+    bound[fam["demand_min"]] = spare[dev[fam["demand_min"]]]
+    bound[fam["power_cap"]] = max_power[dev[fam["power_cap"]]]
+    bound[fam["batt_floor"]] = bat.max_level - bat.min_level
+    bound[fam["batt_ceiling"]] = bat.max_level - bat.min_level
+    bound[fam["draw_cap"]] = max(bat.max_level, bat.initial)
+    bound[fam["dg_cap"]] = system.skeleton.rhs[fam["dg_cap"]]
     return bound
 
 
@@ -271,7 +264,7 @@ def _switch_rules(system: FollowerSystem, ineq: np.ndarray,
     n_ineq = len(ineq)
     floor = np.zeros(system.n_rows, dtype=bool)
     if system.instance.battery.min_level == 0.0:
-        floor[system.row_families["batt_floor"][0]] = True
+        floor[system.row_families["batt_floor"]] = True
     purchase = np.zeros(system.n_vars, dtype=bool)
     xb = system.device_index["xb"]
     purchase[xb[xb >= 0]] = True
@@ -355,8 +348,9 @@ def _linearize(mpcc: MpccSystem, config: BigMConfig,
                 raise ValueError(f"pinned price {v} at slot {h} outside [0, {comp[h]}]")
             p_lo[h] = p_up[h] = min(max(v, 0.0), float(comp[h]))
 
+    linked = np.flatnonzero(system.price_slot >= 0)      # the leader's sales
     obj_primal = -system.c0
-    obj_primal[system.leader_cols] -= system.leader_prob * supply[system.leader_slot]
+    obj_primal[linked] -= system.price_prob[linked] * supply[system.price_slot[linked]]
     col_upper = mpcc.var_upper.copy()
     col_upper[mpcc.rule[n_ineq:] == DOMINATED_PURCHASE] = 0.0
     dual_upper = np.full(m, np.inf)
@@ -367,7 +361,6 @@ def _linearize(mpcc: MpccSystem, config: BigMConfig,
     signed = sp.csr_matrix((np.repeat(row_sign, np.diff(a.indptr)) * a.data,
                             a.indices, a.indptr), shape=a.shape)   # rows as >= or =
     signed_t = signed.T.tocsr()
-    linked = np.flatnonzero(system.price_slot >= 0)
     price = sp.csr_matrix((system.price_prob[linked],
                            (linked, system.price_slot[linked])), shape=(n, n_slots))
     pick = sp.csr_matrix((np.ones(n_ineq), ineq, np.arange(n_ineq + 1)),
@@ -404,15 +397,7 @@ def _linearize(mpcc: MpccSystem, config: BigMConfig,
         a_rows=mat,
         sense=np.concatenate([skel.sense, np.full(n + len(comp_rows), LE, dtype=object)]),
         rhs=np.concatenate([skel.rhs, system.c0, comp_rhs[comp_rows]]),
-        maximize=True,
-        var_tags=[*zip(repeat("p"), range(n_slots)),
-                  *map(add, repeat(("pv",)), system.var_tags),
-                  *zip(repeat("d"), range(m)),
-                  *zip(repeat("delta"), switched.tolist())],
-        row_tags=[*map(add, repeat(("primal",)), skel.row_tags),
-                  *map(add, repeat(("dual",)), system.var_tags),
-                  *zip(np.where(comp_rows < n_pairs, "comp_p", "comp_d").tolist(),
-                       (comp_rows % n_pairs).tolist())])
+        maximize=True)
     lp.validate()
     binaries = np.arange(layout.delta_off, lp.n_vars, dtype=np.int64)
     return MilpModel(lp, binaries), layout
@@ -464,7 +449,7 @@ def extract_bilevel(mpcc: MpccSystem, layout: _MilpLayout, result: MilpResult,
 
     pv, dv = _pair_values(mpcc, primal, dual, prices)
     return BilevelSolution(
-        prices=prices, follower=fsol, duals=dual.copy(), binaries=binaries,
+        prices=prices, follower=fsol, binaries=binaries,
         leader_objective=profit, follower_objective=follower_obj,
         mip_gap=float(result.rel_gap), status=result.status,
         pair_values=(pv, dv), milp=result)

@@ -1,16 +1,15 @@
 """Core model containers for the bundled LP/MILP machinery.
 
-A ``LinearProgram`` is a sparse row-oriented model with variable bounds,
-row senses and per-row/per-variable tags.  Tags carry the constraint-family
-identity and coordinates (scenario, device, slot) so downstream code can pair
-rows with their multipliers mechanically.
+A ``LinearProgram`` is a sparse row-oriented model with variable bounds and
+row senses; rows and columns are known by position only.  Models that need
+names for them (the operator LP) keep their own index arrays.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Any, Hashable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,8 +56,6 @@ class LinearProgram:
     sense: np.ndarray          # elements of {"<", "=", ">"}
     rhs: np.ndarray
     maximize: bool = False
-    var_tags: list = field(default_factory=list)
-    row_tags: list = field(default_factory=list)
 
     @property
     def n_rows(self) -> int:
@@ -143,21 +140,20 @@ class MilpResult:
 
 
 class LpBuilder:
-    """Incremental triplet-based construction of a LinearProgram."""
+    """Incremental triplet-based construction of a LinearProgram; variables
+    are added under unique names."""
 
     def __init__(self, maximize: bool = False) -> None:
         self.maximize = maximize
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._obj: list[float] = []
-        self._var_tags: list = []
         self._rows_i: list[int] = []
         self._rows_j: list[int] = []
         self._rows_v: list[float] = []
         self._sense: list[str] = []
         self._rhs: list[float] = []
-        self._row_tags: list = []
-        self._var_index: dict[Hashable, int] = {}
+        self._names: set[Hashable] = set()
 
     @property
     def n_vars(self) -> int:
@@ -167,28 +163,20 @@ class LpBuilder:
     def n_rows(self) -> int:
         return len(self._rhs)
 
-    def add_var(self, tag: Hashable, lb: float = 0.0, ub: float = np.inf,
+    def add_var(self, name: Hashable, lb: float = 0.0, ub: float = np.inf,
                 obj: float = 0.0) -> int:
-        if tag in self._var_index:
-            raise SolverError(f"duplicate variable tag {tag!r}")
-        idx = len(self._obj)
-        self._var_index[tag] = idx
+        if name in self._names:
+            raise SolverError(f"duplicate variable name {name!r}")
+        self._names.add(name)
         self._lb.append(float(lb))
         self._ub.append(float(ub))
         self._obj.append(float(obj))
-        self._var_tags.append(tag)
-        return idx
-
-    def var(self, tag: Hashable) -> int:
-        return self._var_index[tag]
-
-    def has_var(self, tag: Hashable) -> bool:
-        return tag in self._var_index
+        return len(self._obj) - 1
 
     def set_obj(self, idx: int, coef: float) -> None:
         self._obj[idx] = float(coef)
 
-    def add_row(self, tag: Any, terms: Sequence[tuple[int, float]], sense: str,
+    def add_row(self, terms: Sequence[tuple[int, float]], sense: str,
                 rhs: float) -> int:
         if sense not in _SENSES:
             raise SolverError(f"bad sense {sense!r}")
@@ -200,7 +188,6 @@ class LpBuilder:
                 self._rows_v.append(float(v))
         self._sense.append(sense)
         self._rhs.append(float(rhs))
-        self._row_tags.append(tag)
         return row
 
     def build(self) -> LinearProgram:
@@ -218,8 +205,6 @@ class LpBuilder:
             sense=np.asarray(self._sense, dtype=object),
             rhs=np.asarray(self._rhs, dtype=float),
             maximize=self.maximize,
-            var_tags=list(self._var_tags),
-            row_tags=list(self._row_tags),
         )
         lp.validate()
         return lp
@@ -230,7 +215,7 @@ def check_lp_solution(lp: LinearProgram, x: np.ndarray, tol: float = 1e-6) -> li
     issues: list[str] = []
     if np.any(x < lp.lower - tol) or np.any(x > lp.upper + tol):
         j = int(np.argmax(np.maximum(lp.lower - x, x - lp.upper)))
-        issues.append(f"bound violated at var {j} ({lp.var_tags[j] if lp.var_tags else ''})")
+        issues.append(f"bound violated at var {j}")
     ax = lp.a_rows @ x
     scale = 1.0 + np.abs(lp.rhs)
     for sense, test in ((LE, ax - lp.rhs), (GE, lp.rhs - ax)):

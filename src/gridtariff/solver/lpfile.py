@@ -1,8 +1,9 @@
 """Plain-text LP-format import/export for cross-checking with external solvers.
 
 Writes the common ``Maximize/Subject To/Bounds/Binaries/End`` dialect with
-sanitized variable names; the reader accepts the same dialect, so models
-round-trip through a file.
+positional names (``v{j}`` for column ``j``, ``c{i}`` for row ``i``); the
+reader accepts the same dialect under any names, so models round-trip through
+a file.
 """
 
 from __future__ import annotations
@@ -13,19 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import EQ, GE, LE, LinearProgram, LpBuilder, MilpModel, SolverError
-
-_NAME_RE = re.compile(r"[^A-Za-z0-9_]")
-
-
-def _var_name(tag, idx: int) -> str:
-    if tag is None:
-        return f"v{idx}"
-    text = _NAME_RE.sub("_", "_".join(str(part) for part in
-                                      (tag if isinstance(tag, tuple) else (tag,))))
-    if not text or text[0].isdigit():
-        text = "v_" + text
-    return text
-
 
 def _terms_text(names: list[str], idx: np.ndarray, val: np.ndarray) -> str:
     parts = []
@@ -41,10 +29,7 @@ def write_lp(model: LinearProgram | MilpModel, path: str | Path) -> None:
         lp, binaries = model.lp, set(model.binary_idx.tolist())
     else:
         lp, binaries = model, set()
-    names = [_var_name(tag, j) for j, tag in
-             enumerate(lp.var_tags or [None] * lp.n_vars)]
-    if len(set(names)) != len(names):          # fall back to positional names
-        names = [f"v{j}" for j in range(lp.n_vars)]
+    names = [f"v{j}" for j in range(lp.n_vars)]
     a = lp.a_rows.tocsr()
     lines = ["Maximize" if lp.maximize else "Minimize"]
     obj_idx = np.flatnonzero(lp.obj)
@@ -112,7 +97,7 @@ def read_lp(path: str | Path) -> MilpModel:
     section = None
     maximize = False
     obj_terms: list[tuple[int, float]] = []
-    rows: list[tuple[str, list, str, float]] = []
+    rows: list[tuple[list, str, float]] = []
     binaries: list[str] = []
     bound_lines: list[str] = []
     for ln in lines:
@@ -137,21 +122,21 @@ def read_lp(path: str | Path) -> MilpModel:
             body = ln.split(":", 1)[-1]
             obj_terms.extend(_parse_terms(body, get_var))
         elif section == "rows":
-            name, body = (ln.split(":", 1) + [""])[:2] if ":" in ln else ("", ln)
+            body = ln.split(":", 1)[-1]            # drop the row name
             m = re.search(r"(<=|>=|=)", body)
             if not m:
                 raise SolverError(f"constraint without relation: {ln!r}")
             rel = m.group(1)
             lhs, rhs = body.split(rel, 1)
             sense = {"<=": LE, ">=": GE, "=": EQ}[rel]
-            rows.append((name.strip(), _parse_terms(lhs, get_var), sense, float(rhs)))
+            rows.append((_parse_terms(lhs, get_var), sense, float(rhs)))
         elif section == "bounds":
             bound_lines.append(ln)
         elif section == "bin":
             binaries.extend(ln.split())
 
-    for name, terms, sense, rhs in rows:
-        builder.add_row(name or None, terms, sense, rhs)
+    for terms, sense, rhs in rows:
+        builder.add_row(terms, sense, rhs)
     for idx, coef in obj_terms:
         builder.set_obj(idx, coef)
     lp = builder.build()

@@ -1,5 +1,11 @@
 """Shared fixtures: hand-built tiny instances and independent oracles.
 
+``reference_follower`` builds the operator LP the slow, explicit way: one
+tuple key per decision and leaf, one labelled row at a time, through
+``LpBuilder``.  The array build in ``gridtariff.follower`` must reproduce it
+bit for bit, and tests that need to know what a column or row is read its
+labels.
+
 The grid oracle sweeps leader prices over a lattice and, per price point,
 computes the operator's optimal response with leader-favorable tie-breaking;
 the greedy variant handles the no-battery / no-generation / one-scenario
@@ -10,15 +16,18 @@ composite objective (cost minus a vanishing leader-profit bonus).
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from gridtariff.follower import build_follower_lp, build_follower_system
+from gridtariff.follower import (DEVICE_FAMILIES, SLOT_FAMILIES,
+                                 build_follower_lp, build_follower_system)
 from gridtariff.model import (Battery, Device, Horizon, Instance, PriceData,
                               TimeWindow)
-from gridtariff.scenario import BaseScenario, flat_tree, single_path_tree
-from gridtariff.solver import Status, simplex
+from gridtariff.scenario import (BaseScenario, flat_tree, node_map,
+                                 single_path_tree)
+from gridtariff.solver import EQ, GE, LE, LinearProgram, LpBuilder, Status, simplex
 
 # the instance shape of perfbench's desk workload
 DESK_SHAPE = dict(n_bases=1, n_slots=4, n_devices=2, slot_minutes=360,
@@ -67,6 +76,158 @@ def random_tiny_instance(rng: np.random.Generator, *, n_slots: int,
                          n_slots)
     return Instance(Horizon(n_slots, 60), devices, bat, PriceData(pbar, supply),
                     tree, name=f"tiny-{n_slots}s{n_devices}d{n_scenarios}x")
+
+
+# -- reference operator LP ------------------------------------------------------
+
+
+@dataclass
+class ReferenceFollower:
+    """The operator LP with a tuple key per decision and leaf.
+
+    ``index`` maps every leaf's key (``("x", s, d, h)``, ``("xs", s, h)``,
+    ``("S", s, h)``, ...) to its column; keys of leaves at one tree node map
+    to one column, labelled in ``var_tags`` with the key of the node's first
+    leaf.  ``row_tags`` labels each row with its family and coordinates.
+    ``lp`` is built row by row with ``LpBuilder``, with objective ``c0``.
+    """
+
+    instance: Instance
+    index: dict
+    var_tags: list
+    row_tags: list
+    c0: np.ndarray
+    price_slot: np.ndarray
+    price_prob: np.ndarray
+    lp: LinearProgram
+
+    def objective(self, prices: np.ndarray) -> np.ndarray:
+        return np.array([c + prob * prices[h] if h >= 0 else c for c, h, prob
+                         in zip(self.c0.tolist(), self.price_slot.tolist(),
+                                self.price_prob.tolist())])
+
+    def device_index(self, family: str) -> np.ndarray:
+        inst = self.instance
+        out = np.full((inst.tree.n_leaves, len(inst.devices), inst.n_slots), -1)
+        for s in range(inst.tree.n_leaves):
+            for d, dev in enumerate(inst.devices):
+                for h in dev.window.slots:
+                    out[s, d, h] = self.index[(family, s, d, h)]
+        return out
+
+    def slot_cols(self, family: str) -> np.ndarray:
+        n = self.instance.n_slots + (family == "S")
+        return np.array([[self.index[(family, s, h)] for h in range(n)]
+                         for s in range(self.instance.tree.n_leaves)])
+
+    def row_families(self) -> dict:
+        out: dict = {}
+        for i, tag in enumerate(self.row_tags):
+            out.setdefault(tag[0], []).append(i)
+        return out
+
+
+def reference_follower(instance: Instance) -> ReferenceFollower:
+    """Every column and row of slot ``h`` is built once per tree node, by the
+    node's first leaf (``S[h]`` belongs to slot ``h - 1``, ``S[0]`` to slot
+    0; a row to the last slot it constrains); later leaves alias its keys."""
+    n_slots, tree, bat = instance.n_slots, instance.tree, instance.battery
+    probs = np.asarray(tree.probabilities, dtype=float)
+    comp = instance.prices.competitor
+    nodes = node_map(tree)
+    node_prob = np.zeros(nodes.shape)
+    for s in range(tree.n_leaves):
+        node_prob[nodes[s], np.arange(n_slots)] += probs[s]
+    node_prob = node_prob.tolist()
+    first_own = (nodes != np.arange(tree.n_leaves)[:, None]).sum(axis=1).tolist()
+
+    builder = LpBuilder()
+    index: dict = {}
+    tags: list = []
+    price_slot: list = []
+    price_prob: list = []
+
+    def add(tag, cost0: float, slot: int = -1, prob: float = 0.0) -> None:
+        index[tag] = builder.add_var(tag, 0.0, np.inf, obj=cost0)
+        tags.append(tag)
+        price_slot.append(slot)
+        price_prob.append(prob)
+
+    for s in range(tree.n_leaves):
+        node, first = nodes[s].tolist(), first_own[s]
+        for d, dev in enumerate(instance.devices):
+            for h in dev.window.slots:
+                if h < first:
+                    for f in DEVICE_FAMILIES:
+                        index[(f, s, d, h)] = index[(f, node[h], d, h)]
+                    continue
+                p = node_prob[s][h]
+                cdh = p * dev.penalty_at(h)
+                add(("x", s, d, h), cdh, slot=h, prob=p)
+                add(("xb", s, d, h), cdh + p * comp[h])
+                add(("lam", s, d, h), cdh)
+                add(("sd", s, d, h), cdh)
+        for h in range(n_slots):
+            if h < first:
+                for f in SLOT_FAMILIES:
+                    index[(f, s, h)] = index[(f, node[h], h)]
+                continue
+            p = node_prob[s][h]
+            add(("xs", s, h), 0.0, slot=h, prob=p)
+            add(("xbs", s, h), p * comp[h])
+            add(("lams", s, h), 0.0)
+        for h in range(n_slots + 1):
+            if max(h - 1, 0) < first:
+                index[("S", s, h)] = index[("S", node[max(h - 1, 0)], h)]
+            else:
+                add(("S", s, h), 0.0)
+
+    rows: list = []
+    active = [[d for d, dev in enumerate(instance.devices)
+               if dev.window.first <= h <= dev.window.last]
+              for h in range(n_slots)]
+    for s, leaf in enumerate(tree.leaves):
+        first = first_own[s]
+        for d, dev in enumerate(instance.devices):
+            cells = [[index[(f, s, d, h)] for f in DEVICE_FAMILIES]
+                     for h in dev.window.slots]
+            if dev.window.last >= first:
+                rows.append((("demand_min", s, d),
+                             [(j, 1.0) for cols in cells for j in cols], GE,
+                             dev.energy_demand))
+            for h, cols in zip(dev.window.slots, cells):
+                if h >= first:
+                    rows.append((("power_cap", s, d, h), [(j, 1.0) for j in cols],
+                                 LE, dev.max_power))
+        if first == 0:
+            rows.append((("batt_init", s), [(index[("S", s, 0)], 1.0)], EQ,
+                         bat.initial))
+        for h in range(first, n_slots):
+            terms = [(index[("S", s, h + 1)], 1.0),
+                     (index[("S", s, h)], -bat.discharge_eff),
+                     (index[("lams", s, h)], -bat.charge_eff),
+                     (index[("xs", s, h)], -bat.charge_eff),
+                     (index[("xbs", s, h)], -bat.charge_eff)]
+            terms += [(index[("sd", s, d, h)], 1.0) for d in active[h]]
+            rows.append((("batt_balance", s, h), terms, EQ, 0.0))
+        for h in range(first + 1, n_slots + 1):
+            col = index[("S", s, h)]
+            rows.append((("batt_floor", s, h), [(col, 1.0)], GE, bat.min_level))
+            rows.append((("batt_ceiling", s, h), [(col, 1.0)], LE, bat.max_level))
+        for h in range(first, n_slots):
+            terms = [(index[("sd", s, d, h)], 1.0) for d in active[h]]
+            terms.append((index[("S", s, h)], -1.0))
+            rows.append((("draw_cap", s, h), terms, LE, 0.0))
+        for h in range(first, n_slots):
+            terms = [(index[("lams", s, h)], 1.0)]
+            terms += [(index[("lam", s, d, h)], 1.0) for d in active[h]]
+            rows.append((("dg_cap", s, h), terms, LE, float(leaf.dg_bound[h])))
+    for _, terms, sense, rhs in rows:
+        builder.add_row(terms, sense, rhs)
+    lp = builder.build()
+    return ReferenceFollower(instance, index, tags, [tag for tag, _, _, _ in rows],
+                             lp.obj, np.asarray(price_slot), np.asarray(price_prob),
+                             lp)
 
 
 # -- analytic follower response (no battery, no generation, one scenario) -----
@@ -120,16 +281,14 @@ class OptimisticResponder:
 
     def profit(self, prices: np.ndarray) -> float:
         sysm = self.system
+        sold = np.flatnonzero(sysm.price_slot >= 0)     # the leader's sales
+        prob, slot = sysm.price_prob[sold], sysm.price_slot[sold]
         obj = sysm.objective(prices)
-        obj[sysm.leader_cols] -= self.eps * sysm.leader_prob * (
-            prices[sysm.leader_slot] - self.supply[sysm.leader_slot])
+        obj[sold] -= self.eps * prob * (prices[slot] - self.supply[slot])
         sol = simplex.solve_with_workspace(self.ws, obj, False)
         assert sol.status is Status.OPTIMAL, sol.status
-        x = sol.x
-        return float(np.sum(sysm.leader_prob
-                            * (prices[sysm.leader_slot]
-                               - self.supply[sysm.leader_slot])
-                            * x[sysm.leader_cols]))
+        return float(np.sum(prob * (prices[slot] - self.supply[slot])
+                            * sol.x[sold]))
 
 
 def relevant_price_slots(instance: Instance) -> list[int]:

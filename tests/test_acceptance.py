@@ -212,20 +212,21 @@ def test_criterion_7_nonanticipativity(oracle_runs):
             assert_node_map_matches_oracle(tree)
             inst = random_tiny_instance(rng, n_slots=tree.n_slots, n_devices=2,
                                         battery=True).replace(tree=tree)
-            index = build_follower_system(inst).var_index
+            system = build_follower_system(inst)
+            dev_cols, slot_cols = system.device_index, system.slot_cols
             for a, b in itertools.combinations(range(tree.n_leaves), 2):
                 h_max = indistinguishability_time(tree.leaves[a], tree.leaves[b])
                 for h in range(tree.n_slots):
                     for f in SLOT_FAMILIES:
-                        assert (index[(f, a, h)] == index[(f, b, h)]) \
+                        assert (slot_cols[f][a, h] == slot_cols[f][b, h]) \
                             == (h_max >= h)
                     for d, dev in enumerate(inst.devices):
                         if dev.window.first <= h <= dev.window.last:
                             for f in DEVICE_FAMILIES:
-                                assert (index[(f, a, d, h)] == index[(f, b, d, h)]) \
+                                assert (dev_cols[f][a, d, h] == dev_cols[f][b, d, h]) \
                                     == (h_max >= h)
                 for h in range(tree.n_slots + 1):     # S[h] is set in slot h - 1
-                    assert (index[("S", a, h)] == index[("S", b, h)]) \
+                    assert (slot_cols["S"][a, h] == slot_cols["S"][b, h]) \
                         == (h_max >= max(h - 1, 0))
 
 
@@ -363,7 +364,7 @@ def test_criterion_11_solver_self_checks():
                          if rng.random() < 0.7] or [(0, 1.0)]
                 lhs = sum(anchor[j] * c for j, c in terms)
                 sense = rng.choice(["<", ">"])
-                b.add_row(None, terms, sense,
+                b.add_row(terms, sense,
                           lhs + (0.5 if sense == "<" else -0.5) * rng.uniform(0, 1))
             lp = b.build()
             sol = solve_lp(lp)

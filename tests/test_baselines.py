@@ -15,7 +15,8 @@ from gridtariff.reformulation import solve_bilevel
 from gridtariff.scenario import single_path_tree
 from gridtariff.solver import SolveOptions, Status, check_lp_solution, simplex
 
-from conftest import grid_oracle, make_t1, random_tiny_instance
+from conftest import (grid_oracle, make_t1, random_tiny_instance,
+                      reference_follower)
 
 
 class TestGreedySchedule:
@@ -51,20 +52,20 @@ class TestGreedySchedule:
                                         battery=True, generation=True)
             dg = inst.tree.leaves[0].dg_bound
             ref = reference_case(inst, dg)
-            system = build_follower_system(
-                inst.replace(tree=single_path_tree(dg)))
-            lp = build_follower_lp(inst.replace(tree=single_path_tree(dg)),
-                                   inst.prices.competitor, system)
+            single = inst.replace(tree=single_path_tree(dg))
+            system = build_follower_system(single)
+            lp = build_follower_lp(single, inst.prices.competitor, system)
+            index = reference_follower(single).index
             x = np.zeros(system.n_vars)
             for f, vals in ref.schedule.device.items():
                 for d, dev in enumerate(inst.devices):
                     for h in dev.window.slots:
-                        x[system.var_index[(f, 0, d, h)]] = vals[0, d, h]
+                        x[index[(f, 0, d, h)]] = vals[0, d, h]
             for f in ("xs", "xbs", "lams"):
                 for h in range(inst.n_slots):
-                    x[system.var_index[(f, 0, h)]] = ref.schedule.stored[f][0][h]
+                    x[index[(f, 0, h)]] = ref.schedule.stored[f][0][h]
             for h in range(inst.n_slots + 1):
-                x[system.var_index[("S", 0, h)]] = ref.schedule.battery_state[0][h]
+                x[index[("S", 0, h)]] = ref.schedule.battery_state[0][h]
             assert not check_lp_solution(lp, x, tol=1e-7)
 
     def test_reference_minimizes_inconvenience(self):

@@ -5,21 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gridtariff.follower import (DEVICE_FAMILIES, INEQ_ROW_FAMILIES,
-                                 SLOT_FAMILIES, _follower_rows,
+from gridtariff.follower import (DEVICE_FAMILIES, ROW_FAMILIES, SLOT_FAMILIES,
                                  build_follower_lp, build_follower_system,
                                  complementarity_products, evaluate_schedule,
                                  extract_solution, leader_profit,
                                  solve_follower, FollowerInfeasible)
-from gridtariff.generator import (generate_instance, generate_mini_instance,
-                                  generate_week_instance)
+from gridtariff.generator import (MINI_PRESETS, generate_instance,
+                                  generate_mini_instance, generate_week_instance,
+                                  greedy_device_profile)
 from gridtariff.model import Battery, Device, Horizon, Instance, PriceData, TimeWindow
+from gridtariff.rolling import RhConfig, make_subinstance
 from gridtariff.scenario import (BaseScenario, flat_tree,
-                                 indistinguishability_time, node_map,
-                                 single_path_tree)
-from gridtariff.solver import EQ, LE, LpBuilder, Status
+                                 indistinguishability_time, single_path_tree)
+from gridtariff.solver import EQ, LE
 
-from conftest import DESK_SHAPE, make_t1, random_tiny_instance
+from conftest import DESK_SHAPE, make_t1, random_tiny_instance, reference_follower
+from test_rolling import empty_trajectory
+from test_scenario import random_trees
 
 
 def solve_at(instance, prices):
@@ -33,9 +35,9 @@ class TestBuildCounts:
     def test_t1_row_families(self):
         inst = make_t1()
         system = build_follower_system(inst)
-        fams = {}
-        for tag in system.skeleton.row_tags:
-            fams[tag[0]] = fams.get(tag[0], 0) + 1
+        assert list(system.row_families) == list(ROW_FAMILIES)
+        fams = {f: len(rows) for f, rows in system.row_families.items()}
+        assert sum(fams.values()) == system.n_rows
         assert fams["demand_min"] == 1
         assert fams["power_cap"] == 2
         assert fams["batt_init"] == 1
@@ -50,20 +52,17 @@ class TestBuildCounts:
             [BaseScenario(0, np.array([0.0, 1.0])),
              BaseScenario(1, np.array([0.0, 2.0]))], 2))
         system = build_follower_system(inst)
-        idx = system.var_index
         # all eight families share their slot-0 column (S[1] is set in slot 0)
-        shared = [(f, 0, 0) for f in DEVICE_FAMILIES] \
-            + [(f, 0) for f in SLOT_FAMILIES] + [("S", 0), ("S", 1)]
-        for key in shared:
-            assert idx[(key[0], 0, *key[1:])] == idx[(key[0], 1, *key[1:])]
-        later = [(f, 0, 1) for f in DEVICE_FAMILIES] \
-            + [(f, 1) for f in SLOT_FAMILIES] + [("S", 2)]
-        for key in later:
-            assert idx[(key[0], 0, *key[1:])] != idx[(key[0], 1, *key[1:])]
-        assert system.n_vars == 17 + len(later)  # the one-leaf count plus slot 1
-        assert len(set(idx.values())) == system.n_vars == len(system.var_tags)
+        # and no later one
+        fams = [system.device_index[f][:, 0] for f in DEVICE_FAMILIES] \
+            + [system.slot_cols[f] for f in (*SLOT_FAMILIES, "S")]
+        leaf0, leaf1 = (np.concatenate([c[s] for c in fams]) for s in (0, 1))
+        np.testing.assert_array_equal(leaf0 == leaf1,
+                                      [True, False] * 7 + [True, True, False])
+        assert system.n_vars == 17 + 8      # the one-leaf count plus slot 1
+        assert len(np.unique(np.concatenate([leaf0, leaf1]))) == system.n_vars
         # a shared column is priced with both leaves' probability
-        x = [idx[("x", 0, 0, h)] for h in (0, 1)]
+        x = system.device_index["x"][0, 0]
         np.testing.assert_array_equal(system.price_prob[x], [1.0, 0.5])
 
 
@@ -117,7 +116,7 @@ class TestEvaluateSchedule:
     def test_shifted_schedule_pays_delay(self, t1):
         system = build_follower_system(t1)
         x = np.zeros(system.n_vars)
-        x[system.var_index[("x", 0, 0, 1)]] = 2.0   # everything in slot 1
+        x[system.device_index["x"][0, 0, 1]] = 2.0   # everything in slot 1
         fsol = extract_solution(system, x, 0.0)
         costs = evaluate_schedule(t1, np.array([3.0, 3.0]), fsol)
         assert costs.billing_cost == pytest.approx(6.0)
@@ -143,9 +142,8 @@ class TestDuality:
             assert dual_obj == pytest.approx(sol.objective, rel=1e-6, abs=1e-8)
             assert complementarity_products(lp, sol).max() <= 1e-6
             # positive-sign convention for inequality multipliers
-            for tag, v in zip(system.skeleton.row_tags, duals):
-                if tag[0] in INEQ_ROW_FAMILIES:
-                    assert v >= -1e-9, tag
+            ineq = system.skeleton.sense != EQ
+            assert duals[ineq].min(initial=0.0) >= -1e-9
 
     def test_nonanticipativity_satisfied(self):
         rng = np.random.default_rng(5)
@@ -212,7 +210,7 @@ def test_week_scale_build_and_counts():
 @pytest.fixture(scope="module")
 def week3():
     inst = generate_week_instance(1, n_bases=3)
-    return inst, build_follower_system(inst)
+    return inst, build_follower_system(inst), reference_follower(inst)
 
 
 def _profiles(inst, seed):
@@ -220,24 +218,6 @@ def _profiles(inst, seed):
     supply, comp = inst.prices.supply_cost, inst.prices.competitor
     u = np.random.default_rng(seed).uniform(0.0, 1.0, (2, inst.n_slots))
     return list(supply + u * (comp - supply))
-
-
-def _tagged_rows(system):
-    """The tagged row tuples the skeleton is assembled from."""
-    nodes = node_map(system.instance.tree)
-    first_own = (nodes != np.arange(len(nodes))[:, None]).sum(axis=1).tolist()
-    return _follower_rows(system.instance, system.var_index, system.device_index,
-                          first_own)
-
-
-def _builder_lp(system, prices):
-    """The operator LP built row by row from the tagged rows."""
-    b = LpBuilder(maximize=False)
-    for tag, cost in zip(system.var_tags, system.objective(prices)):
-        b.add_var(tag, 0.0, np.inf, obj=float(cost))
-    for tag, terms, sense, rhs in _tagged_rows(system):
-        b.add_row(tag, terms, sense, rhs)
-    return b.build()
 
 
 def _assert_same_lp(lp, ref):
@@ -249,21 +229,86 @@ def _assert_same_lp(lp, ref):
     assert lp.sense.tolist() == ref.sense.tolist()
     for name in ("rhs", "lower", "upper", "obj"):
         np.testing.assert_array_equal(getattr(lp, name), getattr(ref, name))
-    assert lp.var_tags == ref.var_tags
-    assert lp.row_tags == ref.row_tags
+
+
+def _rh_windows(seed):
+    """The window instances of an ``rh-mini3`` rolling run (window 6, step 1)
+    over mini seed ``seed`` with 3 bases, every device served flat-out from
+    its window start."""
+    inst = generate_mini_instance(seed, n_bases=3)
+    cfg = RhConfig(window=6, step=1, frozen=0)
+    traj = empty_trajectory(inst)
+    traj.device_energy["x"][:] = greedy_device_profile(inst.devices, inst.n_slots)
+    last = inst.horizon.last_slot
+    return [make_subinstance(inst, t, traj, cfg, None if t == 0 else t % 3)[0]
+            for t in range(last - cfg.window + 1)]
+
+
+def _shared_node_trees():
+    rng = np.random.default_rng(41)
+    trees = random_trees(rng, ((3, 1, 4), (2, 1, 4), (3, 2, 8), (2, 2, 6)))
+    return [random_tiny_instance(rng, n_slots=tree.n_slots, n_devices=3,
+                                 battery=True).replace(tree=tree)
+            for tree in trees]
+
+
+_REFERENCE_CASES = {
+    **{f"desk{s}": lambda s=s: [generate_instance(s, **DESK_SHAPE)]
+       for s in (1, 4, 7, 9, 13, 21)},
+    **{f"{p}-3bases": lambda p=p: [generate_mini_instance(s, preset=p, n_bases=3)
+                                   for s in (1, 5)]
+       for p in MINI_PRESETS},
+    "rh-mini3-windows": lambda: _rh_windows(5) + _rh_windows(6),
+    "shared-node-trees": _shared_node_trees,
+    "week-1base": lambda: [generate_week_instance(1)],
+    "week-3bases": lambda: [generate_week_instance(1, n_bases=3)],
+}
+
+
+class TestReference:
+    """The array-built system against the tuple-keyed reference build."""
+
+    def _assert_matches(self, system, ref):
+        inst = system.instance
+        _assert_same_lp(system.skeleton, ref.lp)
+        for name in ("c0", "price_slot", "price_prob"):
+            got, want = getattr(system, name), getattr(ref, name)
+            assert got.dtype.kind == want.dtype.kind
+            np.testing.assert_array_equal(got, want)
+        for f in DEVICE_FAMILIES:
+            np.testing.assert_array_equal(system.device_index[f],
+                                          ref.device_index(f))
+        assert list(system.slot_cols) == [*SLOT_FAMILIES, "S"]
+        for f, cols in system.slot_cols.items():
+            np.testing.assert_array_equal(cols, ref.slot_cols(f))
+        want = ref.row_families()
+        assert list(system.row_families) == list(ROW_FAMILIES)
+        for f, rows in system.row_families.items():
+            np.testing.assert_array_equal(rows, want.get(f, []))
+        device_rows = [(i, tag[2]) for i, tag in enumerate(ref.row_tags)
+                       if tag[0] in ("demand_min", "power_cap")]
+        want = np.full(system.n_rows, -1)
+        want[[i for i, _ in device_rows]] = [d for _, d in device_rows]
+        np.testing.assert_array_equal(system.row_device, want)
+        assert inst.tree.n_leaves == len(system.slot_cols["S"])
+
+    @pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+    def test_array_build_equals_reference(self, case):
+        for inst in _REFERENCE_CASES[case]():
+            self._assert_matches(build_follower_system(inst), reference_follower(inst))
 
 
 class TestSkeleton:
     @pytest.mark.parametrize("which", ["desk", "week"])
     def test_priced_skeleton_equals_builder_lp(self, which, week3):
         if which == "week":
-            inst, system = week3
+            inst, system, ref = week3
         else:
             inst = generate_instance(1, **DESK_SHAPE)
-            system = build_follower_system(inst)
+            system, ref = build_follower_system(inst), reference_follower(inst)
         for prices in _profiles(inst, seed=3):
             _assert_same_lp(build_follower_lp(inst, prices, system),
-                            _builder_lp(system, prices))
+                            ref.lp.with_objective(ref.objective(prices)))
 
     def test_identical_leaves_build_the_one_leaf_lp(self):
         # the three bases of mini seed 1 are all zero: every node is shared
@@ -276,7 +321,7 @@ class TestSkeleton:
         np.testing.assert_array_equal(three.price_prob, one.price_prob)
 
     def test_priced_lps_own_their_objectives(self, week3):
-        inst, system = week3
+        inst, system, _ = week3
         p1, p2 = _profiles(inst, seed=4)
         lp1 = build_follower_lp(inst, p1, system)
         lp2 = build_follower_lp(inst, p2, system)
@@ -288,7 +333,7 @@ class TestSkeleton:
         np.testing.assert_array_equal(system.skeleton.obj, system.c0)
 
     def test_skeleton_arrays_are_read_only(self, week3):
-        inst, system = week3
+        inst, system, _ = week3
         lp = build_follower_lp(inst, inst.prices.competitor, system)
         for arr in (lp.lower, lp.upper, lp.rhs, lp.sense, lp.a_rows.data,
                     system.skeleton.lower, system.c0):
@@ -300,33 +345,30 @@ class TestSkeleton:
 
 
 class TestExtraction:
-    """The index-array extractors against a per-tag oracle, bit for bit."""
+    """The index-array extractors against the reference keys, bit for bit."""
 
     @pytest.fixture(scope="class")
     def solved(self, week3):
-        inst, system = week3
+        inst, system, ref = week3
         lp = build_follower_lp(inst, _profiles(inst, seed=5)[0], system)
         sol, fsol, fduals = solve_follower(lp, backend="scipy", system=system)
-        return system, sol, fsol, fduals
+        return ref, sol, fsol, fduals
 
     def test_solution_matches_tag_oracle(self, solved):
-        system, sol, fsol, _ = solved
-        inst = system.instance
+        ref, sol, fsol, _ = solved
+        inst = ref.instance
         n_scen, n_slots = inst.tree.n_leaves, inst.n_slots
-        idx, x = system.var_index, sol.x
+        idx, x = ref.index, sol.x
         assert (fsol.n_scenarios, fsol.n_slots) == (n_scen, n_slots)
         assert fsol.objective_value == float(sol.objective)
-        assert list(fsol.device) == list(system.device_index) == list(DEVICE_FAMILIES)
+        assert list(fsol.device) == list(DEVICE_FAMILIES)
         shape = (n_scen, len(inst.devices), n_slots)
         for f in DEVICE_FAMILIES:
             want = np.zeros(shape)                  # zero outside every window
-            want_cols = np.full(shape, -1)
             for s in range(n_scen):
                 for d, dev in enumerate(inst.devices):
                     for h in dev.window.slots:
-                        want_cols[s, d, h] = idx[(f, s, d, h)]
                         want[s, d, h] = x[idx[(f, s, d, h)]]
-            np.testing.assert_array_equal(system.device_index[f], want_cols)
             got = fsol.device[f]
             assert got.dtype == want.dtype and got.shape == shape
             assert (got == want).all()
@@ -342,10 +384,8 @@ class TestExtraction:
         assert (fsol.battery_state == want).all()
 
     def test_duals_match_row_oracle(self, solved):
-        system, sol, _, duals = solved
-        rows = _tagged_rows(system)
-        assert system.skeleton.row_tags == [tag for tag, _, _, _ in rows]
+        ref, sol, _, duals = solved
         want = np.array([-y if sense == LE else y
-                         for (_, _, sense, _), y in zip(rows, sol.duals.tolist())])
+                         for sense, y in zip(ref.lp.sense.tolist(), sol.duals.tolist())])
         assert duals.dtype == want.dtype and duals.shape == want.shape
         assert (duals == want).all()

@@ -17,9 +17,9 @@ def test_lp_round_trip(tmp_path):
     b = LpBuilder(maximize=True)
     x = b.add_var("x", 0.0, 4.0, obj=2.0)
     y = b.add_var("y", -1.0, np.inf, obj=-0.5)
-    b.add_row("r0", [(x, 1.0), (y, 2.0)], "<", 6.0)
-    b.add_row("r1", [(x, 1.0), (y, -1.0)], ">", -2.0)
-    b.add_row("r2", [(x, 1.0), (y, 1.0)], "=", 3.0)
+    b.add_row([(x, 1.0), (y, 2.0)], "<", 6.0)
+    b.add_row([(x, 1.0), (y, -1.0)], ">", -2.0)
+    b.add_row([(x, 1.0), (y, 1.0)], "=", 3.0)
     lp = b.build()
     path = tmp_path / "model.lp"
     write_lp(lp, path)
@@ -35,7 +35,7 @@ def test_milp_round_trip_with_binaries(tmp_path):
     b = LpBuilder(maximize=True)
     for j in range(5):
         b.add_var(f"z{j}", 0.0, 1.0, obj=float(j + 1))
-    b.add_row("cap", [(j, float(j + 1)) for j in range(5)], "<", 7.0)
+    b.add_row([(j, float(j + 1)) for j in range(5)], "<", 7.0)
     model = MilpModel(b.build(), np.arange(5))
     path = tmp_path / "knap.lp"
     write_lp(model, path)

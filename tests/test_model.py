@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridtariff.model import (Battery, Device, Horizon, Instance, PriceData,
-                              TimeWindow, check_price_bounds, validate)
+                              TimeWindow, validate)
 from gridtariff.scenario import single_path_tree
 
 from conftest import make_t1
@@ -92,11 +92,3 @@ class TestValidate:
     def test_empty_device_list_is_valid(self):
         assert validate(base_instance(devices=[])).ok
 
-
-class TestPriceBounds:
-    def test_within_bounds(self):
-        inst = base_instance()
-        assert check_price_bounds(inst, np.array([3.0, 0.0]))
-        assert not check_price_bounds(inst, np.array([3.1, 0.0]))
-        assert not check_price_bounds(inst, np.array([-0.1, 0.0]))
-        assert not check_price_bounds(inst, np.array([1.0]))

@@ -24,18 +24,19 @@ from gridtariff.scenario import BaseScenario, flat_tree, single_path_tree
 from gridtariff.solver import EQ, LE, SolveOptions, Status, solve_milp
 
 from conftest import (DESK_SHAPE, OptimisticResponder, grid_oracle, make_t1,
-                      random_tiny_instance)
+                      random_tiny_instance, reference_follower)
 
 
-def _tag_loop_classification(system):
-    """Pair refs, structural bounds and switch rules read tag by tag: the
-    per-pair reference for ``build_mpcc``'s array classification."""
-    inst, bat = system.instance, system.instance.battery
+def _tag_loop_classification(ref):
+    """Pair refs, structural bounds and switch rules read label by label from
+    the reference operator LP: the per-pair reference for ``build_mpcc``'s
+    array classification."""
+    inst, bat = ref.instance, ref.instance.battery
     dg = inst.tree.dg_matrix()
     charge_cap = max(0.0, (2.0 * bat.max_level - bat.discharge_eff * bat.min_level)
                      / bat.charge_eff)
     upper = []
-    for tag in system.var_tags:
+    for tag in ref.var_tags:
         fam = tag[0]
         if fam in ("x", "xb"):
             upper.append(inst.devices[tag[2]].max_power)
@@ -50,8 +51,8 @@ def _tag_loop_classification(system):
         else:
             upper.append(max(bat.max_level, bat.initial))
     refs, bound, rule = [], [], []
-    skel = system.skeleton
-    for i, tag in enumerate(skel.row_tags):
+    skel = ref.lp
+    for i, tag in enumerate(ref.row_tags):
         if skel.sense[i] == EQ:
             continue
         fam = tag[0]
@@ -71,7 +72,7 @@ def _tag_loop_classification(system):
         bound.append(b)
         rule.append(ZERO_CAPACITY if b <= 0 else DUPLICATE_FLOOR
                     if fam == "batt_floor" and bat.min_level == 0.0 else SWITCHED)
-    for j, tag in enumerate(system.var_tags):
+    for j, tag in enumerate(ref.var_tags):
         refs.append(j)
         bound.append(upper[j])
         rule.append(ZERO_CAPACITY if upper[j] <= 0 else DOMINATED_PURCHASE
@@ -95,8 +96,9 @@ class TestBuildMpcc:
             n_scenarios=1 + k % 2, battery=k % 2 == 1, generation=k % 3 > 0)
           for k in range(6)]])
     def test_classification_matches_tag_loop(self, make):
-        mpcc = build_mpcc(make())
-        refs, upper, bound, rule = _tag_loop_classification(mpcc.system)
+        inst = make()
+        mpcc = build_mpcc(inst)
+        refs, upper, bound, rule = _tag_loop_classification(reference_follower(inst))
         np.testing.assert_array_equal(mpcc.pair_ref, refs)
         np.testing.assert_array_equal(mpcc.var_upper, upper)
         np.testing.assert_array_equal(mpcc.primal_bound, bound)
@@ -107,9 +109,9 @@ class TestBuildMpcc:
         mpcc = build_mpcc(t1)
         cfg = default_big_m(mpcc)
         n_ineq = len(mpcc.ineq_rows)
+        row_tags = reference_follower(t1).row_tags
         ceiling = [k for k, ref in enumerate(mpcc.pair_ref)
-                   if k < n_ineq
-                   and mpcc.system.skeleton.row_tags[ref][0] == "batt_ceiling"]
+                   if k < n_ineq and row_tags[ref][0] == "batt_ceiling"]
         assert ceiling
         assert all(cfg.primal[k] == 0.0 for k in ceiling)
 
@@ -118,30 +120,34 @@ class TestBuildMpcc:
             [BaseScenario(0, np.array([0.0, 1.0])),
              BaseScenario(1, np.array([0.0, 2.0]))], 2))
         mpcc = build_mpcc(inst)
+        ref = reference_follower(inst)
         skel = mpcc.system.skeleton
-        j = mpcc.system.var_index[("x", 0, 0, 0)]
-        assert mpcc.system.var_index[("x", 1, 0, 0)] == j
-        touching = {skel.row_tags[i]
-                    for i in skel.a_rows.tocsc()[:, j].indices.tolist()}
+        j = ref.index[("x", 0, 0, 0)]
+        assert ref.index[("x", 1, 0, 0)] == j
+        assert len(set(ref.index.values())) == mpcc.system.n_vars
+        rows = skel.a_rows.tocsc()[:, j].indices.tolist()
         # both leaves' demand rows and the one shared power cap
-        assert touching == {("demand_min", 0, 0), ("demand_min", 1, 0),
-                            ("power_cap", 0, 0, 0)}
-        lp = linearize(mpcc, default_big_m(mpcc)).lp
-        assert ("dual", "x", 1, 0, 0) not in lp.row_tags
-        stationarity = lp.a_rows[lp.row_tags.index(("dual", "x", 0, 0, 0))]
-        rows = {skel.row_tags.index(tag) for tag in touching}
-        assert {lp.var_tags[c] for c in stationarity.indices} \
-            == {("p", 0)} | {("d", i) for i in rows}
+        assert {ref.row_tags[i] for i in rows} == {
+            ("demand_min", 0, 0), ("demand_min", 1, 0), ("power_cap", 0, 0, 0)}
+        # the one multiplier-feasibility row of column j (rows follow the
+        # primal rows in column order) holds its price and those multipliers
+        model, layout = _linearize(mpcc, default_big_m(mpcc))
+        stationarity = model.lp.a_rows[mpcc.system.n_rows + j]
+        assert set(stationarity.indices.tolist()) \
+            == {0} | {layout.dual_off + i for i in rows}
 
     def test_price_variable_only_in_dual_and_switch_rows(self, t1):
+        # prices enter no primal row, and no switch row with a primal column
+        # (comp_p rows bound a primal side, comp_d rows a multiplier side)
         mpcc = build_mpcc(t1)
-        model = linearize(mpcc, default_big_m(mpcc))
+        model, layout = _linearize(mpcc, default_big_m(mpcc))
         lp = model.lp
         csc = lp.a_rows.tocsc()
+        primal = lp.a_rows[:, layout.primal_off: layout.dual_off]
         for h in range(t1.n_slots):
-            rows = {lp.row_tags[i][0] for i in
-                    csc.indices[csc.indptr[h]: csc.indptr[h + 1]]}
-            assert rows <= {"dual", "comp_d"}
+            rows = csc.indices[csc.indptr[h]: csc.indptr[h + 1]]
+            assert rows.size and rows.min() >= mpcc.system.n_rows
+            assert primal[rows].nnz == 0
             assert lp.obj[h] == 0.0
 
 
@@ -257,11 +263,11 @@ class TestSolveBilevel:
                                                    rel=1e-6, abs=1e-6)
 
 
-def _pair_family(mpcc, k) -> str:
-    ref = mpcc.pair_ref[k]
+def _pair_tag(mpcc, ref, k) -> tuple:
+    """The reference label of pair ``k``'s row or column."""
     if k < len(mpcc.ineq_rows):
-        return mpcc.system.skeleton.row_tags[ref][0]
-    return mpcc.system.var_tags[ref][0]
+        return ref.row_tags[mpcc.pair_ref[k]]
+    return ref.var_tags[mpcc.pair_ref[k]]
 
 
 def _zero_generation_slot():
@@ -314,9 +320,10 @@ class TestSwitchRules:
         assert np.all(dv[mpcc.rule == DUPLICATE_FLOOR] == 0.0)
 
     def test_zero_generation_slot_triggers(self):
-        mpcc = build_mpcc(_zero_generation_slot())
-        lam = {mpcc.system.var_tags[mpcc.pair_ref[k]][3]: mpcc.rule[k]
-               for k in range(mpcc.n_pairs) if _pair_family(mpcc, k) == "lam"}
+        inst = _zero_generation_slot()
+        mpcc, ref = build_mpcc(inst), reference_follower(inst)
+        tags = [_pair_tag(mpcc, ref, k) for k in range(mpcc.n_pairs)]
+        lam = {tag[3]: rule for tag, rule in zip(tags, mpcc.rule) if tag[0] == "lam"}
         assert lam == {0: ZERO_CAPACITY, 1: SWITCHED}
 
     @pytest.mark.parametrize("make", [_battery_floor_at_zero,
@@ -324,13 +331,13 @@ class TestSwitchRules:
     def test_battery_floor_at_zero_triggers(self, make):
         inst = make()
         assert inst.battery.min_level == 0.0 < inst.battery.max_level
-        mpcc = build_mpcc(inst)
+        mpcc, ref = build_mpcc(inst), reference_follower(inst)
         floors = [mpcc.rule[k] for k in range(mpcc.n_pairs)
-                  if _pair_family(mpcc, k) == "batt_floor"]
+                  if _pair_tag(mpcc, ref, k)[0] == "batt_floor"]
         assert floors and set(floors) == {DUPLICATE_FLOOR}
-        model = linearize(mpcc, default_big_m(mpcc))
+        model, layout = _linearize(mpcc, default_big_m(mpcc))
         for i in mpcc.refs(DUPLICATE_FLOOR):
-            assert model.lp.upper[model.lp.var_tags.index(("d", i))] == 0.0
+            assert model.lp.upper[layout.dual_off + i] == 0.0
         # a positive floor is a row of its own and keeps its switch
         raised = build_mpcc(inst.replace(battery=Battery(
             0.1, 0.1, inst.battery.max_level, 0.9, 0.95)))
@@ -342,14 +349,15 @@ class TestSwitchRules:
         sold = sol.follower.device["x"][0].sum(axis=0)
         at_tariff = np.isclose(sol.prices, inst.prices.competitor, atol=1e-9)
         assert np.any((sold > 1e-6) & at_tariff)
-        mpcc = build_mpcc(inst)
-        assert Counter(_pair_family(mpcc, k)
+        mpcc, ref = build_mpcc(inst), reference_follower(inst)
+        assert Counter(_pair_tag(mpcc, ref, k)[0]
                        for k in np.flatnonzero(mpcc.rule == DOMINATED_PURCHASE)) \
             == {"xb": 2}                    # no storage: xbs has zero capacity
 
     def test_week_counts(self):
-        mpcc = build_mpcc(generate_week_instance(1))
-        by_rule = {rule: Counter(_pair_family(mpcc, k)
+        inst = generate_week_instance(1)
+        mpcc, ref = build_mpcc(inst), reference_follower(inst)
+        by_rule = {rule: Counter(_pair_tag(mpcc, ref, k)[0]
                                  for k in np.flatnonzero(mpcc.rule == rule))
                    for rule in (ZERO_CAPACITY, DUPLICATE_FLOOR,
                                 DOMINATED_PURCHASE)}
@@ -365,7 +373,7 @@ class TestSwitchRules:
 class TestAudit:
     def _fake_solution(self, pv, dv):
         sol = BilevelSolution(
-            prices=np.zeros(1), follower=None, duals=None,
+            prices=np.zeros(1), follower=None,
             binaries=np.zeros(len(pv)), leader_objective=0.0,
             follower_objective=0.0, mip_gap=0.0, status=Status.OPTIMAL,
             pair_values=(np.asarray(pv, float), np.asarray(dv, float)))

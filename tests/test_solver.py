@@ -23,7 +23,7 @@ from conftest import DESK_SHAPE
 def simple_lp(maximize=True):
     b = LpBuilder(maximize=maximize)
     x = b.add_var("x", 0, np.inf, obj=1.0)
-    b.add_row("cap", [(x, 1.0)], "<", 5.0)
+    b.add_row([(x, 1.0)], "<", 5.0)
     return b.build()
 
 
@@ -38,8 +38,8 @@ class TestSimplex:
     def test_infeasible_with_certificate(self):
         b = LpBuilder()
         x = b.add_var("x", 0, np.inf, obj=1.0)
-        b.add_row(None, [(x, 1.0)], "<", 1.0)
-        b.add_row(None, [(x, 1.0)], ">", 2.0)
+        b.add_row([(x, 1.0)], "<", 1.0)
+        b.add_row([(x, 1.0)], ">", 2.0)
         sol = solve_lp(b.build())
         assert sol.status is Status.INFEASIBLE
         assert sol.farkas is not None
@@ -53,15 +53,15 @@ class TestSimplex:
     def test_unbounded(self):
         b = LpBuilder(maximize=True)
         x = b.add_var("x", 0, np.inf, obj=1.0)
-        b.add_row(None, [(x, 1.0)], ">", 0.0)
+        b.add_row([(x, 1.0)], ">", 0.0)
         assert solve_lp(b.build()).status is Status.UNBOUNDED
 
     def test_equalities_and_free_vars(self):
         b = LpBuilder()
         x = b.add_var("x", -np.inf, np.inf, obj=1.0)
         y = b.add_var("y", -np.inf, np.inf, obj=1.0)
-        b.add_row(None, [(x, 1.0), (y, 1.0)], "=", 3.0)
-        b.add_row(None, [(x, 1.0), (y, -1.0)], "=", 1.0)
+        b.add_row([(x, 1.0), (y, 1.0)], "=", 3.0)
+        b.add_row([(x, 1.0), (y, -1.0)], "=", 1.0)
         sol = solve_lp(b.build())
         assert sol.status is Status.OPTIMAL
         assert sol.x == pytest.approx([2.0, 1.0])
@@ -81,7 +81,7 @@ class TestSimplex:
             for j in range(n):
                 b.add_var(f"x{j}", 0.0, ub[j], obj=float(rng.normal()))
             for i in range(m):
-                b.add_row(None, [(j, A[i, j]) for j in range(n) if A[i, j]],
+                b.add_row([(j, A[i, j]) for j in range(n) if A[i, j]],
                           sense[i], float(rhs[i]))
             lp = b.build()
             sol = solve_lp(lp)
@@ -110,7 +110,7 @@ class TestSimplex:
                 lhs = sum(anchor[j] * v for j, v in terms)
                 sense = rng.choice([LE, GE, "="], p=[0.5, 0.4, 0.1])
                 off = {"<": 0.5, ">": -0.5, "=": 0.0}[sense] * rng.uniform(0, 2)
-                b.add_row(None, terms, sense, lhs + off)
+                b.add_row(terms, sense, lhs + off)
             lp = b.build()
             mine, ref = solve_lp(lp), sci.solve_lp(lp)
             assert mine.status == ref.status
@@ -133,7 +133,7 @@ class TestSimplex:
                          if rng.random() < 0.7] or [(0, 1.0)]
                 lhs = sum(anchor[j] * v for j, v in terms)
                 sense = rng.choice([LE, GE], p=[0.6, 0.4])
-                b.add_row(None, terms, sense,
+                b.add_row(terms, sense,
                           lhs + (0.5 if sense == LE else -0.5) * rng.uniform(0, 1))
             lp = b.build()
             sol = solve_lp(lp)
@@ -170,13 +170,13 @@ def _random_mixed_lp(rng) -> LinearProgram:
         lhs = sum(anchor[j] * v for j, v in terms)
         sense = rng.choice([LE, GE, "="], p=[0.4, 0.4, 0.2])
         off = {"<": 1.0, ">": -1.0, "=": 0.0}[sense] * rng.uniform(0, 2)
-        b.add_row(None, terms, sense, lhs + off)
+        b.add_row(terms, sense, lhs + off)
     # every column bounded on its objective's side keeps the LP bounded
-    b.add_row(None, [(j, 1.0) for j in range(n)], LE, float(anchor.sum() + 5))
-    b.add_row(None, [(j, 1.0) for j in range(n)], GE, float(anchor.sum() - 5))
+    b.add_row([(j, 1.0) for j in range(n)], LE, float(anchor.sum() + 5))
+    b.add_row([(j, 1.0) for j in range(n)], GE, float(anchor.sum() - 5))
     for j in range(n):
-        b.add_row(None, [(j, 1.0)], "<", float(anchor[j] + 4))
-        b.add_row(None, [(j, 1.0)], ">", float(anchor[j] - 4))
+        b.add_row([(j, 1.0)], "<", float(anchor[j] + 4))
+        b.add_row([(j, 1.0)], ">", float(anchor[j] - 4))
     return b.build()
 
 
@@ -201,8 +201,8 @@ def _redundant_rows_lp() -> LinearProgram:
     b = LpBuilder()
     x = b.add_var("x", 0, 4, obj=1.0)
     y = b.add_var("y", 0, 4, obj=2.0)
-    b.add_row(None, [(x, 1.0), (y, 1.0)], "=", 3.0)
-    b.add_row(None, [(x, 2.0), (y, 2.0)], "=", 6.0)
+    b.add_row([(x, 1.0), (y, 1.0)], "=", 3.0)
+    b.add_row([(x, 2.0), (y, 2.0)], "=", 6.0)
     return b.build()
 
 
@@ -275,8 +275,8 @@ class TestWarmStart:
         x1 = b.add_var("x1", 0, np.inf, obj=1.0)
         x2 = b.add_var("x2", 0, np.inf, obj=2.0)
         x3 = b.add_var("x3", 0, np.inf, obj=1.0)
-        b.add_row(None, [(x1, 1.0), (x2, 1.0), (x3, 1.0)], "<", 4.0)
-        b.add_row(None, [(x3, 1.0)], "<", 1.0)
+        b.add_row([(x1, 1.0), (x2, 1.0), (x3, 1.0)], "<", 4.0)
+        b.add_row([(x3, 1.0)], "<", 1.0)
         lp = b.build()
         ws = simplex.Workspace(lp)
         vstat = np.array([0, 0, 1, 1, 1], dtype=np.int8)
@@ -356,9 +356,9 @@ class TestRefactor:
         x1 = b.add_var("x1", 0, np.inf, obj=1.0)
         x2 = b.add_var("x2", 0, np.inf, obj=2.0)
         x3 = b.add_var("x3", 0, np.inf, obj=1.0)
-        b.add_row(None, [(x1, 1.0), (x2, 1.0), (x3, 1.0)], "<", 4.0)
-        b.add_row(None, [(x1, 2.0), (x2, 2.0)], "<", 6.0)
-        b.add_row(None, [(x3, 1.0)], "<", 1.0)
+        b.add_row([(x1, 1.0), (x2, 1.0), (x3, 1.0)], "<", 4.0)
+        b.add_row([(x1, 2.0), (x2, 2.0)], "<", 6.0)
+        b.add_row([(x3, 1.0)], "<", 1.0)
         lp = b.build()
         return lp, simplex.Workspace(lp)
 
@@ -455,7 +455,7 @@ def knapsack_model(values, weights, cap):
     b = LpBuilder(maximize=True)
     for j, v in enumerate(values):
         b.add_var(f"z{j}", 0.0, 1.0, obj=float(v))
-    b.add_row("cap", [(j, float(w)) for j, w in enumerate(weights)], "<", float(cap))
+    b.add_row([(j, float(w)) for j, w in enumerate(weights)], "<", float(cap))
     return MilpModel(b.build(), np.arange(len(values)))
 
 
@@ -511,7 +511,7 @@ class TestBranchAndBound:
     def test_infeasible_milp(self):
         b = LpBuilder(maximize=True)
         z = b.add_var("z", 0.0, 1.0, obj=1.0)
-        b.add_row(None, [(z, 1.0)], ">", 2.0)
+        b.add_row([(z, 1.0)], ">", 2.0)
         res = solve_milp(MilpModel(b.build(), np.array([z])))
         assert res.status is Status.INFEASIBLE
 
