@@ -67,9 +67,10 @@ class FollowerSystem:
     the leader price does not touch), where ``prob`` is the summed
     probability of the leaves at the column's tree node.  The priced columns
     are the leader's sales (families ``x`` and ``xs``), so leader profit is
-    ``sum prob * (p[slot] - K[slot]) * v`` over them.  ``device_index`` and
-    ``slot_cols`` are the one map from decisions to columns: they hold a cell
-    for every leaf, and leaves at one tree node hold the same column there.
+    ``sum prob * (p[slot] - K[slot]) * v`` over them.  ``window_pos`` with
+    ``window_cols``, and ``slot_cols``, are the one map from decisions to
+    columns: they hold a cell for every leaf, and leaves at one tree node hold
+    the same column there.
     Prices change only the objective: ``skeleton`` holds every row and bound,
     with ``c0`` as its objective, and its arrays are read-only because every
     priced LP shares them.
@@ -80,10 +81,8 @@ class FollowerSystem:
     price_slot: np.ndarray      # -1 where the leader price does not enter
     price_prob: np.ndarray
     skeleton: LinearProgram
-    device_index: dict          # device family -> (n_scen, n_dev, n_slots) columns,
-                                # -1 outside the device's window
     slot_cols: dict             # slot family or "S" -> (n_scen, slots) columns
-    window_pos: np.ndarray      # flat (scenario, device, slot) positions in windows
+    window_pos: np.ndarray      # flat positions in ``schedule_shape`` of window cells
     window_cols: np.ndarray     # (device family, window position) -> column
     row_sign: np.ndarray        # -1 on <= rows, +1 elsewhere
     row_families: dict          # row family -> row indices
@@ -96,6 +95,12 @@ class FollowerSystem:
     @property
     def n_rows(self) -> int:
         return self.skeleton.n_rows
+
+    @property
+    def schedule_shape(self) -> tuple[int, int, int]:
+        """(scenario, device, slot): the shape of a device family's schedule."""
+        inst = self.instance
+        return inst.tree.n_leaves, len(inst.devices), inst.n_slots
 
     def objective(self, prices: np.ndarray) -> np.ndarray:
         c = self.c0.copy()
@@ -146,9 +151,6 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
     window_pos = ((np.arange(n_scen) * (n_dev * n_slots))[:, None]
                   + cell_dev * n_slots + cell_slot).ravel()
     window_cols = cols[:, :n_dcol].reshape(-1, len(DEVICE_FAMILIES)).T
-    columns = np.full((len(DEVICE_FAMILIES), n_scen, n_dev, n_slots), -1,
-                      dtype=np.int64)       # (family, s, d, slot)
-    columns.reshape(len(DEVICE_FAMILIES), -1)[:, window_pos] = window_cols
     stored = cols[:, n_dcol:s0].reshape(n_scen, n_slots, len(SLOT_FAMILIES))
     slot_cols = {f: stored[:, :, g] for g, f in enumerate(SLOT_FAMILIES)}
     slot_cols["S"] = cols[:, s0:]
@@ -161,7 +163,6 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
         price_slot=np.where(priced[pos], col_slot[pos], -1),
         price_prob=np.where(priced[pos], prob, 0.0),
         skeleton=skeleton,
-        device_index=dict(zip(DEVICE_FAMILIES, columns)),
         slot_cols=slot_cols,
         window_pos=window_pos,
         window_cols=window_cols,
@@ -315,7 +316,7 @@ class FollowerSolution:
 def extract_solution(system: FollowerSystem, x: np.ndarray,
                      objective: float) -> FollowerSolution:
     x = np.asarray(x)
-    dense = np.zeros((len(DEVICE_FAMILIES), *system.device_index["x"].shape))
+    dense = np.zeros((len(DEVICE_FAMILIES), *system.schedule_shape))
     dense.reshape(len(DEVICE_FAMILIES), -1)[:, system.window_pos] = \
         x[system.window_cols]
     stored = {f: x[system.slot_cols[f]] for f in SLOT_FAMILIES}
@@ -331,7 +332,12 @@ def solve_follower(lp: LinearProgram, backend: str | None = None,
     the row multipliers in the nonnegative convention for inequality rows.
 
     The schedule and multipliers require the ``system`` the LP was built
-    from, whose index arrays read them.
+    from, whose index arrays read them.  LPs priced from one system share its
+    read-only skeleton, so the HiGHS backend keeps the last one loaded and
+    re-optimizes the next from its basis (``gridtariff.solver.backends``):
+    the objective and multipliers are optimal either way, but among
+    alternative optima the schedule returned can depend on the price vector
+    solved before it on the same thread.
     """
     sol = get_backend(backend).solve_lp(lp, opts)
     if sol.status is Status.INFEASIBLE:

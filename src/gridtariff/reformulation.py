@@ -41,9 +41,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .follower import (FollowerSolution, FollowerSystem, build_follower_lp,
-                       build_follower_system, extract_solution, leader_profit,
-                       solve_follower)
+from .follower import (DEVICE_FAMILIES, FollowerSolution, FollowerSystem,
+                       build_follower_lp, build_follower_system,
+                       extract_solution, leader_profit, solve_follower)
 from .model import Instance, validate
 from .solver import (EQ, GE, LE, LinearProgram, MilpModel, MilpResult,
                      SolveOptions, Status, get_backend, verify_milp_solution)
@@ -191,9 +191,9 @@ def _structural_upper_bounds(system: FollowerSystem) -> np.ndarray:
     device_upper = {"x": power, "xb": power, "lam": np.minimum(power, dg[:, None, :]),
                     "sd": np.minimum(power, bat.max_level)}
     upper = np.full(system.n_vars, max(bat.max_level, bat.initial))   # battery state
-    for fam, cols in system.device_index.items():
-        on = cols >= 0
-        upper[cols[on]] = np.broadcast_to(device_upper[fam], cols.shape)[on]
+    cell = np.unravel_index(system.window_pos, system.schedule_shape)
+    for fam, cols in zip(DEVICE_FAMILIES, system.window_cols):
+        upper[cols] = np.broadcast_to(device_upper[fam], system.schedule_shape)[cell]
     upper[system.slot_cols["xs"]] = charge_cap
     upper[system.slot_cols["xbs"]] = charge_cap
     upper[system.slot_cols["lams"]] = np.minimum(charge_cap, dg)
@@ -266,8 +266,7 @@ def _switch_rules(system: FollowerSystem, ineq: np.ndarray,
     if system.instance.battery.min_level == 0.0:
         floor[system.row_families["batt_floor"]] = True
     purchase = np.zeros(system.n_vars, dtype=bool)
-    xb = system.device_index["xb"]
-    purchase[xb[xb >= 0]] = True
+    purchase[system.window_cols[DEVICE_FAMILIES.index("xb")]] = True
     purchase[system.slot_cols["xbs"]] = True
     rule = np.full(len(primal_bound), SWITCHED, dtype=np.int8)
     rule[:n_ineq][floor[ineq]] = DUPLICATE_FLOOR
@@ -486,11 +485,23 @@ def _priming_points(mpcc: MpccSystem, layout: _MilpLayout, model: MilpModel,
     competitor profile in particular makes the dominance bound hold from the
     first node.
 
+    The operator LPs are solved with the competitor purchases ``xb`` and
+    ``xbs`` bounded at 0, so that no optimum is dropped for buying from the
+    competitor.  The bound keeps the LP's optimal value, so its optima are
+    operator optima, while every price is at most the tariff ``pbar`` (the
+    profiles are, and ``_linearize`` rejects pinned prices above it): a
+    purchase has the same column as its leader twin ``x``/``xs`` and costs
+    ``prob * (pbar - p) >= 0`` more, so moving its amount onto the twin keeps
+    every row and does not raise the cost (the ``DOMINATED_PURCHASE`` rule of
+    ``_switch_rules``).  Where ``p = pbar`` the two tie, and which one an
+    unrestricted LP buys would be the solver's choice.
+
     Only the bundled branch-and-bound reads these points, as its first
-    incumbents; HiGHS through ``ScipyBackend`` ignores them.  Without them a
-    node- or time-limited bundled solve can end with no incumbent at all:
-    desk seed 1 with ``node_limit=1`` returns ``NODE_LIMIT`` with priming
-    and raises ``BilevelInfeasible`` without it.
+    incumbents; ``solve_bilevel`` computes none for a backend that does not
+    read them (``reads_initial_solutions``).  Without them a node- or
+    time-limited bundled solve can end with no incumbent at all: desk seed 1
+    with ``node_limit=1`` returns ``NODE_LIMIT`` with priming and raises
+    ``BilevelInfeasible`` without it.
     """
     system = mpcc.system
     inst = system.instance
@@ -498,13 +509,17 @@ def _priming_points(mpcc: MpccSystem, layout: _MilpLayout, model: MilpModel,
     supply = inst.prices.supply_cost
     profiles = [comp.copy(),
                 np.minimum(comp, np.maximum(0.0, 0.5 * (comp + supply)))]
+    upper = system.skeleton.upper.copy()
+    upper[system.window_cols[DEVICE_FAMILIES.index("xb")]] = 0.0
+    upper[system.slot_cols["xbs"]] = 0.0
     points = []
     for prof in profiles:
         if pinned_prices:
             prof = prof.copy()
             for h, v in pinned_prices.items():
                 prof[h] = v
-        lp = build_follower_lp(inst, prof, system)
+        lp = build_follower_lp(inst, prof, system).with_bounds(
+            system.skeleton.lower, upper)
         try:
             sol, _, _ = solve_follower(lp, backend=backend)
         except RuntimeError:
@@ -629,7 +644,9 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
                 f"time budget exhausted after {attempt} attempts")
         attempt_opts = replace(opts, time_limit=max(remaining, 0.5))
         model, layout = _linearize(mpcc, cfg, pinned_prices)
-        warm = _priming_points(mpcc, layout, model, pinned_prices, backend)
+        # a backend that does not say whether it reads them is primed
+        warm = _priming_points(mpcc, layout, model, pinned_prices, backend) \
+            if getattr(solver, "reads_initial_solutions", True) else []
         result = solver.solve_milp(model, attempt_opts, initial_solutions=warm)
         if result.status is Status.INFEASIBLE:
             # undersized multiplier caps can choke the whole system; larger M

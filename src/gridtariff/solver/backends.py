@@ -1,23 +1,38 @@
 """Pluggable solver backends.
 
 The bundled simplex/branch-and-bound is the default and the reference used
-by the test suite; a scipy (HiGHS) adapter covers large instances.  Select a
+by the test suite; a HiGHS adapter covers large instances.  Select a
 backend per call, or globally through the ``GRIDTARIFF_BACKEND`` environment
 variable.
+
+``ScipyBackend`` solves LPs through the HiGHS bindings that scipy vendors
+(``scipy.optimize._highspy._core``), and MILPs through
+``scipy.optimize.milp``.  An LP goes to HiGHS in row-bound form
+(``row_lower <= A x <= row_upper``), its CSR matrix passed row-wise as it is.
+An LP whose matrix, senses, right-hand sides and bounds are all read-only
+arrays is *re-priceable*: every LP that ``build_follower_lp`` prices from one
+operator system is, since they share the system's skeleton.  Such an LP is
+solved with presolve off, and after an optimal solve its loaded HiGHS model
+is kept, one per thread.  The next LP with the very same arrays only swaps in
+its costs and re-optimizes from the kept basis; any other LP releases the
+kept model first.  A re-priced LP's optimal vertex can therefore depend on
+the previous re-pricing on that thread; its objective and duals are optimal
+either way.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from typing import Protocol
 
 import numpy as np
 import scipy.optimize as sopt
-import scipy.sparse as sp
+from scipy.optimize._highspy import _core as highs_core
 
 from . import bnb, simplex
-from .core import (EQ, GE, LE, LinearProgram, LpSolution, MilpModel,
+from .core import (GE, LE, LinearProgram, LpSolution, MilpModel,
                    MilpResult, SolveOptions, SolverError, Status)
 
 ENV_VAR = "GRIDTARIFF_BACKEND"
@@ -25,6 +40,9 @@ ENV_VAR = "GRIDTARIFF_BACKEND"
 
 class SolverBackend(Protocol):
     name: str
+    # whether ``solve_milp`` reads ``initial_solutions``; callers skip
+    # computing them for a backend that does not
+    reads_initial_solutions: bool
 
     def solve_lp(self, lp: LinearProgram, opts: SolveOptions | None = None) -> LpSolution: ...
 
@@ -34,6 +52,7 @@ class SolverBackend(Protocol):
 
 class BundledBackend:
     name = "bundled"
+    reads_initial_solutions = True
 
     def solve_lp(self, lp, opts=None):
         return simplex.solve_lp(lp)
@@ -42,61 +61,102 @@ class BundledBackend:
         return bnb.solve_milp(model, opts, initial_solutions)
 
 
+def _row_bounds(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``[lower, upper]`` interval from its sense and rhs."""
+    return (np.where(lp.sense == LE, -np.inf, lp.rhs),
+            np.where(lp.sense == GE, np.inf, lp.rhs))
+
+
+def _reprice_key(lp: LinearProgram) -> tuple | None:
+    """The arrays that fix a re-priceable LP's rows and bounds, or None when
+    any of them is writeable (and so could change under a kept model)."""
+    a = lp.a_rows
+    key = (a.data, a.indices, a.indptr, lp.sense, lp.rhs, lp.lower, lp.upper)
+    return None if any(arr.flags.writeable for arr in key) else key
+
+
+def _load(lp: LinearProgram, cost: np.ndarray, presolve: bool):
+    """A new HiGHS instance holding ``lp`` with objective ``cost`` (minimized)."""
+    model = highs_core.HighsLp()
+    model.num_col_, model.num_row_ = lp.n_vars, lp.n_rows
+    model.col_cost_, model.col_lower_, model.col_upper_ = cost, lp.lower, lp.upper
+    model.row_lower_, model.row_upper_ = _row_bounds(lp)
+    matrix = model.a_matrix_
+    matrix.format_ = highs_core.MatrixFormat.kRowwise
+    matrix.num_col_, matrix.num_row_ = lp.n_vars, lp.n_rows
+    matrix.start_, matrix.index_ = lp.a_rows.indptr, lp.a_rows.indices
+    matrix.value_ = lp.a_rows.data
+    model.a_matrix_ = matrix
+    highs = highs_core._Highs()
+    highs.setOptionValue("output_flag", False)
+    if not presolve:
+        highs.setOptionValue("presolve", "off")
+    if highs.passModel(model) == highs_core.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the LP")
+    return highs
+
+
+def _not_optimal(lp: LinearProgram, highs, status) -> LpSolution:
+    """The verdict of a HiGHS LP solve that did not end optimal; any status
+    other than a verdict on the LP itself raises."""
+    codes = highs_core.HighsModelStatus
+    if status == codes.kInfeasible:
+        return LpSolution(Status.INFEASIBLE, None, None, None, None)
+    if status in (codes.kUnbounded, codes.kUnboundedOrInfeasible):
+        # the latter: the dual is infeasible, so there is no finite optimum
+        return LpSolution(Status.UNBOUNDED, None, None, None, None)
+    if status == codes.kModelEmpty:
+        # an LP without columns, whose rows HiGHS does not check: each reads 0
+        lower, upper = _row_bounds(lp)
+        if np.any(lower > 0.0) or np.any(upper < 0.0):
+            return LpSolution(Status.INFEASIBLE, None, None, None, None)
+        return LpSolution(Status.OPTIMAL, np.zeros(0), np.zeros(lp.n_rows),
+                          np.zeros(0), 0.0)
+    raise SolverError(f"HiGHS LP solve failed: {highs.modelStatusToString(status)}")
+
+
 class ScipyBackend:
-    """HiGHS via scipy.optimize; duals recovered from HiGHS marginals."""
+    """HiGHS through scipy's vendored bindings; duals are HiGHS' row duals."""
 
     name = "scipy"
+    reads_initial_solutions = False
 
-    @staticmethod
-    def _split(lp: LinearProgram):
-        le = np.flatnonzero(lp.sense == LE)
-        ge = np.flatnonzero(lp.sense == GE)
-        eq = np.flatnonzero(lp.sense == EQ)
-        a_ub = sp.vstack([lp.a_rows[le], -lp.a_rows[ge]], format="csr") \
-            if len(le) + len(ge) else None
-        b_ub = np.concatenate([lp.rhs[le], -lp.rhs[ge]]) if a_ub is not None else None
-        a_eq = lp.a_rows[eq] if len(eq) else None
-        b_eq = lp.rhs[eq] if a_eq is not None else None
-        return le, ge, eq, a_ub, b_ub, a_eq, b_eq
+    def __init__(self) -> None:
+        self._kept = threading.local()      # .model: (reprice key, loaded _Highs)
 
     def solve_lp(self, lp, opts=None):
         lp.validate()
         sign = -1.0 if lp.maximize else 1.0
-        le, ge, eq, a_ub, b_ub, a_eq, b_eq = self._split(lp)
-        res = sopt.linprog(sign * lp.obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq,
-                           b_eq=b_eq, bounds=np.column_stack([lp.lower, lp.upper]),
-                           method="highs")
-        if res.status == 2:
-            return LpSolution(Status.INFEASIBLE, None, None, None, None)
-        if res.status == 3:
-            return LpSolution(Status.UNBOUNDED, None, None, None, None)
-        if res.status != 0:
-            raise SolverError(f"scipy linprog failed: {res.message}")
-        duals = np.zeros(lp.n_rows)
-        if a_ub is not None:
-            marg = res.ineqlin.marginals
-            duals[le] = marg[: len(le)]
-            duals[ge] = -marg[len(le):]
-        if a_eq is not None:
-            duals[eq] = res.eqlin.marginals
-        duals *= sign
-        x = res.x
+        key = _reprice_key(lp)
+        kept = getattr(self._kept, "model", None)
+        self._kept.model = None
+        if kept is not None and key is not None \
+                and all(a is b for a, b in zip(kept[0], key)):
+            highs = kept[1]
+            highs.changeColsCost(lp.n_vars, np.arange(lp.n_vars, dtype=np.int32),
+                                 sign * lp.obj)
+        else:
+            kept = None         # free the old model before loading the new one
+            highs = _load(lp, sign * lp.obj, presolve=key is None)
+        highs.run()
+        status = highs.getModelStatus()
+        if status != highs_core.HighsModelStatus.kOptimal:
+            return _not_optimal(lp, highs, status)
+        solution = highs.getSolution()
+        x = np.asarray(solution.col_value)
+        duals = sign * np.asarray(solution.row_dual)
+        if key is not None:
+            self._kept.model = (key, highs)
         rc = lp.obj - np.asarray(lp.a_rows.T @ duals).ravel()
-        obj = float(lp.obj @ x)
-        return LpSolution(Status.OPTIMAL, x, duals, rc, obj,
-                          iterations=int(getattr(res, "nit", 0)))
+        return LpSolution(Status.OPTIMAL, x, duals, rc, float(lp.obj @ x),
+                          iterations=int(highs.getInfo().simplex_iteration_count))
 
     def solve_milp(self, model, opts=None, initial_solutions=None):
         opts = opts or SolveOptions()
         model.validate()
         lp = model.lp
         sign = -1.0 if lp.maximize else 1.0
-        lo = np.full(lp.n_rows, -np.inf)
-        hi = np.full(lp.n_rows, np.inf)
-        lo[lp.sense == GE] = lp.rhs[lp.sense == GE]
-        hi[lp.sense == LE] = lp.rhs[lp.sense == LE]
-        lo[lp.sense == EQ] = lp.rhs[lp.sense == EQ]
-        hi[lp.sense == EQ] = lp.rhs[lp.sense == EQ]
+        lo, hi = _row_bounds(lp)
         integrality = np.zeros(lp.n_vars)
         integrality[model.binary_idx] = 1
         # tight tolerances matter: slack allowed on a big-M row is the

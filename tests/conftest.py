@@ -81,6 +81,17 @@ def random_tiny_instance(rng: np.random.Generator, *, n_slots: int,
 # -- reference operator LP ------------------------------------------------------
 
 
+def device_columns(system) -> dict:
+    """Each device family's columns as a dense (scenario, device, slot) map,
+    -1 outside the device's window, scattered from ``window_pos`` and
+    ``window_cols``."""
+    dense = np.full((len(DEVICE_FAMILIES), *system.schedule_shape), -1,
+                    dtype=np.int64)
+    dense.reshape(len(DEVICE_FAMILIES), -1)[:, system.window_pos] = \
+        system.window_cols
+    return dict(zip(DEVICE_FAMILIES, dense))
+
+
 @dataclass
 class ReferenceFollower:
     """The operator LP with a tuple key per decision and leaf.

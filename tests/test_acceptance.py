@@ -30,7 +30,8 @@ from gridtariff.scenario import indistinguishability_time, uniform_selector
 from gridtariff.solver import (LpBuilder, MilpModel, SolveOptions, Status,
                                solve_lp, solve_milp)
 
-from conftest import OptimisticResponder, grid_oracle, random_tiny_instance
+from conftest import (OptimisticResponder, device_columns, grid_oracle,
+                      random_tiny_instance)
 from test_scenario import assert_node_map_matches_oracle, random_trees
 from test_solver import _vertex_enumeration_optimum, knapsack_model
 
@@ -213,7 +214,7 @@ def test_criterion_7_nonanticipativity(oracle_runs):
             inst = random_tiny_instance(rng, n_slots=tree.n_slots, n_devices=2,
                                         battery=True).replace(tree=tree)
             system = build_follower_system(inst)
-            dev_cols, slot_cols = system.device_index, system.slot_cols
+            dev_cols, slot_cols = device_columns(system), system.slot_cols
             for a, b in itertools.combinations(range(tree.n_leaves), 2):
                 h_max = indistinguishability_time(tree.leaves[a], tree.leaves[b])
                 for h in range(tree.n_slots):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,14 @@ from gridtariff.model import Battery, Device, Horizon, Instance, PriceData, Time
 from gridtariff.rolling import RhConfig, make_subinstance
 from gridtariff.scenario import (BaseScenario, flat_tree,
                                  indistinguishability_time, single_path_tree)
-from gridtariff.solver import EQ, LE
+from gridtariff.solver import EQ, LE, Status, check_lp_solution, solve_lp
+from gridtariff.solver.backends import ScipyBackend
 
-from conftest import DESK_SHAPE, make_t1, random_tiny_instance, reference_follower
+from conftest import (DESK_SHAPE, device_columns, make_t1, random_tiny_instance,
+                      reference_follower)
 from test_rolling import empty_trajectory
 from test_scenario import random_trees
+from test_solver import assert_dual_certificate
 
 
 def solve_at(instance, prices):
@@ -54,7 +59,8 @@ class TestBuildCounts:
         system = build_follower_system(inst)
         # all eight families share their slot-0 column (S[1] is set in slot 0)
         # and no later one
-        fams = [system.device_index[f][:, 0] for f in DEVICE_FAMILIES] \
+        device = device_columns(system)
+        fams = [device[f][:, 0] for f in DEVICE_FAMILIES] \
             + [system.slot_cols[f] for f in (*SLOT_FAMILIES, "S")]
         leaf0, leaf1 = (np.concatenate([c[s] for c in fams]) for s in (0, 1))
         np.testing.assert_array_equal(leaf0 == leaf1,
@@ -62,7 +68,7 @@ class TestBuildCounts:
         assert system.n_vars == 17 + 8      # the one-leaf count plus slot 1
         assert len(np.unique(np.concatenate([leaf0, leaf1]))) == system.n_vars
         # a shared column is priced with both leaves' probability
-        x = system.device_index["x"][0, 0]
+        x = device["x"][0, 0]
         np.testing.assert_array_equal(system.price_prob[x], [1.0, 0.5])
 
 
@@ -116,7 +122,7 @@ class TestEvaluateSchedule:
     def test_shifted_schedule_pays_delay(self, t1):
         system = build_follower_system(t1)
         x = np.zeros(system.n_vars)
-        x[system.device_index["x"][0, 0, 1]] = 2.0   # everything in slot 1
+        x[device_columns(system)["x"][0, 0, 1]] = 2.0   # everything in slot 1
         fsol = extract_solution(system, x, 0.0)
         costs = evaluate_schedule(t1, np.array([3.0, 3.0]), fsol)
         assert costs.billing_cost == pytest.approx(6.0)
@@ -275,9 +281,9 @@ class TestReference:
             got, want = getattr(system, name), getattr(ref, name)
             assert got.dtype.kind == want.dtype.kind
             np.testing.assert_array_equal(got, want)
+        device = device_columns(system)
         for f in DEVICE_FAMILIES:
-            np.testing.assert_array_equal(system.device_index[f],
-                                          ref.device_index(f))
+            np.testing.assert_array_equal(device[f], ref.device_index(f))
         assert list(system.slot_cols) == [*SLOT_FAMILIES, "S"]
         for f, cols in system.slot_cols.items():
             np.testing.assert_array_equal(cols, ref.slot_cols(f))
@@ -342,6 +348,67 @@ class TestSkeleton:
         # callers that need other bounds copy them first
         fixed = lp.with_bounds(lp.lower.copy(), np.minimum(lp.upper, 1.0))
         assert fixed.upper.max() == 1.0 and np.isinf(lp.upper).all()
+
+
+class TestRepricedHighs:
+    """The HiGHS backend keeps a re-priceable LP's model and re-optimizes it
+    from the last basis when only the prices change."""
+
+    @pytest.mark.parametrize("which", ["mini", "week"])
+    def test_repriced_lp_matches_fresh_cold_solves(self, which, week3):
+        if which == "week":
+            inst, system, _ = week3
+        else:
+            inst = generate_mini_instance(5, n_bases=3)
+            system = build_follower_system(inst)
+        profiles = [inst.prices.competitor, *_profiles(inst, seed=6),
+                    *_profiles(inst, seed=7), inst.prices.supply_cost]
+        backend = ScipyBackend()
+        hot = []
+        for prices in profiles:
+            lp = build_follower_lp(inst, prices, system)
+            sol = backend.solve_lp(lp)
+            assert sol.status is Status.OPTIMAL
+            assert not check_lp_solution(lp, sol.x)
+            assert_dual_certificate(lp, sol)
+            hot.append(sol.objective)
+        assert backend.solve_lp(lp).iterations == 0      # kept at its optimum
+        for prices, objective in zip(profiles, hot):
+            fresh = build_follower_system(inst)
+            cold = ScipyBackend().solve_lp(build_follower_lp(inst, prices, fresh))
+            assert cold.objective == pytest.approx(objective, rel=1e-9)
+
+    def test_writeable_rhs_is_never_served_from_the_kept_model(self):
+        inst = generate_mini_instance(5, n_bases=3)
+        system = build_follower_system(inst)
+        backend = ScipyBackend()
+        lp = build_follower_lp(inst, inst.prices.competitor, system)
+        backend.solve_lp(lp)
+        mutable = replace(lp, rhs=lp.rhs.copy())
+        first = backend.solve_lp(mutable)
+        mutable.rhs[system.row_families["demand_min"]] *= 0.5
+        second = backend.solve_lp(mutable)
+        assert second.objective < first.objective - 1e-6
+        assert second.objective == pytest.approx(solve_lp(mutable).objective,
+                                                 rel=1e-9)
+
+    def test_infeasible_solve_after_a_hot_one_leaves_a_cold_start(self):
+        inst = generate_mini_instance(5, n_bases=3)
+        system = build_follower_system(inst)
+        p1, p2 = _profiles(inst, seed=8)
+        lp = build_follower_lp(inst, p2, system)
+        cold = ScipyBackend().solve_lp(lp)
+        backend = ScipyBackend()
+        backend.solve_lp(build_follower_lp(inst, p1, system))
+        backend.solve_lp(lp)
+        assert backend.solve_lp(lp).iterations == 0      # kept at its optimum
+        bad = make_t1().replace(devices=[Device("c", "a", TimeWindow(0, 0), 5.0,
+                                                1.0, (0.0,))])
+        assert backend.solve_lp(build_follower_lp(bad, np.array([3.0, 3.0]))
+                                ).status is Status.INFEASIBLE
+        again = backend.solve_lp(lp)
+        assert again.iterations == cold.iterations > 0
+        np.testing.assert_array_equal(again.x, cold.x)
 
 
 class TestExtraction:

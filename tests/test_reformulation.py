@@ -464,13 +464,20 @@ class TestPriming:
         model, layout = _linearize(mpcc, default_big_m(mpcc))
         points = _priming_points(mpcc, layout, model, None, backend)
         assert len(points) == 2
-        n = mpcc.system.n_vars
+        system = mpcc.system
         for point in points:
             prices = point[: layout.n_slots]
-            schedule = extract_solution(
-                mpcc.system, point[layout.primal_off: layout.primal_off + n], 0.0)
+            x = point[layout.primal_off: layout.primal_off + system.n_vars]
+            schedule = extract_solution(system, x, 0.0)
             assert float(model.lp.obj @ point) == pytest.approx(
                 leader_profit(inst, prices, schedule), rel=1e-6)
+            # nothing bought from the competitor, at an operator optimum
+            assert not schedule.device["xb"].any()
+            assert not schedule.stored["xbs"].any()
+            unrestricted, _, _ = solve_follower(
+                build_follower_lp(inst, prices, system), backend=backend)
+            assert float(system.objective(prices) @ x) == pytest.approx(
+                unrestricted.objective, rel=1e-9)
 
     def test_node_limited_bundled_solve_keeps_the_primed_incumbent(self):
         sol = solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0, node_limit=1))

@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gridtariff.solver import (GE, LE, LinearProgram, LpBuilder, MilpModel,
                                SolveOptions, SolverError, Status,
@@ -532,6 +533,97 @@ class TestBranchAndBound:
         assert not verify_milp_solution(model, res.x, tol=1e-6)
         frac = np.abs(res.x[model.binary_idx] - np.round(res.x[model.binary_idx]))
         assert frac.max() <= 1e-6
+
+
+def assert_dual_certificate(lp: LinearProgram, sol, tol: float = 1e-6) -> None:
+    """The duals and reduced costs of an optimal ``sol`` certify it: row
+    duals have the sign of their row and vanish on slack rows, a nonzero
+    reduced cost sits at the bound it pushes against, and the dual objective
+    equals the primal one."""
+    sign = -1.0 if lp.maximize else 1.0
+    y, rc, x = sign * sol.duals, sign * sol.reduced_costs, sol.x
+    act = lp.a_rows @ x
+    scale = 1.0 + np.abs(lp.rhs)
+    assert np.all(y[lp.sense == GE] >= -tol) and np.all(y[lp.sense == LE] <= tol)
+    slack = (lp.sense != "=") & (np.abs(act - lp.rhs) > tol * scale)
+    assert np.all(np.abs(y[slack]) <= tol)
+    at_lower = np.isclose(x, lp.lower, rtol=0.0, atol=tol)
+    at_upper = np.isclose(x, lp.upper, rtol=0.0, atol=tol)
+    assert np.all((rc <= tol) | at_lower) and np.all((rc >= -tol) | at_upper)
+    bound = np.where(rc > 0, lp.lower, lp.upper)
+    pushed = np.abs(rc) > tol
+    dual_obj = float(sol.duals @ lp.rhs + sol.reduced_costs[pushed] @ bound[pushed])
+    assert dual_obj == pytest.approx(sol.objective, rel=1e-7, abs=1e-7)
+
+
+def _read_only(lp: LinearProgram) -> LinearProgram:
+    """The LP with its rows and bounds frozen, which makes it re-priceable."""
+    a = lp.a_rows
+    for arr in (a.data, a.indices, a.indptr, lp.sense, lp.rhs, lp.lower, lp.upper):
+        arr.setflags(write=False)
+    return lp
+
+
+class TestScipyLp:
+    """``ScipyBackend.solve_lp`` on HiGHS: the kept model of a re-priceable
+    LP, and the classification of HiGHS' statuses."""
+
+    def test_repriced_random_lps_match_bundled(self):
+        rng = np.random.default_rng(43)
+        sci = ScipyBackend()
+        optimal = 0
+        for _ in range(25):
+            lp = _read_only(_random_mixed_lp(rng))
+            for _ in range(4):
+                priced = lp.with_objective(rng.normal(size=lp.n_vars),
+                                           maximize=bool(rng.integers(0, 2)))
+                mine, ref = solve_lp(priced), sci.solve_lp(priced)
+                assert ref.status is mine.status
+                if ref.status is Status.OPTIMAL:
+                    optimal += 1
+                    assert ref.objective == pytest.approx(mine.objective,
+                                                          rel=1e-7, abs=1e-7)
+                    assert not check_lp_solution(priced, ref.x)
+                    assert_dual_certificate(priced, ref)
+            if ref.status is Status.OPTIMAL:
+                # the same costs again start from the kept optimal basis
+                assert sci.solve_lp(priced).iterations == 0
+        assert optimal >= 60
+
+    def test_statuses_match_bundled(self):
+        b = LpBuilder(maximize=True)
+        x = b.add_var("x", 0, np.inf, obj=1.0)
+        b.add_row([(x, 1.0)], GE, 1.0)
+        unbounded = b.build()
+        b = LpBuilder()
+        x = b.add_var("x", 0, 1.0, obj=1.0)
+        b.add_row([(x, 1.0)], GE, 2.0)
+        infeasible = b.build()
+        empty = [LinearProgram(0, np.zeros(0), np.zeros(0), np.zeros(0),
+                               sp.csr_matrix((1, 0)), np.array([sense], dtype=object),
+                               np.array([1.0])) for sense in (LE, GE)]
+        for lp in (unbounded, infeasible, *empty):
+            for frozen in (False, True):
+                lp = _read_only(lp) if frozen else lp
+                mine, ref = solve_lp(lp), ScipyBackend().solve_lp(lp)
+                assert ref.status is mine.status
+                if ref.status is Status.OPTIMAL:
+                    assert ref.objective == mine.objective == 0.0
+                    assert ref.duals.tolist() == [0.0]
+        assert ScipyBackend().solve_lp(empty[0]).status is Status.OPTIMAL
+
+    def test_other_status_raises_with_the_highs_status(self, monkeypatch):
+        from scipy.optimize._highspy import _core
+
+        class IterationLimited(_core._Highs):
+            def run(self):
+                self.setOptionValue("simplex_iteration_limit", 0)
+                return super().run()
+
+        monkeypatch.setattr(_core, "_Highs", IterationLimited)
+        lp = _read_only(_random_mixed_lp(np.random.default_rng(3)))
+        with pytest.raises(SolverError, match="Iteration limit reached"):
+            ScipyBackend().solve_lp(lp)
 
 
 class TestBackends:
