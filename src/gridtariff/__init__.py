@@ -21,9 +21,8 @@ from .reformulation import (BigMConfig, BilevelSolution, audit_big_m,
 from .rolling import RhConfig, RhTrajectory, audit_trajectory, make_subinstance
 from .rolling import run as run_rolling_horizon
 from .scenario import (BaseScenario, MarkovSelector, ScenarioTree,
-                       build_complete_tree, flat_tree,
-                       indistinguishability_time, node_map, realize_next,
-                       single_path_tree, uniform_selector)
+                       build_complete_tree, flat_tree, node_map,
+                       realize_next, single_path_tree, uniform_selector)
 from .serialize import read_instance, write_instance
 from .solver import SolveOptions, Status, get_backend, register_backend
 
@@ -33,7 +32,7 @@ __all__ = [
     "Battery", "Device", "Horizon", "Instance", "PriceData", "TimeWindow",
     "validate",
     "BaseScenario", "MarkovSelector", "ScenarioTree", "build_complete_tree",
-    "flat_tree", "indistinguishability_time", "node_map",
+    "flat_tree", "node_map",
     "realize_next", "single_path_tree", "uniform_selector",
     "VariantSpec", "generate_instance", "generate_mini_instance",
     "generate_week_instance",

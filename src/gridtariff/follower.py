@@ -39,8 +39,7 @@ import scipy.sparse as sp
 
 from .model import Instance
 from .scenario import node_map
-from .solver import (GE, LE, EQ, LinearProgram, LpSolution,
-                     SolveOptions, Status, get_backend)
+from .solver import GE, LE, EQ, LinearProgram, LpSolution, Status, get_backend
 
 DEVICE_FAMILIES = ("x", "xb", "lam", "sd")
 SLOT_FAMILIES = ("xs", "xbs", "lams")
@@ -325,7 +324,6 @@ def extract_solution(system: FollowerSystem, x: np.ndarray,
 
 
 def solve_follower(lp: LinearProgram, backend: str | None = None,
-                   opts: SolveOptions | None = None,
                    system: FollowerSystem | None = None
                    ) -> tuple[LpSolution, FollowerSolution | None, np.ndarray | None]:
     """Solve the scheduling LP; returns the raw solution, the schedule and
@@ -339,7 +337,7 @@ def solve_follower(lp: LinearProgram, backend: str | None = None,
     alternative optima the schedule returned can depend on the price vector
     solved before it on the same thread.
     """
-    sol = get_backend(backend).solve_lp(lp, opts)
+    sol = get_backend(backend).solve_lp(lp)
     if sol.status is Status.INFEASIBLE:
         raise FollowerInfeasible("operator problem infeasible; run validate()")
     if sol.status is Status.UNBOUNDED:
@@ -393,10 +391,3 @@ def leader_profit(instance: Instance, prices: np.ndarray,
     probs = np.asarray(instance.tree.probabilities, dtype=float)
     return float(probs @ (sold @ margin))
 
-
-def complementarity_products(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
-    """|slack * multiplier| per inequality row and |value * reduced cost| per var."""
-    ineq = lp.sense != EQ
-    slack = np.where(lp.sense == LE, -1.0, 1.0) * (lp.a_rows @ sol.x - lp.rhs)
-    return np.abs(np.concatenate([(slack * sol.duals)[ineq],
-                                  (sol.x - lp.lower) * sol.reduced_costs]))

@@ -472,18 +472,18 @@ def audit_big_m(solution: BilevelSolution, config: BigMConfig,
 # -- solve --------------------------------------------------------------------
 
 
-def _priming_points(mpcc: MpccSystem, layout: _MilpLayout, model: MilpModel,
-                    pinned_prices: dict[int, float] | None,
-                    backend: str | None) -> list[np.ndarray]:
+def _fallback_points(mpcc: MpccSystem, layout: _MilpLayout, model: MilpModel,
+                     pinned_prices: dict[int, float] | None,
+                     backend: str | None) -> list[np.ndarray]:
     """Feasible MILP points from operator optima at heuristic price profiles.
 
     An optimal primal/multiplier pair at any in-bounds price profile is a
     feasible point of the single-level model once its complementarity pattern
     is written into the switches, provided it buys nothing from the
     competitor and puts no multiplier on a duplicate floor (``_switch_rules``
-    fixes both at 0; a point that does is dropped by the final check); the
-    competitor profile in particular makes the dominance bound hold from the
-    first node.
+    fixes both at 0; a point that does is dropped by the final check).  The
+    profiles are the competitor tariff and the midpoint between it and the
+    supply cost.
 
     The operator LPs are solved with the competitor purchases ``xb`` and
     ``xbs`` bounded at 0, so that no optimum is dropped for buying from the
@@ -496,12 +496,10 @@ def _priming_points(mpcc: MpccSystem, layout: _MilpLayout, model: MilpModel,
     ``_switch_rules``).  Where ``p = pbar`` the two tie, and which one an
     unrestricted LP buys would be the solver's choice.
 
-    Only the bundled branch-and-bound reads these points, as its first
-    incumbents; ``solve_bilevel`` computes none for a backend that does not
-    read them (``reads_initial_solutions``).  Without them a node- or
-    time-limited bundled solve can end with no incumbent at all: desk seed 1
-    with ``node_limit=1`` returns ``NODE_LIMIT`` with priming and raises
-    ``BilevelInfeasible`` without it.
+    ``solve_bilevel`` computes these points only when a limit stops the MILP
+    without an incumbent, and answers with the best of them: desk seed 1
+    with ``node_limit=1`` returns ``NODE_LIMIT`` at profit 44.921807 this way
+    instead of raising ``BilevelInfeasible``.
     """
     system = mpcc.system
     inst = system.instance
@@ -620,9 +618,12 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
                   max_retries: int = 3) -> BilevelSolution:
     """Optimistic pricing optimum via the big-M MILP, with audited M escalation.
 
-    Every returned solution has a clean audit.  Raises ``UncertifiedOptimum``
-    when escalation ends with multipliers still at their M, and
-    ``BilevelInfeasible`` when no incumbent is found within the limits.
+    Every returned solution has a clean audit.  When a limit stops the MILP
+    without an incumbent, the best operator point of ``_fallback_points``
+    stands in for it, with the MILP's status and bound.  Raises
+    ``UncertifiedOptimum`` when escalation ends with multipliers still at
+    their M, and ``BilevelInfeasible`` when neither the MILP nor the fallback
+    gives an incumbent.
     """
     report = validate(instance)
     if not report.ok:
@@ -644,10 +645,7 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
                 f"time budget exhausted after {attempt} attempts")
         attempt_opts = replace(opts, time_limit=max(remaining, 0.5))
         model, layout = _linearize(mpcc, cfg, pinned_prices)
-        # a backend that does not say whether it reads them is primed
-        warm = _priming_points(mpcc, layout, model, pinned_prices, backend) \
-            if getattr(solver, "reads_initial_solutions", True) else []
-        result = solver.solve_milp(model, attempt_opts, initial_solutions=warm)
+        result = solver.solve_milp(model, attempt_opts)
         if result.status is Status.INFEASIBLE:
             # undersized multiplier caps can choke the whole system; larger M
             # only enlarges it, so escalation is the right reflex here too
@@ -657,6 +655,12 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
             raise BilevelInfeasible(
                 "single-level model infeasible: inconsistent instance or"
                 " undersized M")
+        if result.x is None and result.status in (Status.TIME_LIMIT,
+                                                  Status.NODE_LIMIT):
+            points = _fallback_points(mpcc, layout, model, pinned_prices, backend)
+            if points:
+                x = max(points, key=lambda point: float(model.lp.obj @ point))
+                result = replace(result, x=x, objective=float(model.lp.obj @ x))
         if result.x is None:
             raise BilevelInfeasible(
                 f"no incumbent within limits (status {result.status})")

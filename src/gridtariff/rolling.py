@@ -23,7 +23,7 @@ import numpy as np
 from .follower import (DEVICE_FAMILIES, SLOT_FAMILIES, FollowerSolution,
                        evaluate_schedule, leader_profit)
 from .model import Battery, Device, Horizon, Instance, PriceData, TimeWindow
-from .reformulation import BigMConfig, BilevelInfeasible, BilevelSolution, solve_bilevel
+from .reformulation import BilevelInfeasible, BilevelSolution, solve_bilevel
 from .scenario import (BaseScenario, MarkovSelector, flat_tree, realize_next,
                        single_path_tree)
 from .solver import SolveOptions
@@ -193,8 +193,7 @@ def make_subinstance(instance: Instance, t: int, trajectory: RhTrajectory,
 
 
 def run(instance: Instance, config: RhConfig,
-        forced_path: list[int] | None = None,
-        big_m: BigMConfig | None = None) -> RhTrajectory:
+        forced_path: list[int] | None = None) -> RhTrajectory:
     """Execute the rolling loop and assemble the full-horizon trajectory."""
     n_slots = instance.n_slots
     n_dev = len(instance.devices)
@@ -223,7 +222,7 @@ def run(instance: Instance, config: RhConfig,
         opts = SolveOptions(time_limit=config.per_iteration_time_limit,
                             rel_gap=config.rel_gap)
         t0 = time.monotonic()
-        sol, failure = _solve_window(sub, opts, pinned, config, big_m)
+        sol, failure = _solve_window(sub, opts, pinned, config)
         runtime = time.monotonic() - t0
         if sol is None:
             traj.complete = False
@@ -260,12 +259,11 @@ def run(instance: Instance, config: RhConfig,
 
 
 def _solve_window(sub: Instance, opts: SolveOptions, pinned: dict,
-                  config: RhConfig, big_m: BigMConfig | None
-                  ) -> tuple[BilevelSolution | None, str]:
+                  config: RhConfig) -> tuple[BilevelSolution | None, str]:
     failure = ""
     for attempt in range(2):                    # escalate the time limit once
         try:
-            return solve_bilevel(sub, big_m, opts, backend=config.backend,
+            return solve_bilevel(sub, opts=opts, backend=config.backend,
                                  pinned_prices=pinned), ""
         except BilevelInfeasible as exc:        # limits ran out; bugs propagate
             failure = f"{type(exc).__name__}: {exc}"

@@ -4,9 +4,7 @@ A leaf scenario is a per-slot bound on distributed generation, assembled by
 concatenating segments of a small set of base scenarios stage by stage.  Two
 leaves must share all decisions while their bound vectors agree on a prefix:
 ``node_map`` names the scenario-tree node each leaf is at in each slot, and
-the operator LP builds every decision once per node.  The quadratic
-``all_nonanticipativity_pairs`` lists the same sharing pair by pair, as a
-test oracle.
+the operator LP builds every decision once per node.
 """
 
 from __future__ import annotations
@@ -172,25 +170,14 @@ def flat_tree(bases: list[BaseScenario], n_slots: int,
     return ScenarioTree(list(bases), n_slots, 1, leaves, probabilities, "uniform")
 
 
-def indistinguishability_time(a: Scenario, b: Scenario) -> int:
-    """Latest slot up to which the two generation paths agree everywhere.
-
-    Returns -1 when they already differ at slot 0 and ``H`` (the last slot)
-    when the paths are identical over the whole horizon.
-    """
-    diff = np.flatnonzero(a.dg_bound != b.dg_bound)
-    if diff.size == 0:
-        return len(a.dg_bound) - 1
-    return int(diff[0]) - 1
-
-
 def node_map(tree: ScenarioTree) -> np.ndarray:
     """``(n_leaves, n_slots)`` map from each leaf and slot to its tree node.
 
     A node is named by its first leaf: entry ``[s, h]`` is the lowest leaf
     whose generation path agrees with leaf ``s`` on slots ``0..h``, so two
-    leaves are at the same node of slot ``h`` exactly when
-    ``indistinguishability_time`` of the pair is at least ``h``.
+    leaves are at the same node of slot ``h`` exactly when the test oracle
+    ``indistinguishability_time`` (``tests/conftest.py``) of the pair is at
+    least ``h``.
     """
     dg = tree.dg_matrix().tolist()
     nodes = np.empty((tree.n_leaves, tree.n_slots), dtype=np.int64)
@@ -201,18 +188,6 @@ def node_map(tree: ScenarioTree) -> np.ndarray:
                   for s, path in enumerate(dg)]
         nodes[:, h] = parent
     return nodes
-
-
-def all_nonanticipativity_pairs(tree: ScenarioTree) -> list[tuple[int, int, int]]:
-    """Every pair of leaves ``(leaf, leaf', h_max)`` that agree on slots
-    ``0..h_max``.  Quadratic; tests check ``node_map`` against it."""
-    out = []
-    for i in range(tree.n_leaves):
-        for j in range(i + 1, tree.n_leaves):
-            h = indistinguishability_time(tree.leaves[i], tree.leaves[j])
-            if h >= 0:
-                out.append((i, j, h))
-    return out
 
 
 def realize_next(selector: MarkovSelector, previous_base: int | None,

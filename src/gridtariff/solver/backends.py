@@ -5,6 +5,12 @@ by the test suite; a HiGHS adapter covers large instances.  Select a
 backend per call, or globally through the ``GRIDTARIFF_BACKEND`` environment
 variable.
 
+Both backends answer one MILP contract: an optimal solve is ``OPTIMAL``; a
+solve stopped by a time or node limit reports that limit, with its incumbent
+when it has one and ``x=None`` otherwise, and with the best bound it proved.
+Neither reads a starting point; ``solve_bilevel`` supplies its own fallback
+incumbent when a limit leaves none.
+
 ``ScipyBackend`` solves LPs through the HiGHS bindings that scipy vendors
 (``scipy.optimize._highspy._core``), and MILPs through
 ``scipy.optimize.milp``.  An LP goes to HiGHS in row-bound form
@@ -40,25 +46,24 @@ ENV_VAR = "GRIDTARIFF_BACKEND"
 
 class SolverBackend(Protocol):
     name: str
-    # whether ``solve_milp`` reads ``initial_solutions``; callers skip
-    # computing them for a backend that does not
-    reads_initial_solutions: bool
 
     def solve_lp(self, lp: LinearProgram, opts: SolveOptions | None = None) -> LpSolution: ...
 
-    def solve_milp(self, model: MilpModel, opts: SolveOptions | None = None,
-                   initial_solutions: list[np.ndarray] | None = None) -> MilpResult: ...
+    # A MILP stopped by a limit reports that limit with ``x=None`` when it has
+    # no incumbent.  The adapters accept and ignore a third argument
+    # ``initial_solutions``, which perfbench's tracing wrapper still forwards.
+    def solve_milp(self, model: MilpModel,
+                   opts: SolveOptions | None = None) -> MilpResult: ...
 
 
 class BundledBackend:
     name = "bundled"
-    reads_initial_solutions = True
 
     def solve_lp(self, lp, opts=None):
         return simplex.solve_lp(lp)
 
     def solve_milp(self, model, opts=None, initial_solutions=None):
-        return bnb.solve_milp(model, opts, initial_solutions)
+        return bnb.solve_milp(model, opts)
 
 
 def _row_bounds(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +124,6 @@ class ScipyBackend:
     """HiGHS through scipy's vendored bindings; duals are HiGHS' row duals."""
 
     name = "scipy"
-    reads_initial_solutions = False
 
     def __init__(self) -> None:
         self._kept = threading.local()      # .model: (reprice key, loaded _Highs)
@@ -183,8 +187,12 @@ class ScipyBackend:
             return MilpResult(Status.UNBOUNDED, None, None, np.nan, np.inf, 0)
         if res.status not in (0, 1):
             raise SolverError(f"scipy milp failed: {res.message}")
+        status = Status.OPTIMAL if res.status == 0 else Status.TIME_LIMIT
+        nodes = int(getattr(res, "mip_node_count", 0) or 0)
         if res.x is None:
-            return MilpResult(Status.NO_SOLUTION, None, None, np.nan, np.inf, 0)
+            bound = np.nan if res.mip_dual_bound is None \
+                else sign * float(res.mip_dual_bound)
+            return MilpResult(status, None, None, bound, np.inf, nodes)
         # binaries rounded only: the caller's polish step re-solves the
         # continuous part with the switches fixed
         x = res.x.copy()
@@ -193,9 +201,7 @@ class ScipyBackend:
         bound = res.mip_dual_bound if res.mip_dual_bound is not None else sign * res.fun
         bound = sign * float(bound)
         gap = abs(obj - bound) / max(1.0, abs(obj))
-        status = Status.OPTIMAL if res.status == 0 else Status.TIME_LIMIT
-        return MilpResult(status, x, obj, bound, float(gap),
-                          int(getattr(res, "mip_node_count", 0) or 0))
+        return MilpResult(status, x, obj, bound, float(gap), nodes)
 
 
 _REGISTRY: dict[str, SolverBackend] = {}

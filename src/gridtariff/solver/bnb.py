@@ -48,9 +48,12 @@ def verify_milp_solution(model: MilpModel, x: np.ndarray, tol: float = 1e-6) -> 
     return issues
 
 
-def solve_milp(model: MilpModel, opts: SolveOptions | None = None,
-               initial_solutions: list[np.ndarray] | None = None) -> MilpResult:
-    """Branch-and-bound on the bundled simplex.  Internally minimizes."""
+def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult:
+    """Branch-and-bound on the bundled simplex.  Internally minimizes.
+
+    A solve stopped by its time or node limit before finding an incumbent
+    returns that limit's status with ``x=None`` and the bound of the open
+    nodes."""
     opts = opts or SolveOptions()
     model.validate()
     lp = model.lp
@@ -60,13 +63,6 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None,
 
     incumbent_x: np.ndarray | None = None
     incumbent_obj: float | None = None          # internal (min) sense
-    for cand in initial_solutions or []:
-        cand = np.asarray(cand, dtype=float)
-        if verify_milp_solution(model, cand):
-            continue
-        val = float(work_lp.obj @ cand)
-        if incumbent_obj is None or val < incumbent_obj - 1e-12:
-            incumbent_obj, incumbent_x = val, cand.copy()
 
     ws = simplex.Workspace(work_lp)
 
@@ -177,8 +173,8 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None,
         proven_optimal = incumbent_obj is not None
 
     if incumbent_obj is None:
-        if stop_status in (Status.TIME_LIMIT, Status.NODE_LIMIT):
-            return result(Status.NO_SOLUTION, bound=sign * dual_bound
+        if stop_status is not None:
+            return result(stop_status, bound=sign * dual_bound
                           if np.isfinite(dual_bound) else np.nan)
         return result(Status.INFEASIBLE)
 

@@ -24,7 +24,6 @@ class Status(enum.Enum):
     UNBOUNDED = "unbounded"
     TIME_LIMIT = "time_limit"
     NODE_LIMIT = "node_limit"
-    NO_SOLUTION = "no_solution"
 
 
 class SolverError(RuntimeError):

@@ -6,6 +6,11 @@ tuple key per decision and leaf, one labelled row at a time, through
 bit for bit, and tests that need to know what a column or row is read its
 labels.
 
+``indistinguishability_time`` and ``all_nonanticipativity_pairs`` list the
+decisions two leaves must share pair by pair, the quadratic way that
+``scenario.node_map`` avoids; ``complementarity_products`` reads every
+slack-multiplier product of a solved LP row by row.
+
 The grid oracle sweeps leader prices over a lattice and, per price point,
 computes the operator's optimal response with leader-favorable tie-breaking;
 the greedy variant handles the no-battery / no-generation / one-scenario
@@ -25,9 +30,10 @@ from gridtariff.follower import (DEVICE_FAMILIES, SLOT_FAMILIES,
                                  build_follower_lp, build_follower_system)
 from gridtariff.model import (Battery, Device, Horizon, Instance, PriceData,
                               TimeWindow)
-from gridtariff.scenario import (BaseScenario, flat_tree, node_map,
-                                 single_path_tree)
-from gridtariff.solver import EQ, GE, LE, LinearProgram, LpBuilder, Status, simplex
+from gridtariff.scenario import (BaseScenario, Scenario, ScenarioTree,
+                                 flat_tree, node_map, single_path_tree)
+from gridtariff.solver import (EQ, GE, LE, LinearProgram, LpBuilder,
+                               LpSolution, Status, simplex)
 
 # the instance shape of perfbench's desk workload
 DESK_SHAPE = dict(n_bases=1, n_slots=4, n_devices=2, slot_minutes=360,
@@ -76,6 +82,41 @@ def random_tiny_instance(rng: np.random.Generator, *, n_slots: int,
                          n_slots)
     return Instance(Horizon(n_slots, 60), devices, bat, PriceData(pbar, supply),
                     tree, name=f"tiny-{n_slots}s{n_devices}d{n_scenarios}x")
+
+
+# -- pairwise oracles ----------------------------------------------------------
+
+
+def indistinguishability_time(a: Scenario, b: Scenario) -> int:
+    """Latest slot up to which the two generation paths agree everywhere.
+
+    Returns -1 when they already differ at slot 0 and ``H`` (the last slot)
+    when the paths are identical over the whole horizon.
+    """
+    diff = np.flatnonzero(a.dg_bound != b.dg_bound)
+    if diff.size == 0:
+        return len(a.dg_bound) - 1
+    return int(diff[0]) - 1
+
+
+def all_nonanticipativity_pairs(tree: ScenarioTree) -> list[tuple[int, int, int]]:
+    """Every pair of leaves ``(leaf, leaf', h_max)`` that agree on slots
+    ``0..h_max``."""
+    out = []
+    for i in range(tree.n_leaves):
+        for j in range(i + 1, tree.n_leaves):
+            h = indistinguishability_time(tree.leaves[i], tree.leaves[j])
+            if h >= 0:
+                out.append((i, j, h))
+    return out
+
+
+def complementarity_products(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
+    """|slack * multiplier| per inequality row and |value * reduced cost| per var."""
+    ineq = lp.sense != EQ
+    slack = np.where(lp.sense == LE, -1.0, 1.0) * (lp.a_rows @ sol.x - lp.rhs)
+    return np.abs(np.concatenate([(slack * sol.duals)[ineq],
+                                  (sol.x - lp.lower) * sol.reduced_costs]))
 
 
 # -- reference operator LP ------------------------------------------------------

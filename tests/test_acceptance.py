@@ -18,7 +18,7 @@ import pytest
 from gridtariff.baselines import reference_case
 from gridtariff.follower import (DEVICE_FAMILIES, SLOT_FAMILIES,
                                  build_follower_lp, build_follower_system,
-                                 complementarity_products, solve_follower)
+                                 solve_follower)
 from gridtariff.generator import (VariantSpec, generate_mini_instance,
                                   generate_week_instance)
 from gridtariff.model import Instance
@@ -26,11 +26,12 @@ from gridtariff.reformulation import (build_mpcc, default_big_m, linearize,
                                       solve_bilevel)
 from gridtariff.rolling import RhConfig, audit_trajectory
 from gridtariff.rolling import run as rh_run
-from gridtariff.scenario import indistinguishability_time, uniform_selector
+from gridtariff.scenario import uniform_selector
 from gridtariff.solver import (LpBuilder, MilpModel, SolveOptions, Status,
                                solve_lp, solve_milp)
 
-from conftest import (OptimisticResponder, device_columns, grid_oracle,
+from conftest import (OptimisticResponder, complementarity_products,
+                      device_columns, grid_oracle, indistinguishability_time,
                       random_tiny_instance)
 from test_scenario import assert_node_map_matches_oracle, random_trees
 from test_solver import _vertex_enumeration_optimum, knapsack_model

@@ -9,20 +9,20 @@ import pytest
 
 from gridtariff.follower import (DEVICE_FAMILIES, ROW_FAMILIES, SLOT_FAMILIES,
                                  build_follower_lp, build_follower_system,
-                                 complementarity_products, evaluate_schedule,
-                                 extract_solution, leader_profit,
-                                 solve_follower, FollowerInfeasible)
+                                 evaluate_schedule, extract_solution,
+                                 leader_profit, solve_follower,
+                                 FollowerInfeasible)
 from gridtariff.generator import (MINI_PRESETS, generate_instance,
                                   generate_mini_instance, generate_week_instance,
                                   greedy_device_profile)
 from gridtariff.model import Battery, Device, Horizon, Instance, PriceData, TimeWindow
 from gridtariff.rolling import RhConfig, make_subinstance
-from gridtariff.scenario import (BaseScenario, flat_tree,
-                                 indistinguishability_time, single_path_tree)
+from gridtariff.scenario import BaseScenario, flat_tree, single_path_tree
 from gridtariff.solver import EQ, LE, Status, check_lp_solution, solve_lp
 from gridtariff.solver.backends import ScipyBackend
 
-from conftest import (DESK_SHAPE, device_columns, make_t1, random_tiny_instance,
+from conftest import (DESK_SHAPE, complementarity_products, device_columns,
+                      indistinguishability_time, make_t1, random_tiny_instance,
                       reference_follower)
 from test_rolling import empty_trajectory
 from test_scenario import random_trees

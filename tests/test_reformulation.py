@@ -18,10 +18,12 @@ from gridtariff.reformulation import (DOMINATED_PURCHASE, DUPLICATE_FLOOR,
                                       BigMConfig, BilevelInfeasible,
                                       BilevelSolution, UncertifiedOptimum,
                                       audit_big_m, build_mpcc, default_big_m,
-                                      _linearize, _priming_points, linearize,
+                                      _fallback_points, _linearize, linearize,
                                       solve_bilevel)
 from gridtariff.scenario import BaseScenario, flat_tree, single_path_tree
-from gridtariff.solver import EQ, LE, SolveOptions, Status, solve_milp
+from gridtariff.solver import (EQ, LE, MilpResult, SolveOptions, Status,
+                               get_backend, solve_milp)
+from gridtariff.solver import backends
 
 from conftest import (DESK_SHAPE, OptimisticResponder, grid_oracle, make_t1,
                       random_tiny_instance, reference_follower)
@@ -446,10 +448,47 @@ def _desk(seed):
     return generate_instance(seed, **DESK_SHAPE)
 
 
+def _register(monkeypatch, backend) -> str:
+    """Register ``backend`` for the length of one test; returns its name."""
+    monkeypatch.setitem(backends._REGISTRY, backend.name, backend)
+    return backend.name
+
+
+class _NoIncumbent:
+    """Stops every MILP at its time limit without an incumbent, with a finite
+    bound; LPs go to HiGHS."""
+
+    name = "no-incumbent"
+    bound = 50.0
+
+    def solve_lp(self, lp, opts=None):
+        return get_backend("scipy").solve_lp(lp, opts)
+
+    def solve_milp(self, model, opts=None):
+        return MilpResult(Status.TIME_LIMIT, None, None, self.bound, np.inf, 0)
+
+
+class _CallLog:
+    """Forwards to a registered backend and records the order of its calls."""
+
+    def __init__(self, inner: str) -> None:
+        self.inner = get_backend(inner)
+        self.name = f"logged-{inner}"
+        self.calls: list[str] = []
+
+    def solve_lp(self, lp, opts=None):
+        self.calls.append("lp")
+        return self.inner.solve_lp(lp, opts)
+
+    def solve_milp(self, model, opts=None):
+        self.calls.append("milp")
+        return self.inner.solve_milp(model, opts)
+
+
 class TestPriming:
     """Operator optima written into the MILP: feasible points whose MILP
-    objective is the leader's profit, and the only first incumbent the
-    bundled branch-and-bound gets."""
+    objective is the leader's profit, which ``solve_bilevel`` falls back on
+    when a limit stops the MILP without an incumbent."""
 
     @pytest.mark.parametrize("backend", ["bundled", "scipy"])
     @pytest.mark.parametrize("make", [
@@ -462,7 +501,7 @@ class TestPriming:
         inst = make()
         mpcc = build_mpcc(inst)
         model, layout = _linearize(mpcc, default_big_m(mpcc))
-        points = _priming_points(mpcc, layout, model, None, backend)
+        points = _fallback_points(mpcc, layout, model, None, backend)
         assert len(points) == 2
         system = mpcc.system
         for point in points:
@@ -479,10 +518,29 @@ class TestPriming:
             assert float(system.objective(prices) @ x) == pytest.approx(
                 unrestricted.objective, rel=1e-9)
 
-    def test_node_limited_bundled_solve_keeps_the_primed_incumbent(self):
+    def test_node_limited_bundled_solve_falls_back_to_an_operator_point(self):
         sol = solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0, node_limit=1))
         assert sol.status is Status.NODE_LIMIT
         assert sol.leader_objective == pytest.approx(44.921807, rel=1e-6)
+
+    def test_fallback_gap_is_measured_from_the_milp_bound(self, monkeypatch):
+        name = _register(monkeypatch, _NoIncumbent())
+        sol = solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0), backend=name)
+        assert sol.status is Status.TIME_LIMIT
+        assert sol.leader_objective == pytest.approx(44.921807, rel=1e-6)
+        assert sol.milp.bound == _NoIncumbent.bound
+        assert sol.mip_gap == pytest.approx(
+            (_NoIncumbent.bound - sol.leader_objective) / sol.leader_objective,
+            rel=1e-9)
+
+    @pytest.mark.parametrize("backend", ["bundled", "scipy"])
+    def test_no_operator_lp_before_the_milp(self, backend, monkeypatch):
+        log = _CallLog(backend)
+        sol = solve_bilevel(_desk(4), opts=SolveOptions(rel_gap=0.0),
+                            backend=_register(monkeypatch, log))
+        assert sol.status is Status.OPTIMAL
+        assert log.calls[0] == "milp"
+        assert log.calls.count("milp") == 1
 
 
 # perfbench's desk-bundled roster, and the desk seeds it leaves out as slow

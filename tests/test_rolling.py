@@ -230,9 +230,9 @@ class TestWindowRetry:
         inst = generate_mini_instance(3)
         calls = []
 
-        def risky(sub, big_m, opts, **kwargs):
+        def risky(sub, *, opts, **kwargs):
             calls.append(opts.time_limit)
-            sol = solve_bilevel(sub, big_m, opts, **kwargs)
+            sol = solve_bilevel(sub, opts=opts, **kwargs)
             sol.audit.flags.append(AuditFlag(0, "dual", 1.0, 1.0, False))
             raise UncertifiedOptimum(sol, "forced")
 
@@ -245,11 +245,11 @@ class TestWindowRetry:
     def test_solver_limit_retried_with_twice_the_time(self, monkeypatch):
         limits = []
 
-        def out_of_time_once(sub, big_m, opts, **kwargs):
+        def out_of_time_once(sub, *, opts, **kwargs):
             limits.append(opts.time_limit)
             if len(limits) == 1:
                 raise BilevelInfeasible("no incumbent within limits")
-            return solve_bilevel(sub, big_m, opts, **kwargs)
+            return solve_bilevel(sub, opts=opts, **kwargs)
 
         monkeypatch.setattr(rolling, "solve_bilevel", out_of_time_once)
         inst = generate_mini_instance(3)

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtariff.scenario import (BaseScenario, MarkovSelector,
-                                 all_nonanticipativity_pairs,
-                                 build_complete_tree, flat_tree,
-                                 indistinguishability_time, node_map,
+                                 build_complete_tree, flat_tree, node_map,
                                  realize_next, single_path_tree,
                                  uniform_selector)
+
+from conftest import all_nonanticipativity_pairs, indistinguishability_time
 
 
 def bases_from(matrix) -> list[BaseScenario]:

@@ -516,13 +516,14 @@ class TestBranchAndBound:
         res = solve_milp(MilpModel(b.build(), np.array([z])))
         assert res.status is Status.INFEASIBLE
 
-    def test_initial_solution_respected(self):
-        v = [3.0, 5.0, 4.0]
-        w = [2.0, 4.0, 3.0]
-        model = knapsack_model(v, w, 5.0)
-        warm = np.array([1.0, 0.0, 1.0])          # value 7, optimal
-        res = solve_milp(model, SolveOptions(rel_gap=0.0), [warm])
-        assert res.objective == pytest.approx(7.0)
+    def test_node_limit_without_incumbent_reports_the_limit(self):
+        # desk seed 1's root relaxation is fractional, so one node finds no
+        # incumbent and leaves two open children
+        res = solve_milp(_desk_milp(1), SolveOptions(rel_gap=0.0, node_limit=1))
+        assert res.status is Status.NODE_LIMIT
+        assert res.x is None and res.objective is None
+        assert res.nodes == 1
+        assert np.isfinite(res.bound)
 
     def test_incumbents_feasible(self):
         rng = np.random.default_rng(23)
@@ -675,9 +676,10 @@ class TestScipyMilpStatus:
         assert res.nodes == 7
 
     def test_limit_without_incumbent_is_no_solution(self, monkeypatch):
-        res = self.solve_with(monkeypatch, status=1)
-        assert res.status is Status.NO_SOLUTION
+        res = self.solve_with(monkeypatch, status=1, mip_dual_bound=-3.5)
+        assert res.status is Status.TIME_LIMIT
         assert res.x is None
+        assert res.bound == 3.5
 
     def test_unbounded(self, monkeypatch):
         res = self.solve_with(monkeypatch, status=3)
