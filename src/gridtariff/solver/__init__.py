@@ -6,7 +6,7 @@ from .bnb import solve_milp, verify_milp_solution
 from .core import (EQ, GE, LE, LinearProgram, LpBuilder, LpSolution,
                    MilpModel, MilpResult, SolveOptions, SolverError, Status,
                    check_lp_solution)
-from .lpfile import read_lp, write_lp
+from .lpfile import write_lp
 from .simplex import solve_lp
 
 __all__ = [
@@ -16,5 +16,5 @@ __all__ = [
     "BundledBackend", "ScipyBackend",
     "get_backend", "register_backend",
     "solve_lp", "solve_milp", "verify_milp_solution", "check_lp_solution",
-    "read_lp", "write_lp",
+    "write_lp",
 ]

@@ -11,6 +11,13 @@ when it has one and ``x=None`` otherwise, and with the best bound it proved.
 Neither reads a starting point; ``solve_bilevel`` supplies its own fallback
 incumbent when a limit leaves none.
 
+``BundledBackend`` keeps, one per thread, what its last MILP solve leaves
+behind when that solve found an incumbent: the branch-and-bound's simplex
+workspace, with its kept basis inverse, and the incumbent node's optimal
+basis.  The next LP whose matrix, senses and right-hand sides equal that
+MILP's by value (the polish step's fixed-switch LP) re-solves from that
+basis with the dual simplex; any other LP releases the kept state first.
+
 ``ScipyBackend`` solves LPs through the HiGHS bindings that scipy vendors
 (``scipy.optimize._highspy._core``), and MILPs through
 ``scipy.optimize.milp``.  An LP goes to HiGHS in row-bound form
@@ -59,11 +66,40 @@ class SolverBackend(Protocol):
 class BundledBackend:
     name = "bundled"
 
+    def __init__(self) -> None:
+        self._kept = threading.local()  # .milp: (rows, Workspace, (basis, vstat))
+
     def solve_lp(self, lp, opts=None):
-        return simplex.solve_lp(lp)
+        kept = getattr(self._kept, "milp", None)
+        if kept is None or not _same_rows(kept[0], lp):
+            self._kept.milp = None
+            return simplex.solve_lp(lp)
+        lp.validate()
+        return simplex.solve_with_workspace(kept[1], lp.obj, lp.maximize,
+                                            lp.lower, lp.upper, basis=kept[2])
 
     def solve_milp(self, model, opts=None, initial_solutions=None):
-        return bnb.solve_milp(model, opts)
+        self._kept.milp = None          # free the old workspace first
+        result, ws, start = bnb.search(model, opts)
+        if start is not None:
+            shape, *arrays = _rows(model.lp)
+            self._kept.milp = (
+                (shape, *(arr.copy() for arr in arrays)), ws, start)
+        return result
+
+
+def _rows(lp: LinearProgram) -> tuple:
+    """What fixes an LP's rows: its matrix shape and CSR arrays, its senses
+    and its right-hand sides."""
+    a = lp.a_rows
+    return (a.shape, a.indptr, a.indices, a.data, lp.sense, lp.rhs)
+
+
+def _same_rows(kept: tuple, lp: LinearProgram) -> bool:
+    """Whether ``lp`` has the rows of the ``kept`` snapshot, by value."""
+    shape, *arrays = _rows(lp)
+    return shape == kept[0] and all(
+        np.array_equal(a, b) for a, b in zip(kept[1:], arrays))
 
 
 def _row_bounds(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:

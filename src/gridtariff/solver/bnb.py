@@ -5,8 +5,11 @@ best-bound with FIFO tie-breaking, branching picks the most fractional
 binary (ties by lowest variable index).  The root LP starts from the slack
 crash basis; every other node starts from its parent's optimal basis, which
 a fixed binary leaves dual feasible, so a few dual simplex steps re-solve it.
-Everything is deterministic for a fixed model, so repeated runs produce
-identical node trails.
+All nodes share one ``simplex.Workspace``, so a node reaches its parent's
+basis by a few column exchanges on the inverse the previous node left there,
+and refactorizes only when that is not possible.  Everything is
+deterministic for a fixed model, so repeated runs produce identical node
+trails.
 """
 
 from __future__ import annotations
@@ -54,6 +57,13 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult
     A solve stopped by its time or node limit before finding an incumbent
     returns that limit's status with ``x=None`` and the bound of the open
     nodes."""
+    return search(model, opts)[0]
+
+
+def search(model: MilpModel, opts: SolveOptions | None = None
+           ) -> tuple[MilpResult, simplex.Workspace, tuple | None]:
+    """``solve_milp``, also returning the node workspace and the incumbent
+    node's optimal ``(basis, vstat)`` (None when no node gave an incumbent)."""
     opts = opts or SolveOptions()
     model.validate()
     lp = model.lp
@@ -63,6 +73,7 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult
 
     incumbent_x: np.ndarray | None = None
     incumbent_obj: float | None = None          # internal (min) sense
+    incumbent_start: tuple | None = None
 
     ws = simplex.Workspace(work_lp)
 
@@ -77,19 +88,23 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult
 
     lp_iterations = 0
     cold_nodes = 0
+    refactored_nodes = 0
 
     def node_lp(lo: np.ndarray, up: np.ndarray, basis: tuple | None):
-        nonlocal lp_iterations, cold_nodes
+        nonlocal lp_iterations, cold_nodes, refactored_nodes
         sol = simplex.solve_with_workspace(ws, work_lp.obj, False, lo, up,
                                            basis=basis)
         lp_iterations += sol.iterations
         cold_nodes += not sol.warm
+        refactored_nodes += sol.warm and not sol.exchanged
         return sol
 
     def result(status: Status, x=None, objective=None, bound=np.nan,
-               gap=np.inf) -> MilpResult:
-        return MilpResult(status, x, objective, bound, gap, nodes_done, log,
-                          lp_iterations=lp_iterations, cold_nodes=cold_nodes)
+               gap=np.inf) -> tuple[MilpResult, simplex.Workspace, tuple | None]:
+        return (MilpResult(status, x, objective, bound, gap, nodes_done, log,
+                           lp_iterations=lp_iterations, cold_nodes=cold_nodes,
+                           refactored_nodes=refactored_nodes),
+                ws, incumbent_start)
 
     t0 = time.monotonic()
     log: list[tuple] = []
@@ -148,6 +163,7 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult
                 incumbent_obj = sol.objective
                 incumbent_x = sol.x.copy()
                 incumbent_x[binaries] = np.round(incumbent_x[binaries])
+                incumbent_start = (sol.basis, sol.vstat)
             log.append((nodes_done, node.depth, node_bound, "leaf"))
             continue
 

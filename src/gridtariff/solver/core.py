@@ -119,10 +119,13 @@ class LpSolution:
     # bundled simplex only: the column of [A | I] basic in each row and the
     # status of every structural and slack column at the optimum, which can
     # seed a re-solve under tighter bounds; ``warm`` says the solve started
-    # from such a basis (and has no ``farkas``) instead of the crash basis
+    # from such a basis (and has no ``farkas``) instead of the crash basis,
+    # and ``exchanged`` that the start's inverse came from the workspace's
+    # kept one by column exchanges instead of a refactorization
     basis: np.ndarray | None = None
     vstat: np.ndarray | None = None
     warm: bool = False
+    exchanged: bool = False
 
 
 @dataclass
@@ -136,6 +139,8 @@ class MilpResult:
     log: list = field(default_factory=list)   # (node id, depth, bound, branch var)
     lp_iterations: int = 0     # bundled: simplex iterations over all node LPs
     cold_nodes: int = 0        # bundled: node LPs solved from the crash basis
+    refactored_nodes: int = 0  # bundled: warm node LPs whose start basis was
+                               # refactorized instead of exchanged
 
 
 class LpBuilder:

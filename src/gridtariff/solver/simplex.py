@@ -19,6 +19,13 @@ earlier solve whose bounds were looser: that basis is still dual feasible, so
 a bounded dual simplex (Koberstein 2005, *The dual simplex method*) restores
 primal feasibility and the primal loop then confirms optimality.
 
+The workspace also keeps the basis and inverse that its last solve without
+phase-1 artificials ended on.  A warm start reaches its basis from that one
+by column exchanges, one rank-1 update each, instead of a refactorization
+(Bixby 2002, *Solving real-world linear programs*).  It refactorizes when the
+exchanges would take the inverse past ``_REFACTOR_EVERY`` updates, meet a
+pivot below ``_PIVOT_TOL`` or fail the whole-basis check.
+
 Multiplier convention (minimization): binding ">=" rows have nonnegative
 multipliers, binding "<=" rows nonpositive ones, equalities are free, and the
 dual objective y'b plus bound contributions equals the primal optimum.  For
@@ -49,26 +56,24 @@ _REFACTOR_EVERY = 120
 
 
 class Workspace:
-    """Standardized arrays for one constraint matrix, reusable across solves."""
+    """Standardized arrays for one constraint matrix, reusable across solves,
+    and the basis inverse the last solve left for the next warm start."""
 
     def __init__(self, lp: LinearProgram):
         lp.validate()
         m, n = lp.n_rows, lp.n_vars
         self.m, self.n_struct = m, n
-        slack_lb = np.zeros(m)
-        slack_ub = np.zeros(m)
-        for i, sense in enumerate(lp.sense):
-            if sense == LE:
-                slack_lb[i], slack_ub[i] = 0.0, np.inf
-            elif sense == GE:
-                slack_lb[i], slack_ub[i] = -np.inf, 0.0
-        self.slack_lb, self.slack_ub = slack_lb, slack_ub
+        self.slack_lb = np.where(lp.sense == GE, -np.inf, 0.0)
+        self.slack_ub = np.where(lp.sense == LE, np.inf, 0.0)
         self.base_lower = lp.lower.copy()
         self.base_upper = lp.upper.copy()
         self.a = sp.hstack([lp.a_rows, sp.eye(m, format="csc")], format="csc")
         self.a_t = self.a.T.tocsr()         # pricing reads [A | I]^T every step
         self.a_struct = lp.a_rows.tocsc()
         self.b = lp.rhs.copy()
+        # (basis, dense inverse, rank-1 updates since its refactorization) at
+        # the end of the last solve that needed no phase-1 artificials
+        self.kept: tuple[np.ndarray, np.ndarray, int] | None = None
 
     def bounds(self, lower: np.ndarray | None, upper: np.ndarray | None
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -93,8 +98,10 @@ def solve_with_workspace(ws: Workspace, obj: np.ndarray, maximize: bool,
     """Solve over ``ws`` with the given objective and bounds.
 
     ``basis`` is the ``(basis, vstat)`` pair of an optimal solve on ``ws``
-    with the same objective and looser bounds.  The dual simplex then
-    restores primal feasibility from it and the primal loop checks
+    with the same objective and looser bounds.  Its inverse comes from the
+    one ``ws.kept`` holds, by column exchanges, or else from a
+    refactorization (``LpSolution.exchanged`` says which).  The dual simplex
+    then restores primal feasibility from it and the primal loop checks
     optimality.  The solve falls back to the slack crash basis when the pair
     holds a phase-1 artificial, is singular or is not dual feasible within
     1e-7 (``_DUAL_FEAS_TOL``); ``LpSolution.warm`` says which start was used.
@@ -107,18 +114,21 @@ def solve_with_workspace(ws: Workspace, obj: np.ndarray, maximize: bool,
     sim = _Simplex.restore(ws, lb, ub, c, basis) if basis is not None else None
     warm = sim is not None
     if warm:
-        if not sim.dual(max_iters):
-            return LpSolution(Status.INFEASIBLE, None, None, None, None,
-                              iterations=sim.iterations, warm=True)
+        feasible = sim.dual(max_iters)
     else:
         sim = _Simplex.crash(ws, lb, ub)
-        if not sim.phase1():
-            return LpSolution(Status.INFEASIBLE, None, None, None, None,
-                              iterations=sim.iterations, farkas=sim.multipliers())
-    status = sim.phase2(c, max_iters)
+        feasible = sim.phase1()
+    status = sim.phase2(c, max_iters) if feasible else Status.INFEASIBLE
+    sim.keep()
+    if status is Status.INFEASIBLE:
+        return LpSolution(Status.INFEASIBLE, None, None, None, None,
+                          iterations=sim.iterations, warm=warm,
+                          exchanged=sim.exchanged,
+                          farkas=None if warm else sim.multipliers())
     if status is Status.UNBOUNDED:
         return LpSolution(Status.UNBOUNDED, None, None, None, None,
-                          iterations=sim.iterations, warm=warm)
+                          iterations=sim.iterations, warm=warm,
+                          exchanged=sim.exchanged)
     x = sim.x[: ws.n_struct].copy()
     y = sim.multipliers()
     rc = (c - ws.a_t @ y)[: ws.n_struct]
@@ -127,13 +137,14 @@ def solve_with_workspace(ws: Workspace, obj: np.ndarray, maximize: bool,
         y, rc = -y, -rc
     return LpSolution(Status.OPTIMAL, x, y, rc, obj_val, iterations=sim.iterations,
                       basis=sim.basis.copy(), vstat=sim.vstat[: sim.n_tot].copy(),
-                      warm=warm)
+                      warm=warm, exchanged=sim.exchanged)
 
 
 class _Simplex:
     def __init__(self, ws: Workspace, lb: np.ndarray, ub: np.ndarray,
                  x: np.ndarray, vstat: np.ndarray, basis: np.ndarray,
-                 art: sp.csc_matrix | None = None):
+                 art: sp.csc_matrix | None = None,
+                 kept: tuple[np.ndarray, np.ndarray, int] | None = None):
         self.ws = ws
         self.iterations = 0
         self.n_tot = ws.n_struct + ws.m
@@ -151,7 +162,9 @@ class _Simplex:
         self.basis = basis
         self.c = np.zeros(self.a.shape[1])
         self.binv: np.ndarray | None = None
-        self._refactor()
+        self.exchanged = kept is not None and self._exchange(*kept)
+        if not self.exchanged:
+            self._refactor()
         self._bland = False
         self._degen_run = 0
 
@@ -169,32 +182,21 @@ class _Simplex:
         status[lb == ub] = _FIXED
 
         resid = ws.b - ws.a_struct @ x[: ws.n_struct]
-        basis = np.empty(m, dtype=np.int64)
-        art_rows: list[int] = []
-        art_signs: list[float] = []
-        art_vals: list[float] = []
-        for i in range(m):
-            s_idx = ws.n_struct + i
-            r = resid[i]
-            if lb[s_idx] - 1e-12 <= r <= ub[s_idx] + 1e-12:
-                basis[i] = s_idx
-                x[s_idx] = r
-                status[s_idx] = _BASIC
-            else:
-                s_val = float(np.clip(r, lb[s_idx], ub[s_idx]))
-                x[s_idx] = s_val
-                gap = r - s_val
-                basis[i] = n_tot + len(art_rows)
-                art_rows.append(i)
-                art_signs.append(1.0 if gap >= 0 else -1.0)
-                art_vals.append(abs(gap))
-
-        if not art_rows:
+        s_lb, s_ub = lb[ws.n_struct:], ub[ws.n_struct:]
+        fits = (s_lb - 1e-12 <= resid) & (resid <= s_ub + 1e-12)
+        x[ws.n_struct:] = np.where(fits, resid, np.clip(resid, s_lb, s_ub))
+        status[ws.n_struct:][fits] = _BASIC
+        basis = np.arange(ws.n_struct, n_tot)
+        art_rows = np.flatnonzero(~fits)
+        if not art_rows.size:
             return cls(ws, lb, ub, x, status, basis)
         n_art = len(art_rows)
-        art = sp.coo_matrix((art_signs, (art_rows, range(n_art))),
+        basis[art_rows] = n_tot + np.arange(n_art)
+        gap = resid[art_rows] - x[ws.n_struct + art_rows]
+        art = sp.coo_matrix((np.where(gap >= 0, 1.0, -1.0),
+                             (art_rows, np.arange(n_art))),
                             shape=(m, n_art)).tocsc()
-        x = np.concatenate([x, np.asarray(art_vals)])
+        x = np.concatenate([x, np.abs(gap)])
         status = np.concatenate([status, np.full(n_art, _BASIC, dtype=np.int8)])
         return cls(ws, lb, ub, x, status, basis, art)
 
@@ -203,7 +205,7 @@ class _Simplex:
                 c: np.ndarray, start: tuple[np.ndarray, np.ndarray]
                 ) -> "_Simplex | None":
         """The basis of an earlier solve under new bounds, or None when it
-        cannot seed a dual simplex."""
+        cannot seed a dual simplex.  Takes the workspace's kept inverse."""
         basis, vstat = start
         n_tot = ws.n_struct + ws.m
         if len(basis) != ws.m or basis.min(initial=0) < 0 \
@@ -217,8 +219,9 @@ class _Simplex:
                                    np.where(fin_lb, _AT_LB, _FREE_NB))).astype(np.int8)
         status[basis] = _BASIC
         x = np.where(status == _AT_UB, ub, np.where(fin_lb, lb, 0.0))
+        kept, ws.kept = ws.kept, None
         try:
-            sim = cls(ws, lb, ub, x, status, basis.copy())
+            sim = cls(ws, lb, ub, x, status, basis.copy(), kept=kept)
         except SolverError:
             return None                        # singular under refactorization
         sim.c[:] = c
@@ -265,19 +268,71 @@ class _Simplex:
         binv[:, r_rows] = on_r
         binv[u_pos, u_rows] = u_sign
         self.binv = binv
-        # B binv - I over the whole basis: structural columns, then unit rows
-        prod = a_j @ binv[j_pos]
-        prod[u_rows] += u_sign[:, None] * binv[u_pos]
+        self._check_inverse()
+        self._since_refactor = 0
+        self._recompute_basic()
+
+    def _exchange(self, kept_basis: np.ndarray, binv: np.ndarray,
+                  since: int) -> bool:
+        """Reach the basis from a kept basis and its inverse by column
+        exchanges; False leaves the inverse to a refactorization.
+
+        Each entering column takes the leaving position, among those whose
+        kept column is not in the basis, with the largest |pivot| and gets
+        one rank-1 update; the rows are then put in the basis's order.  The
+        exchanges must keep the inverse within ``_REFACTOR_EVERY`` updates
+        of its refactorization, every pivot must reach ``_PIVOT_TOL`` and the
+        result must pass the whole-basis check.
+        """
+        member = np.zeros(self.n_tot, dtype=bool)   # masks: np.isin is slower
+        member[self.basis] = True
+        free = np.flatnonzero(~member[kept_basis])    # their column leaves
+        member[:] = False
+        member[kept_basis] = True
+        entering = self.basis[~member[self.basis]]
+        if since + len(entering) > _REFACTOR_EVERY:
+            return False
+        self.binv, self._since_refactor = binv, since
+        for j in entering:
+            w = self._col(j)
+            piv = np.abs(w[free])
+            k = int(np.argmax(piv))
+            if piv[k] < _PIVOT_TOL:
+                return False
+            self._update(free[k], w)
+            kept_basis[free[k]] = j
+            free = np.delete(free, k)
+        row_of = np.empty(self.n_tot, dtype=np.int64)
+        row_of[kept_basis] = np.arange(self.ws.m)
+        self.binv = self.binv[row_of[self.basis]]
+        try:
+            self._check_inverse()
+        except SolverError:
+            return False
+        self._recompute_basic()
+        return True
+
+    def _check_inverse(self) -> None:
+        """Raise unless ``B binv = I`` holds over the whole basis to 1e-6."""
+        m = self.ws.m
+        prod = self.a[:, self.basis] @ self.binv
         prod.flat[:: m + 1] -= 1.0
         resid = max(prod.max(), -prod.min()) if m else 0.0
         if not np.isfinite(resid) or resid > 1e-6:
             raise SolverError(
                 f"numerical breakdown: basis inverse residual {resid:.2e}")
-        # recompute basic values from the nonbasic point to shed update drift
+
+    def _recompute_basic(self) -> None:
+        """Basic values from the nonbasic point, shedding update drift."""
         x_nb = self.x.copy()
         x_nb[self.basis] = 0.0
         self.x[self.basis] = self.binv @ (self.ws.b - self.a @ x_nb)
-        self._since_refactor = 0
+
+    def keep(self) -> None:
+        """Leave the basis and its inverse on the workspace for the next
+        warm start, unless this solve needed phase-1 artificials."""
+        if self.n_art == 0:
+            self.ws.kept = (self.basis, self.binv, self._since_refactor)
 
     def _col(self, j: int) -> np.ndarray:
         a = self.a
@@ -496,11 +551,15 @@ class _Simplex:
         self.vstat[j] = _BASIC
         self.basis[pos] = j
 
-        piv = w[pos]
-        if abs(piv) < _PIVOT_TOL:
+        if abs(w[pos]) < _PIVOT_TOL:
             self._refactor()
             return
-        row = self.binv[pos] / piv
+        self._update(pos, w)
+
+    def _update(self, pos: int, w: np.ndarray) -> None:
+        """Rank-1 update of the inverse for the column ``B^-1 a_j = w``
+        entering at position ``pos``."""
+        row = self.binv[pos] / w[pos]
         # binv -= outer(w, row), in place on the Fortran view of binv
         self.binv = dger(-1.0, row, w, a=self.binv.T, overwrite_a=True).T
         self.binv[pos] = row

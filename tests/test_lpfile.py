@@ -8,9 +8,9 @@ import pytest
 from gridtariff.follower import build_follower_lp
 from gridtariff.reformulation import build_mpcc, default_big_m, linearize
 from gridtariff.solver import (LpBuilder, MilpModel, SolveOptions, Status,
-                               read_lp, solve_lp, solve_milp, write_lp)
+                               solve_lp, solve_milp, write_lp)
 
-from conftest import make_t1
+from conftest import make_t1, read_lp
 
 
 def test_lp_round_trip(tmp_path):

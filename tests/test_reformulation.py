@@ -585,9 +585,31 @@ class TestBundledNodes:
         first = solve_bilevel(_desk(seed), opts=opts).milp
         again = solve_bilevel(_desk(seed), opts=opts).milp
         assert first.cold_nodes == again.cold_nodes == 1
+        assert first.refactored_nodes == again.refactored_nodes < first.nodes - 1
         assert first.lp_iterations == again.lp_iterations > 0
         assert first.nodes == again.nodes
         assert first.log == again.log
+
+    def test_polish_lp_starts_from_the_incumbent_basis(self, monkeypatch):
+        from gridtariff.solver import simplex
+        bundled = backends.get_backend("bundled")
+        solve = type(bundled).solve_lp
+        seen = []
+
+        def recorded(self, lp, opts=None):
+            sol = solve(self, lp, opts)
+            seen.append((lp, sol))
+            return sol
+
+        monkeypatch.setattr(type(bundled), "solve_lp", recorded)
+        sol = solve_bilevel(_desk(4), opts=SolveOptions(rel_gap=0.0),
+                            backend="bundled")
+        assert sol.status is Status.OPTIMAL
+        (fixed, first), (shrink, second) = seen[:2]
+        assert shrink.n_rows > fixed.n_rows        # the multiplier-shrink LP
+        assert first.warm and first.iterations <= 2 and not second.warm
+        assert first.objective == pytest.approx(
+            simplex.solve_lp(fixed).objective, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("seed", DESK_SLOW)
     def test_slow_desk_seeds_finish(self, seed):

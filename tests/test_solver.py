@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gridtariff.solver import (GE, LE, LinearProgram, LpBuilder, MilpModel,
-                               SolveOptions, SolverError, Status,
-                               check_lp_solution, get_backend,
+from gridtariff.solver import (GE, LE, BundledBackend, LinearProgram,
+                               LpBuilder, MilpModel, SolveOptions, SolverError,
+                               Status, check_lp_solution, get_backend,
                                register_backend, solve_lp, solve_milp,
                                verify_milp_solution)
 from gridtariff.generator import generate_instance
@@ -119,6 +121,29 @@ class TestSimplex:
                 assert mine.objective == pytest.approx(ref.objective,
                                                        rel=1e-7, abs=1e-7)
 
+    def test_crash_matches_row_loop(self):
+        """The vectorized crash picks each row's slack or artificial, in row
+        order, with the values of a row-by-row loop."""
+        rng = np.random.default_rng(13)
+        lps = [_random_mixed_lp(rng) for _ in range(20)] + [_desk_milp(1).lp]
+        n_art = 0
+        for lp in lps:
+            ws = simplex.Workspace(lp)
+            assert np.array_equal(ws.slack_lb, [-np.inf if s == GE else 0.0
+                                                for s in lp.sense])
+            assert np.array_equal(ws.slack_ub, [np.inf if s == LE else 0.0
+                                                for s in lp.sense])
+            lb, ub = ws.bounds(None, None)
+            sim = simplex._Simplex.crash(ws, lb.copy(), ub.copy())
+            ref = simplex._Simplex(ws, lb.copy(), ub.copy(),
+                                   *_crash_by_rows(ws, lb, ub))
+            assert np.array_equal(sim.basis, ref.basis)
+            assert np.array_equal(sim.vstat, ref.vstat)
+            assert np.array_equal(sim.x, ref.x)
+            assert (sim.a != ref.a).nnz == 0
+            n_art += sim.n_art
+        assert n_art > 0
+
     def test_dual_certificate_strong_duality(self):
         rng = np.random.default_rng(9)
         for _ in range(40):
@@ -151,6 +176,44 @@ class TestSimplex:
             dual_obj = float(sol.duals @ lp.rhs) + bound_part
             assert dual_obj == pytest.approx(sol.objective, rel=1e-7, abs=1e-7)
             assert not check_lp_solution(lp, sol.x)
+
+
+def _crash_by_rows(ws, lb, ub):
+    """The crash basis's start, built one row at a time: ``(x, vstat,
+    basis, artificial columns)``."""
+    m, n_tot = ws.m, ws.n_struct + ws.m
+    x = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
+    status = np.full(n_tot, simplex._AT_LB, dtype=np.int8)
+    status[~np.isfinite(lb) & np.isfinite(ub)] = simplex._AT_UB
+    status[~np.isfinite(lb) & ~np.isfinite(ub)] = simplex._FREE_NB
+    status[lb == ub] = simplex._FIXED
+    resid = ws.b - ws.a_struct @ x[: ws.n_struct]
+    basis = np.empty(m, dtype=np.int64)
+    art_rows, art_signs, art_vals = [], [], []
+    for i in range(m):
+        s_idx = ws.n_struct + i
+        r = resid[i]
+        if lb[s_idx] - 1e-12 <= r <= ub[s_idx] + 1e-12:
+            basis[i] = s_idx
+            x[s_idx] = r
+            status[s_idx] = simplex._BASIC
+        else:
+            s_val = float(np.clip(r, lb[s_idx], ub[s_idx]))
+            x[s_idx] = s_val
+            gap = r - s_val
+            basis[i] = n_tot + len(art_rows)
+            art_rows.append(i)
+            art_signs.append(1.0 if gap >= 0 else -1.0)
+            art_vals.append(abs(gap))
+    if not art_rows:
+        return x, status, basis, None
+    n_art = len(art_rows)
+    art = sp.coo_matrix((art_signs, (art_rows, range(n_art))),
+                        shape=(m, n_art)).tocsc()
+    x = np.concatenate([x, np.asarray(art_vals)])
+    status = np.concatenate([status, np.full(n_art, simplex._BASIC,
+                                             dtype=np.int8)])
+    return x, status, basis, art
 
 
 def _random_mixed_lp(rng) -> LinearProgram:
@@ -303,21 +366,27 @@ def _desk_milp(seed: int) -> MilpModel:
 
 
 class TestRefactor:
-    """The bump refactorization against a dense inverse of the whole basis,
-    and the in-place rank-1 update."""
+    """The bump refactorization and a warm start's column exchanges against
+    a dense inverse of the whole basis, and the in-place rank-1 update."""
 
     @pytest.fixture
     def refactors(self, monkeypatch):
-        """Compare every refactorization with ``np.linalg.inv`` of the dense
-        basis and count the kinds of basis seen."""
+        """Compare every inverse a refactorization or a warm start's column
+        exchanges produce with ``np.linalg.inv`` of the dense basis, and
+        count the kinds of basis seen."""
         refactor = simplex._Simplex._refactor
-        seen = {"crash": 0, "phase1": 0, "artificial": 0, "warm": 0}
+        exchange = simplex._Simplex._exchange
+        seen = {"crash": 0, "phase1": 0, "artificial": 0, "warm": 0,
+                "exchanged": 0}
 
-        def checked(sim):
-            refactor(sim)
+        def assert_inverse(sim):
             dense = np.linalg.inv(_dense_basis(sim))
             np.testing.assert_allclose(sim.binv, dense, rtol=0,
                                        atol=1e-9 * max(1.0, np.abs(dense).max()))
+
+        def checked(sim):
+            refactor(sim)
+            assert_inverse(sim)
             n_struct = int((sim.basis < sim.ws.n_struct).sum())
             if sim.iterations == 0:
                 seen["warm" if n_struct else "crash"] += 1
@@ -325,7 +394,15 @@ class TestRefactor:
                 seen["phase1"] += 1
                 seen["artificial"] += bool(sim.basis.max() >= sim.n_tot)
 
+        def checked_exchange(sim, *kept):
+            done = exchange(sim, *kept)
+            if done:
+                assert_inverse(sim)
+                seen["exchanged"] += 1
+            return done
+
         monkeypatch.setattr(simplex._Simplex, "_refactor", checked)
+        monkeypatch.setattr(simplex._Simplex, "_exchange", checked_exchange)
         return seen
 
     def test_random_lp_bases_match_dense_inverse(self, refactors):
@@ -348,7 +425,47 @@ class TestRefactor:
         res = solve_milp(_desk_milp(9), SolveOptions(rel_gap=0.0))
         assert res.status is Status.OPTIMAL and res.nodes > 10
         assert refactors["crash"] > 0 and refactors["phase1"] > 0
-        assert refactors["warm"] >= res.nodes - 1
+        # every warm node's inverse was exchanged or refactorized, and checked
+        assert refactors["warm"] >= res.refactored_nodes
+        assert refactors["exchanged"] + res.refactored_nodes >= res.nodes - 1
+        assert refactors["exchanged"] > res.refactored_nodes
+
+    @pytest.mark.parametrize("spoil", ["budget", "pivot", "residual"])
+    def test_spoiled_exchanges_refactorize(self, spoil, refactors):
+        """A kept inverse that runs over the update budget, meets only tiny
+        pivots or fails the whole-basis check leaves the warm start to a
+        refactorization."""
+        lp = _desk_milp(1).lp
+        ws = simplex.Workspace(lp)
+        root = simplex.solve_with_workspace(ws, lp.obj, lp.maximize)
+        start = (root.basis, root.vstat)
+        frac = np.flatnonzero(np.abs(root.x - np.round(root.x)) > 1e-6)
+        lo, up = lp.lower.copy(), lp.upper.copy()
+        lo[frac[0]] = up[frac[0]] = 0.0
+        down = simplex.solve_with_workspace(ws, lp.obj, lp.maximize, lo, up,
+                                            basis=start)
+        assert down.warm and ws.kept is not None
+        assert not np.array_equal(np.sort(down.basis), np.sort(root.basis))
+        kept_basis, binv, since = ws.kept
+        lo[frac[0]] = up[frac[0]] = 1.0
+        cold = simplex.solve_with_workspace(ws, lp.obj, lp.maximize, lo, up)
+        spoiled, spoiled_since = binv.copy(), since
+        if spoil == "budget":
+            spoiled_since = simplex._REFACTOR_EVERY
+        elif spoil == "pivot":
+            spoiled *= 1e-9
+        else:
+            spoiled[0, 0] += 1e-4
+        for kept, exchanged in (((binv.copy(), since), True),
+                                ((spoiled, spoiled_since), False)):
+            ws.kept = (kept_basis.copy(), *kept)
+            before = refactors["warm"]
+            child = simplex.solve_with_workspace(ws, lp.obj, lp.maximize,
+                                                 lo, up, basis=start)
+            assert child.warm and child.exchanged is exchanged
+            assert refactors["warm"] == before + (not exchanged)
+            assert child.objective == pytest.approx(cold.objective,
+                                                    rel=1e-9, abs=1e-9)
 
     @staticmethod
     def _three_rows():
@@ -651,6 +768,54 @@ class TestBackends:
         mine = solve_milp(model, SolveOptions(rel_gap=0.0))
         ref = ScipyBackend().solve_milp(model, SolveOptions(rel_gap=0.0))
         assert ref.objective == pytest.approx(mine.objective, rel=1e-9)
+
+
+class TestBundledKeptState:
+    """The bundled backend keeps a MILP's node workspace and incumbent basis
+    for the next LP on that MILP's rows, per thread."""
+
+    @staticmethod
+    def _fixed(model, res):
+        lo, up = model.lp.lower.copy(), model.lp.upper.copy()
+        lo[model.binary_idx] = up[model.binary_idx] = np.round(
+            res.x[model.binary_idx])
+        return model.lp.with_bounds(lo, up)
+
+    def test_other_or_changed_rows_are_solved_cold(self):
+        backend = BundledBackend()
+        model = _desk_milp(4)
+        fixed = self._fixed(model, backend.solve_milp(model, SolveOptions(rel_gap=0.0)))
+        ref = solve_lp(fixed).objective
+        equal = replace(fixed, a_rows=fixed.a_rows.copy(),
+                        sense=fixed.sense.copy(), rhs=fixed.rhs.copy())
+        sol = backend.solve_lp(equal)
+        assert sol.warm and sol.iterations <= 2
+        assert sol.objective == pytest.approx(ref, rel=1e-9, abs=1e-9)
+        other = replace(fixed, rhs=fixed.rhs + 1e-3)
+        assert not backend.solve_lp(other).warm
+        assert not backend.solve_lp(fixed).warm       # released by ``other``
+
+        backend.solve_milp(model, SolveOptions(rel_gap=0.0))
+        model.lp.rhs[np.argmax(np.abs(model.lp.rhs))] *= 1.5   # shared by fixed
+        sol = backend.solve_lp(fixed)
+        assert not sol.warm
+        assert sol.objective == pytest.approx(solve_lp(fixed).objective,
+                                              rel=1e-9, abs=1e-9)
+
+    def test_other_threads_do_not_see_the_kept_state(self):
+        backend = BundledBackend()
+        model = _desk_milp(4)
+        fixed = self._fixed(model, backend.solve_milp(model, SolveOptions(rel_gap=0.0)))
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(backend.solve_lp(fixed)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and len(seen) == 1
+        assert not seen[0].warm
+        mine = backend.solve_lp(fixed)
+        assert mine.warm
+        assert mine.objective == pytest.approx(seen[0].objective,
+                                               rel=1e-9, abs=1e-9)
 
 
 class TestScipyMilpStatus:
