@@ -165,6 +165,7 @@ class BilevelSolution:
     retries: int = 0
     pair_values: tuple[np.ndarray, np.ndarray] | None = None
     milp: MilpResult | None = None
+    polish_lps: int = 0        # LPs the polish solved: 1, or 2-3 with the shrink LP
 
 
 # -- construction ------------------------------------------------------------
@@ -426,14 +427,22 @@ def _pair_values(mpcc: MpccSystem, primal: np.ndarray, dual: np.ndarray,
             np.concatenate([dual[ineq], reduced]))
 
 
+def _split_point(mpcc: MpccSystem, layout: _MilpLayout, x: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prices, primal columns and multipliers of a MILP point (views)."""
+    system = mpcc.system
+    return (x[: layout.n_slots],
+            x[layout.primal_off: layout.primal_off + system.n_vars],
+            x[layout.dual_off: layout.dual_off + system.n_rows])
+
+
 def extract_bilevel(mpcc: MpccSystem, layout: _MilpLayout, result: MilpResult,
                     tol: float = 1e-5) -> BilevelSolution:
     system = mpcc.system
     inst = system.instance
     x = result.x
-    prices = x[: layout.n_slots].copy()
-    primal = x[layout.primal_off: layout.primal_off + system.n_vars]
-    dual = x[layout.dual_off: layout.dual_off + system.n_rows]
+    prices, primal, dual = _split_point(mpcc, layout, x)
+    prices = prices.copy()
     binaries = mpcc.implied_delta
     switched = mpcc.switched
     binaries[switched] = x[layout.delta_off: layout.delta_off + len(switched)]
@@ -454,16 +463,28 @@ def extract_bilevel(mpcc: MpccSystem, layout: _MilpLayout, result: MilpResult,
         pair_values=(pv, dv), milp=result)
 
 
+def duals_at_m(dv: np.ndarray, config: BigMConfig,
+               margin: float = 1e-6) -> np.ndarray:
+    """The audit's risky rule, per pair: the multiplier side is at or beyond
+    (1 - margin) of its M, so a larger M might move the optimum."""
+    return dv >= (1.0 - margin) * config.dual
+
+
 def audit_big_m(solution: BilevelSolution, config: BigMConfig,
                 margin: float = 1e-6) -> AuditReport:
-    """Flag pair sides at or beyond (1 - margin) of their M."""
+    """Flag pair sides at or beyond (1 - margin) of their M, by pair and the
+    primal side first.  Primal flags are structural (their M is a proven
+    bound); multiplier flags (``duals_at_m``) are risky."""
     pv, dv = solution.pair_values
+    primal = (config.primal > 0) & (pv >= (1.0 - margin) * config.primal)
+    dual = duals_at_m(dv, config, margin)
     flags: list[AuditFlag] = []
-    for k in range(len(pv)):
-        if config.primal[k] > 0 and pv[k] >= (1.0 - margin) * config.primal[k]:
+    for k in np.flatnonzero(primal | dual):
+        k = int(k)
+        if primal[k]:
             flags.append(AuditFlag(k, "primal", float(pv[k]),
                                    float(config.primal[k]), True))
-        if dv[k] >= (1.0 - margin) * config.dual[k]:
+        if dual[k]:
             flags.append(AuditFlag(k, "dual", float(dv[k]),
                                    float(config.dual[k]), False))
     return AuditReport(flags, float(pv.max(initial=0.0)), float(dv.max(initial=0.0)))
@@ -539,16 +560,21 @@ def _fallback_points(mpcc: MpccSystem, layout: _MilpLayout, model: MilpModel,
 
 
 def _polish_incumbent(solver, model: MilpModel, layout: _MilpLayout,
-                      mpcc: MpccSystem, result: MilpResult) -> MilpResult | None:
-    """Re-solve with switches fixed at their rounded values, then pick the
-    minimal-multiplier point among the alternate optima.
+                      mpcc: MpccSystem, result: MilpResult, config: BigMConfig
+                      ) -> tuple[MilpResult, int] | None:
+    """Re-solve with switches fixed at their rounded values; only if that
+    point has a multiplier at its M (``duals_at_m``, the audit's risky rule),
+    pick the minimal-multiplier point among the alternate optima.
 
-    The first LP removes any slack that MIP tolerances scaled by big-M rows
-    let through; the second minimizes total multiplier magnitude (free
-    equality multipliers included, via absolute-value splits) at the optimal
-    objective, so degenerate multipliers do not ride their M and trip the
-    audit.  Returns None when even the fixed-switch LP is infeasible, i.e.
-    the incumbent was an artifact of solver tolerances.
+    The fixed-switch LP removes any slack that MIP tolerances scaled by big-M
+    rows let through.  The shrink LP minimizes total multiplier magnitude
+    (free equality multipliers included, via absolute-value splits) at the
+    optimal objective, so degenerate multipliers do not ride their M and trip
+    the audit; when none does, it would only trade one clean optimum for
+    another, so it is skipped.  Returns the polished result and the number of
+    LPs solved (1, or 2-3 with the shrink LP and its retry), or None when even
+    the fixed-switch LP is infeasible, i.e. the incumbent was an artifact of
+    solver tolerances.
     """
     lp = model.lp
     binaries = model.binary_idx
@@ -563,6 +589,17 @@ def _polish_incumbent(solver, model: MilpModel, layout: _MilpLayout,
         return None
     fstar = float(s1.objective)
     x_best = s1.x
+
+    def polished(x: np.ndarray, n_lps: int) -> tuple[MilpResult, int]:
+        obj = float(lp.obj @ x)
+        gap = abs(obj - result.bound) / max(1.0, abs(obj)) \
+            if np.isfinite(result.bound) else result.rel_gap
+        return replace(result, x=x, objective=obj, rel_gap=gap), n_lps
+
+    prices, primal, dual = _split_point(mpcc, layout, x_best)
+    _, dv = _pair_values(mpcc, primal, dual, prices)
+    if not duals_at_m(dv, config).any():
+        return polished(x_best, 1)
 
     n = lp.n_vars
     eq = mpcc.system.skeleton.sense == EQ
@@ -600,15 +637,14 @@ def _polish_incumbent(solver, model: MilpModel, layout: _MilpLayout,
                              maximize=False)
 
     s2 = solver.solve_lp(shrink_lp(fstar))      # hold the optimum exactly
+    n_lps = 2
     if s2.status is not Status.OPTIMAL:
         slack = (-1 if lp.maximize else 1) * 1e-9 * (1.0 + abs(fstar))
         s2 = solver.solve_lp(shrink_lp(fstar + slack))
+        n_lps = 3
     if s2.status is Status.OPTIMAL:
         x_best = s2.x[:n]
-    obj = float(lp.obj @ x_best)
-    gap = abs(obj - result.bound) / max(1.0, abs(obj)) \
-        if np.isfinite(result.bound) else result.rel_gap
-    return replace(result, x=x_best, objective=obj, rel_gap=gap)
+    return polished(x_best, n_lps)
 
 
 def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
@@ -618,6 +654,9 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
                   max_retries: int = 3) -> BilevelSolution:
     """Optimistic pricing optimum via the big-M MILP, with audited M escalation.
 
+    Every attempt solves the MILP, polishes its incumbent
+    (``_polish_incumbent``: the fixed-switch LP, then the multiplier-shrink
+    LP only if a multiplier of that point is at its M), extracts and audits.
     Every returned solution has a clean audit.  When a limit stops the MILP
     without an incumbent, the best operator point of ``_fallback_points``
     stands in for it, with the MILP's status and bound.  Raises
@@ -664,15 +703,17 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
         if result.x is None:
             raise BilevelInfeasible(
                 f"no incumbent within limits (status {result.status})")
-        polished = _polish_incumbent(solver, model, layout, mpcc, result)
+        polished = _polish_incumbent(solver, model, layout, mpcc, result, cfg)
         solution = None
         if polished is not None:
+            point, polish_lps = polished
             try:
-                solution = extract_bilevel(mpcc, layout, polished)
+                solution = extract_bilevel(mpcc, layout, point)
             except ExtractionMismatch:
                 solution = None
         if solution is not None:
             solution.retries = attempt
+            solution.polish_lps = polish_lps
             solution.audit = audit_big_m(solution, cfg)
             if solution.audit.clean:
                 return solution

@@ -104,6 +104,7 @@ def solution_to_dict(instance: Instance, solution: BilevelSolution) -> dict:
         "generalized_cost": costs.generalized_cost,
         "mip_gap": solution.mip_gap,
         "retries": solution.retries,
+        "polish_lps": solution.polish_lps,
         "audit": {
             "clean": audit.clean if audit else None,
             "flags": [asdict(f) for f in audit.flags] if audit else [],

@@ -9,7 +9,8 @@ labels.
 ``indistinguishability_time`` and ``all_nonanticipativity_pairs`` list the
 decisions two leaves must share pair by pair, the quadratic way that
 ``scenario.node_map`` avoids; ``complementarity_products`` reads every
-slack-multiplier product of a solved LP row by row.
+slack-multiplier product of a solved LP row by row, and ``audit_loop`` audits
+the big-M caps one pair at a time.
 
 The grid oracle sweeps leader prices over a lattice and, per price point,
 computes the operator's optimal response with leader-favorable tie-breaking;
@@ -35,6 +36,7 @@ from gridtariff.follower import (DEVICE_FAMILIES, SLOT_FAMILIES,
                                  build_follower_lp, build_follower_system)
 from gridtariff.model import (Battery, Device, Horizon, Instance, PriceData,
                               TimeWindow)
+from gridtariff.reformulation import AuditFlag, AuditReport, BigMConfig
 from gridtariff.scenario import (BaseScenario, Scenario, ScenarioTree,
                                  flat_tree, node_map, single_path_tree)
 from gridtariff.solver import (EQ, GE, LE, LinearProgram, LpBuilder,
@@ -123,6 +125,22 @@ def complementarity_products(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
     slack = np.where(lp.sense == LE, -1.0, 1.0) * (lp.a_rows @ sol.x - lp.rhs)
     return np.abs(np.concatenate([(slack * sol.duals)[ineq],
                                   (sol.x - lp.lower) * sol.reduced_costs]))
+
+
+def audit_loop(pair_values: tuple[np.ndarray, np.ndarray], config: BigMConfig,
+               margin: float = 1e-6) -> AuditReport:
+    """The big-M audit pair by pair, primal side before multiplier side: the
+    reference for ``reformulation.audit_big_m``."""
+    pv, dv = pair_values
+    flags: list[AuditFlag] = []
+    for k in range(len(pv)):
+        if config.primal[k] > 0 and pv[k] >= (1.0 - margin) * config.primal[k]:
+            flags.append(AuditFlag(k, "primal", float(pv[k]),
+                                   float(config.primal[k]), True))
+        if dv[k] >= (1.0 - margin) * config.dual[k]:
+            flags.append(AuditFlag(k, "dual", float(dv[k]),
+                                   float(config.dual[k]), False))
+    return AuditReport(flags, float(pv.max(initial=0.0)), float(dv.max(initial=0.0)))
 
 
 # -- reference operator LP ------------------------------------------------------

@@ -18,15 +18,22 @@ from gridtariff.reformulation import (DOMINATED_PURCHASE, DUPLICATE_FLOOR,
                                       BigMConfig, BilevelInfeasible,
                                       BilevelSolution, UncertifiedOptimum,
                                       audit_big_m, build_mpcc, default_big_m,
-                                      _fallback_points, _linearize, linearize,
-                                      solve_bilevel)
+                                      duals_at_m, _fallback_points,
+                                      _linearize, _pair_values, _split_point,
+                                      linearize, solve_bilevel)
+from gridtariff.reports import solution_to_dict
 from gridtariff.scenario import BaseScenario, flat_tree, single_path_tree
 from gridtariff.solver import (EQ, LE, MilpResult, SolveOptions, Status,
                                get_backend, solve_milp)
 from gridtariff.solver import backends
 
-from conftest import (DESK_SHAPE, OptimisticResponder, grid_oracle, make_t1,
-                      random_tiny_instance, reference_follower)
+from conftest import (DESK_SHAPE, OptimisticResponder, audit_loop,
+                      grid_oracle, make_t1, random_tiny_instance,
+                      reference_follower)
+
+# perfbench's desk-bundled roster, and the desk seeds it leaves out as slow
+DESK_ROSTER = (1, 4, 7, 9, 13, 21)
+DESK_SLOW = (5, 12, 20, 25, 35)
 
 
 def _tag_loop_classification(ref):
@@ -443,6 +450,36 @@ class TestAudit:
             solve_bilevel(inst, config=cramped, opts=SolveOptions(rel_gap=0.0),
                           max_retries=2)
 
+    @staticmethod
+    def _assert_matches_loop(mpcc, sol):
+        """The vectorized audit gives the pair loop's report, at the default
+        M and at caps cut to the solution's own pair values, which flag both
+        sides of many pairs."""
+        pv, dv = sol.pair_values
+        tight = BigMConfig(np.where(pv > 0, pv, mpcc.primal_bound),
+                           np.where(dv > 0, dv, 1.0))
+        for cfg in (default_big_m(mpcc), tight):
+            report = audit_big_m(sol, cfg)
+            assert report == audit_loop(sol.pair_values, cfg)
+        assert report.flags and not report.clean
+
+    @pytest.mark.parametrize("seed", DESK_ROSTER)
+    def test_matches_the_pair_loop_on_the_desk_roster(self, seed):
+        inst = _desk(seed)
+        sol = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0), backend="bundled")
+        self._assert_matches_loop(build_mpcc(inst), sol)
+
+    def test_matches_the_pair_loop_on_a_week_solve(self):
+        inst = generate_week_instance(1, n_bases=3)
+        mpcc = build_mpcc(inst)
+        system = mpcc.system
+        prices = inst.prices.competitor
+        op, _, _ = solve_follower(build_follower_lp(inst, prices, system),
+                                  backend="scipy")
+        pv, dv = _pair_values(mpcc, op.x, op.duals * system.row_sign, prices)
+        assert mpcc.n_pairs > 40_000
+        self._assert_matches_loop(mpcc, self._fake_solution(pv, dv))
+
 
 def _desk(seed):
     return generate_instance(seed, **DESK_SHAPE)
@@ -543,11 +580,6 @@ class TestPriming:
         assert log.calls.count("milp") == 1
 
 
-# perfbench's desk-bundled roster, and the desk seeds it leaves out as slow
-DESK_ROSTER = (1, 4, 7, 9, 13, 21)
-DESK_SLOW = (5, 12, 20, 25, 35)
-
-
 class TestBundledNodes:
     """Branch-and-bound nodes re-solved from their parent's basis."""
 
@@ -590,27 +622,6 @@ class TestBundledNodes:
         assert first.nodes == again.nodes
         assert first.log == again.log
 
-    def test_polish_lp_starts_from_the_incumbent_basis(self, monkeypatch):
-        from gridtariff.solver import simplex
-        bundled = backends.get_backend("bundled")
-        solve = type(bundled).solve_lp
-        seen = []
-
-        def recorded(self, lp, opts=None):
-            sol = solve(self, lp, opts)
-            seen.append((lp, sol))
-            return sol
-
-        monkeypatch.setattr(type(bundled), "solve_lp", recorded)
-        sol = solve_bilevel(_desk(4), opts=SolveOptions(rel_gap=0.0),
-                            backend="bundled")
-        assert sol.status is Status.OPTIMAL
-        (fixed, first), (shrink, second) = seen[:2]
-        assert shrink.n_rows > fixed.n_rows        # the multiplier-shrink LP
-        assert first.warm and first.iterations <= 2 and not second.warm
-        assert first.objective == pytest.approx(
-            simplex.solve_lp(fixed).objective, rel=1e-9, abs=1e-9)
-
     @pytest.mark.parametrize("seed", DESK_SLOW)
     def test_slow_desk_seeds_finish(self, seed):
         inst = _desk(seed)
@@ -619,3 +630,80 @@ class TestBundledNodes:
                             backend="bundled")
         assert sol.status is Status.OPTIMAL
         assert sol.leader_objective == pytest.approx(ref.leader_objective, rel=1e-6)
+
+
+class TestPolish:
+    """The fixed-switch LP, then the multiplier-shrink LP only when a
+    multiplier of the fixed-switch point is at its M."""
+
+    @staticmethod
+    def _record_lps(monkeypatch, backend: str) -> list:
+        """Every ``(lp, solution)`` of the backend's ``solve_lp`` calls."""
+        cls = type(get_backend(backend))
+        solve = cls.solve_lp
+        seen = []
+
+        def recorded(self, lp, opts=None):
+            sol = solve(self, lp, opts)
+            seen.append((lp, sol))
+            return sol
+
+        monkeypatch.setattr(cls, "solve_lp", recorded)
+        return seen
+
+    @staticmethod
+    def _rides_m(inst, config, x) -> bool:
+        """Whether a point of the MILP has a multiplier at its M."""
+        mpcc = build_mpcc(inst)
+        _, layout = _linearize(mpcc, config)
+        prices, primal, dual = _split_point(mpcc, layout, x)
+        _, dv = _pair_values(mpcc, primal, dual, prices)
+        return bool(duals_at_m(dv, config).any())
+
+    def test_clean_point_solves_one_warm_lp(self, monkeypatch):
+        from gridtariff.solver import simplex
+        inst = _desk(4)
+        seen = self._record_lps(monkeypatch, "bundled")
+        sol = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0), backend="bundled")
+        assert sol.status is Status.OPTIMAL and sol.audit.clean
+        [(fixed, first)] = seen                     # the fixed-switch LP only
+        assert sol.polish_lps == solution_to_dict(inst, sol)["polish_lps"] == 1
+        assert first.warm and first.iterations <= 2
+        assert first.objective == pytest.approx(
+            simplex.solve_lp(fixed).objective, rel=1e-9, abs=1e-9)
+
+    def test_highs_point_at_m_runs_the_shrink_lp(self, monkeypatch):
+        inst = _desk(4)
+        seen = self._record_lps(monkeypatch, "scipy")
+        sol = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0), backend="scipy")
+        assert sol.status is Status.OPTIMAL and sol.audit.clean
+        assert sol.retries == 0
+        (fixed, first), (shrink, _) = seen[:2]
+        assert shrink.n_rows > fixed.n_rows        # the multiplier-shrink LP
+        mpcc = build_mpcc(inst)
+        assert self._rides_m(inst, default_big_m(mpcc), first.x)
+        assert sol.polish_lps == len(seen) in (2, 3)
+        assert solution_to_dict(inst, sol)["polish_lps"] == sol.polish_lps
+
+    def test_small_m_makes_the_bundled_polish_shrink(self, monkeypatch):
+        inst = _desk(4)
+        mpcc = build_mpcc(inst)
+        # the bundled fixed-switch multipliers peak near 10.46, the shrink
+        # LP's below 10.1
+        small = default_big_m(mpcc, default_dual=10.2)
+        seen = self._record_lps(monkeypatch, "bundled")
+        sol = solve_bilevel(inst, config=small, opts=SolveOptions(rel_gap=0.0),
+                            backend="bundled", max_retries=0)
+        assert self._rides_m(inst, small, seen[0][1].x)
+        assert sol.polish_lps == len(seen) in (2, 3)
+        assert sol.audit.clean
+        ref = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0), backend="bundled")
+        assert sol.leader_objective == pytest.approx(ref.leader_objective, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(1, 15))
+    def test_desk_seeds_are_clean_and_match_highs(self, seed):
+        inst = _desk(seed)
+        sol = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0), backend="bundled")
+        ref = solve_bilevel(inst, opts=SolveOptions(rel_gap=1e-9), backend="scipy")
+        assert sol.status is Status.OPTIMAL and sol.audit.clean
+        assert sol.leader_objective == pytest.approx(ref.leader_objective, rel=1e-9)
