@@ -46,7 +46,8 @@ from .follower import (DEVICE_FAMILIES, FollowerSolution, FollowerSystem,
                        extract_solution, leader_profit, solve_follower)
 from .model import Instance, validate
 from .solver import (EQ, GE, LE, LinearProgram, MilpModel, MilpResult,
-                     SolveOptions, Status, get_backend, verify_milp_solution)
+                     SolveOptions, Status, get_backend, relative_gap,
+                     verify_milp_solution)
 
 DEFAULT_DUAL_M = 1e5
 
@@ -592,7 +593,7 @@ def _polish_incumbent(solver, model: MilpModel, layout: _MilpLayout,
 
     def polished(x: np.ndarray, n_lps: int) -> tuple[MilpResult, int]:
         obj = float(lp.obj @ x)
-        gap = abs(obj - result.bound) / max(1.0, abs(obj)) \
+        gap = relative_gap(obj, result.bound) \
             if np.isfinite(result.bound) else result.rel_gap
         return replace(result, x=x, objective=obj, rel_gap=gap), n_lps
 

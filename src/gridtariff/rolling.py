@@ -260,18 +260,15 @@ def run(instance: Instance, config: RhConfig,
 
 def _solve_window(sub: Instance, opts: SolveOptions, pinned: dict,
                   config: RhConfig) -> tuple[BilevelSolution | None, str]:
-    failure = ""
     for attempt in range(2):                    # escalate the time limit once
         try:
             return solve_bilevel(sub, opts=opts, backend=config.backend,
                                  pinned_prices=pinned), ""
         except BilevelInfeasible as exc:        # limits ran out; bugs propagate
-            failure = f"{type(exc).__name__}: {exc}"
             if attempt == 1:
-                return None, failure
+                return None, f"{type(exc).__name__}: {exc}"
             opts = SolveOptions(time_limit=opts.time_limit * 2,
                                 rel_gap=opts.rel_gap)
-    return None, failure
 
 
 def _commit(traj: RhTrajectory, sol: BilevelSolution, kept: list[int], t: int,

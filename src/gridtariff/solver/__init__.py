@@ -5,7 +5,7 @@ from .backends import (BundledBackend, ScipyBackend, get_backend,
 from .bnb import solve_milp, verify_milp_solution
 from .core import (EQ, GE, LE, LinearProgram, LpBuilder, LpSolution,
                    MilpModel, MilpResult, SolveOptions, SolverError, Status,
-                   check_lp_solution)
+                   check_lp_solution, relative_gap)
 from .lpfile import write_lp
 from .simplex import solve_lp
 
@@ -16,5 +16,5 @@ __all__ = [
     "BundledBackend", "ScipyBackend",
     "get_backend", "register_backend",
     "solve_lp", "solve_milp", "verify_milp_solution", "check_lp_solution",
-    "write_lp",
+    "relative_gap", "write_lp",
 ]

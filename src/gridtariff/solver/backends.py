@@ -18,35 +18,33 @@ basis.  The next LP whose matrix, senses and right-hand sides equal that
 MILP's by value (the polish step's fixed-switch LP) re-solves from that
 basis with the dual simplex; any other LP releases the kept state first.
 
-``ScipyBackend`` solves LPs through the HiGHS bindings that scipy vendors
-(``scipy.optimize._highspy._core``), and MILPs through
-``scipy.optimize.milp``.  An LP goes to HiGHS in row-bound form
-(``row_lower <= A x <= row_upper``), its CSR matrix passed row-wise as it is.
-An LP whose matrix, senses, right-hand sides and bounds are all read-only
+``ScipyBackend`` solves LPs and MILPs through one HiGHS binding, the one that
+scipy vendors (``scipy.optimize._highspy._core``), and one map turns HiGHS'
+model status into a ``Status`` for both.  A model goes to HiGHS in row-bound
+form (``row_lower <= A x <= row_upper``), its CSR matrix passed row-wise as it
+is.  An LP whose matrix, senses, right-hand sides and bounds are all read-only
 arrays is *re-priceable*: every LP that ``build_follower_lp`` prices from one
 operator system is, since they share the system's skeleton.  Such an LP is
-solved with presolve off, and after an optimal solve its loaded HiGHS model
-is kept, one per thread.  The next LP with the very same arrays only swaps in
-its costs and re-optimizes from the kept basis; any other LP releases the
-kept model first.  A re-priced LP's optimal vertex can therefore depend on
-the previous re-pricing on that thread; its objective and duals are optimal
-either way.
+solved with presolve off, and after an optimal solve its loaded HiGHS model is
+kept, one per thread.  The next LP with the very same arrays only swaps in its
+costs and re-optimizes from the kept basis; any other LP releases the kept
+model first.  A re-priced LP's optimal vertex can therefore depend on the
+previous re-pricing on that thread; its objective and duals are optimal either
+way.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import warnings
 from typing import Protocol
 
 import numpy as np
-import scipy.optimize as sopt
 from scipy.optimize._highspy import _core as highs_core
 
 from . import bnb, simplex
 from .core import (GE, LE, LinearProgram, LpSolution, MilpModel,
-                   MilpResult, SolveOptions, SolverError, Status)
+                   MilpResult, SolveOptions, SolverError, Status, relative_gap)
 
 ENV_VAR = "GRIDTARIFF_BACKEND"
 
@@ -57,8 +55,8 @@ class SolverBackend(Protocol):
     def solve_lp(self, lp: LinearProgram, opts: SolveOptions | None = None) -> LpSolution: ...
 
     # A MILP stopped by a limit reports that limit with ``x=None`` when it has
-    # no incumbent.  The adapters accept and ignore a third argument
-    # ``initial_solutions``, which perfbench's tracing wrapper still forwards.
+    # no incumbent.  Both adapters (HiGHS' on its one ``_core`` binding) accept
+    # and ignore ``initial_solutions``, which perfbench's tracer still forwards.
     def solve_milp(self, model: MilpModel,
                    opts: SolveOptions | None = None) -> MilpResult: ...
 
@@ -133,27 +131,32 @@ def _load(lp: LinearProgram, cost: np.ndarray, presolve: bool):
     if not presolve:
         highs.setOptionValue("presolve", "off")
     if highs.passModel(model) == highs_core.HighsStatus.kError:
-        raise SolverError("HiGHS rejected the LP")
+        raise SolverError("HiGHS rejected the model")
     return highs
 
 
-def _not_optimal(lp: LinearProgram, highs, status) -> LpSolution:
-    """The verdict of a HiGHS LP solve that did not end optimal; any status
-    other than a verdict on the LP itself raises."""
-    codes = highs_core.HighsModelStatus
-    if status == codes.kInfeasible:
-        return LpSolution(Status.INFEASIBLE, None, None, None, None)
-    if status in (codes.kUnbounded, codes.kUnboundedOrInfeasible):
-        # the latter: the dual is infeasible, so there is no finite optimum
-        return LpSolution(Status.UNBOUNDED, None, None, None, None)
-    if status == codes.kModelEmpty:
-        # an LP without columns, whose rows HiGHS does not check: each reads 0
-        lower, upper = _row_bounds(lp)
-        if np.any(lower > 0.0) or np.any(upper < 0.0):
-            return LpSolution(Status.INFEASIBLE, None, None, None, None)
-        return LpSolution(Status.OPTIMAL, np.zeros(0), np.zeros(lp.n_rows),
-                          np.zeros(0), 0.0)
-    raise SolverError(f"HiGHS LP solve failed: {highs.modelStatusToString(status)}")
+_CODES = highs_core.HighsModelStatus
+# HiGHS' verdicts on a model, and the limits only a MILP solve may stop at
+_STATUS = {_CODES.kOptimal: Status.OPTIMAL,
+           _CODES.kInfeasible: Status.INFEASIBLE,
+           _CODES.kUnbounded: Status.UNBOUNDED,
+           _CODES.kTimeLimit: Status.TIME_LIMIT,
+           _CODES.kIterationLimit: Status.TIME_LIMIT,
+           _CODES.kSolutionLimit: Status.NODE_LIMIT}     # mip_max_nodes
+
+
+def _status(highs, milp: bool) -> Status:
+    """HiGHS' model status after ``run`` as a ``Status``; any other status,
+    or a limit on an LP, raises with HiGHS' own string."""
+    code = highs.getModelStatus()
+    if code == _CODES.kUnboundedOrInfeasible and not milp:
+        return Status.UNBOUNDED     # the dual is infeasible: no finite optimum
+    status = _STATUS.get(code)
+    if status is None or (status in (Status.TIME_LIMIT, Status.NODE_LIMIT)
+                          and not milp):
+        raise SolverError(f"HiGHS {'MILP' if milp else 'LP'} solve failed:"
+                          f" {highs.modelStatusToString(code)}")
+    return status
 
 
 class ScipyBackend:
@@ -166,10 +169,17 @@ class ScipyBackend:
 
     def solve_lp(self, lp, opts=None):
         lp.validate()
-        sign = -1.0 if lp.maximize else 1.0
-        key = _reprice_key(lp)
         kept = getattr(self._kept, "model", None)
         self._kept.model = None
+        if lp.n_vars == 0:
+            # HiGHS does not check the rows of an LP without columns: each reads 0
+            lower, upper = _row_bounds(lp)
+            if np.any(lower > 0.0) or np.any(upper < 0.0):
+                return LpSolution(Status.INFEASIBLE, None, None, None, None)
+            return LpSolution(Status.OPTIMAL, np.zeros(0), np.zeros(lp.n_rows),
+                              np.zeros(0), 0.0)
+        sign = -1.0 if lp.maximize else 1.0
+        key = _reprice_key(lp)
         if kept is not None and key is not None \
                 and all(a is b for a, b in zip(kept[0], key)):
             highs = kept[1]
@@ -179,9 +189,9 @@ class ScipyBackend:
             kept = None         # free the old model before loading the new one
             highs = _load(lp, sign * lp.obj, presolve=key is None)
         highs.run()
-        status = highs.getModelStatus()
-        if status != highs_core.HighsModelStatus.kOptimal:
-            return _not_optimal(lp, highs, status)
+        status = _status(highs, milp=False)
+        if status is not Status.OPTIMAL:
+            return LpSolution(status, None, None, None, None)
         solution = highs.getSolution()
         x = np.asarray(solution.col_value)
         duals = sign * np.asarray(solution.row_dual)
@@ -194,50 +204,38 @@ class ScipyBackend:
     def solve_milp(self, model, opts=None, initial_solutions=None):
         opts = opts or SolveOptions()
         model.validate()
-        lp = model.lp
+        lp, binaries = model.lp, model.binary_idx
         sign = -1.0 if lp.maximize else 1.0
-        lo, hi = _row_bounds(lp)
-        integrality = np.zeros(lp.n_vars)
-        integrality[model.binary_idx] = 1
+        highs = _load(lp, sign * lp.obj, presolve=True)
+        highs.changeColsIntegrality(
+            len(binaries), binaries.astype(np.int32),
+            np.full(len(binaries), highs_core.HighsVarType.kInteger))
         # tight tolerances matter: slack allowed on a big-M row is the
         # tolerance times the row scale, which can flip switch patterns
-        options = {"time_limit": opts.time_limit,
-                   "mip_rel_gap": opts.rel_gap,
-                   "presolve": True,
-                   "mip_feasibility_tolerance": 1e-9,
-                   "primal_feasibility_tolerance": 1e-9,
-                   "dual_feasibility_tolerance": 1e-9}
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="Unrecognized options",
-                                    category=RuntimeWarning)
-            res = sopt.milp(
-                sign * lp.obj,
-                constraints=sopt.LinearConstraint(lp.a_rows, lo, hi),
-                bounds=sopt.Bounds(lp.lower, lp.upper),
-                integrality=integrality,
-                options=options,
-            )
-        if res.status == 2:
-            return MilpResult(Status.INFEASIBLE, None, None, np.nan, np.inf, 0)
-        if res.status == 3:
-            return MilpResult(Status.UNBOUNDED, None, None, np.nan, np.inf, 0)
-        if res.status not in (0, 1):
-            raise SolverError(f"scipy milp failed: {res.message}")
-        status = Status.OPTIMAL if res.status == 0 else Status.TIME_LIMIT
-        nodes = int(getattr(res, "mip_node_count", 0) or 0)
-        if res.x is None:
-            bound = np.nan if res.mip_dual_bound is None \
-                else sign * float(res.mip_dual_bound)
+        for option, value in (("time_limit", opts.time_limit),
+                              ("mip_rel_gap", opts.rel_gap),
+                              ("mip_max_nodes", opts.node_limit),
+                              ("mip_feasibility_tolerance", 1e-9),
+                              ("primal_feasibility_tolerance", 1e-9),
+                              ("dual_feasibility_tolerance", 1e-9)):
+            if highs.setOptionValue(option, value) != highs_core.HighsStatus.kOk:
+                raise SolverError(f"HiGHS refused option {option}={value!r}")
+        highs.run()
+        status = _status(highs, milp=True)
+        info = highs.getInfo()
+        if len(binaries):
+            bound, nodes = sign * info.mip_dual_bound, int(info.mip_node_count)
+        else:                   # solved as an LP, which sets no MIP information
+            bound, nodes = sign * info.objective_function_value, 0
+        if status is Status.UNBOUNDED or info.primal_solution_status \
+                != highs_core.SolutionStatus.kSolutionStatusFeasible:
             return MilpResult(status, None, None, bound, np.inf, nodes)
         # binaries rounded only: the caller's polish step re-solves the
         # continuous part with the switches fixed
-        x = res.x.copy()
-        x[model.binary_idx] = np.round(x[model.binary_idx])
+        x = np.array(highs.getSolution().col_value)
+        x[binaries] = np.round(x[binaries])
         obj = float(lp.obj @ x)
-        bound = res.mip_dual_bound if res.mip_dual_bound is not None else sign * res.fun
-        bound = sign * float(bound)
-        gap = abs(obj - bound) / max(1.0, abs(obj))
-        return MilpResult(status, x, obj, bound, float(gap), nodes)
+        return MilpResult(status, x, obj, bound, relative_gap(obj, bound), nodes)
 
 
 _REGISTRY: dict[str, SolverBackend] = {}

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import simplex
 from .core import (MilpModel, MilpResult, SolveOptions, Status,
-                   check_lp_solution)
+                   check_lp_solution, relative_gap)
 
 _INT_TOL = 1e-6
 
@@ -34,12 +34,6 @@ class _Node:
     bound: float
     depth: int
     basis: tuple | None = None      # the parent's (basis, vstat)
-
-
-def _relative_gap(incumbent: float | None, bound: float) -> float:
-    if incumbent is None or not np.isfinite(bound):
-        return np.inf
-    return abs(incumbent - bound) / max(1.0, abs(incumbent))
 
 
 def verify_milp_solution(model: MilpModel, x: np.ndarray, tol: float = 1e-6) -> list[str]:
@@ -130,7 +124,7 @@ def search(model: MilpModel, opts: SolveOptions | None = None
                 proven_optimal = True
                 heap.clear()
                 break
-            if _relative_gap(incumbent_obj, bound) <= opts.rel_gap:
+            if relative_gap(incumbent_obj, bound) <= opts.rel_gap:
                 heap.clear()
                 break
 
@@ -196,7 +190,7 @@ def search(model: MilpModel, opts: SolveOptions | None = None
 
     if proven_optimal:
         dual_bound = incumbent_obj
-    gap = _relative_gap(incumbent_obj, dual_bound)
+    gap = relative_gap(incumbent_obj, dual_bound)
     status = Status.OPTIMAL if stop_status is None else stop_status
     if status is not Status.OPTIMAL and gap <= opts.rel_gap:
         status = Status.OPTIMAL

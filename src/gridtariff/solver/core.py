@@ -72,6 +72,8 @@ class LinearProgram:
             raise SolverError("rhs must be finite")
         if not np.all(np.isfinite(self.obj)):
             raise SolverError("objective must be finite")
+        if not np.all(np.isfinite(self.a_rows.data)):
+            raise SolverError("constraint coefficients must be finite")
         if np.any(self.lower > self.upper + 1e-12):
             raise SolverError("crossed variable bounds")
         bad = set(self.sense.tolist()) - set(_SENSES)
@@ -141,6 +143,13 @@ class MilpResult:
     cold_nodes: int = 0        # bundled: node LPs solved from the crash basis
     refactored_nodes: int = 0  # bundled: warm node LPs whose start basis was
                                # refactorized instead of exchanged
+
+
+def relative_gap(incumbent: float | None, bound: float) -> float:
+    """``|incumbent - bound| / max(1, |incumbent|)``, or inf without both."""
+    if incumbent is None or not np.isfinite(bound):
+        return np.inf
+    return abs(incumbent - bound) / max(1.0, abs(incumbent))
 
 
 class LpBuilder:

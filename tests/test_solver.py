@@ -9,14 +9,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize._highspy import _core
 
 from gridtariff.solver import (GE, LE, BundledBackend, LinearProgram,
                                LpBuilder, MilpModel, SolveOptions, SolverError,
                                Status, check_lp_solution, get_backend,
-                               register_backend, solve_lp, solve_milp,
-                               verify_milp_solution)
-from gridtariff.generator import generate_instance
-from gridtariff.reformulation import build_mpcc, default_big_m, linearize
+                               register_backend, relative_gap, solve_lp,
+                               solve_milp, verify_milp_solution)
+from gridtariff.generator import generate_instance, generate_mini_instance
+from gridtariff.reformulation import (build_mpcc, default_big_m, linearize,
+                                      solve_bilevel)
 from gridtariff.solver import simplex
 from gridtariff.solver.backends import ScipyBackend
 
@@ -731,7 +733,6 @@ class TestScipyLp:
         assert ScipyBackend().solve_lp(empty[0]).status is Status.OPTIMAL
 
     def test_other_status_raises_with_the_highs_status(self, monkeypatch):
-        from scipy.optimize._highspy import _core
 
         class IterationLimited(_core._Highs):
             def run(self):
@@ -759,6 +760,14 @@ class TestBackends:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(SolverError):
             register_backend(ScipyBackend())
+
+    @pytest.mark.parametrize("name", ["bundled", "scipy"])
+    def test_non_finite_coefficient_rejected(self, name):
+        # HiGHS would read a NaN coefficient's row as satisfied
+        lp = simple_lp()
+        lp.a_rows.data[0] = np.nan
+        with pytest.raises(SolverError, match="coefficients must be finite"):
+            get_backend(name).solve_lp(lp)
 
     def test_scipy_milp_agrees_with_bundled(self):
         rng = np.random.default_rng(31)
@@ -818,40 +827,144 @@ class TestBundledKeptState:
                                                rel=1e-9, abs=1e-9)
 
 
+def _mini_milp(seed: int) -> MilpModel:
+    mpcc = build_mpcc(generate_mini_instance(seed, n_bases=3))
+    return linearize(mpcc, default_big_m(mpcc))
+
+
+def _unbounded_milp() -> MilpModel:
+    b = LpBuilder(maximize=True)
+    x = b.add_var("x", 0.0, np.inf, obj=1.0)
+    z = b.add_var("z", 0.0, 1.0, obj=1.0)
+    b.add_row([(x, 1.0)], GE, 1.0)
+    return MilpModel(b.build(), np.array([z]))
+
+
 class TestScipyMilpStatus:
-    """``ScipyBackend.solve_milp`` classifies each scipy ``milp`` status."""
+    """``ScipyBackend.solve_milp`` classifies HiGHS' model status and reads
+    HiGHS' bound and node count on every outcome.  Where a case needs a time
+    limit, HiGHS stops at its node limit, at the same point on every host,
+    and reports a time limit instead."""
+
+    # without its heuristics, HiGHS has no incumbent for the 3-base mini
+    # seed 6 MILP after one node
+    NO_HEURISTICS = (("mip_heuristic_effort", 0.0),
+                     *((f"mip_heuristic_run_{name}", False) for name in
+                       ("feasibility_jump", "rens", "rins", "root_reduced_cost",
+                        "shifting", "zi_round")))
 
     @staticmethod
-    def solve_with(monkeypatch, **canned):
-        import scipy.optimize as sopt
-        result = sopt.OptimizeResult(x=None, fun=None, mip_dual_bound=None,
-                                     mip_node_count=7, message="canned")
-        result.update(canned)
-        monkeypatch.setattr(sopt, "milp", lambda *args, **kwargs: result)
-        model = knapsack_model(np.array([3.0, 2.0]), np.array([1.0, 1.0]), 1.0)
-        return ScipyBackend().solve_milp(model, SolveOptions(rel_gap=0.0))
+    def patch(monkeypatch, options=(), status=None, nudge=0.0):
+        """Make each HiGHS instance set ``options`` before it runs, report
+        ``status`` in place of its own, and move its column values by
+        ``nudge``.  Returns the ``getInfo()`` of each run and the column
+        values handed out."""
+        infos, values = [], []
+
+        class Patched(_core._Highs):
+            def run(self):
+                for name, value in options:
+                    self.setOptionValue(name, value)
+                outcome = super().run()
+                infos.append(self.getInfo())
+                return outcome
+
+            def getModelStatus(self):
+                return super().getModelStatus() if status is None else status
+
+            def getSolution(self):
+                solution = super().getSolution()
+                solution.col_value = np.asarray(solution.col_value) + nudge
+                values.append(np.asarray(solution.col_value))
+                return solution
+
+        monkeypatch.setattr(_core, "_Highs", Patched)
+        return infos, values
+
+    @staticmethod
+    def highs_bound(model, info) -> float:
+        return (-1.0 if model.lp.maximize else 1.0) * info.mip_dual_bound
 
     def test_limit_with_incumbent_is_time_limit(self, monkeypatch):
-        res = self.solve_with(monkeypatch, status=1, x=np.array([0.9999999, 1e-8]),
-                              fun=-3.0, mip_dual_bound=-3.5)
+        infos, values = self.patch(monkeypatch, nudge=1e-7,
+                                   status=_core.HighsModelStatus.kTimeLimit)
+        model = _mini_milp(5)
+        res = ScipyBackend().solve_milp(model, SolveOptions(rel_gap=0.0, node_limit=1))
         assert res.status is Status.TIME_LIMIT
-        assert res.x.tolist() == [1.0, 0.0]        # binaries rounded, not re-solved
-        assert res.objective == 3.0
-        assert res.bound == 3.5
-        assert res.nodes == 7
+        raw, binaries = values[0], model.binary_idx
+        continuous = np.setdiff1d(np.arange(model.lp.n_vars), binaries)
+        # binaries rounded, the rest as HiGHS gave it: not re-solved
+        assert not np.array_equal(raw[binaries], res.x[binaries])
+        assert np.array_equal(res.x[binaries], np.round(raw[binaries]))
+        assert set(res.x[binaries].tolist()) <= {0.0, 1.0}
+        assert np.array_equal(res.x[continuous], raw[continuous])
+        assert res.objective == float(model.lp.obj @ res.x)
+        assert res.bound == self.highs_bound(model, infos[0])
+        assert res.rel_gap == relative_gap(res.objective, res.bound)
+        assert res.nodes == infos[0].mip_node_count == 1
 
-    def test_limit_without_incumbent_is_no_solution(self, monkeypatch):
-        res = self.solve_with(monkeypatch, status=1, mip_dual_bound=-3.5)
+    def test_limit_without_incumbent_reports_the_highs_bound(self, monkeypatch):
+        infos, _ = self.patch(monkeypatch, self.NO_HEURISTICS,
+                              status=_core.HighsModelStatus.kTimeLimit)
+        model = _mini_milp(6)
+        res = ScipyBackend().solve_milp(model, SolveOptions(rel_gap=0.0, node_limit=1))
+        assert infos[0].primal_solution_status \
+            == _core.SolutionStatus.kSolutionStatusNone
         assert res.status is Status.TIME_LIMIT
-        assert res.x is None
-        assert res.bound == 3.5
+        assert res.x is None and res.objective is None
+        assert np.isfinite(res.bound)
+        assert res.bound == self.highs_bound(model, infos[0])
+        assert res.rel_gap == np.inf
+        assert res.nodes == 1
+
+    def test_node_limit(self):
+        model = _mini_milp(5)
+        res = ScipyBackend().solve_milp(model, SolveOptions(node_limit=1))
+        assert res.status is Status.NODE_LIMIT
+        assert res.nodes == 1
+        assert res.x is not None and res.bound >= res.objective
+        sol = solve_bilevel(generate_mini_instance(5, n_bases=3),
+                            opts=SolveOptions(node_limit=1), backend="scipy")
+        assert sol.status is Status.NODE_LIMIT
 
     def test_unbounded(self, monkeypatch):
-        res = self.solve_with(monkeypatch, status=3)
+        # HiGHS' presolve cannot tell this MILP's unboundedness from
+        # infeasibility; without presolve HiGHS reports it unbounded, with a
+        # feasible point that is no answer
+        infos, _ = self.patch(monkeypatch, (("presolve", "off"),))
+        res = ScipyBackend().solve_milp(_unbounded_milp())
+        assert infos[0].primal_solution_status \
+            == _core.SolutionStatus.kSolutionStatusFeasible
         assert res.status is Status.UNBOUNDED
         assert res.x is None
 
-    def test_other_status_raises_with_scipy_message(self, monkeypatch):
-        with pytest.raises(SolverError, match="numerical trouble"):
-            self.solve_with(monkeypatch, status=4, x=np.array([1.0, 0.0]),
-                            fun=-3.0, message="numerical trouble")
+    def test_unbounded_or_infeasible_raises(self):
+        with pytest.raises(SolverError, match="Primal infeasible or unbounded"):
+            ScipyBackend().solve_milp(_unbounded_milp())
+
+    def test_other_status_raises_with_the_highs_status(self, monkeypatch):
+        self.patch(monkeypatch, status=_core.HighsModelStatus.kSolveError)
+        model = knapsack_model(np.array([3.0, 2.0]), np.array([1.0, 1.0]), 1.0)
+        with pytest.raises(SolverError, match="Solve error"):
+            ScipyBackend().solve_milp(model, SolveOptions(rel_gap=0.0))
+
+    def test_model_error_raises(self, monkeypatch):
+        model = knapsack_model(np.array([3.0, 2.0]), np.array([1.0, 1.0]), 1.0)
+        huge = replace(model, lp=replace(model.lp, a_rows=model.lp.a_rows * 1e16))
+        with pytest.raises(SolverError, match="HiGHS rejected the model"):
+            ScipyBackend().solve_milp(huge)
+        self.patch(monkeypatch, status=_core.HighsModelStatus.kModelError)
+        with pytest.raises(SolverError, match="Model error"):
+            ScipyBackend().solve_milp(model)
+
+    def test_refused_option_raises(self):
+        model = knapsack_model(np.array([3.0, 2.0]), np.array([1.0, 1.0]), 1.0)
+        with pytest.raises(SolverError, match="refused option mip_rel_gap"):
+            ScipyBackend().solve_milp(model, SolveOptions(rel_gap=-1.0))
+
+    def test_pure_lp_is_its_own_bound(self):
+        res = ScipyBackend().solve_milp(
+            MilpModel(simple_lp(), np.empty(0, dtype=np.int64)))
+        assert res.status is Status.OPTIMAL
+        assert res.objective == res.bound == 5.0
+        assert res.rel_gap == 0.0 and res.nodes == 0
