@@ -24,7 +24,7 @@ multiplier objective minus the price-independent cost terms, which is what
 the MILP maximizes.
 
 The operator LP enters only through ``FollowerSystem.skeleton``: the MILP is
-assembled from its matrix in blocks (``_linearize``), and no row-by-row copy
+assembled from its matrix in blocks (``linearize``), and no row-by-row copy
 of the LP is kept.
 
 Primal-side M values are structural bounds implied by the constraints, so a
@@ -50,6 +50,8 @@ from .solver import (EQ, GE, LE, LinearProgram, MilpModel, MilpResult,
                      verify_milp_solution)
 
 DEFAULT_DUAL_M = 1e5
+_AT_M_MARGIN = 1e-6        # a pair side within this share of its M is at it
+_EXTRACT_TOL = 1e-5        # relative model-vs-direct profit mismatch allowed
 
 # Why a pair carries no switch (``MpccSystem.rule``); see ``_switch_rules``.
 SWITCHED, ZERO_CAPACITY, DUPLICATE_FLOOR, DOMINATED_PURCHASE = range(4)
@@ -125,8 +127,9 @@ class BigMConfig:
         if np.any(self.primal < 0) or np.any(self.dual <= 0):
             raise ValueError("big-M values must be positive")
 
-    def escalate(self, factor: float = 2.0) -> "BigMConfig":
-        return BigMConfig(self.primal.copy(), self.dual * factor)
+    def escalate(self) -> "BigMConfig":
+        """Twice the multiplier M values."""
+        return BigMConfig(self.primal.copy(), self.dual * 2.0)
 
 
 @dataclass
@@ -166,7 +169,7 @@ class BilevelSolution:
     retries: int = 0
     pair_values: tuple[np.ndarray, np.ndarray] | None = None
     milp: MilpResult | None = None
-    polish_lps: int = 0        # LPs the polish solved: 1, or 2-3 with the shrink LP
+    polish_lps: int = 0        # LPs the polish solved: 0, or 1-2 for the shrink LP
 
 
 # -- construction ------------------------------------------------------------
@@ -306,18 +309,10 @@ def default_big_m(mpcc: MpccSystem, default_dual: float | None = None) -> BigMCo
                       np.full(mpcc.n_pairs, float(default_dual)))
 
 
-@dataclass
-class _MilpLayout:
-    n_slots: int
-    primal_off: int
-    dual_off: int
-    delta_off: int
-
-
-def _linearize(mpcc: MpccSystem, config: BigMConfig,
-               pinned_prices: dict[int, float] | None = None
-               ) -> tuple[MilpModel, _MilpLayout]:
-    """The big-M MILP over columns ``[p | primal | multipliers | switches]``.
+def linearize(mpcc: MpccSystem, config: BigMConfig,
+              pinned_prices: dict[int, float] | None = None) -> MilpModel:
+    """Big-M MILP for the single-level pricing problem (maximization), over
+    columns ``[p | primal | multipliers | switches]`` (``_split_point``).
 
     Every block is the skeleton matrix ``A``, its sign-adjusted transpose
     ``(diag(row_sign) A)^T`` or rows of either: primal feasibility ``A``;
@@ -339,7 +334,6 @@ def _linearize(mpcc: MpccSystem, config: BigMConfig,
     n_ineq, n_pairs = len(ineq), mpcc.n_pairs
     switched = mpcc.switched
     n_sw = len(switched)
-    layout = _MilpLayout(n_slots, n_slots, n_slots + n, n_slots + n + m)
 
     p_lo, p_up = np.zeros(n_slots), np.array(comp, dtype=float)
     for h in range(n_slots):
@@ -390,7 +384,7 @@ def _linearize(mpcc: MpccSystem, config: BigMConfig,
     mat.sort_indices()
 
     lp = LinearProgram(
-        n_vars=layout.delta_off + n_sw,
+        n_vars=n_slots + n + m + n_sw,
         obj=np.concatenate([np.zeros(n_slots), obj_primal, signed_rhs, np.zeros(n_sw)]),
         lower=np.concatenate([p_lo, np.zeros(n), np.where(skel.sense == EQ, -np.inf, 0.0),
                               np.zeros(n_sw)]),
@@ -400,15 +394,7 @@ def _linearize(mpcc: MpccSystem, config: BigMConfig,
         rhs=np.concatenate([skel.rhs, system.c0, comp_rhs[comp_rows]]),
         maximize=True)
     lp.validate()
-    binaries = np.arange(layout.delta_off, lp.n_vars, dtype=np.int64)
-    return MilpModel(lp, binaries), layout
-
-
-def linearize(mpcc: MpccSystem, config: BigMConfig,
-              pinned_prices: dict[int, float] | None = None) -> MilpModel:
-    """Big-M MILP for the single-level pricing problem (maximization)."""
-    model, _ = _linearize(mpcc, config, pinned_prices)
-    return model
+    return MilpModel(lp, np.arange(n_slots + n + m, lp.n_vars, dtype=np.int64))
 
 
 # -- extraction and audit ------------------------------------------------------
@@ -428,31 +414,31 @@ def _pair_values(mpcc: MpccSystem, primal: np.ndarray, dual: np.ndarray,
             np.concatenate([dual[ineq], reduced]))
 
 
-def _split_point(mpcc: MpccSystem, layout: _MilpLayout, x: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Prices, primal columns and multipliers of a MILP point (views)."""
+def _split_point(mpcc: MpccSystem, x: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Prices, primal columns, multipliers and switches of a MILP point
+    (views)."""
     system = mpcc.system
-    return (x[: layout.n_slots],
-            x[layout.primal_off: layout.primal_off + system.n_vars],
-            x[layout.dual_off: layout.dual_off + system.n_rows])
+    primal_off = system.instance.n_slots
+    dual_off = primal_off + system.n_vars
+    delta_off = dual_off + system.n_rows
+    return (x[:primal_off], x[primal_off:dual_off], x[dual_off:delta_off],
+            x[delta_off:])
 
 
-def extract_bilevel(mpcc: MpccSystem, layout: _MilpLayout, result: MilpResult,
-                    tol: float = 1e-5) -> BilevelSolution:
+def extract_bilevel(mpcc: MpccSystem, result: MilpResult) -> BilevelSolution:
     system = mpcc.system
     inst = system.instance
-    x = result.x
-    prices, primal, dual = _split_point(mpcc, layout, x)
+    prices, primal, dual, switches = _split_point(mpcc, result.x)
     prices = prices.copy()
     binaries = mpcc.implied_delta
-    switched = mpcc.switched
-    binaries[switched] = x[layout.delta_off: layout.delta_off + len(switched)]
+    binaries[mpcc.switched] = switches
 
     follower_obj = float(system.objective(prices) @ primal)
     fsol = extract_solution(system, primal, follower_obj)
     profit = leader_profit(inst, prices, fsol)
     model_obj = float(result.objective)
-    if abs(model_obj - profit) > tol * (1.0 + abs(model_obj)):
+    if abs(model_obj - profit) > _EXTRACT_TOL * (1.0 + abs(model_obj)):
         raise ExtractionMismatch(
             f"strong-duality objective {model_obj} vs direct profit {profit}")
 
@@ -464,21 +450,19 @@ def extract_bilevel(mpcc: MpccSystem, layout: _MilpLayout, result: MilpResult,
         pair_values=(pv, dv), milp=result)
 
 
-def duals_at_m(dv: np.ndarray, config: BigMConfig,
-               margin: float = 1e-6) -> np.ndarray:
+def duals_at_m(dv: np.ndarray, config: BigMConfig) -> np.ndarray:
     """The audit's risky rule, per pair: the multiplier side is at or beyond
-    (1 - margin) of its M, so a larger M might move the optimum."""
-    return dv >= (1.0 - margin) * config.dual
+    (1 - _AT_M_MARGIN) of its M, so a larger M might move the optimum."""
+    return dv >= (1.0 - _AT_M_MARGIN) * config.dual
 
 
-def audit_big_m(solution: BilevelSolution, config: BigMConfig,
-                margin: float = 1e-6) -> AuditReport:
-    """Flag pair sides at or beyond (1 - margin) of their M, by pair and the
-    primal side first.  Primal flags are structural (their M is a proven
-    bound); multiplier flags (``duals_at_m``) are risky."""
+def audit_big_m(solution: BilevelSolution, config: BigMConfig) -> AuditReport:
+    """Flag pair sides at or beyond (1 - _AT_M_MARGIN) of their M, by pair
+    and the primal side first.  Primal flags are structural (their M is a
+    proven bound); multiplier flags (``duals_at_m``) are risky."""
     pv, dv = solution.pair_values
-    primal = (config.primal > 0) & (pv >= (1.0 - margin) * config.primal)
-    dual = duals_at_m(dv, config, margin)
+    primal = (config.primal > 0) & (pv >= (1.0 - _AT_M_MARGIN) * config.primal)
+    dual = duals_at_m(dv, config)
     flags: list[AuditFlag] = []
     for k in np.flatnonzero(primal | dual):
         k = int(k)
@@ -494,7 +478,7 @@ def audit_big_m(solution: BilevelSolution, config: BigMConfig,
 # -- solve --------------------------------------------------------------------
 
 
-def _fallback_points(mpcc: MpccSystem, layout: _MilpLayout, model: MilpModel,
+def _fallback_points(mpcc: MpccSystem, model: MilpModel,
                      pinned_prices: dict[int, float] | None,
                      backend: str | None) -> list[np.ndarray]:
     """Feasible MILP points from operator optima at heuristic price profiles.
@@ -511,7 +495,7 @@ def _fallback_points(mpcc: MpccSystem, layout: _MilpLayout, model: MilpModel,
     ``xbs`` bounded at 0, so that no optimum is dropped for buying from the
     competitor.  The bound keeps the LP's optimal value, so its optima are
     operator optima, while every price is at most the tariff ``pbar`` (the
-    profiles are, and ``_linearize`` rejects pinned prices above it): a
+    profiles are, and ``linearize`` rejects pinned prices above it): a
     purchase has the same column as its leader twin ``x``/``xs`` and costs
     ``prob * (pbar - p) >= 0`` more, so moving its amount onto the twin keeps
     every row and does not raise the cost (the ``DOMINATED_PURCHASE`` rule of
@@ -519,9 +503,10 @@ def _fallback_points(mpcc: MpccSystem, layout: _MilpLayout, model: MilpModel,
     unrestricted LP buys would be the solver's choice.
 
     ``solve_bilevel`` computes these points only when a limit stops the MILP
-    without an incumbent, and answers with the best of them: desk seed 1
-    with ``node_limit=1`` returns ``NODE_LIMIT`` at profit 44.921807 this way
-    instead of raising ``BilevelInfeasible``.
+    without an incumbent, and answers with the best of them, re-solved at
+    ``model.fixed_at``: desk seed 1 with ``node_limit=1`` returns
+    ``NODE_LIMIT`` at profit 44.921807 this way instead of raising
+    ``BilevelInfeasible``.
     """
     system = mpcc.system
     inst = system.instance
@@ -551,60 +536,39 @@ def _fallback_points(mpcc: MpccSystem, layout: _MilpLayout, model: MilpModel,
         if conflict.any():
             continue
         full = np.zeros(model.lp.n_vars)
-        full[: layout.n_slots] = prof
-        full[layout.primal_off: layout.primal_off + system.n_vars] = sol.x
-        full[layout.dual_off: layout.dual_off + system.n_rows] = d_pos
-        full[model.binary_idx] = delta[mpcc.switched]
+        prices, primal, dual, switches = _split_point(mpcc, full)
+        prices[:], primal[:], dual[:] = prof, sol.x, d_pos
+        switches[:] = delta[mpcc.switched]
         if not verify_milp_solution(model, full, tol=1e-6):
             points.append(full)
     return points
 
 
-def _polish_incumbent(solver, model: MilpModel, layout: _MilpLayout,
-                      mpcc: MpccSystem, result: MilpResult, config: BigMConfig
-                      ) -> tuple[MilpResult, int] | None:
-    """Re-solve with switches fixed at their rounded values; only if that
-    point has a multiplier at its M (``duals_at_m``, the audit's risky rule),
-    pick the minimal-multiplier point among the alternate optima.
+def _polish_incumbent(solver, model: MilpModel, mpcc: MpccSystem,
+                      result: MilpResult, config: BigMConfig
+                      ) -> tuple[MilpResult, int]:
+    """Only if the exact incumbent has a multiplier at its M (``duals_at_m``,
+    the audit's risky rule), pick the minimal-multiplier point among its
+    alternate optima at the same switches.
 
-    The fixed-switch LP removes any slack that MIP tolerances scaled by big-M
-    rows let through.  The shrink LP minimizes total multiplier magnitude
-    (free equality multipliers included, via absolute-value splits) at the
-    optimal objective, so degenerate multipliers do not ride their M and trip
-    the audit; when none does, it would only trade one clean optimum for
-    another, so it is skipped.  Returns the polished result and the number of
-    LPs solved (1, or 2-3 with the shrink LP and its retry), or None when even
-    the fixed-switch LP is infeasible, i.e. the incumbent was an artifact of
-    solver tolerances.
+    The shrink LP minimizes total multiplier magnitude (free equality
+    multipliers included, via absolute-value splits) at the optimal
+    objective, so degenerate multipliers do not ride their M and trip the
+    audit; when none does, it would only trade one clean optimum for another,
+    so it is skipped.  Returns the polished result and the number of LPs
+    solved: 0, or 1-2 with the shrink LP and its retry.
     """
-    lp = model.lp
-    binaries = model.binary_idx
-    rounded = np.round(result.x[binaries])
-    lo = lp.lower.copy()
-    up = lp.upper.copy()
-    lo[binaries] = rounded
-    up[binaries] = rounded
-    fixed = lp.with_bounds(lo, up)
-    s1 = solver.solve_lp(fixed)
-    if s1.status is not Status.OPTIMAL:
-        return None
-    fstar = float(s1.objective)
-    x_best = s1.x
-
-    def polished(x: np.ndarray, n_lps: int) -> tuple[MilpResult, int]:
-        obj = float(lp.obj @ x)
-        gap = relative_gap(obj, result.bound) \
-            if np.isfinite(result.bound) else result.rel_gap
-        return replace(result, x=x, objective=obj, rel_gap=gap), n_lps
-
-    prices, primal, dual = _split_point(mpcc, layout, x_best)
+    prices, primal, dual, _ = _split_point(mpcc, result.x)
     _, dv = _pair_values(mpcc, primal, dual, prices)
     if not duals_at_m(dv, config).any():
-        return polished(x_best, 1)
+        return result, 0
 
+    lp = model.lp
+    fixed = model.fixed_at(result.x)
+    fstar = float(result.objective)
     n = lp.n_vars
     eq = mpcc.system.skeleton.sense == EQ
-    dual_cols = layout.dual_off + np.arange(len(eq))
+    dual_cols = _split_point(mpcc, np.arange(n))[2]
     shrink = np.zeros(n)
     shrink[dual_cols[~eq]] = 1.0
     eq_cols = dual_cols[eq]
@@ -638,14 +602,17 @@ def _polish_incumbent(solver, model: MilpModel, layout: _MilpLayout,
                              maximize=False)
 
     s2 = solver.solve_lp(shrink_lp(fstar))      # hold the optimum exactly
-    n_lps = 2
+    n_lps = 1
     if s2.status is not Status.OPTIMAL:
         slack = (-1 if lp.maximize else 1) * 1e-9 * (1.0 + abs(fstar))
         s2 = solver.solve_lp(shrink_lp(fstar + slack))
-        n_lps = 3
-    if s2.status is Status.OPTIMAL:
-        x_best = s2.x[:n]
-    return polished(x_best, n_lps)
+        n_lps = 2
+    if s2.status is not Status.OPTIMAL:
+        return result, n_lps
+    x = s2.x[:n]
+    obj = float(lp.obj @ x)
+    return replace(result, x=x, objective=obj,
+                   rel_gap=relative_gap(obj, result.bound)), n_lps
 
 
 def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
@@ -655,12 +622,13 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
                   max_retries: int = 3) -> BilevelSolution:
     """Optimistic pricing optimum via the big-M MILP, with audited M escalation.
 
-    Every attempt solves the MILP, polishes its incumbent
-    (``_polish_incumbent``: the fixed-switch LP, then the multiplier-shrink
-    LP only if a multiplier of that point is at its M), extracts and audits.
-    Every returned solution has a clean audit.  When a limit stops the MILP
-    without an incumbent, the best operator point of ``_fallback_points``
-    stands in for it, with the MILP's status and bound.  Raises
+    Every attempt solves the MILP, whose incumbent is exact at its switches
+    (``MilpResult``), polishes it (``_polish_incumbent``: the
+    multiplier-shrink LP, only if a multiplier is at its M), extracts and
+    audits.  Every returned solution has a clean audit.  When a limit stops
+    the MILP without an exact incumbent, the best operator point of
+    ``_fallback_points`` stands in for it, with the MILP's status and bound.
+    An optimal MILP without an exact incumbent escalates M.  Raises
     ``UncertifiedOptimum`` when escalation ends with multipliers still at
     their M, and ``BilevelInfeasible`` when neither the MILP nor the fallback
     gives an incumbent.
@@ -684,7 +652,7 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
             raise BilevelInfeasible(
                 f"time budget exhausted after {attempt} attempts")
         attempt_opts = replace(opts, time_limit=max(remaining, 0.5))
-        model, layout = _linearize(mpcc, cfg, pinned_prices)
+        model = linearize(mpcc, cfg, pinned_prices)
         result = solver.solve_milp(model, attempt_opts)
         if result.status is Status.INFEASIBLE:
             # undersized multiplier caps can choke the whole system; larger M
@@ -697,21 +665,24 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
                 " undersized M")
         if result.x is None and result.status in (Status.TIME_LIMIT,
                                                   Status.NODE_LIMIT):
-            points = _fallback_points(mpcc, layout, model, pinned_prices, backend)
+            points = _fallback_points(mpcc, model, pinned_prices, backend)
             if points:
                 x = max(points, key=lambda point: float(model.lp.obj @ point))
-                result = replace(result, x=x, objective=float(model.lp.obj @ x))
-        if result.x is None:
+                exact = solver.solve_lp(model.fixed_at(x))
+                if exact.status is Status.OPTIMAL:
+                    result = replace(
+                        result, x=exact.x, objective=exact.objective,
+                        rel_gap=relative_gap(exact.objective, result.bound))
+        solution = None
+        if result.x is not None:
+            point, polish_lps = _polish_incumbent(solver, model, mpcc, result, cfg)
+            try:
+                solution = extract_bilevel(mpcc, point)
+            except ExtractionMismatch:
+                pass
+        elif result.status is not Status.OPTIMAL:
             raise BilevelInfeasible(
                 f"no incumbent within limits (status {result.status})")
-        polished = _polish_incumbent(solver, model, layout, mpcc, result, cfg)
-        solution = None
-        if polished is not None:
-            point, polish_lps = polished
-            try:
-                solution = extract_bilevel(mpcc, layout, point)
-            except ExtractionMismatch:
-                solution = None
         if solution is not None:
             solution.retries = attempt
             solution.polish_lps = polish_lps

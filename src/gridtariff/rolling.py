@@ -322,9 +322,10 @@ class TrajectoryAudit:
                 and not self.power_cap_violations)
 
 
-def audit_trajectory(instance: Instance, traj: RhTrajectory,
-                     tol: float = 1e-6) -> TrajectoryAudit:
-    """Quantify optimism violations and feasibility slippage of a realized run."""
+def audit_trajectory(instance: Instance, traj: RhTrajectory) -> TrajectoryAudit:
+    """Quantify optimism violations and feasibility slippage of a realized run,
+    beyond an absolute tolerance of 1e-6."""
+    tol = 1e-6
     dg_path = traj.realized_dg_path(instance)
     n = instance.n_slots
     bat = instance.battery

@@ -8,15 +8,11 @@ variable.
 Both backends answer one MILP contract: an optimal solve is ``OPTIMAL``; a
 solve stopped by a time or node limit reports that limit, with its incumbent
 when it has one and ``x=None`` otherwise, and with the best bound it proved.
-Neither reads a starting point; ``solve_bilevel`` supplies its own fallback
-incumbent when a limit leaves none.
-
-``BundledBackend`` keeps, one per thread, what its last MILP solve leaves
-behind when that solve found an incumbent: the branch-and-bound's simplex
-workspace, with its kept basis inverse, and the incumbent node's optimal
-basis.  The next LP whose matrix, senses and right-hand sides equal that
-MILP's by value (the polish step's fixed-switch LP) re-solves from that
-basis with the dual simplex; any other LP releases the kept state first.
+An incumbent is exact: each backend re-solves it with every binary fixed at
+its rounded value (``MilpModel.fixed_at``) and returns that LP's optimum, or
+``x=None`` when the LP has none.  Neither backend reads a starting point;
+``solve_bilevel`` supplies its own fallback incumbent when a limit leaves
+none.  Neither keeps anything from one MILP for a later call.
 
 ``ScipyBackend`` solves LPs and MILPs through one HiGHS binding, the one that
 scipy vendors (``scipy.optimize._highspy._core``), and one map turns HiGHS'
@@ -54,9 +50,9 @@ class SolverBackend(Protocol):
 
     def solve_lp(self, lp: LinearProgram, opts: SolveOptions | None = None) -> LpSolution: ...
 
-    # A MILP stopped by a limit reports that limit with ``x=None`` when it has
-    # no incumbent.  Both adapters (HiGHS' on its one ``_core`` binding) accept
-    # and ignore ``initial_solutions``, which perfbench's tracer still forwards.
+    # ``x`` of the result is an optimum of ``model.fixed_at(x)``, or None when
+    # there is no such incumbent, also at a limit.  Both adapters accept and
+    # ignore ``initial_solutions``, which perfbench's tracer still forwards.
     def solve_milp(self, model: MilpModel,
                    opts: SolveOptions | None = None) -> MilpResult: ...
 
@@ -64,40 +60,11 @@ class SolverBackend(Protocol):
 class BundledBackend:
     name = "bundled"
 
-    def __init__(self) -> None:
-        self._kept = threading.local()  # .milp: (rows, Workspace, (basis, vstat))
-
     def solve_lp(self, lp, opts=None):
-        kept = getattr(self._kept, "milp", None)
-        if kept is None or not _same_rows(kept[0], lp):
-            self._kept.milp = None
-            return simplex.solve_lp(lp)
-        lp.validate()
-        return simplex.solve_with_workspace(kept[1], lp.obj, lp.maximize,
-                                            lp.lower, lp.upper, basis=kept[2])
+        return simplex.solve_lp(lp)
 
     def solve_milp(self, model, opts=None, initial_solutions=None):
-        self._kept.milp = None          # free the old workspace first
-        result, ws, start = bnb.search(model, opts)
-        if start is not None:
-            shape, *arrays = _rows(model.lp)
-            self._kept.milp = (
-                (shape, *(arr.copy() for arr in arrays)), ws, start)
-        return result
-
-
-def _rows(lp: LinearProgram) -> tuple:
-    """What fixes an LP's rows: its matrix shape and CSR arrays, its senses
-    and its right-hand sides."""
-    a = lp.a_rows
-    return (a.shape, a.indptr, a.indices, a.data, lp.sense, lp.rhs)
-
-
-def _same_rows(kept: tuple, lp: LinearProgram) -> bool:
-    """Whether ``lp`` has the rows of the ``kept`` snapshot, by value."""
-    shape, *arrays = _rows(lp)
-    return shape == kept[0] and all(
-        np.array_equal(a, b) for a, b in zip(kept[1:], arrays))
+        return bnb.solve_milp(model, opts)
 
 
 def _row_bounds(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
@@ -230,12 +197,13 @@ class ScipyBackend:
         if status is Status.UNBOUNDED or info.primal_solution_status \
                 != highs_core.SolutionStatus.kSolutionStatusFeasible:
             return MilpResult(status, None, None, bound, np.inf, nodes)
-        # binaries rounded only: the caller's polish step re-solves the
-        # continuous part with the switches fixed
-        x = np.array(highs.getSolution().col_value)
-        x[binaries] = np.round(x[binaries])
-        obj = float(lp.obj @ x)
-        return MilpResult(status, x, obj, bound, relative_gap(obj, bound), nodes)
+        fixed = model.fixed_at(np.asarray(highs.getSolution().col_value))
+        del highs                   # free the MILP before loading its fixed LP
+        exact = self.solve_lp(fixed)
+        if exact.status is not Status.OPTIMAL:
+            return MilpResult(status, None, None, bound, np.inf, nodes)
+        return MilpResult(status, exact.x, exact.objective, bound,
+                          relative_gap(exact.objective, bound), nodes)
 
 
 _REGISTRY: dict[str, SolverBackend] = {}

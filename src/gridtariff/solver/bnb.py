@@ -48,16 +48,10 @@ def verify_milp_solution(model: MilpModel, x: np.ndarray, tol: float = 1e-6) -> 
 def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult:
     """Branch-and-bound on the bundled simplex.  Internally minimizes.
 
-    A solve stopped by its time or node limit before finding an incumbent
-    returns that limit's status with ``x=None`` and the bound of the open
-    nodes."""
-    return search(model, opts)[0]
-
-
-def search(model: MilpModel, opts: SolveOptions | None = None
-           ) -> tuple[MilpResult, simplex.Workspace, tuple | None]:
-    """``solve_milp``, also returning the node workspace and the incumbent
-    node's optimal ``(basis, vstat)`` (None when no node gave an incumbent)."""
+    The incumbent is re-solved at ``model.fixed_at`` on the node workspace,
+    from its node's optimal basis, so the result is exact.  A solve stopped
+    by its time or node limit before finding an incumbent returns that
+    limit's status with ``x=None`` and the bound of the open nodes."""
     opts = opts or SolveOptions()
     model.validate()
     lp = model.lp
@@ -94,11 +88,10 @@ def search(model: MilpModel, opts: SolveOptions | None = None
         return sol
 
     def result(status: Status, x=None, objective=None, bound=np.nan,
-               gap=np.inf) -> tuple[MilpResult, simplex.Workspace, tuple | None]:
-        return (MilpResult(status, x, objective, bound, gap, nodes_done, log,
-                           lp_iterations=lp_iterations, cold_nodes=cold_nodes,
-                           refactored_nodes=refactored_nodes),
-                ws, incumbent_start)
+               gap=np.inf) -> MilpResult:
+        return MilpResult(status, x, objective, bound, gap, nodes_done, log,
+                          lp_iterations=lp_iterations, cold_nodes=cold_nodes,
+                          refactored_nodes=refactored_nodes)
 
     t0 = time.monotonic()
     log: list[tuple] = []
@@ -147,16 +140,14 @@ def search(model: MilpModel, opts: SolveOptions | None = None
             if frac.size and frac.max() > 1e-12:
                 # re-solve at exactly integral switches: near-integral values
                 # scaled by big row coefficients can hide real slack
-                lo, up = node_bounds(node)
-                lo[binaries] = up[binaries] = np.round(sol.x[binaries])
-                sol = node_lp(lo, up, (sol.basis, sol.vstat))
+                fixed = model.fixed_at(sol.x)
+                sol = node_lp(fixed.lower, fixed.upper, (sol.basis, sol.vstat))
                 if sol.status is not Status.OPTIMAL:
                     log.append((nodes_done, node.depth, node_bound, "leaf"))
                     continue
             if incumbent_obj is None or sol.objective < incumbent_obj - 1e-12:
                 incumbent_obj = sol.objective
-                incumbent_x = sol.x.copy()
-                incumbent_x[binaries] = np.round(incumbent_x[binaries])
+                incumbent_x = sol.x
                 incumbent_start = (sol.basis, sol.vstat)
             log.append((nodes_done, node.depth, node_bound, "leaf"))
             continue
@@ -194,4 +185,12 @@ def search(model: MilpModel, opts: SolveOptions | None = None
     status = Status.OPTIMAL if stop_status is None else stop_status
     if status is not Status.OPTIMAL and gap <= opts.rel_gap:
         status = Status.OPTIMAL
-    return result(status, incumbent_x, sign * incumbent_obj, sign * dual_bound, gap)
+    fixed = model.fixed_at(incumbent_x)
+    exact = simplex.solve_with_workspace(ws, work_lp.obj, False, fixed.lower,
+                                         fixed.upper, basis=incumbent_start)
+    lp_iterations += exact.iterations
+    bound = sign * dual_bound
+    if exact.status is not Status.OPTIMAL:
+        return result(status, bound=bound)
+    objective = float(lp.obj @ exact.x)
+    return result(status, exact.x, objective, bound, relative_gap(objective, bound))

@@ -108,6 +108,12 @@ class MilpModel:
         if np.any(lo < -1e-9) or np.any(up > 1 + 1e-9):
             raise SolverError("binary variables must have bounds within [0, 1]")
 
+    def fixed_at(self, x: np.ndarray) -> LinearProgram:
+        """The LP with every binary fixed at its rounded value in ``x``."""
+        lo, up = self.lp.lower.copy(), self.lp.upper.copy()
+        lo[self.binary_idx] = up[self.binary_idx] = np.round(x[self.binary_idx])
+        return self.lp.with_bounds(lo, up)
+
 
 @dataclass
 class LpSolution:
@@ -132,6 +138,12 @@ class LpSolution:
 
 @dataclass
 class MilpResult:
+    """A MILP solve's outcome.  ``x`` is exact: an optimum of the LP with
+    every binary fixed at its rounded value (``MilpModel.fixed_at``), and
+    ``objective`` and ``rel_gap`` are measured at it.  ``x=None`` means the
+    solve has no exact incumbent: none was found, or its fixed-switch LP has
+    no optimum."""
+
     status: Status
     x: np.ndarray | None
     objective: float | None
@@ -140,6 +152,7 @@ class MilpResult:
     nodes: int
     log: list = field(default_factory=list)   # (node id, depth, bound, branch var)
     lp_iterations: int = 0     # bundled: simplex iterations over all node LPs
+                               # and the incumbent's fixed-switch re-solve
     cold_nodes: int = 0        # bundled: node LPs solved from the crash basis
     refactored_nodes: int = 0  # bundled: warm node LPs whose start basis was
                                # refactorized instead of exchanged

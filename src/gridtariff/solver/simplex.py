@@ -83,16 +83,15 @@ class Workspace:
                 np.concatenate([up, self.slack_ub]))
 
 
-def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve an LP, returning primal values, row multipliers and reduced costs."""
     ws = Workspace(lp)
-    return solve_with_workspace(ws, lp.obj, lp.maximize, max_iters=max_iters)
+    return solve_with_workspace(ws, lp.obj, lp.maximize)
 
 
 def solve_with_workspace(ws: Workspace, obj: np.ndarray, maximize: bool,
                          lower: np.ndarray | None = None,
                          upper: np.ndarray | None = None,
-                         max_iters: int | None = None,
                          basis: tuple[np.ndarray, np.ndarray] | None = None
                          ) -> LpSolution:
     """Solve over ``ws`` with the given objective and bounds.
@@ -114,11 +113,11 @@ def solve_with_workspace(ws: Workspace, obj: np.ndarray, maximize: bool,
     sim = _Simplex.restore(ws, lb, ub, c, basis) if basis is not None else None
     warm = sim is not None
     if warm:
-        feasible = sim.dual(max_iters)
+        feasible = sim.dual()
     else:
         sim = _Simplex.crash(ws, lb, ub)
         feasible = sim.phase1()
-    status = sim.phase2(c, max_iters) if feasible else Status.INFEASIBLE
+    status = sim.phase2(c) if feasible else Status.INFEASIBLE
     sim.keep()
     if status is Status.INFEASIBLE:
         return LpSolution(Status.INFEASIBLE, None, None, None, None,
@@ -355,7 +354,7 @@ class _Simplex:
             return True
         self.c[:] = 0.0
         self.c[self.n_tot:] = 1.0
-        status = self._iterate(None)
+        status = self._iterate()
         if status is Status.UNBOUNDED:   # phase-1 objective is bounded below by 0
             raise SolverError("phase-1 reported unbounded")
         obj = float(self.c @ self.x)
@@ -385,19 +384,18 @@ class _Simplex:
                 self.vstat[j] = _FIXED
                 self.x[j] = 0.0
 
-    def phase2(self, cost: np.ndarray, max_iters: int | None) -> Status:
+    def phase2(self, cost: np.ndarray) -> Status:
         self.c[:] = 0.0
         self.c[: len(cost)] = cost
         if self.n_art:
             self._refactor()
-        return self._iterate(max_iters)
+        return self._iterate()
 
-    def dual(self, max_iters: int | None) -> bool:
+    def dual(self) -> bool:
         """Bounded dual simplex from a dual feasible basis: True once every
         basic value is within its bounds, False when a row proves the bounds
         infeasible."""
-        limit = max_iters or (80 * (self.ws.m + self.n_tot) + 2000)
-        for _ in range(limit):
+        for _ in range(80 * (self.ws.m + self.n_tot) + 2000):
             xb = self.x[self.basis]
             lb_b = self.lb[self.basis]
             ub_b = self.ub[self.basis]
@@ -461,9 +459,8 @@ class _Simplex:
 
     # -- core loop ------------------------------------------------------------
 
-    def _iterate(self, max_iters: int | None) -> Status:
-        limit = max_iters or (80 * (self.ws.m + self.n_tot) + 2000)
-        for _ in range(limit):
+    def _iterate(self) -> Status:
+        for _ in range(80 * (self.ws.m + self.n_tot) + 2000):
             self.iterations += 1
             rc = self.reduced_costs()
 

@@ -19,8 +19,8 @@ from gridtariff.reformulation import (DOMINATED_PURCHASE, DUPLICATE_FLOOR,
                                       BilevelSolution, UncertifiedOptimum,
                                       audit_big_m, build_mpcc, default_big_m,
                                       duals_at_m, _fallback_points,
-                                      _linearize, _pair_values, _split_point,
-                                      linearize, solve_bilevel)
+                                      _pair_values, _split_point, linearize,
+                                      solve_bilevel)
 from gridtariff.reports import solution_to_dict
 from gridtariff.scenario import BaseScenario, flat_tree, single_path_tree
 from gridtariff.solver import (EQ, LE, MilpResult, SolveOptions, Status,
@@ -140,19 +140,20 @@ class TestBuildMpcc:
             ("demand_min", 0, 0), ("demand_min", 1, 0), ("power_cap", 0, 0, 0)}
         # the one multiplier-feasibility row of column j (rows follow the
         # primal rows in column order) holds its price and those multipliers
-        model, layout = _linearize(mpcc, default_big_m(mpcc))
+        model = linearize(mpcc, default_big_m(mpcc))
+        dual_cols = _split_point(mpcc, np.arange(model.lp.n_vars))[2]
         stationarity = model.lp.a_rows[mpcc.system.n_rows + j]
         assert set(stationarity.indices.tolist()) \
-            == {0} | {layout.dual_off + i for i in rows}
+            == {0} | {int(dual_cols[i]) for i in rows}
 
     def test_price_variable_only_in_dual_and_switch_rows(self, t1):
         # prices enter no primal row, and no switch row with a primal column
         # (comp_p rows bound a primal side, comp_d rows a multiplier side)
         mpcc = build_mpcc(t1)
-        model, layout = _linearize(mpcc, default_big_m(mpcc))
+        model = linearize(mpcc, default_big_m(mpcc))
         lp = model.lp
         csc = lp.a_rows.tocsc()
-        primal = lp.a_rows[:, layout.primal_off: layout.dual_off]
+        primal = lp.a_rows[:, _split_point(mpcc, np.arange(lp.n_vars))[1]]
         for h in range(t1.n_slots):
             rows = csc.indices[csc.indptr[h]: csc.indptr[h + 1]]
             assert rows.size and rows.min() >= mpcc.system.n_rows
@@ -344,9 +345,10 @@ class TestSwitchRules:
         floors = [mpcc.rule[k] for k in range(mpcc.n_pairs)
                   if _pair_tag(mpcc, ref, k)[0] == "batt_floor"]
         assert floors and set(floors) == {DUPLICATE_FLOOR}
-        model, layout = _linearize(mpcc, default_big_m(mpcc))
+        model = linearize(mpcc, default_big_m(mpcc))
+        dual_cols = _split_point(mpcc, np.arange(model.lp.n_vars))[2]
         for i in mpcc.refs(DUPLICATE_FLOOR):
-            assert model.lp.upper[layout.dual_off + i] == 0.0
+            assert model.lp.upper[dual_cols[i]] == 0.0
         # a positive floor is a row of its own and keeps its switch
         raised = build_mpcc(inst.replace(battery=Battery(
             0.1, 0.1, inst.battery.max_level, 0.9, 0.95)))
@@ -505,21 +507,45 @@ class _NoIncumbent:
         return MilpResult(Status.TIME_LIMIT, None, None, self.bound, np.inf, 0)
 
 
+class _NoExactIncumbent:
+    """Reports every MILP optimal without an exact incumbent, as when the LP
+    at its incumbent's switches has no optimum; LPs go to HiGHS."""
+
+    name = "no-exact-incumbent"
+
+    def __init__(self) -> None:
+        self.milps = 0
+
+    def solve_lp(self, lp, opts=None):
+        return get_backend("scipy").solve_lp(lp, opts)
+
+    def solve_milp(self, model, opts=None):
+        self.milps += 1
+        return MilpResult(Status.OPTIMAL, None, None, 50.0, np.inf, 0)
+
+
 class _CallLog:
-    """Forwards to a registered backend and records the order of its calls."""
+    """Forwards to a registered backend and records its calls in order, as
+    ``("milp", model, result)`` or ``("lp", lp, solution)``.  LPs that a
+    backend solves inside its own ``solve_milp`` are not among them."""
 
     def __init__(self, inner: str) -> None:
         self.inner = get_backend(inner)
         self.name = f"logged-{inner}"
-        self.calls: list[str] = []
+        self.calls: list[tuple] = []
 
     def solve_lp(self, lp, opts=None):
-        self.calls.append("lp")
-        return self.inner.solve_lp(lp, opts)
+        sol = self.inner.solve_lp(lp, opts)
+        self.calls.append(("lp", lp, sol))
+        return sol
 
     def solve_milp(self, model, opts=None):
-        self.calls.append("milp")
-        return self.inner.solve_milp(model, opts)
+        res = self.inner.solve_milp(model, opts)
+        self.calls.append(("milp", model, res))
+        return res
+
+    def kinds(self) -> list[str]:
+        return [kind for kind, _, _ in self.calls]
 
 
 class TestPriming:
@@ -537,13 +563,12 @@ class TestPriming:
     def test_points_are_priced_at_the_leader_profit(self, make, backend):
         inst = make()
         mpcc = build_mpcc(inst)
-        model, layout = _linearize(mpcc, default_big_m(mpcc))
-        points = _fallback_points(mpcc, layout, model, None, backend)
+        model = linearize(mpcc, default_big_m(mpcc))
+        points = _fallback_points(mpcc, model, None, backend)
         assert len(points) == 2
         system = mpcc.system
         for point in points:
-            prices = point[: layout.n_slots]
-            x = point[layout.primal_off: layout.primal_off + system.n_vars]
+            prices, x, _, _ = _split_point(mpcc, point)
             schedule = extract_solution(system, x, 0.0)
             assert float(model.lp.obj @ point) == pytest.approx(
                 leader_profit(inst, prices, schedule), rel=1e-6)
@@ -576,8 +601,28 @@ class TestPriming:
         sol = solve_bilevel(_desk(4), opts=SolveOptions(rel_gap=0.0),
                             backend=_register(monkeypatch, log))
         assert sol.status is Status.OPTIMAL
-        assert log.calls[0] == "milp"
-        assert log.calls.count("milp") == 1
+        assert log.kinds()[0] == "milp"
+        assert log.kinds().count("milp") == 1
+
+    def test_optimal_milp_without_exact_incumbent_escalates(self, monkeypatch):
+        escalate = BigMConfig.escalate
+        escalations = []
+
+        def counted(config):
+            escalations.append(config)
+            return escalate(config)
+
+        monkeypatch.setattr(BigMConfig, "escalate", counted)
+        stub = _NoExactIncumbent()
+        name = _register(monkeypatch, stub)
+        with pytest.raises(BilevelInfeasible, match="no tolerance-exact incumbent"):
+            solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0),
+                          backend=name, max_retries=2)
+        assert stub.milps == 3 and len(escalations) == 2
+        with pytest.raises(BilevelInfeasible, match="no tolerance-exact incumbent"):
+            solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0),
+                          backend=name, max_retries=0)
+        assert stub.milps == 4 and len(escalations) == 2
 
 
 class TestBundledNodes:
@@ -590,10 +635,10 @@ class TestBundledNodes:
         checked = []
 
         def checked_solve(ws, obj, maximize, lower=None, upper=None,
-                          max_iters=None, basis=None):
-            sol = solve(ws, obj, maximize, lower, upper, max_iters, basis)
+                          basis=None):
+            sol = solve(ws, obj, maximize, lower, upper, basis)
             if basis is not None:
-                cold = solve(ws, obj, maximize, lower, upper, max_iters)
+                cold = solve(ws, obj, maximize, lower, upper)
                 assert sol.warm and not cold.warm
                 assert sol.status is cold.status
                 if cold.status is Status.OPTIMAL:
@@ -610,6 +655,30 @@ class TestBundledNodes:
         assert res.nodes > 1
         assert len(checked) >= res.nodes - 1   # every node but the root
         assert res.cold_nodes == 1
+
+    @pytest.mark.parametrize("seed", DESK_ROSTER)
+    def test_exact_resolve_is_warm(self, seed, monkeypatch):
+        # the search's last LP, the incumbent at its fixed switches, starts
+        # from the incumbent node's basis on the node workspace
+        from gridtariff.solver import simplex
+        solve = simplex.solve_with_workspace
+        last = []
+
+        def recorded(*args, **kwargs):
+            last[:] = [solve(*args, **kwargs)]
+            return last[0]
+
+        monkeypatch.setattr(simplex, "solve_with_workspace", recorded)
+        mpcc = build_mpcc(_desk(seed))
+        model = linearize(mpcc, default_big_m(mpcc))
+        res = solve_milp(model, SolveOptions(rel_gap=0.0))
+        [exact] = last
+        assert res.status is Status.OPTIMAL
+        assert exact.warm and exact.iterations <= 2
+        assert np.array_equal(res.x, exact.x)
+        cold = simplex.solve_lp(model.fixed_at(res.x))
+        assert not cold.warm
+        assert res.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("seed", DESK_ROSTER)
     def test_node_work_repeats_exactly(self, seed):
@@ -633,69 +702,58 @@ class TestBundledNodes:
 
 
 class TestPolish:
-    """The fixed-switch LP, then the multiplier-shrink LP only when a
-    multiplier of the fixed-switch point is at its M."""
-
-    @staticmethod
-    def _record_lps(monkeypatch, backend: str) -> list:
-        """Every ``(lp, solution)`` of the backend's ``solve_lp`` calls."""
-        cls = type(get_backend(backend))
-        solve = cls.solve_lp
-        seen = []
-
-        def recorded(self, lp, opts=None):
-            sol = solve(self, lp, opts)
-            seen.append((lp, sol))
-            return sol
-
-        monkeypatch.setattr(cls, "solve_lp", recorded)
-        return seen
+    """The multiplier-shrink LP, run only when a multiplier of the exact
+    incumbent is at its M."""
 
     @staticmethod
     def _rides_m(inst, config, x) -> bool:
         """Whether a point of the MILP has a multiplier at its M."""
         mpcc = build_mpcc(inst)
-        _, layout = _linearize(mpcc, config)
-        prices, primal, dual = _split_point(mpcc, layout, x)
+        prices, primal, dual, _ = _split_point(mpcc, x)
         _, dv = _pair_values(mpcc, primal, dual, prices)
         return bool(duals_at_m(dv, config).any())
 
-    def test_clean_point_solves_one_warm_lp(self, monkeypatch):
-        from gridtariff.solver import simplex
+    @staticmethod
+    def _milp_and_lps(log: _CallLog):
+        """The one MILP's model and result, and the LPs solved after it."""
+        [(_, model, res)] = [call for call in log.calls if call[0] == "milp"]
+        return model, res, [call[1:] for call in log.calls if call[0] == "lp"]
+
+    def test_clean_point_solves_no_lp(self, monkeypatch):
         inst = _desk(4)
-        seen = self._record_lps(monkeypatch, "bundled")
-        sol = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0), backend="bundled")
+        log = _CallLog("bundled")
+        sol = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0),
+                            backend=_register(monkeypatch, log))
         assert sol.status is Status.OPTIMAL and sol.audit.clean
-        [(fixed, first)] = seen                     # the fixed-switch LP only
-        assert sol.polish_lps == solution_to_dict(inst, sol)["polish_lps"] == 1
-        assert first.warm and first.iterations <= 2
-        assert first.objective == pytest.approx(
-            simplex.solve_lp(fixed).objective, rel=1e-9, abs=1e-9)
+        assert log.kinds() == ["milp"]
+        assert sol.polish_lps == solution_to_dict(inst, sol)["polish_lps"] == 0
 
     def test_highs_point_at_m_runs_the_shrink_lp(self, monkeypatch):
         inst = _desk(4)
-        seen = self._record_lps(monkeypatch, "scipy")
-        sol = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0), backend="scipy")
+        log = _CallLog("scipy")
+        sol = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0),
+                            backend=_register(monkeypatch, log))
         assert sol.status is Status.OPTIMAL and sol.audit.clean
         assert sol.retries == 0
-        (fixed, first), (shrink, _) = seen[:2]
-        assert shrink.n_rows > fixed.n_rows        # the multiplier-shrink LP
+        model, res, lps = self._milp_and_lps(log)
+        assert lps[0][0].n_rows > model.lp.n_rows   # the multiplier-shrink LP
         mpcc = build_mpcc(inst)
-        assert self._rides_m(inst, default_big_m(mpcc), first.x)
-        assert sol.polish_lps == len(seen) in (2, 3)
+        assert self._rides_m(inst, default_big_m(mpcc), res.x)
+        assert sol.polish_lps == len(lps) in (1, 2)
         assert solution_to_dict(inst, sol)["polish_lps"] == sol.polish_lps
 
     def test_small_m_makes_the_bundled_polish_shrink(self, monkeypatch):
         inst = _desk(4)
         mpcc = build_mpcc(inst)
-        # the bundled fixed-switch multipliers peak near 10.46, the shrink
-        # LP's below 10.1
+        # the bundled exact incumbent's multipliers peak near 10.46, the
+        # shrink LP's below 10.1
         small = default_big_m(mpcc, default_dual=10.2)
-        seen = self._record_lps(monkeypatch, "bundled")
+        log = _CallLog("bundled")
         sol = solve_bilevel(inst, config=small, opts=SolveOptions(rel_gap=0.0),
-                            backend="bundled", max_retries=0)
-        assert self._rides_m(inst, small, seen[0][1].x)
-        assert sol.polish_lps == len(seen) in (2, 3)
+                            backend=_register(monkeypatch, log), max_retries=0)
+        _, res, lps = self._milp_and_lps(log)
+        assert self._rides_m(inst, small, res.x)
+        assert sol.polish_lps == len(lps) in (1, 2)
         assert sol.audit.clean
         ref = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0), backend="bundled")
         assert sol.leader_objective == pytest.approx(ref.leader_objective, rel=1e-9)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize._highspy import _core
 
-from gridtariff.solver import (GE, LE, BundledBackend, LinearProgram,
+from gridtariff.solver import (GE, LE, LinearProgram,
                                LpBuilder, MilpModel, SolveOptions, SolverError,
                                Status, check_lp_solution, get_backend,
                                register_backend, relative_gap, solve_lp,
@@ -529,7 +528,7 @@ class TestRefactor:
         c[: ws.n_struct] = -lp.obj if lp.maximize else lp.obj
         sim = simplex._Simplex.crash(ws, lb, ub)
         assert sim.phase1()
-        assert sim.phase2(c, None) is Status.OPTIMAL
+        assert sim.phase2(c) is Status.OPTIMAL
         assert sim._since_refactor >= 20               # pivots since the last refactor
         err = np.abs(sim.binv @ _dense_basis(sim) - np.eye(ws.m)).max()
         assert err <= 1e-8
@@ -779,54 +778,6 @@ class TestBackends:
         assert ref.objective == pytest.approx(mine.objective, rel=1e-9)
 
 
-class TestBundledKeptState:
-    """The bundled backend keeps a MILP's node workspace and incumbent basis
-    for the next LP on that MILP's rows, per thread."""
-
-    @staticmethod
-    def _fixed(model, res):
-        lo, up = model.lp.lower.copy(), model.lp.upper.copy()
-        lo[model.binary_idx] = up[model.binary_idx] = np.round(
-            res.x[model.binary_idx])
-        return model.lp.with_bounds(lo, up)
-
-    def test_other_or_changed_rows_are_solved_cold(self):
-        backend = BundledBackend()
-        model = _desk_milp(4)
-        fixed = self._fixed(model, backend.solve_milp(model, SolveOptions(rel_gap=0.0)))
-        ref = solve_lp(fixed).objective
-        equal = replace(fixed, a_rows=fixed.a_rows.copy(),
-                        sense=fixed.sense.copy(), rhs=fixed.rhs.copy())
-        sol = backend.solve_lp(equal)
-        assert sol.warm and sol.iterations <= 2
-        assert sol.objective == pytest.approx(ref, rel=1e-9, abs=1e-9)
-        other = replace(fixed, rhs=fixed.rhs + 1e-3)
-        assert not backend.solve_lp(other).warm
-        assert not backend.solve_lp(fixed).warm       # released by ``other``
-
-        backend.solve_milp(model, SolveOptions(rel_gap=0.0))
-        model.lp.rhs[np.argmax(np.abs(model.lp.rhs))] *= 1.5   # shared by fixed
-        sol = backend.solve_lp(fixed)
-        assert not sol.warm
-        assert sol.objective == pytest.approx(solve_lp(fixed).objective,
-                                              rel=1e-9, abs=1e-9)
-
-    def test_other_threads_do_not_see_the_kept_state(self):
-        backend = BundledBackend()
-        model = _desk_milp(4)
-        fixed = self._fixed(model, backend.solve_milp(model, SolveOptions(rel_gap=0.0)))
-        seen = []
-        worker = threading.Thread(target=lambda: seen.append(backend.solve_lp(fixed)))
-        worker.start()
-        worker.join(timeout=60)
-        assert not worker.is_alive() and len(seen) == 1
-        assert not seen[0].warm
-        mine = backend.solve_lp(fixed)
-        assert mine.warm
-        assert mine.objective == pytest.approx(seen[0].objective,
-                                               rel=1e-9, abs=1e-9)
-
-
 def _mini_milp(seed: int) -> MilpModel:
     mpcc = build_mpcc(generate_mini_instance(seed, n_bases=3))
     return linearize(mpcc, default_big_m(mpcc))
@@ -855,14 +806,23 @@ class TestScipyMilpStatus:
 
     @staticmethod
     def patch(monkeypatch, options=(), status=None, nudge=0.0):
-        """Make each HiGHS instance set ``options`` before it runs, report
-        ``status`` in place of its own, and move its column values by
-        ``nudge``.  Returns the ``getInfo()`` of each run and the column
-        values handed out."""
+        """Make the first HiGHS instance, the MILP's, set ``options`` before
+        it runs, report ``status`` in place of its own, and move its column
+        values by ``nudge``; later instances, such as the fixed-switch LP's,
+        run as they are.  Returns the MILP's ``getInfo()`` and the column
+        values it handed out."""
         infos, values = [], []
+        made = []
 
         class Patched(_core._Highs):
+            def __init__(self):
+                super().__init__()
+                self.patched = not made
+                made.append(None)
+
             def run(self):
+                if not self.patched:
+                    return super().run()
                 for name, value in options:
                     self.setOptionValue(name, value)
                 outcome = super().run()
@@ -870,12 +830,15 @@ class TestScipyMilpStatus:
                 return outcome
 
             def getModelStatus(self):
-                return super().getModelStatus() if status is None else status
+                if status is None or not self.patched:
+                    return super().getModelStatus()
+                return status
 
             def getSolution(self):
                 solution = super().getSolution()
-                solution.col_value = np.asarray(solution.col_value) + nudge
-                values.append(np.asarray(solution.col_value))
+                if self.patched:
+                    solution.col_value = np.asarray(solution.col_value) + nudge
+                    values.append(np.asarray(solution.col_value))
                 return solution
 
         monkeypatch.setattr(_core, "_Highs", Patched)
@@ -892,12 +855,12 @@ class TestScipyMilpStatus:
         res = ScipyBackend().solve_milp(model, SolveOptions(rel_gap=0.0, node_limit=1))
         assert res.status is Status.TIME_LIMIT
         raw, binaries = values[0], model.binary_idx
-        continuous = np.setdiff1d(np.arange(model.lp.n_vars), binaries)
-        # binaries rounded, the rest as HiGHS gave it: not re-solved
+        # the incumbent re-solved with its switches fixed at HiGHS' rounded ones
         assert not np.array_equal(raw[binaries], res.x[binaries])
         assert np.array_equal(res.x[binaries], np.round(raw[binaries]))
         assert set(res.x[binaries].tolist()) <= {0.0, 1.0}
-        assert np.array_equal(res.x[continuous], raw[continuous])
+        exact = ScipyBackend().solve_lp(model.fixed_at(raw))
+        assert np.array_equal(res.x, exact.x)
         assert res.objective == float(model.lp.obj @ res.x)
         assert res.bound == self.highs_bound(model, infos[0])
         assert res.rel_gap == relative_gap(res.objective, res.bound)
