@@ -26,12 +26,21 @@ kept, one per thread.  The next LP with the very same arrays only swaps in its
 costs and re-optimizes from the kept basis; any other LP releases the kept
 model first.  A re-priced LP's optimal vertex can therefore depend on the
 previous re-pricing on that thread; its objective and duals are optimal either
-way.
+way.  Every other LP runs with HiGHS' default, presolve on.
+
+A MILP always runs with presolve off.  On the rolling-horizon windows (about
+200 to 300 rows, up to a few dozen nodes) presolve costs more than it saves;
+only small one-node MILPs, whose fixed columns it removes, lose a few
+milliseconds.  A MILP's ``lp_iterations`` are HiGHS' simplex iterations plus
+those of the fixed-switch re-solve.  HiGHS' MIP solver can print a debug line to
+stdout whatever its options say, so fd 1 points at fd 2 while a MILP runs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import sys
 import threading
 from typing import Protocol
 
@@ -126,6 +135,32 @@ def _status(highs, milp: bool) -> Status:
     return status
 
 
+_REDIRECT = threading.Lock()
+_redirected = [0, -1]       # MILP runs in progress, the saved fd 1
+
+
+@contextlib.contextmanager
+def _stdout_to_stderr():
+    """Point fd 1 at fd 2 for the block.  HiGHS' MIP solver prints a debug
+    line to stdout whatever ``output_flag`` says, and a CLI's stdout is text
+    other programs read.  The first of overlapping blocks on any thread saves
+    fd 1 and the last restores it."""
+    with _REDIRECT:
+        if _redirected[0] == 0:
+            sys.stdout.flush()
+            _redirected[1] = os.dup(1)
+            os.dup2(2, 1)
+        _redirected[0] += 1
+    try:
+        yield
+    finally:
+        with _REDIRECT:
+            _redirected[0] -= 1
+            if _redirected[0] == 0:
+                os.dup2(_redirected[1], 1)
+                os.close(_redirected[1])
+
+
 class ScipyBackend:
     """HiGHS through scipy's vendored bindings; duals are HiGHS' row duals."""
 
@@ -173,7 +208,7 @@ class ScipyBackend:
         model.validate()
         lp, binaries = model.lp, model.binary_idx
         sign = -1.0 if lp.maximize else 1.0
-        highs = _load(lp, sign * lp.obj, presolve=True)
+        highs = _load(lp, sign * lp.obj, presolve=False)
         highs.changeColsIntegrality(
             len(binaries), binaries.astype(np.int32),
             np.full(len(binaries), highs_core.HighsVarType.kInteger))
@@ -187,23 +222,29 @@ class ScipyBackend:
                               ("dual_feasibility_tolerance", 1e-9)):
             if highs.setOptionValue(option, value) != highs_core.HighsStatus.kOk:
                 raise SolverError(f"HiGHS refused option {option}={value!r}")
-        highs.run()
+        with _stdout_to_stderr():
+            highs.run()
         status = _status(highs, milp=True)
         info = highs.getInfo()
+        iterations = int(info.simplex_iteration_count)
         if len(binaries):
             bound, nodes = sign * info.mip_dual_bound, int(info.mip_node_count)
         else:                   # solved as an LP, which sets no MIP information
             bound, nodes = sign * info.objective_function_value, 0
         if status is Status.UNBOUNDED or info.primal_solution_status \
                 != highs_core.SolutionStatus.kSolutionStatusFeasible:
-            return MilpResult(status, None, None, bound, np.inf, nodes)
+            return MilpResult(status, None, None, bound, np.inf, nodes,
+                              lp_iterations=iterations)
         fixed = model.fixed_at(np.asarray(highs.getSolution().col_value))
         del highs                   # free the MILP before loading its fixed LP
         exact = self.solve_lp(fixed)
+        iterations += exact.iterations
         if exact.status is not Status.OPTIMAL:
-            return MilpResult(status, None, None, bound, np.inf, nodes)
+            return MilpResult(status, None, None, bound, np.inf, nodes,
+                              lp_iterations=iterations)
         return MilpResult(status, exact.x, exact.objective, bound,
-                          relative_gap(exact.objective, bound), nodes)
+                          relative_gap(exact.objective, bound), nodes,
+                          lp_iterations=iterations)
 
 
 _REGISTRY: dict[str, SolverBackend] = {}

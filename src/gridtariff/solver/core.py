@@ -151,8 +151,9 @@ class MilpResult:
     rel_gap: float
     nodes: int
     log: list = field(default_factory=list)   # (node id, depth, bound, branch var)
-    lp_iterations: int = 0     # bundled: simplex iterations over all node LPs
-                               # and the incumbent's fixed-switch re-solve
+    lp_iterations: int = 0     # simplex iterations of the search (bundled:
+                               # its node LPs; HiGHS: its own count) plus
+                               # the incumbent's fixed-switch re-solve
     cold_nodes: int = 0        # bundled: node LPs solved from the crash basis
     refactored_nodes: int = 0  # bundled: warm node LPs whose start basis was
                                # refactorized instead of exchanged

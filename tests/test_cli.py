@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridtariff
 from gridtariff.baselines import reference_case
 from gridtariff.cli import SENSITIVITY_GRID, _generate, build_parser, main
 from gridtariff.serialize import write_instance
@@ -89,6 +94,28 @@ def test_rh_command(tmp_path):
     traj = json.loads((out / "trajectory.json").read_text())
     assert traj["complete"] is True
     assert (out / "committed.csv").exists()
+
+
+def test_rh_stdout_holds_only_the_cli_lines(tmp_path):
+    # HiGHS prints a debug line to stdout from inside the MILP of this run's
+    # window t=5.  A subprocess, so that neither C buffering nor pytest's
+    # capture can hide it.
+    src = str(Path(gridtariff.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cli = [sys.executable, "-c",
+           "import sys; from gridtariff.cli import main; sys.exit(main())"]
+    lines = []
+    for args in (["generate", "--preset", "mini", "--seed", "6", "--bases", "3",
+                  "-o", "i.json"],
+                 ["rh", "i.json", "--window", "6", "--step", "1", "--seed", "6",
+                  "--backend", "scipy", "-o", "out"]):
+        done = subprocess.run(cli + args, cwd=tmp_path, env=env, check=True,
+                              capture_output=True, text=True)
+        lines += done.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("wrote i.json ")
+    assert lines[1].startswith("rolling horizon done: ")
 
 
 def test_sensitivity_grid_is_thirteen(tmp_path):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -18,8 +21,10 @@ from gridtariff.solver import (GE, LE, LinearProgram,
 from gridtariff.generator import generate_instance, generate_mini_instance
 from gridtariff.reformulation import (build_mpcc, default_big_m, linearize,
                                       solve_bilevel)
+from gridtariff.rolling import RhConfig, run as run_rolling_horizon
+from gridtariff.scenario import uniform_selector
 from gridtariff.solver import simplex
-from gridtariff.solver.backends import ScipyBackend
+from gridtariff.solver.backends import ScipyBackend, _stdout_to_stderr
 
 from conftest import DESK_SHAPE
 
@@ -791,6 +796,30 @@ def _unbounded_milp() -> MilpModel:
     return MilpModel(b.build(), np.array([z]))
 
 
+def test_stdout_redirect_restores_fd1_across_threads():
+    # overlapping MILP runs on several threads share fd 1: the last one out
+    # must restore it, whatever the interleaving
+    before, interval = os.fstat(1), sys.getswitchinterval()
+
+    def work():
+        for _ in range(300):
+            with _stdout_to_stderr():
+                pass
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+
+
 class TestScipyMilpStatus:
     """``ScipyBackend.solve_milp`` classifies HiGHS' model status and reads
     HiGHS' bound and node count on every outcome.  Where a case needs a time
@@ -798,7 +827,7 @@ class TestScipyMilpStatus:
     and reports a time limit instead."""
 
     # without its heuristics, HiGHS has no incumbent for the 3-base mini
-    # seed 6 MILP after one node
+    # seed 14 MILP after one node
     NO_HEURISTICS = (("mip_heuristic_effort", 0.0),
                      *((f"mip_heuristic_run_{name}", False) for name in
                        ("feasibility_jump", "rens", "rins", "root_reduced_cost",
@@ -810,8 +839,9 @@ class TestScipyMilpStatus:
         it runs, report ``status`` in place of its own, and move its column
         values by ``nudge``; later instances, such as the fixed-switch LP's,
         run as they are.  Returns the MILP's ``getInfo()`` and the column
-        values it handed out."""
-        infos, values = [], []
+        values it handed out, and the ``presolve`` option it was set to run
+        with."""
+        infos, values, presolve = [], [], []
         made = []
 
         class Patched(_core._Highs):
@@ -823,6 +853,7 @@ class TestScipyMilpStatus:
             def run(self):
                 if not self.patched:
                     return super().run()
+                presolve.append(self.getOptionValue("presolve")[1])
                 for name, value in options:
                     self.setOptionValue(name, value)
                 outcome = super().run()
@@ -842,15 +873,15 @@ class TestScipyMilpStatus:
                 return solution
 
         monkeypatch.setattr(_core, "_Highs", Patched)
-        return infos, values
+        return infos, values, presolve
 
     @staticmethod
     def highs_bound(model, info) -> float:
         return (-1.0 if model.lp.maximize else 1.0) * info.mip_dual_bound
 
     def test_limit_with_incumbent_is_time_limit(self, monkeypatch):
-        infos, values = self.patch(monkeypatch, nudge=1e-7,
-                                   status=_core.HighsModelStatus.kTimeLimit)
+        infos, values, _ = self.patch(monkeypatch, nudge=1e-7,
+                                      status=_core.HighsModelStatus.kTimeLimit)
         model = _mini_milp(5)
         res = ScipyBackend().solve_milp(model, SolveOptions(rel_gap=0.0, node_limit=1))
         assert res.status is Status.TIME_LIMIT
@@ -867,9 +898,9 @@ class TestScipyMilpStatus:
         assert res.nodes == infos[0].mip_node_count == 1
 
     def test_limit_without_incumbent_reports_the_highs_bound(self, monkeypatch):
-        infos, _ = self.patch(monkeypatch, self.NO_HEURISTICS,
-                              status=_core.HighsModelStatus.kTimeLimit)
-        model = _mini_milp(6)
+        infos, _, _ = self.patch(monkeypatch, self.NO_HEURISTICS,
+                                 status=_core.HighsModelStatus.kTimeLimit)
+        model = _mini_milp(14)
         res = ScipyBackend().solve_milp(model, SolveOptions(rel_gap=0.0, node_limit=1))
         assert infos[0].primal_solution_status \
             == _core.SolutionStatus.kSolutionStatusNone
@@ -890,18 +921,48 @@ class TestScipyMilpStatus:
                             opts=SolveOptions(node_limit=1), backend="scipy")
         assert sol.status is Status.NODE_LIMIT
 
+    def test_milp_runs_without_presolve(self, monkeypatch):
+        _, _, presolve = self.patch(monkeypatch)
+        ScipyBackend().solve_milp(_mini_milp(5), SolveOptions(node_limit=1))
+        assert presolve == ["off"]
+
+    def test_lp_iterations_count_the_search_and_the_fixed_lp(self, monkeypatch):
+        # the window MILPs of the benchmark's rolling run of 3-base mini seed
+        # 6 (window 6, step 1, no frozen prices), solved as the run solves them
+        backend, solved = get_backend("scipy"), []
+        solve = backend.solve_milp
+
+        def record(model, opts=None):
+            solved.append((model, opts, solve(model, opts)))
+            return solved[-1][2]
+
+        monkeypatch.setattr(backend, "solve_milp", record)
+        cfg = RhConfig(window=6, step=1, frozen=0, seed=6, backend="scipy",
+                       selector=uniform_selector(3, 0.4))
+        run_rolling_horizon(generate_mini_instance(6, n_bases=3), cfg)
+        model, opts, first = max(solved, key=lambda s: s[2].nodes)
+        infos, values, _ = self.patch(monkeypatch)
+        res = ScipyBackend().solve_milp(model, opts)
+        fixed = ScipyBackend().solve_lp(model.fixed_at(values[0]))
+        assert res.nodes == first.nodes > 1
+        assert res.lp_iterations == first.lp_iterations > res.nodes
+        assert res.lp_iterations \
+            == infos[0].simplex_iteration_count + fixed.iterations
+
     def test_unbounded(self, monkeypatch):
-        # HiGHS' presolve cannot tell this MILP's unboundedness from
-        # infeasibility; without presolve HiGHS reports it unbounded, with a
-        # feasible point that is no answer
-        infos, _ = self.patch(monkeypatch, (("presolve", "off"),))
+        # without presolve HiGHS reports this MILP unbounded, with a feasible
+        # point that is no answer
+        infos, _, _ = self.patch(monkeypatch)
         res = ScipyBackend().solve_milp(_unbounded_milp())
         assert infos[0].primal_solution_status \
             == _core.SolutionStatus.kSolutionStatusFeasible
         assert res.status is Status.UNBOUNDED
         assert res.x is None
 
-    def test_unbounded_or_infeasible_raises(self):
+    def test_unbounded_or_infeasible_raises(self, monkeypatch):
+        # HiGHS' presolve cannot tell this MILP's unboundedness from
+        # infeasibility
+        self.patch(monkeypatch, (("presolve", "on"),))
         with pytest.raises(SolverError, match="Primal infeasible or unbounded"):
             ScipyBackend().solve_milp(_unbounded_milp())
 
