@@ -31,7 +31,13 @@ way.  Every other LP runs with HiGHS' default, presolve on.
 A MILP always runs with presolve off.  On the rolling-horizon windows (about
 200 to 300 rows, up to a few dozen nodes) presolve costs more than it saves;
 only small one-node MILPs, whose fixed columns it removes, lose a few
-milliseconds.  A MILP's ``lp_iterations`` are HiGHS' simplex iterations plus
+milliseconds.  A MILP also always runs without the feasibility-jump heuristic
+(Luteberget & Sartor 2023).  It runs before the root LP and, on these big-M
+MILPs, finds only points that the root rounding and sub-MIP heuristics beat:
+without it the windows and desk MILPs keep their objectives and node counts
+and take about 30% less time.  RINS and RENS stay on, since without them
+HiGHS ends one window optimal below a known feasible point.  A MILP's
+``lp_iterations`` are HiGHS' simplex iterations plus
 those of the fixed-switch re-solve.  HiGHS' MIP solver can print a debug line to
 stdout whatever its options say, so fd 1 points at fd 2 while a MILP runs.
 """
@@ -217,6 +223,7 @@ class ScipyBackend:
         for option, value in (("time_limit", opts.time_limit),
                               ("mip_rel_gap", opts.rel_gap),
                               ("mip_max_nodes", opts.node_limit),
+                              ("mip_heuristic_run_feasibility_jump", False),
                               ("mip_feasibility_tolerance", 1e-9),
                               ("primal_feasibility_tolerance", 1e-9),
                               ("dual_feasibility_tolerance", 1e-9)):

@@ -21,7 +21,8 @@ from gridtariff.solver import (GE, LE, LinearProgram,
 from gridtariff.generator import generate_instance, generate_mini_instance
 from gridtariff.reformulation import (build_mpcc, default_big_m, linearize,
                                       solve_bilevel)
-from gridtariff.rolling import RhConfig, run as run_rolling_horizon
+from gridtariff.rolling import (RhConfig, RhTrajectory, make_subinstance,
+                                run as run_rolling_horizon)
 from gridtariff.scenario import uniform_selector
 from gridtariff.solver import simplex
 from gridtariff.solver.backends import ScipyBackend, _stdout_to_stderr
@@ -788,6 +789,22 @@ def _mini_milp(seed: int) -> MilpModel:
     return linearize(mpcc, default_big_m(mpcc))
 
 
+def _rh_config(seed: int) -> RhConfig:
+    """The benchmark's rolling run of 3-base mini seed ``seed``: window 6,
+    step 1, no frozen prices, on HiGHS."""
+    return RhConfig(window=6, step=1, frozen=0, seed=seed, backend="scipy",
+                    selector=uniform_selector(3, 0.4))
+
+
+def _first_window_milp(seed: int) -> MilpModel:
+    """The big-M MILP of the first window of ``_rh_config(seed)``'s run."""
+    inst = generate_mini_instance(seed, n_bases=3)
+    sub, _ = make_subinstance(inst, 0, RhTrajectory(inst.n_slots),
+                              _rh_config(seed), None)
+    mpcc = build_mpcc(sub)
+    return linearize(mpcc, default_big_m(mpcc))
+
+
 def _unbounded_milp() -> MilpModel:
     b = LpBuilder(maximize=True)
     x = b.add_var("x", 0.0, np.inf, obj=1.0)
@@ -833,15 +850,18 @@ class TestScipyMilpStatus:
                        ("feasibility_jump", "rens", "rins", "root_reduced_cost",
                         "shifting", "zi_round")))
 
+    # the options whose values ``patch`` records, as ``solve_milp`` set them
+    RECORDED = ("presolve", "mip_heuristic_run_feasibility_jump")
+
     @staticmethod
     def patch(monkeypatch, options=(), status=None, nudge=0.0):
         """Make the first HiGHS instance, the MILP's, set ``options`` before
         it runs, report ``status`` in place of its own, and move its column
         values by ``nudge``; later instances, such as the fixed-switch LP's,
-        run as they are.  Returns the MILP's ``getInfo()`` and the column
-        values it handed out, and the ``presolve`` option it was set to run
-        with."""
-        infos, values, presolve = [], [], []
+        run as they are.  Returns the MILP's ``getInfo()``, the column values
+        it handed out, and the ``RECORDED`` options it was set to run with,
+        read before ``options`` are applied."""
+        infos, values, ran_with = [], [], []
         made = []
 
         class Patched(_core._Highs):
@@ -853,9 +873,11 @@ class TestScipyMilpStatus:
             def run(self):
                 if not self.patched:
                     return super().run()
-                presolve.append(self.getOptionValue("presolve")[1])
+                ran_with.append({name: self.getOptionValue(name)[1]
+                                 for name in TestScipyMilpStatus.RECORDED})
                 for name, value in options:
-                    self.setOptionValue(name, value)
+                    if self.setOptionValue(name, value) != _core.HighsStatus.kOk:
+                        raise ValueError(f"HiGHS refused {name}={value!r}")
                 outcome = super().run()
                 infos.append(self.getInfo())
                 return outcome
@@ -873,7 +895,23 @@ class TestScipyMilpStatus:
                 return solution
 
         monkeypatch.setattr(_core, "_Highs", Patched)
-        return infos, values, presolve
+        return infos, values, ran_with
+
+    @staticmethod
+    def rolling_milps(monkeypatch, seed: int) -> list:
+        """``(model, opts, result)`` of every window MILP of
+        ``_rh_config(seed)``'s run, solved as the run solves them."""
+        backend, solved = get_backend("scipy"), []
+        solve = backend.solve_milp
+
+        def record(model, opts=None):
+            solved.append((model, opts, solve(model, opts)))
+            return solved[-1][2]
+
+        monkeypatch.setattr(backend, "solve_milp", record)
+        run_rolling_horizon(generate_mini_instance(seed, n_bases=3),
+                            _rh_config(seed))
+        return solved
 
     @staticmethod
     def highs_bound(model, info) -> float:
@@ -922,25 +960,32 @@ class TestScipyMilpStatus:
         assert sol.status is Status.NODE_LIMIT
 
     def test_milp_runs_without_presolve(self, monkeypatch):
-        _, _, presolve = self.patch(monkeypatch)
+        _, _, ran_with = self.patch(monkeypatch)
         ScipyBackend().solve_milp(_mini_milp(5), SolveOptions(node_limit=1))
-        assert presolve == ["off"]
+        assert [r["presolve"] for r in ran_with] == ["off"]
+
+    def test_milp_runs_without_feasibility_jump(self, monkeypatch):
+        _, _, ran_with = self.patch(monkeypatch)
+        ScipyBackend().solve_milp(_mini_milp(5), SolveOptions(node_limit=1))
+        assert [r["mip_heuristic_run_feasibility_jump"] for r in ran_with] \
+            == [False]
+
+    def test_feasibility_jump_changes_no_window_answer(self, monkeypatch):
+        # the heuristic only finds points the root heuristics beat anyway
+        solved = self.rolling_milps(monkeypatch, 6)
+        assert len(solved) > 1
+        for model, opts, first in solved:
+            _, _, ran_with = self.patch(
+                monkeypatch, (("mip_heuristic_run_feasibility_jump", True),))
+            again = ScipyBackend().solve_milp(model, opts)
+            assert ran_with[0]["mip_heuristic_run_feasibility_jump"] is False
+            assert again.status is first.status
+            assert again.objective == pytest.approx(first.objective, rel=1e-9)
 
     def test_lp_iterations_count_the_search_and_the_fixed_lp(self, monkeypatch):
-        # the window MILPs of the benchmark's rolling run of 3-base mini seed
-        # 6 (window 6, step 1, no frozen prices), solved as the run solves them
-        backend, solved = get_backend("scipy"), []
-        solve = backend.solve_milp
-
-        def record(model, opts=None):
-            solved.append((model, opts, solve(model, opts)))
-            return solved[-1][2]
-
-        monkeypatch.setattr(backend, "solve_milp", record)
-        cfg = RhConfig(window=6, step=1, frozen=0, seed=6, backend="scipy",
-                       selector=uniform_selector(3, 0.4))
-        run_rolling_horizon(generate_mini_instance(6, n_bases=3), cfg)
-        model, opts, first = max(solved, key=lambda s: s[2].nodes)
+        # the window MILP with the most nodes, solved as the run solves it
+        model, opts, first = max(self.rolling_milps(monkeypatch, 6),
+                                 key=lambda s: s[2].nodes)
         infos, values, _ = self.patch(monkeypatch)
         res = ScipyBackend().solve_milp(model, opts)
         fixed = ScipyBackend().solve_lp(model.fixed_at(values[0]))
@@ -948,6 +993,30 @@ class TestScipyMilpStatus:
         assert res.lp_iterations == first.lp_iterations > res.nodes
         assert res.lp_iterations \
             == infos[0].simplex_iteration_count + fixed.iterations
+
+    def test_first_window_optimum_is_exact(self):
+        # the incumbent the xfail below holds HiGHS' bound against
+        model = _first_window_milp(5)
+        res = ScipyBackend().solve_milp(model, SolveOptions(rel_gap=0.0))
+        assert res.status is Status.OPTIMAL
+        assert res.objective == pytest.approx(40.686126, abs=1e-6)
+        assert not verify_milp_solution(model, res.x, tol=1e-6)
+        fixed = ScipyBackend().solve_lp(model.fixed_at(res.x))
+        assert fixed.status is Status.OPTIMAL
+        assert fixed.objective == pytest.approx(res.objective, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "HiGHS' big-M bound is no certificate: without RINS and RENS it"
+        " reports OPTIMAL at 40.610562 on a window with a feasible 40.686126"))
+    def test_optimal_bound_covers_a_feasible_point(self, monkeypatch):
+        model = _first_window_milp(5)
+        known = ScipyBackend().solve_milp(model, SolveOptions(rel_gap=0.0))
+        self.patch(monkeypatch, (("mip_heuristic_run_rins", False),
+                                 ("mip_heuristic_run_rens", False)))
+        res = ScipyBackend().solve_milp(model, SolveOptions(rel_gap=0.0))
+        # an optimal verdict must bound every feasible point
+        assert res.status is not Status.OPTIMAL \
+            or res.bound >= known.objective - 1e-9 * abs(known.objective)
 
     def test_unbounded(self, monkeypatch):
         # without presolve HiGHS reports this MILP unbounded, with a feasible
