@@ -27,7 +27,7 @@ from .generator import (MINI_PRESETS, VariantSpec, generate_mini_instance,
 from .model import Instance, validate
 from .reformulation import BilevelInfeasible, UncertifiedOptimum, solve_bilevel
 from .rolling import RhAborted, RhConfig
-from .scenario import MarkovSelector, uniform_selector
+from .scenario import uniform_selector
 from .solver import SolveOptions, Status, write_lp
 
 EXIT_OK = 0
@@ -162,13 +162,10 @@ def cmd_baseline(args) -> int:
 
 def cmd_rh(args) -> int:
     inst = _load_instance(args)
-    n_bases = len(inst.tree.bases)
-    selector = (uniform_selector(n_bases, args.stay)
-                if n_bases > 1 else MarkovSelector(1.0, 0.0))
     cfg = RhConfig(window=args.window, step=args.step, frozen=args.frozen,
                    per_iteration_time_limit=args.time_limit,
-                   selector=selector, seed=args.seed, rel_gap=args.gap,
-                   backend=args.backend)
+                   selector=uniform_selector(len(inst.tree.bases), args.stay),
+                   seed=args.seed, rel_gap=args.gap, backend=args.backend)
     forced = serialize.read_forced_path_csv(args.forced_path) \
         if args.forced_path else None
     outdir = Path(args.output)
@@ -221,12 +218,12 @@ def cmd_sensitivity(args) -> int:
     failures = 0
 
     def flush_tables() -> None:     # partial grids still leave usable tables
-        reports.write_table(outdir / "leader_table.csv",
-                            reports.LEADER_TABLE_HEADER, leader_rows)
-        reports.write_table(outdir / "follower_table.csv",
-                            reports.FOLLOWER_TABLE_HEADER, follower_rows)
-        reports.write_table(outdir / "runs.csv", reports.RunReport.HEADER,
-                            report_rows)
+        serialize.write_rows_csv(outdir / "leader_table.csv",
+                                 reports.LEADER_TABLE_HEADER, leader_rows)
+        serialize.write_rows_csv(outdir / "follower_table.csv",
+                                 reports.FOLLOWER_TABLE_HEADER, follower_rows)
+        serialize.write_rows_csv(outdir / "runs.csv", reports.RunReport.HEADER,
+                                 report_rows)
 
     for name, variants in SENSITIVITY_GRID:
         inst = _generate(args, variants)
@@ -271,10 +268,10 @@ def cmd_rh_study(args) -> int:
     failures = 0
 
     def flush_tables() -> None:     # partial sweeps still leave usable tables
-        reports.write_table(outdir / "study.csv", reports.StudyRow.HEADER, rows)
-        reports.write_table(outdir / "baselines.csv",
-                            ["path", "kind", "leader_obj", "generalized_cost"],
-                            base_rows)
+        serialize.write_rows_csv(outdir / "study.csv", reports.StudyRow.HEADER, rows)
+        serialize.write_rows_csv(outdir / "baselines.csv",
+                                 ["path", "kind", "leader_obj", "generalized_cost"],
+                                 base_rows)
 
     for path_id in range(args.paths):
         forced: list[int] | None = None

@@ -52,6 +52,7 @@ from .solver import (EQ, GE, LE, LinearProgram, MilpModel, MilpResult,
 DEFAULT_DUAL_M = 1e5
 _AT_M_MARGIN = 1e-6        # a pair side within this share of its M is at it
 _EXTRACT_TOL = 1e-5        # relative model-vs-direct profit mismatch allowed
+MAX_ESCALATIONS = 3        # multiplier-M doublings one solve may try
 
 # Why a pair carries no switch (``MpccSystem.rule``); see ``_switch_rules``.
 SWITCHED, ZERO_CAPACITY, DUPLICATE_FLOOR, DOMINATED_PURCHASE = range(4)
@@ -426,7 +427,12 @@ def _split_point(mpcc: MpccSystem, x: np.ndarray
             x[delta_off:])
 
 
-def extract_bilevel(mpcc: MpccSystem, result: MilpResult) -> BilevelSolution:
+def extract_bilevel(mpcc: MpccSystem, result: MilpResult,
+                    config: BigMConfig) -> BilevelSolution:
+    """The solution at an exact MILP point, audited against ``config``.
+    Raises ``ExtractionMismatch`` when the MILP objective and the direct
+    profit disagree; no M causes that, since strong duality holds at any M
+    once the switches fix complementarity."""
     system = mpcc.system
     inst = system.instance
     prices, primal, dual, switches = _split_point(mpcc, result.x)
@@ -442,27 +448,23 @@ def extract_bilevel(mpcc: MpccSystem, result: MilpResult) -> BilevelSolution:
         raise ExtractionMismatch(
             f"strong-duality objective {model_obj} vs direct profit {profit}")
 
-    pv, dv = _pair_values(mpcc, primal, dual, prices)
-    return BilevelSolution(
+    solution = BilevelSolution(
         prices=prices, follower=fsol, binaries=binaries,
         leader_objective=profit, follower_objective=follower_obj,
         mip_gap=float(result.rel_gap), status=result.status,
-        pair_values=(pv, dv), milp=result)
-
-
-def duals_at_m(dv: np.ndarray, config: BigMConfig) -> np.ndarray:
-    """The audit's risky rule, per pair: the multiplier side is at or beyond
-    (1 - _AT_M_MARGIN) of its M, so a larger M might move the optimum."""
-    return dv >= (1.0 - _AT_M_MARGIN) * config.dual
+        pair_values=_pair_values(mpcc, primal, dual, prices), milp=result)
+    solution.audit = audit_big_m(solution, config)
+    return solution
 
 
 def audit_big_m(solution: BilevelSolution, config: BigMConfig) -> AuditReport:
     """Flag pair sides at or beyond (1 - _AT_M_MARGIN) of their M, by pair
     and the primal side first.  Primal flags are structural (their M is a
-    proven bound); multiplier flags (``duals_at_m``) are risky."""
+    proven bound); multiplier flags are risky: a larger M might move the
+    optimum."""
     pv, dv = solution.pair_values
     primal = (config.primal > 0) & (pv >= (1.0 - _AT_M_MARGIN) * config.primal)
-    dual = duals_at_m(dv, config)
+    dual = dv >= (1.0 - _AT_M_MARGIN) * config.dual
     flags: list[AuditFlag] = []
     for k in np.flatnonzero(primal | dual):
         k = int(k)
@@ -525,10 +527,7 @@ def _fallback_points(mpcc: MpccSystem, model: MilpModel,
                 prof[h] = v
         lp = build_follower_lp(inst, prof, system).with_bounds(
             system.skeleton.lower, upper)
-        try:
-            sol, _, _ = solve_follower(lp, backend=backend)
-        except RuntimeError:
-            continue
+        sol, _, _ = solve_follower(lp, backend=backend)
         d_pos = sol.duals * system.row_sign        # paper-positive multipliers
         pv, dv = _pair_values(mpcc, sol.x, d_pos, prof)
         delta = (pv > 1e-7).astype(float)
@@ -545,24 +544,18 @@ def _fallback_points(mpcc: MpccSystem, model: MilpModel,
 
 
 def _polish_incumbent(solver, model: MilpModel, mpcc: MpccSystem,
-                      result: MilpResult, config: BigMConfig
-                      ) -> tuple[MilpResult, int]:
-    """Only if the exact incumbent has a multiplier at its M (``duals_at_m``,
-    the audit's risky rule), pick the minimal-multiplier point among its
-    alternate optima at the same switches.
+                      result: MilpResult) -> tuple[MilpResult | None, int]:
+    """The minimal-multiplier point among the exact incumbent's alternate
+    optima at the same switches.
 
     The shrink LP minimizes total multiplier magnitude (free equality
     multipliers included, via absolute-value splits) at the optimal
     objective, so degenerate multipliers do not ride their M and trip the
-    audit; when none does, it would only trade one clean optimum for another,
-    so it is skipped.  Returns the polished result and the number of LPs
-    solved: 0, or 1-2 with the shrink LP and its retry.
+    audit; ``solve_bilevel`` runs it only when the audit flags one that
+    does.  Returns the polished result, or ``None`` when the shrink LP has no
+    optimum, and the number of LPs solved: 1, or 2 with the shrink LP's
+    retry.
     """
-    prices, primal, dual, _ = _split_point(mpcc, result.x)
-    _, dv = _pair_values(mpcc, primal, dual, prices)
-    if not duals_at_m(dv, config).any():
-        return result, 0
-
     lp = model.lp
     fixed = model.fixed_at(result.x)
     fstar = float(result.objective)
@@ -608,7 +601,7 @@ def _polish_incumbent(solver, model: MilpModel, mpcc: MpccSystem,
         s2 = solver.solve_lp(shrink_lp(fstar + slack))
         n_lps = 2
     if s2.status is not Status.OPTIMAL:
-        return result, n_lps
+        return None, n_lps
     x = s2.x[:n]
     obj = float(lp.obj @ x)
     return replace(result, x=x, objective=obj,
@@ -618,20 +611,19 @@ def _polish_incumbent(solver, model: MilpModel, mpcc: MpccSystem,
 def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
                   opts: SolveOptions | None = None, *,
                   backend: str | None = None,
-                  pinned_prices: dict[int, float] | None = None,
-                  max_retries: int = 3) -> BilevelSolution:
+                  pinned_prices: dict[int, float] | None = None) -> BilevelSolution:
     """Optimistic pricing optimum via the big-M MILP, with audited M escalation.
 
-    Every attempt solves the MILP, whose incumbent is exact at its switches
-    (``MilpResult``), polishes it (``_polish_incumbent``: the
-    multiplier-shrink LP, only if a multiplier is at its M), extracts and
-    audits.  Every returned solution has a clean audit.  When a limit stops
-    the MILP without an exact incumbent, the best operator point of
-    ``_fallback_points`` stands in for it, with the MILP's status and bound.
-    An optimal MILP without an exact incumbent escalates M.  Raises
-    ``UncertifiedOptimum`` when escalation ends with multipliers still at
-    their M, and ``BilevelInfeasible`` when neither the MILP nor the fallback
-    gives an incumbent.
+    One attempt: solve the MILP, whose incumbent is exact at its switches
+    (``MilpResult``); if a limit left none, re-solve the best
+    ``_fallback_points`` point at its switches instead, with the MILP's
+    status and bound; extract it with its audit; only if a multiplier is at
+    its M, polish it (``_polish_incumbent``) and re-extract.  A clean audit
+    returns.  A risky audit, an infeasible MILP or an optimal one without an
+    exact incumbent doubles the multiplier M, at most ``MAX_ESCALATIONS``
+    times, and then raises ``UncertifiedOptimum`` or ``BilevelInfeasible``;
+    so does a limit that leaves no incumbent.  ``ExtractionMismatch`` and
+    the fallback's operator-LP errors propagate: no M causes them.
     """
     report = validate(instance)
     if not report.ok:
@@ -643,26 +635,17 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
 
     solver = get_backend(backend)
     best: BilevelSolution | None = None
-    deadline = time.monotonic() + opts.time_limit   # budget covers all retries
-    for attempt in range(max_retries + 1):
+    deadline = time.monotonic() + opts.time_limit   # budget covers all escalations
+    for attempt in range(MAX_ESCALATIONS + 1):
         remaining = deadline - time.monotonic()
         if remaining <= 0.5 and attempt > 0:
             if best is not None:
                 raise UncertifiedOptimum(best, "time budget exhausted")
             raise BilevelInfeasible(
                 f"time budget exhausted after {attempt} attempts")
-        attempt_opts = replace(opts, time_limit=max(remaining, 0.5))
         model = linearize(mpcc, cfg, pinned_prices)
-        result = solver.solve_milp(model, attempt_opts)
-        if result.status is Status.INFEASIBLE:
-            # undersized multiplier caps can choke the whole system; larger M
-            # only enlarges it, so escalation is the right reflex here too
-            if attempt < max_retries:
-                cfg = cfg.escalate()
-                continue
-            raise BilevelInfeasible(
-                "single-level model infeasible: inconsistent instance or"
-                " undersized M")
+        result = solver.solve_milp(
+            model, replace(opts, time_limit=max(remaining, 0.5)))
         if result.x is None and result.status in (Status.TIME_LIMIT,
                                                   Status.NODE_LIMIT):
             points = _fallback_points(mpcc, model, pinned_prices, backend)
@@ -673,35 +656,36 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
                     result = replace(
                         result, x=exact.x, objective=exact.objective,
                         rel_gap=relative_gap(exact.objective, result.bound))
-        solution = None
-        if result.x is not None:
-            point, polish_lps = _polish_incumbent(solver, model, mpcc, result, cfg)
-            try:
-                solution = extract_bilevel(mpcc, point)
-            except ExtractionMismatch:
-                pass
-        elif result.status is not Status.OPTIMAL:
-            raise BilevelInfeasible(
-                f"no incumbent within limits (status {result.status})")
-        if solution is not None:
-            solution.retries = attempt
-            solution.polish_lps = polish_lps
-            solution.audit = audit_big_m(solution, cfg)
+        if result.x is None:
+            if result.status not in (Status.OPTIMAL, Status.INFEASIBLE):
+                raise BilevelInfeasible(
+                    f"no incumbent within limits (status {result.status})")
+            # undersized multiplier caps can cut off every exact point, or
+            # the whole system; a larger M only enlarges the feasible set
+            if best is not None:
+                raise UncertifiedOptimum(best, "a larger M gave no exact incumbent")
+            if attempt == MAX_ESCALATIONS:
+                raise BilevelInfeasible(
+                    f"no tolerance-exact incumbent recoverable (MILP"
+                    f" {result.status.value}): inconsistent instance or"
+                    " undersized M; consider larger explicit big-M values")
+        else:
+            solution = extract_bilevel(mpcc, result, cfg)
+            polish_lps = 0
+            if not solution.audit.clean:
+                polished, polish_lps = _polish_incumbent(solver, model, mpcc, result)
+                if polished is not None:
+                    solution = extract_bilevel(mpcc, polished, cfg)
+            solution.retries, solution.polish_lps = attempt, polish_lps
             if solution.audit.clean:
                 return solution
-            # enlarging M only enlarges the feasible set, so a retry that does
-            # not improve the objective added nothing: stop escalating
+            # enlarging M only enlarges the feasible set, so an escalation
+            # that does not improve the objective added nothing: stop
             if best is not None and solution.leader_objective \
                     <= best.leader_objective + 1e-9 * (1 + abs(best.leader_objective)):
                 raise UncertifiedOptimum(best, "a larger M did not move the profit")
-            if attempt == max_retries:
+            if attempt == MAX_ESCALATIONS:
                 raise UncertifiedOptimum(solution, f"risky after {attempt} escalations")
             best = solution
-        elif best is not None:
-            raise UncertifiedOptimum(best, "a larger M gave no exact incumbent")
-        elif attempt == max_retries:
-            raise BilevelInfeasible(
-                "no tolerance-exact incumbent recoverable; consider a tighter"
-                " backend or larger explicit big-M values")
         cfg = cfg.escalate()
     raise RuntimeError("unreachable: the last attempt returns or raises")

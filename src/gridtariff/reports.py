@@ -19,7 +19,7 @@ from .baselines import ComparisonReport
 from .follower import evaluate_schedule
 from .model import Instance
 from .reformulation import BilevelSolution
-from .serialize import write_rows_csv, write_series_csv
+from .serialize import write_series_csv
 
 LEADER_TABLE_HEADER = ["instance", "ref_obj", "opt_obj", "pct_diff"]
 FOLLOWER_TABLE_HEADER = ["instance", "bc_ref", "ic_ref", "bc_opt", "ic_opt",
@@ -59,7 +59,7 @@ def run_report(name: str, instance: Instance, solution: BilevelSolution,
         inconvenience_cost=costs.inconvenience_cost,
         generalized_cost=costs.generalized_cost,
         mip_gap=solution.mip_gap, runtime_s=runtime_s,
-        audit_flags=len(solution.audit.flags) if solution.audit else 0,
+        audit_flags=len(solution.audit.flags),
         retries=solution.retries)
 
 
@@ -106,10 +106,10 @@ def solution_to_dict(instance: Instance, solution: BilevelSolution) -> dict:
         "retries": solution.retries,
         "polish_lps": solution.polish_lps,
         "audit": {
-            "clean": audit.clean if audit else None,
-            "flags": [asdict(f) for f in audit.flags] if audit else [],
-            "max_primal": audit.max_primal if audit else None,
-            "max_dual": audit.max_dual if audit else None,
+            "clean": audit.clean,
+            "flags": [asdict(f) for f in audit.flags],
+            "max_primal": audit.max_primal,
+            "max_dual": audit.max_dual,
         },
         "scenarios": per_scenario,
     }
@@ -167,7 +167,3 @@ class StudyRow:
                 f"{self.competitor_energy:.6f}", f"{self.dg_overuse:.6f}",
                 f"{self.dg_unused:.6f}", f"{self.runtime_s:.2f}",
                 self.iterations]
-
-
-def write_table(path: str | Path, header: list[str], rows: list) -> None:
-    write_rows_csv(path, header, rows)

@@ -181,9 +181,7 @@ def make_subinstance(instance: Instance, t: int, trajectory: RhTrajectory,
     if previous_base is None or n_b == 1:
         base_probs = np.full(n_b, 1.0 / n_b)
     else:
-        config.selector.validate(n_b)
-        base_probs = np.full(n_b, config.selector.switch_prob)
-        base_probs[previous_base] = config.selector.stay_prob
+        base_probs = config.selector.next_probs(previous_base, n_b)
     bases = [BaseScenario(b, base.dg_bound[t: t_end + 1])
              for b, base in enumerate(instance.tree.bases)]
     tree = flat_tree(bases, n_sub, base_probs)

@@ -58,6 +58,13 @@ class MarkovSelector:
     def transition(self, prev: int, nxt: int) -> float:
         return self.stay_prob if prev == nxt else self.switch_prob
 
+    def next_probs(self, previous: int, n_bases: int) -> np.ndarray:
+        """Probability of each base following ``previous``."""
+        self.validate(n_bases)
+        probs = np.full(n_bases, self.switch_prob)
+        probs[previous] = self.stay_prob
+        return probs
+
 
 def uniform_selector(n_bases: int, stay_prob: float) -> MarkovSelector:
     if n_bases == 1:
@@ -197,7 +204,4 @@ def realize_next(selector: MarkovSelector, previous_base: int | None,
         return 0
     if previous_base is None:
         return int(rng.integers(n_bases))
-    selector.validate(n_bases)
-    probs = np.full(n_bases, selector.switch_prob)
-    probs[previous_base] = selector.stay_prob
-    return int(rng.choice(n_bases, p=probs))
+    return int(rng.choice(n_bases, p=selector.next_probs(previous_base, n_bases)))

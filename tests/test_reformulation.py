@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gridtariff import reformulation
 from gridtariff.follower import (build_follower_lp, build_follower_system,
                                  evaluate_schedule, extract_solution,
                                  leader_profit, solve_follower)
@@ -16,15 +18,16 @@ from gridtariff.model import Battery, Device, TimeWindow
 from gridtariff.reformulation import (DOMINATED_PURCHASE, DUPLICATE_FLOOR,
                                       SWITCHED, ZERO_CAPACITY, AuditReport,
                                       BigMConfig, BilevelInfeasible,
-                                      BilevelSolution, UncertifiedOptimum,
-                                      audit_big_m, build_mpcc, default_big_m,
-                                      duals_at_m, _fallback_points,
+                                      BilevelSolution, ExtractionMismatch,
+                                      UncertifiedOptimum, audit_big_m,
+                                      build_mpcc, default_big_m,
+                                      extract_bilevel, _fallback_points,
                                       _pair_values, _split_point, linearize,
                                       solve_bilevel)
 from gridtariff.reports import solution_to_dict
 from gridtariff.scenario import BaseScenario, flat_tree, single_path_tree
-from gridtariff.solver import (EQ, LE, MilpResult, SolveOptions, Status,
-                               get_backend, solve_milp)
+from gridtariff.solver import (EQ, LE, MilpResult, SolveOptions, SolverError,
+                               Status, get_backend, solve_milp)
 from gridtariff.solver import backends
 
 from conftest import (DESK_SHAPE, OptimisticResponder, audit_loop,
@@ -424,15 +427,16 @@ class TestAudit:
         assert sol.leader_objective == pytest.approx(4.0, abs=1e-6)
         assert sol.retries >= 1
 
-    def test_risky_last_attempt_raises_uncertified(self):
+    def test_risky_last_attempt_raises_uncertified(self, monkeypatch):
         # true multipliers reach the competitor price (3): an M of 1.5 cuts
         # them off and the MILP optimum is 1.0, not 4.0
         inst = make_t1(C=(0.0, 0.0))
         mpcc = build_mpcc(inst)
         cramped = default_big_m(mpcc, default_dual=1.5)
-        with pytest.raises(UncertifiedOptimum) as info:
-            solve_bilevel(inst, config=cramped, opts=SolveOptions(rel_gap=0.0),
-                          max_retries=0)
+        with monkeypatch.context() as m, \
+                pytest.raises(UncertifiedOptimum) as info:
+            m.setattr(reformulation, "MAX_ESCALATIONS", 0)
+            solve_bilevel(inst, config=cramped, opts=SolveOptions(rel_gap=0.0))
         exc = info.value
         assert not isinstance(exc, BilevelInfeasible)
         assert exc.solution.leader_objective == pytest.approx(1.0, abs=1e-6)
@@ -444,13 +448,13 @@ class TestAudit:
         assert sol.leader_objective == pytest.approx(4.0, abs=1e-6)
         assert sol.audit.clean
 
-    def test_hopelessly_tiny_m_raises(self):
+    def test_hopelessly_tiny_m_raises(self, monkeypatch):
         inst = make_t1(C=(0.0, 0.0))
         mpcc = build_mpcc(inst)
         cramped = default_big_m(mpcc, default_dual=0.01)
+        monkeypatch.setattr(reformulation, "MAX_ESCALATIONS", 2)
         with pytest.raises(Exception):
-            solve_bilevel(inst, config=cramped, opts=SolveOptions(rel_gap=0.0),
-                          max_retries=2)
+            solve_bilevel(inst, config=cramped, opts=SolveOptions(rel_gap=0.0))
 
     @staticmethod
     def _assert_matches_loop(mpcc, sol):
@@ -522,6 +526,34 @@ class _NoExactIncumbent:
     def solve_milp(self, model, opts=None):
         self.milps += 1
         return MilpResult(Status.OPTIMAL, None, None, 50.0, np.inf, 0)
+
+
+class _OffObjective:
+    """Returns HiGHS' exact incumbent with its objective off by 1.0, so that
+    the objective and the profit evaluated at the point disagree."""
+
+    name = "off-objective"
+
+    def __init__(self) -> None:
+        self.milps = 0
+
+    def solve_lp(self, lp, opts=None):
+        return get_backend("scipy").solve_lp(lp, opts)
+
+    def solve_milp(self, model, opts=None):
+        self.milps += 1
+        res = get_backend("scipy").solve_milp(model, opts)
+        return replace(res, objective=res.objective + 1.0)
+
+
+class _NoIncumbentBrokenLp(_NoIncumbent):
+    """Stops every MILP at its time limit without an incumbent, and fails
+    every LP, the fallback's operator LPs included."""
+
+    name = "no-incumbent-broken-lp"
+
+    def solve_lp(self, lp, opts=None):
+        raise SolverError("LP solver failed")
 
 
 class _CallLog:
@@ -615,14 +647,30 @@ class TestPriming:
         monkeypatch.setattr(BigMConfig, "escalate", counted)
         stub = _NoExactIncumbent()
         name = _register(monkeypatch, stub)
+        monkeypatch.setattr(reformulation, "MAX_ESCALATIONS", 2)
         with pytest.raises(BilevelInfeasible, match="no tolerance-exact incumbent"):
-            solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0),
-                          backend=name, max_retries=2)
+            solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0), backend=name)
         assert stub.milps == 3 and len(escalations) == 2
+        monkeypatch.setattr(reformulation, "MAX_ESCALATIONS", 0)
         with pytest.raises(BilevelInfeasible, match="no tolerance-exact incumbent"):
-            solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0),
-                          backend=name, max_retries=0)
+            solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0), backend=name)
         assert stub.milps == 4 and len(escalations) == 2
+
+
+class TestErrorsPropagate:
+    """Failures no M can cause leave ``solve_bilevel`` at once, as raised."""
+
+    def test_extraction_mismatch_is_not_escalated(self, monkeypatch):
+        stub = _OffObjective()
+        with pytest.raises(ExtractionMismatch, match="strong-duality objective"):
+            solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0),
+                          backend=_register(monkeypatch, stub))
+        assert stub.milps == 1
+
+    def test_fallback_lp_error_propagates(self, monkeypatch):
+        with pytest.raises(SolverError, match="LP solver failed"):
+            solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0),
+                          backend=_register(monkeypatch, _NoIncumbentBrokenLp()))
 
 
 class TestBundledNodes:
@@ -706,12 +754,9 @@ class TestPolish:
     incumbent is at its M."""
 
     @staticmethod
-    def _rides_m(inst, config, x) -> bool:
-        """Whether a point of the MILP has a multiplier at its M."""
-        mpcc = build_mpcc(inst)
-        prices, primal, dual, _ = _split_point(mpcc, x)
-        _, dv = _pair_values(mpcc, primal, dual, prices)
-        return bool(duals_at_m(dv, config).any())
+    def _rides_m(inst, config, res) -> bool:
+        """Whether the audit flags a multiplier of a MILP result at its M."""
+        return not extract_bilevel(build_mpcc(inst), res, config).audit.clean
 
     @staticmethod
     def _milp_and_lps(log: _CallLog):
@@ -738,7 +783,7 @@ class TestPolish:
         model, res, lps = self._milp_and_lps(log)
         assert lps[0][0].n_rows > model.lp.n_rows   # the multiplier-shrink LP
         mpcc = build_mpcc(inst)
-        assert self._rides_m(inst, default_big_m(mpcc), res.x)
+        assert self._rides_m(inst, default_big_m(mpcc), res)
         assert sol.polish_lps == len(lps) in (1, 2)
         assert solution_to_dict(inst, sol)["polish_lps"] == sol.polish_lps
 
@@ -749,10 +794,11 @@ class TestPolish:
         # shrink LP's below 10.1
         small = default_big_m(mpcc, default_dual=10.2)
         log = _CallLog("bundled")
+        monkeypatch.setattr(reformulation, "MAX_ESCALATIONS", 0)
         sol = solve_bilevel(inst, config=small, opts=SolveOptions(rel_gap=0.0),
-                            backend=_register(monkeypatch, log), max_retries=0)
+                            backend=_register(monkeypatch, log))
         _, res, lps = self._milp_and_lps(log)
-        assert self._rides_m(inst, small, res.x)
+        assert self._rides_m(inst, small, res)
         assert sol.polish_lps == len(lps) in (1, 2)
         assert sol.audit.clean
         ref = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0), backend="bundled")
