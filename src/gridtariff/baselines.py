@@ -47,12 +47,10 @@ def reference_case(instance: Instance, dg_path: np.ndarray) -> BaselineResult:
     demand = greedy_device_profile(instance.devices, n)
     n_dev = len(instance.devices)
 
-    lam = np.zeros((n_dev, n))
-    sd = np.zeros((n_dev, n))
-    x = np.zeros((n_dev, n))
-    lams = np.zeros(n)
-    xs = np.zeros(n)
-    state = np.zeros(n + 1)
+    schedule = FollowerSolution.zeros(1, n_dev, n)
+    x, lam, sd = (schedule.device[f][0] for f in ("x", "lam", "sd"))
+    xs, lams = schedule.stored["xs"][0], schedule.stored["lams"][0]
+    state = schedule.battery_state[0]
     state[0] = bat.initial
     for h in range(n):
         s_h = state[h]
@@ -83,13 +81,8 @@ def reference_case(instance: Instance, dg_path: np.ndarray) -> BaselineResult:
             nxt = bat.min_level
         state[h + 1] = nxt
 
-    device = {"x": x[None], "xb": np.zeros((1, n_dev, n)), "lam": lam[None],
-              "sd": sd[None]}
-    stored = {"xs": xs[None, :], "xbs": np.zeros((1, n)), "lams": lams[None, :]}
     prices = instance.prices.competitor.copy()
-
     single = instance.replace(tree=single_path_tree(dg_path))
-    schedule = FollowerSolution(device, stored, state[None, :], 0.0)
     costs = evaluate_schedule(single, prices, schedule)
     schedule.objective_value = costs.generalized_cost
     profit = leader_profit(single, prices, schedule)

@@ -193,7 +193,7 @@ def _write_trajectory(outdir: Path, inst: Instance,
         "realized_bases": list(map(int, traj.realized_bases)),
         "frozen_prices": np.nan_to_num(traj.frozen_prices).tolist(),
         "base_by_slot": traj.base_by_slot.tolist(),
-        "battery_state": traj.battery_state.tolist(),
+        "battery_state": traj.schedule.battery_state[0].tolist(),
     }
     (outdir / "trajectory.json").write_text(json.dumps(doc, indent=1))
     serialize.write_rows_csv(
@@ -206,8 +206,8 @@ def _write_trajectory(outdir: Path, inst: Instance,
     if traj.complete:
         serialize.write_series_csv(outdir / "committed.csv", {
             "price": traj.frozen_prices,
-            "consumption": traj.consumption_by_slot(),
-            "battery_state": traj.battery_state[:-1],
+            "consumption": traj.schedule.consumption[0].sum(axis=0),
+            "battery_state": traj.schedule.battery_state[0, :-1],
         })
 
 
@@ -289,26 +289,25 @@ def cmd_rh_study(args) -> int:
                 failures += 1
                 continue
             runtime = time.monotonic() - t0
+            dg_path = traj.realized_dg_path(inst)
             if forced is None:
                 forced = list(traj.realized_bases)
-                realized_path = traj.realized_dg_path(inst)
+                realized_path = dg_path
                 serialize.write_rows_csv(outdir / f"path{path_id}.csv",
                                          ["iteration", "base"],
                                          list(enumerate(forced)))
             audit = rolling.audit_trajectory(inst, traj)
             bc, ic = traj.realized_follower_cost(inst)
-            dg_path = traj.realized_dg_path(inst)
-            dg_use = (traj.device_energy["lam"].sum(axis=0) + traj.stored["lams"])
+            profit = traj.realized_leader_profit(inst)
             rows.append(reports.StudyRow(
-                path_id, frozen, traj.realized_leader_profit(inst), bc, ic,
-                audit.competitor_energy,
+                path_id, frozen, profit, bc, ic, audit.competitor_energy,
                 sum(v for _, v in audit.dg_violations),
-                float(np.maximum(dg_path - dg_use, 0.0).sum()),
+                float(np.maximum(dg_path - traj.schedule.generation[0], 0.0).sum()),
                 runtime, len(traj.per_iteration_log)).row())
             _write_trajectory(outdir / f"run_p{path_id}_f{frozen}", inst, traj)
             flush_tables()
-            print(f"path {path_id} frozen {frozen}: leader="
-                  f"{traj.realized_leader_profit(inst):.2f} ({runtime:.0f}s)")
+            print(f"path {path_id} frozen {frozen}: leader={profit:.2f}"
+                  f" ({runtime:.0f}s)")
         if forced is not None:
             ref = baselines.reference_case(inst, realized_path)
             base_rows.append([path_id, "reference", f"{ref.leader_profit:.6f}",

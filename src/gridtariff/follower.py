@@ -26,8 +26,8 @@ per device/slot); ``xs``/``xbs``/``lams`` stored purchases and stored
 generation per slot; ``S`` battery state over slots ``0..H+1``.  A schedule
 holds each device family as one ``(n_scenarios, n_devices, n_slots)`` array,
 zero outside each device's window, and each slot family as one
-``(n_scenarios, n_slots)`` array; the cost accounting is array arithmetic
-over them.
+``(n_scenarios, n_slots)`` array; its per-source totals and the cost
+accounting are array arithmetic over them.
 """
 
 from __future__ import annotations
@@ -296,12 +296,23 @@ def build_follower_lp(instance: Instance, prices: np.ndarray,
 
 @dataclass
 class FollowerSolution:
-    """Per-scenario schedule plus the expected generalized cost."""
+    """Per-scenario schedule plus the expected generalized cost, and the one
+    place that totals its decisions by source: ``consumption`` per scenario,
+    device and slot, the others per scenario and slot, storage included."""
 
     device: dict               # family -> (n_scen, n_dev, n_slots), 0 off-window
     stored: dict               # family -> (n_scen, n_slots) array
     battery_state: np.ndarray  # (n_scen, n_slots + 1)
     objective_value: float
+
+    @classmethod
+    def zeros(cls, n_scen: int, n_dev: int, n_slots: int,
+              objective_value: float = float("nan")) -> FollowerSolution:
+        """An all-zero schedule; the device families are views of one array."""
+        dense = np.zeros((len(DEVICE_FAMILIES), n_scen, n_dev, n_slots))
+        return cls(dict(zip(DEVICE_FAMILIES, dense)),
+                   {f: np.zeros((n_scen, n_slots)) for f in SLOT_FAMILIES},
+                   np.zeros((n_scen, n_slots + 1)), objective_value)
 
     @property
     def n_scenarios(self) -> int:
@@ -311,16 +322,37 @@ class FollowerSolution:
     def n_slots(self) -> int:
         return self.battery_state.shape[1] - 1
 
+    @property
+    def consumption(self) -> np.ndarray:
+        return sum(self.device[f] for f in DEVICE_FAMILIES)
+
+    @property
+    def leader(self) -> np.ndarray:
+        return self.device["x"].sum(axis=1) + self.stored["xs"]
+
+    @property
+    def competitor(self) -> np.ndarray:
+        return self.device["xb"].sum(axis=1) + self.stored["xbs"]
+
+    @property
+    def generation(self) -> np.ndarray:
+        return self.device["lam"].sum(axis=1) + self.stored["lams"]
+
+    @property
+    def battery_draw(self) -> np.ndarray:
+        return self.device["sd"].sum(axis=1)
+
 
 def extract_solution(system: FollowerSystem, x: np.ndarray,
                      objective: float) -> FollowerSolution:
     x = np.asarray(x)
-    dense = np.zeros((len(DEVICE_FAMILIES), *system.schedule_shape))
-    dense.reshape(len(DEVICE_FAMILIES), -1)[:, system.window_pos] = \
-        x[system.window_cols]
-    stored = {f: x[system.slot_cols[f]] for f in SLOT_FAMILIES}
-    return FollowerSolution(dict(zip(DEVICE_FAMILIES, dense)), stored,
-                            x[system.slot_cols["S"]], float(objective))
+    sol = FollowerSolution.zeros(*system.schedule_shape, float(objective))
+    for f, cols in zip(DEVICE_FAMILIES, system.window_cols):
+        sol.device[f].flat[system.window_pos] = x[cols]
+    for f in SLOT_FAMILIES:
+        sol.stored[f][:] = x[system.slot_cols[f]]
+    sol.battery_state[:] = x[system.slot_cols["S"]]
+    return sol
 
 
 def solve_follower(lp: LinearProgram, backend: str | None = None,
@@ -372,11 +404,10 @@ def evaluate_schedule(instance: Instance, prices: np.ndarray,
                       solution: FollowerSolution) -> CostBreakdown:
     """Expected billing and inconvenience of a schedule at given prices."""
     prices = np.asarray(prices, dtype=float)
-    device, stored = solution.device, solution.stored
-    billing = ((device["x"].sum(axis=1) + stored["xs"]) @ prices
-               + (device["xb"].sum(axis=1) + stored["xbs"]) @ instance.prices.competitor)
-    used = sum(device[f] for f in DEVICE_FAMILIES)
-    inconvenience = np.einsum("sdh,dh->s", used, _penalty_matrix(instance))
+    billing = (solution.leader @ prices
+               + solution.competitor @ instance.prices.competitor)
+    inconvenience = np.einsum("sdh,dh->s", solution.consumption,
+                              _penalty_matrix(instance))
     probs = np.asarray(instance.tree.probabilities, dtype=float)
     bc, ic = float(probs @ billing), float(probs @ inconvenience)
     return CostBreakdown(bc, ic, bc + ic,
@@ -387,7 +418,6 @@ def leader_profit(instance: Instance, prices: np.ndarray,
                   solution: FollowerSolution) -> float:
     """Expected supplier profit: revenue minus spot procurement cost."""
     margin = np.asarray(prices, dtype=float) - instance.prices.supply_cost
-    sold = solution.device["x"].sum(axis=1) + solution.stored["xs"]
     probs = np.asarray(instance.tree.probabilities, dtype=float)
-    return float(probs @ (sold @ margin))
+    return float(probs @ (solution.leader @ margin))
 

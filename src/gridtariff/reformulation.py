@@ -62,6 +62,11 @@ class BilevelInfeasible(RuntimeError):
     """The single-level model is infeasible: bad instance or M too small."""
 
 
+class LimitWithoutIncumbent(BilevelInfeasible):
+    """A time or node limit ended the solve before any incumbent was found:
+    the one ``BilevelInfeasible`` that more time may cure."""
+
+
 class ExtractionMismatch(RuntimeError):
     """Strong-duality objective and direct profit evaluation disagree."""
 
@@ -622,8 +627,9 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
     returns.  A risky audit, an infeasible MILP or an optimal one without an
     exact incumbent doubles the multiplier M, at most ``MAX_ESCALATIONS``
     times, and then raises ``UncertifiedOptimum`` or ``BilevelInfeasible``;
-    so does a limit that leaves no incumbent.  ``ExtractionMismatch`` and
-    the fallback's operator-LP errors propagate: no M causes them.
+    a limit that leaves no incumbent raises ``LimitWithoutIncumbent``.
+    ``ExtractionMismatch`` and the fallback's operator-LP errors propagate:
+    no M causes them.
     """
     report = validate(instance)
     if not report.ok:
@@ -641,7 +647,7 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
         if remaining <= 0.5 and attempt > 0:
             if best is not None:
                 raise UncertifiedOptimum(best, "time budget exhausted")
-            raise BilevelInfeasible(
+            raise LimitWithoutIncumbent(
                 f"time budget exhausted after {attempt} attempts")
         model = linearize(mpcc, cfg, pinned_prices)
         result = solver.solve_milp(
@@ -658,7 +664,7 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
                         rel_gap=relative_gap(exact.objective, result.bound))
         if result.x is None:
             if result.status not in (Status.OPTIMAL, Status.INFEASIBLE):
-                raise BilevelInfeasible(
+                raise LimitWithoutIncumbent(
                     f"no incumbent within limits (status {result.status})")
             # undersized multiplier caps can cut off every exact point, or
             # the whole system; a larger M only enlarges the feasible set

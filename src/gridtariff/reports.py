@@ -78,9 +78,8 @@ def comparison_rows(name: str, cmp: ComparisonReport) -> tuple[list, list]:
 def solution_to_dict(instance: Instance, solution: BilevelSolution) -> dict:
     costs = evaluate_schedule(instance, solution.prices, solution.follower)
     sched = solution.follower
-    leader = sched.device["x"].sum(axis=1) + sched.stored["xs"]
-    competitor = sched.device["xb"].sum(axis=1) + sched.stored["xbs"]
-    generation = sched.device["lam"].sum(axis=1) + sched.stored["lams"]
+    leader, competitor, generation = (sched.leader, sched.competitor,
+                                      sched.generation)
     per_scenario = []
     for s in range(sched.n_scenarios):
         per_scenario.append({
@@ -127,13 +126,12 @@ def write_run_series(outdir: str | Path, instance: Instance,
     outdir.mkdir(parents=True, exist_ok=True)
     s = int(np.argmax(instance.tree.probabilities))
     sched = solution.follower
-    used = {f: v[s].sum(axis=0) for f, v in sched.device.items()}   # per slot
     write_series_csv(outdir / "consumption.csv", {
-        "total": sum(used.values()),
-        "from_leader": used["x"] + sched.stored["xs"][s],
-        "from_competitor": used["xb"] + sched.stored["xbs"][s],
-        "from_generation": used["lam"] + sched.stored["lams"][s],
-        "from_battery": used["sd"],
+        "total": sched.consumption[s].sum(axis=0),
+        "from_leader": sched.leader[s],
+        "from_competitor": sched.competitor[s],
+        "from_generation": sched.generation[s],
+        "from_battery": sched.battery_draw[s],
     })
     write_series_csv(outdir / "prices.csv", {
         "leader": solution.prices,

@@ -7,6 +7,11 @@ just passed, updates residual demands and the battery state, and slides the
 window.  Subwindow scenario trees contain only the base scenarios, weighted
 by a one-step Markov rule conditioned on the previously realized base.
 
+The trajectory holds the committed decisions as one single-scenario
+``FollowerSolution``, copied with their battery states from the realized leaf
+of each window LP; ``audit_trajectory`` re-simulates the battery from the
+committed decisions and measures the committed states against it.
+
 The loop runs windows ``{t, ..., min(t + window, H)}`` for ``t = 0, step,
 2*step, ...`` and finishes with the first window that reaches the end of the
 horizon, committing that window's decisions through the last slot.
@@ -16,14 +21,15 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .follower import (DEVICE_FAMILIES, SLOT_FAMILIES, FollowerSolution,
-                       evaluate_schedule, leader_profit)
+                       _window_cells, evaluate_schedule, leader_profit)
 from .model import Battery, Device, Horizon, Instance, PriceData, TimeWindow
-from .reformulation import BilevelInfeasible, BilevelSolution, solve_bilevel
+from .reformulation import (BilevelInfeasible, BilevelSolution,
+                            LimitWithoutIncumbent, solve_bilevel)
 from .scenario import (BaseScenario, MarkovSelector, flat_tree, realize_next,
                        single_path_tree)
 from .solver import SolveOptions
@@ -72,48 +78,42 @@ class IterationRecord:
     pinned: dict = field(default_factory=dict)   # absolute slot -> pinned price
 
 
-@dataclass
 class RhTrajectory:
-    """Realized path, committed prices and slot-by-slot realized decisions."""
+    """Realized path, committed prices (NaN until committed) and the
+    committed decisions as one scenario over the horizon (zero until then)."""
 
-    n_slots: int
-    realized_bases: list[int] = field(default_factory=list)   # one per iteration
-    base_by_slot: np.ndarray | None = None
-    frozen_prices: np.ndarray | None = None
-    price_committed: np.ndarray | None = None
-    device_energy: dict = field(default_factory=dict)   # family -> (n_dev, n_slots)
-    stored: dict = field(default_factory=dict)          # family -> (n_slots,)
-    battery_state: np.ndarray | None = None
-    per_iteration_log: list[IterationRecord] = field(default_factory=list)
-    complete: bool = False
+    def __init__(self, instance: Instance):
+        n_slots = instance.n_slots
+        self.schedule = FollowerSolution.zeros(1, len(instance.devices), n_slots)
+        self.schedule.battery_state[0, 0] = instance.battery.initial
+        self.frozen_prices = np.full(n_slots, np.nan)
+        self.base_by_slot = np.full(n_slots, -1, dtype=np.int64)
+        self.realized_bases: list[int] = []                  # one per iteration
+        self.per_iteration_log: list[IterationRecord] = []
+        self.complete = False
+
+    @property
+    def price_committed(self) -> np.ndarray:
+        return ~np.isnan(self.frozen_prices)
 
     def realized_dg_path(self, instance: Instance) -> np.ndarray:
         bases = instance.tree.bases
         return np.array([bases[b].dg_bound[h]
                          for h, b in enumerate(self.base_by_slot)])
 
-    def consumption_by_slot(self) -> np.ndarray:
-        return sum(self.device_energy[f].sum(axis=0) for f in DEVICE_FAMILIES)
-
-    def _realized(self, instance: Instance) -> tuple[Instance, FollowerSolution]:
-        """The instance over the realized generation path, and the committed
-        decisions as its one-scenario schedule (views of this trajectory)."""
-        single = instance.replace(
+    def _realized(self, instance: Instance) -> Instance:
+        """The instance over the realized generation path: ``schedule``'s."""
+        return instance.replace(
             tree=single_path_tree(self.realized_dg_path(instance)))
-        schedule = FollowerSolution(
-            {f: v[None] for f, v in self.device_energy.items()},
-            {f: v[None] for f, v in self.stored.items()},
-            self.battery_state[None], float("nan"))
-        return single, schedule
 
     def realized_leader_profit(self, instance: Instance) -> float:
-        single, schedule = self._realized(instance)
-        return leader_profit(single, self.frozen_prices, schedule)
+        return leader_profit(self._realized(instance), self.frozen_prices,
+                             self.schedule)
 
     def realized_follower_cost(self, instance: Instance) -> tuple[float, float]:
         """(billing, inconvenience) of the realized schedule."""
-        single, schedule = self._realized(instance)
-        costs = evaluate_schedule(single, self.frozen_prices, schedule)
+        costs = evaluate_schedule(self._realized(instance), self.frozen_prices,
+                                  self.schedule)
         return costs.billing_cost, costs.inconvenience_cost
 
 
@@ -141,6 +141,7 @@ def make_subinstance(instance: Instance, t: int, trajectory: RhTrajectory,
     H = instance.horizon.last_slot
     t_end = min(t + config.window, H)
     n_sub = t_end - t + 1
+    served = trajectory.schedule.consumption[0]
     devices: list[Device] = []
     kept: list[int] = []
     for d, dev in enumerate(instance.devices):
@@ -149,9 +150,7 @@ def make_subinstance(instance: Instance, t: int, trajectory: RhTrajectory,
             continue
         residual = dev.energy_demand
         if dev.window.first < t:
-            for f in DEVICE_FAMILIES:
-                residual -= float(trajectory.device_energy[f][d, :t].sum())
-            residual = max(0.0, residual)
+            residual = max(0.0, residual - float(served[d, :t].sum()))
         if dev.window.last > t + config.window:
             cap = (t + config.window - max(dev.window.first, t)) * dev.max_power
             residual = min(residual, cap)
@@ -170,7 +169,7 @@ def make_subinstance(instance: Instance, t: int, trajectory: RhTrajectory,
         kept.append(d)
 
     bat = instance.battery
-    s_now = float(trajectory.battery_state[t]) if t > 0 else bat.initial
+    s_now = float(trajectory.schedule.battery_state[0, t])
     s_now = min(max(s_now, bat.min_level), bat.max_level) if bat.usable else s_now
     battery = Battery(s_now, bat.min_level, bat.max_level,
                       bat.charge_eff, bat.discharge_eff)
@@ -193,42 +192,31 @@ def make_subinstance(instance: Instance, t: int, trajectory: RhTrajectory,
 def run(instance: Instance, config: RhConfig,
         forced_path: list[int] | None = None) -> RhTrajectory:
     """Execute the rolling loop and assemble the full-horizon trajectory."""
-    n_slots = instance.n_slots
-    n_dev = len(instance.devices)
     n_bases = len(instance.tree.bases)
     rng = np.random.default_rng(config.seed)
-
-    traj = RhTrajectory(n_slots)
-    traj.frozen_prices = np.full(n_slots, np.nan)
-    traj.price_committed = np.zeros(n_slots, dtype=bool)
-    traj.base_by_slot = np.full(n_slots, -1, dtype=np.int64)
-    traj.device_energy = {f: np.zeros((n_dev, n_slots)) for f in DEVICE_FAMILIES}
-    traj.stored = {f: np.zeros(n_slots) for f in SLOT_FAMILIES}
-    traj.battery_state = np.zeros(n_slots + 1)
-    traj.battery_state[0] = instance.battery.initial
-
+    traj = RhTrajectory(instance)
     t = 0
     previous_base: int | None = None
-    iteration = 0
     H = instance.horizon.last_slot
     while True:
         final = t + config.window >= H
         t_end = min(t + config.window, H)
         sub, kept = make_subinstance(instance, t, traj, config, previous_base)
+        committed = traj.price_committed
         pinned = {h - t: float(traj.frozen_prices[h])
-                  for h in range(t, t_end + 1) if traj.price_committed[h]}
+                  for h in range(t, t_end + 1) if committed[h]}
         opts = SolveOptions(time_limit=config.per_iteration_time_limit,
                             rel_gap=config.rel_gap)
         t0 = time.monotonic()
-        sol, failure = _solve_window(sub, opts, pinned, config)
+        try:
+            sol = _solve_window(sub, opts, pinned, config)
+        except BilevelInfeasible as exc:
+            raise RhAborted(f"window at t={t} produced no solution"
+                            f" ({type(exc).__name__}: {exc})", traj) from exc
         runtime = time.monotonic() - t0
-        if sol is None:
-            traj.complete = False
-            raise RhAborted(f"window at t={t} produced no solution within the"
-                            f" escalated time limit ({failure})", traj)
 
         if forced_path is not None:
-            realized = int(forced_path[iteration])
+            realized = int(forced_path[len(traj.realized_bases)])
         else:
             realized = realize_next(config.selector, previous_base, rng, n_bases)
 
@@ -236,7 +224,6 @@ def run(instance: Instance, config: RhConfig,
         _commit(traj, sol, kept, t, commit_hi, realized)
         price_hi = t_end if final else min(t + config.step + config.frozen, t_end)
         _commit_prices(traj, sol, t, price_hi)
-        _roll_battery(instance, traj, t, commit_hi)
 
         traj.realized_bases.append(realized)
         traj.base_by_slot[t: commit_hi + 1] = realized
@@ -247,7 +234,6 @@ def run(instance: Instance, config: RhConfig,
             pinned={t + k: v for k, v in pinned.items()}))
 
         previous_base = realized
-        iteration += 1
         if final:
             break
         t += config.step
@@ -257,43 +243,36 @@ def run(instance: Instance, config: RhConfig,
 
 
 def _solve_window(sub: Instance, opts: SolveOptions, pinned: dict,
-                  config: RhConfig) -> tuple[BilevelSolution | None, str]:
-    for attempt in range(2):                    # escalate the time limit once
-        try:
-            return solve_bilevel(sub, opts=opts, backend=config.backend,
-                                 pinned_prices=pinned), ""
-        except BilevelInfeasible as exc:        # limits ran out; bugs propagate
-            if attempt == 1:
-                return None, f"{type(exc).__name__}: {exc}"
-            opts = SolveOptions(time_limit=opts.time_limit * 2,
-                                rel_gap=opts.rel_gap)
+                  config: RhConfig) -> BilevelSolution:
+    """Solve the window; retry once with twice the time, only on a limit."""
+    try:
+        return solve_bilevel(sub, opts=opts, backend=config.backend,
+                             pinned_prices=pinned)
+    except LimitWithoutIncumbent:
+        opts = replace(opts, time_limit=2 * opts.time_limit)
+    return solve_bilevel(sub, opts=opts, backend=config.backend,
+                         pinned_prices=pinned)
 
 
 def _commit(traj: RhTrajectory, sol: BilevelSolution, kept: list[int], t: int,
             hi: int, realized: int) -> None:
+    """Copy the realized leaf's decisions for slots t..hi and their states."""
     n = hi - t + 1                  # window slots 0..n-1 are slots t..hi
+    committed, window = traj.schedule, sol.follower
     for f in DEVICE_FAMILIES:
-        traj.device_energy[f][kept, t: hi + 1] = sol.follower.device[f][realized, :, :n]
+        committed.device[f][0, kept, t: hi + 1] = window.device[f][realized, :, :n]
     for f in SLOT_FAMILIES:
-        traj.stored[f][t: hi + 1] = sol.follower.stored[f][realized, :n]
+        committed.stored[f][0, t: hi + 1] = window.stored[f][realized, :n]
+    # + 0.0 turns the LP's empty states of -0.0 into 0.0 for the reports
+    committed.battery_state[0, t + 1: hi + 2] = \
+        window.battery_state[realized, 1: n + 1] + 0.0
 
 
 def _commit_prices(traj: RhTrajectory, sol: BilevelSolution, t: int,
                    hi: int) -> None:
-    for h in range(t, hi + 1):
-        if not traj.price_committed[h]:
-            traj.frozen_prices[h] = sol.prices[h - t]
-            traj.price_committed[h] = True
-
-
-def _roll_battery(instance: Instance, traj: RhTrajectory, t: int, hi: int) -> None:
-    bat = instance.battery
-    for h in range(t, hi + 1):
-        draw = sum(traj.device_energy["sd"][:, h])
-        charge = (traj.stored["lams"][h] + traj.stored["xs"][h]
-                  + traj.stored["xbs"][h])
-        traj.battery_state[h + 1] = (bat.discharge_eff * traj.battery_state[h]
-                                     - draw + bat.charge_eff * charge)
+    """Commit the window's prices for the slots t..hi not yet priced."""
+    new = np.isnan(traj.frozen_prices[t: hi + 1])
+    traj.frozen_prices[t: hi + 1][new] = sol.prices[: hi - t + 1][new]
 
 
 # -- audit ---------------------------------------------------------------------
@@ -322,53 +301,47 @@ class TrajectoryAudit:
 
 def audit_trajectory(instance: Instance, traj: RhTrajectory) -> TrajectoryAudit:
     """Quantify optimism violations and feasibility slippage of a realized run,
-    beyond an absolute tolerance of 1e-6."""
+    beyond an absolute tolerance of 1e-6.  ``battery_residual`` is the largest
+    distance of the committed battery states, which the window LPs set, from
+    the battery re-simulated from the committed decisions."""
     tol = 1e-6
-    dg_path = traj.realized_dg_path(instance)
-    n = instance.n_slots
+    sched = traj.schedule
     bat = instance.battery
+    keys = [dev.key for dev in instance.devices]
 
-    competitor = float(traj.device_energy["xb"].sum() + traj.stored["xbs"].sum())
+    competitor = float(sched.competitor.sum())
 
-    dg_viol = []
-    dg_use = traj.device_energy["lam"].sum(axis=0) + traj.stored["lams"]
-    for h in range(n):
-        over = dg_use[h] - dg_path[h]
-        if over > tol:
-            dg_viol.append((h, float(over)))
+    over = sched.generation[0] - traj.realized_dg_path(instance)
+    dg_viol = [(int(h), float(over[h])) for h in np.flatnonzero(over > tol)]
 
-    unmet = []
-    for d, dev in enumerate(instance.devices):
-        got = sum(float(traj.device_energy[f][d].sum()) for f in DEVICE_FAMILIES)
-        if got < dev.energy_demand - max(tol, 1e-9 * dev.energy_demand):
-            unmet.append((dev.key, float(dev.energy_demand - got)))
+    used = sched.consumption[0]                     # (device, slot)
+    demand = np.array([dev.energy_demand for dev in instance.devices])
+    got = used.sum(axis=1)
+    short = got < demand - np.maximum(tol, 1e-9 * demand)
+    unmet = [(keys[d], float(demand[d] - got[d])) for d in np.flatnonzero(short)]
 
-    state = np.zeros(n + 1)
-    state[0] = bat.initial
-    bound_viol = []
-    draw_viol = []
-    for h in range(n):
-        draw = float(traj.device_energy["sd"][:, h].sum())
-        charge = float(traj.stored["lams"][h] + traj.stored["xs"][h]
-                       + traj.stored["xbs"][h])
-        if draw > state[h] + tol:
-            draw_viol.append((h, draw - state[h]))
-        state[h + 1] = bat.discharge_eff * state[h] - draw + bat.charge_eff * charge
-        if not (bat.min_level - tol <= state[h + 1] <= bat.max_level + tol):
-            bound_viol.append((h + 1, float(state[h + 1])))
-    residual = float(np.abs(state - traj.battery_state).max())
+    draw, stored = sched.battery_draw[0], sched.stored
+    charge = stored["lams"][0] + stored["xs"][0] + stored["xbs"][0]
+    state = np.full(instance.n_slots + 1, bat.initial)
+    for h in range(instance.n_slots):
+        state[h + 1] = (bat.discharge_eff * state[h] - draw[h]
+                        + bat.charge_eff * charge[h])
+    draw_viol = [(int(h), float(draw[h] - state[h]))
+                 for h in np.flatnonzero(draw > state[:-1] + tol)]
+    in_bounds = (bat.min_level - tol <= state) & (state <= bat.max_level + tol)
+    bound_viol = [(int(h), float(state[h]))
+                  for h in np.flatnonzero(~in_bounds[1:]) + 1]
+    residual = float(np.abs(state - sched.battery_state[0]).max())
 
-    power_viol = []
-    for d, dev in enumerate(instance.devices):
-        for h in dev.window.slots:
-            cons = sum(traj.device_energy[f][d, h] for f in DEVICE_FAMILIES)
-            if cons > dev.max_power + tol:
-                power_viol.append((dev.key, h, float(cons - dev.max_power)))
-        outside = sum(float(np.delete(traj.device_energy[f][d],
-                                      list(dev.window.slots)).sum())
-                      for f in DEVICE_FAMILIES)
-        if outside > tol:
-            power_viol.append((dev.key, -1, outside))
+    inside = np.zeros(used.shape, dtype=bool)
+    inside[_window_cells(instance)] = True
+    max_power = np.array([dev.max_power for dev in instance.devices])
+    over_cap = inside & (used > max_power[:, None] + tol)
+    outside = np.where(inside, 0.0, used).sum(axis=1)
+    power_viol = [(keys[d], int(h), float(used[d, h] - max_power[d]))
+                  for d, h in zip(*np.nonzero(over_cap))]
+    power_viol += [(keys[d], -1, float(outside[d]))
+                   for d in np.flatnonzero(outside > tol)]
 
     return TrajectoryAudit(competitor, dg_viol, unmet, residual, bound_viol,
                            draw_viol, power_viol)

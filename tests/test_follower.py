@@ -16,7 +16,7 @@ from gridtariff.generator import (MINI_PRESETS, generate_instance,
                                   generate_mini_instance, generate_week_instance,
                                   greedy_device_profile)
 from gridtariff.model import Battery, Device, Horizon, Instance, PriceData, TimeWindow
-from gridtariff.rolling import RhConfig, make_subinstance
+from gridtariff.rolling import RhConfig, RhTrajectory, make_subinstance
 from gridtariff.scenario import BaseScenario, flat_tree, single_path_tree
 from gridtariff.solver import EQ, LE, Status, check_lp_solution, solve_lp
 from gridtariff.solver.backends import ScipyBackend
@@ -24,7 +24,6 @@ from gridtariff.solver.backends import ScipyBackend
 from conftest import (DESK_SHAPE, complementarity_products, device_columns,
                       indistinguishability_time, make_t1, random_tiny_instance,
                       reference_follower)
-from test_rolling import empty_trajectory
 from test_scenario import random_trees
 from test_solver import assert_dual_certificate
 
@@ -243,8 +242,8 @@ def _rh_windows(seed):
     its window start."""
     inst = generate_mini_instance(seed, n_bases=3)
     cfg = RhConfig(window=6, step=1, frozen=0)
-    traj = empty_trajectory(inst)
-    traj.device_energy["x"][:] = greedy_device_profile(inst.devices, inst.n_slots)
+    traj = RhTrajectory(inst)
+    traj.schedule.device["x"][0] = greedy_device_profile(inst.devices, inst.n_slots)
     last = inst.horizon.last_slot
     return [make_subinstance(inst, t, traj, cfg, None if t == 0 else t % 3)[0]
             for t in range(last - cfg.window + 1)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -9,30 +11,18 @@ from gridtariff.follower import DEVICE_FAMILIES
 from gridtariff.generator import generate_mini_instance
 from gridtariff.model import Device, TimeWindow
 from gridtariff import rolling
-from gridtariff.reformulation import (AuditFlag, BilevelInfeasible,
+from gridtariff.reformulation import (MAX_ESCALATIONS, AuditFlag,
+                                      LimitWithoutIncumbent,
                                       UncertifiedOptimum, solve_bilevel)
-from gridtariff.rolling import (RhConfig, RhTrajectory, audit_trajectory,
-                                make_subinstance, run)
+from gridtariff.rolling import (RhAborted, RhConfig, RhTrajectory,
+                                audit_trajectory, make_subinstance, run)
 from gridtariff.scenario import MarkovSelector, uniform_selector
 from gridtariff.solver import SolveOptions
 
 from conftest import make_t1
+from test_reformulation import _NoExactIncumbent, _register
 
 EXACT = dict(rel_gap=1e-9, per_iteration_time_limit=300.0, backend="scipy")
-
-
-def empty_trajectory(instance) -> RhTrajectory:
-    traj = RhTrajectory(instance.n_slots)
-    n_dev = len(instance.devices)
-    traj.frozen_prices = np.full(instance.n_slots, np.nan)
-    traj.price_committed = np.zeros(instance.n_slots, dtype=bool)
-    traj.base_by_slot = np.full(instance.n_slots, -1, dtype=np.int64)
-    traj.device_energy = {f: np.zeros((n_dev, instance.n_slots))
-                          for f in DEVICE_FAMILIES}
-    traj.stored = {f: np.zeros(instance.n_slots) for f in ("xs", "xbs", "lams")}
-    traj.battery_state = np.zeros(instance.n_slots + 1)
-    traj.battery_state[0] = instance.battery.initial
-    return traj
 
 
 class TestRhConfig:
@@ -62,7 +52,7 @@ class TestMakeSubinstance:
     def test_window_slice_and_prices(self):
         inst = self._mini()
         cfg = RhConfig(window=6, step=1, frozen=0)
-        sub, kept = make_subinstance(inst, 3, empty_trajectory(inst), cfg, None)
+        sub, kept = make_subinstance(inst, 3, RhTrajectory(inst), cfg, None)
         assert sub.n_slots == 7
         np.testing.assert_allclose(sub.prices.competitor,
                                    inst.prices.competitor[3:10])
@@ -70,8 +60,8 @@ class TestMakeSubinstance:
 
     def test_fully_served_device_excluded(self):
         inst = make_t1()
-        traj = empty_trajectory(inst)
-        traj.device_energy["x"][0, 0] = 2.0       # whole demand already served
+        traj = RhTrajectory(inst)
+        traj.schedule.device["x"][0, 0, 0] = 2.0  # whole demand already served
         cfg = RhConfig(window=1, step=1, frozen=0)
         sub, kept = make_subinstance(inst, 1, traj, cfg, 0)
         assert kept == []
@@ -79,9 +69,9 @@ class TestMakeSubinstance:
     def test_residual_demand_subtracts_served(self):
         dev = Device("c", "a", TimeWindow(0, 3), 10.0, 4.0, (0.0,) * 4)
         inst = generate_mini_instance(1).replace(devices=[dev])
-        traj = empty_trajectory(inst)
-        traj.device_energy["x"][0, 0] = 1.0
-        traj.device_energy["lam"][0, 1] = 3.0      # 4 consumed before t=2
+        traj = RhTrajectory(inst)
+        traj.schedule.device["x"][0, 0, 0] = 1.0
+        traj.schedule.device["lam"][0, 0, 1] = 3.0  # 4 consumed before t=2
         cfg = RhConfig(window=4, step=2, frozen=0)
         sub, kept = make_subinstance(inst, 2, traj, cfg, 0)
         assert kept == [0]
@@ -93,13 +83,13 @@ class TestMakeSubinstance:
         dev = Device("c", "a", TimeWindow(5, 11), 10.0, 2.0, (0.0,) * 7)
         inst = generate_mini_instance(1).replace(devices=[dev])
         cfg = RhConfig(window=8, step=1, frozen=0)
-        sub, kept = make_subinstance(inst, 0, empty_trajectory(inst), cfg, None)
+        sub, kept = make_subinstance(inst, 0, RhTrajectory(inst), cfg, None)
         assert sub.devices[0].energy_demand == pytest.approx(min(10.0, 3 * 2.0))
 
     def test_clamp_warns_when_capacity_insufficient(self):
         dev = Device("c", "a", TimeWindow(0, 3), 8.0, 2.0, (0.0,) * 4)
         inst = generate_mini_instance(1).replace(devices=[dev])
-        traj = empty_trajectory(inst)                 # nothing served yet
+        traj = RhTrajectory(inst)                     # nothing served yet
         cfg = RhConfig(window=2, step=1, frozen=0)
         with pytest.warns(UserWarning):
             sub, _ = make_subinstance(inst, 2, traj, cfg, 0)
@@ -110,13 +100,13 @@ class TestMakeSubinstance:
         cfg = RhConfig(window=6, step=1, frozen=0,
                        selector=uniform_selector(3, 0.4))
         sub, _ = make_subinstance(
-            inst, 4, empty_trajectory(inst), cfg, previous_base=1)
+            inst, 4, RhTrajectory(inst), cfg, previous_base=1)
         np.testing.assert_allclose(sub.tree.probabilities, [0.3, 0.4, 0.3])
 
     def test_battery_carry_over(self):
         inst = generate_mini_instance(1)
-        traj = empty_trajectory(inst)
-        traj.battery_state[4] = 0.8
+        traj = RhTrajectory(inst)
+        traj.schedule.battery_state[0, 4] = 0.8
         cfg = RhConfig(window=4, step=1, frozen=0)
         sub, _ = make_subinstance(inst, 4, traj, cfg, 0)
         assert sub.battery.initial == pytest.approx(0.8)
@@ -158,8 +148,8 @@ class TestRun:
                     forced_path=list(first.realized_bases))
         np.testing.assert_array_equal(replay.frozen_prices, again.frozen_prices)
         for f in DEVICE_FAMILIES:
-            np.testing.assert_array_equal(replay.device_energy[f],
-                                          again.device_energy[f])
+            np.testing.assert_array_equal(replay.schedule.device[f],
+                                          again.schedule.device[f])
 
     def test_exact_runs_have_clean_audits(self):
         inst = generate_mini_instance(5)
@@ -191,7 +181,8 @@ class TestRun:
         assert traj.complete and len(set(traj.realized_bases)) > 1
         p, pbar = traj.frozen_prices, inst.prices.competitor
         cost = inst.prices.supply_cost
-        e, st = traj.device_energy, traj.stored
+        e = {f: v[0] for f, v in traj.schedule.device.items()}
+        st = {f: v[0] for f, v in traj.schedule.stored.items()}
         billing = inconvenience = profit = 0.0
         for h in range(inst.n_slots):
             billing += p[h] * st["xs"][h] + pbar[h] * st["xbs"][h]
@@ -248,7 +239,7 @@ class TestWindowRetry:
         def out_of_time_once(sub, *, opts, **kwargs):
             limits.append(opts.time_limit)
             if len(limits) == 1:
-                raise BilevelInfeasible("no incumbent within limits")
+                raise LimitWithoutIncumbent("no incumbent within limits")
             return solve_bilevel(sub, opts=opts, **kwargs)
 
         monkeypatch.setattr(rolling, "solve_bilevel", out_of_time_once)
@@ -260,14 +251,65 @@ class TestWindowRetry:
         assert bool(traj.price_committed.all())
         assert audit_trajectory(inst, traj).ok
 
+    def test_no_exact_incumbent_aborts_without_a_retry(self, monkeypatch):
+        stub = _NoExactIncumbent()
+        inst = generate_mini_instance(3)
+        cfg = RhConfig(window=inst.horizon.last_slot, step=1, frozen=0,
+                       **{**EXACT, "backend": _register(monkeypatch, stub)})
+        with pytest.raises(RhAborted, match="no tolerance-exact incumbent"):
+            run(inst, cfg)
+        assert stub.milps == 1 + MAX_ESCALATIONS == 4
+
+
+@pytest.fixture(scope="module", params=[5, 14])
+def mini_run(request):
+    """A realize run with ``rh-mini3``'s settings on 3-base mini seed 5 and
+    on seed 14, whose bases differ (seed 5's three are one zero path), with
+    the solution of each window."""
+    windows = []
+
+    def recorded(*args, **kwargs):
+        windows.append(solve_bilevel(*args, **kwargs))
+        return windows[-1]
+
+    inst = generate_mini_instance(request.param, n_bases=3)
+    cfg = RhConfig(window=6, step=1, frozen=0, seed=request.param,
+                   backend="scipy", selector=uniform_selector(3, 0.4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rolling, "solve_bilevel", recorded)
+        traj = run(inst, cfg)
+    return inst, traj, windows
+
 
 class TestAuditTrajectory:
+    def test_committed_states_are_the_window_lps(self, mini_run):
+        inst, traj, windows = mini_run
+        states = traj.schedule.battery_state[0]
+        assert states.max() > 1.0                  # the battery is in use
+        starts = [rec.t for rec in traj.per_iteration_log] + [inst.n_slots]
+        assert len(windows) == len(traj.per_iteration_log)
+        for k, (sol, rec) in enumerate(zip(windows, traj.per_iteration_log)):
+            n = starts[k + 1] - rec.t
+            np.testing.assert_array_equal(
+                states[rec.t + 1: rec.t + n + 1],
+                sol.follower.battery_state[rec.realized_base, 1: n + 1])
+        assert audit_trajectory(inst, traj).battery_residual <= 1e-9
+
+    def test_injected_battery_state_detected(self, mini_run):
+        inst, traj, _ = mini_run
+        traj = copy.deepcopy(traj)
+        slot = int(np.argmax(traj.schedule.battery_state[0]))
+        traj.schedule.battery_state[0, slot] += 0.1
+        audit = audit_trajectory(inst, traj)
+        assert audit.battery_residual == pytest.approx(0.1, abs=1e-9)
+        assert not audit.ok
+
     def test_injected_generation_overuse_detected(self):
         inst = generate_mini_instance(1)
         cfg = RhConfig(window=inst.horizon.last_slot, step=1, frozen=0, **EXACT)
         traj = run(inst, cfg)
         slot = int(np.argmax(traj.realized_dg_path(inst)))
-        traj.stored["lams"][slot] += 5.0
+        traj.schedule.stored["lams"][0, slot] += 5.0
         audit = audit_trajectory(inst, traj)
         overuses = [v for h, v in audit.dg_violations if h == slot]
         assert overuses and overuses[0] == pytest.approx(5.0, abs=1e-6)
@@ -278,9 +320,9 @@ class TestAuditTrajectory:
         traj = run(inst, cfg)
         d = 0
         dev = inst.devices[d]
-        traj.device_energy["x"][d, :] *= 0.0
-        traj.device_energy["xb"][d, :] *= 0.0
-        traj.device_energy["lam"][d, :] *= 0.0
-        traj.device_energy["sd"][d, :] *= 0.0
+        traj.schedule.device["x"][0, d, :] *= 0.0
+        traj.schedule.device["xb"][0, d, :] *= 0.0
+        traj.schedule.device["lam"][0, d, :] *= 0.0
+        traj.schedule.device["sd"][0, d, :] *= 0.0
         audit = audit_trajectory(inst, traj)
         assert any(key == dev.key for key, _ in audit.unmet_demand)

@@ -799,7 +799,7 @@ def _rh_config(seed: int) -> RhConfig:
 def _first_window_milp(seed: int) -> MilpModel:
     """The big-M MILP of the first window of ``_rh_config(seed)``'s run."""
     inst = generate_mini_instance(seed, n_bases=3)
-    sub, _ = make_subinstance(inst, 0, RhTrajectory(inst.n_slots),
+    sub, _ = make_subinstance(inst, 0, RhTrajectory(inst),
                               _rh_config(seed), None)
     mpcc = build_mpcc(sub)
     return linearize(mpcc, default_big_m(mpcc))
