@@ -47,10 +47,11 @@ def reference_case(instance: Instance, dg_path: np.ndarray) -> BaselineResult:
     demand = greedy_device_profile(instance.devices, n)
     n_dev = len(instance.devices)
 
-    schedule = FollowerSolution.zeros(1, n_dev, n)
-    x, lam, sd = (schedule.device[f][0] for f in ("x", "lam", "sd"))
-    xs, lams = schedule.stored["xs"][0], schedule.stored["lams"][0]
-    state = schedule.battery_state[0]
+    # per device and slot: from the supplier, generation and the battery;
+    # per slot: from the supplier and generation into the battery
+    x, lam, sd = np.zeros((3, n_dev, n))
+    xs, lams = np.zeros((2, n))
+    state = np.zeros(n + 1)
     state[0] = bat.initial
     for h in range(n):
         s_h = state[h]
@@ -81,6 +82,10 @@ def reference_case(instance: Instance, dg_path: np.ndarray) -> BaselineResult:
             nxt = bat.min_level
         state[h + 1] = nxt
 
+    schedule = FollowerSolution(
+        (x + lam + sd)[None], (x.sum(axis=0) + xs)[None], np.zeros((1, n)),
+        (lam.sum(axis=0) + lams)[None], sd.sum(axis=0)[None], (xs + lams)[None],
+        state[None], float("nan"))
     prices = instance.prices.competitor.copy()
     single = instance.replace(tree=single_path_tree(dg_path))
     costs = evaluate_schedule(single, prices, schedule)

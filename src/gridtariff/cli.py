@@ -93,15 +93,14 @@ def cmd_generate(args) -> int:
     if args.curves_dir:
         outdir = Path(args.curves_dir)
         outdir.mkdir(parents=True, exist_ok=True)
-        serialize.write_curve_csv(outdir / "supply_cost.csv",
-                                  inst.prices.supply_cost, "supply_cost")
-        serialize.write_curve_csv(outdir / "competitor_price.csv",
-                                  inst.prices.competitor, "competitor_price")
         demand = greedy_device_profile(inst.devices, inst.n_slots).sum(axis=0)
-        serialize.write_curve_csv(outdir / "unshifted_demand.csv", demand, "demand")
-        serialize.write_curve_csv(outdir / "generation_bound.csv",
-                                  inst.tree.bases[min(1, len(inst.tree.bases) - 1)].dg_bound,
-                                  "generation_bound")
+        generation = inst.tree.bases[min(1, len(inst.tree.bases) - 1)].dg_bound
+        for name, column, values in (
+                ("supply_cost", "supply_cost", inst.prices.supply_cost),
+                ("competitor_price", "competitor_price", inst.prices.competitor),
+                ("unshifted_demand", "demand", demand),
+                ("generation_bound", "generation_bound", generation)):
+            serialize.write_series_csv(outdir / f"{name}.csv", {column: values})
         print(f"wrote curve CSVs to {outdir}")
     return EXIT_OK
 
@@ -166,8 +165,14 @@ def cmd_rh(args) -> int:
                    per_iteration_time_limit=args.time_limit,
                    selector=uniform_selector(len(inst.tree.bases), args.stay),
                    seed=args.seed, rel_gap=args.gap, backend=args.backend)
-    forced = serialize.read_forced_path_csv(args.forced_path) \
-        if args.forced_path else None
+    forced = None
+    if args.forced_path:
+        try:
+            forced = serialize.read_forced_path_csv(args.forced_path)
+            rolling.check_forced_path(inst, cfg, forced)
+        except ValueError as exc:
+            print(f"validation: forced path: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     try:

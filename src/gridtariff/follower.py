@@ -9,7 +9,7 @@ decide the same there, so every column and row of slot ``h`` is built once
 per node, by the node's first leaf; the battery state ``S[h + 1]`` belongs to
 the slot-``h`` decisions that set it.  Index arrays name every column by its
 family, leaf, device and slot, and every row by its family, so the
-single-level reformulation reads bounds and multipliers mechanically.
+single-level reformulation reads rows, bounds and multipliers mechanically.
 
 Leader prices enter only the objective.  ``build_follower_system`` numbers
 every leaf's columns and rows from one layout that all leaves share, with
@@ -23,11 +23,12 @@ from the skeleton's matrix, too.
 Variable families (per scenario ``s``): ``x`` leader purchase, ``xb``
 competitor purchase, ``lam`` direct generation use, ``sd`` battery draw (all
 per device/slot); ``xs``/``xbs``/``lams`` stored purchases and stored
-generation per slot; ``S`` battery state over slots ``0..H+1``.  A schedule
-holds each device family as one ``(n_scenarios, n_devices, n_slots)`` array,
-zero outside each device's window, and each slot family as one
-``(n_scenarios, n_slots)`` array; its per-source totals and the cost
-accounting are array arithmetic over them.
+generation per slot; ``S`` battery state over slots ``0..H+1``.  The families
+are known only here: ``FollowerSystem`` also carries each column's structural
+upper bound and the competitor purchases, and a schedule
+(``FollowerSolution``) holds consumption per device and totals per slot,
+which ``extract_solution`` adds up from the columns.  Which device used which
+source is not reported.
 """
 
 from __future__ import annotations
@@ -69,7 +70,10 @@ class FollowerSystem:
     ``sum prob * (p[slot] - K[slot]) * v`` over them.  ``window_pos`` with
     ``window_cols``, and ``slot_cols``, are the one map from decisions to
     columns: they hold a cell for every leaf, and leaves at one tree node hold
-    the same column there.
+    the same column there.  ``structural_upper`` bounds each column by what
+    the rows imply (a device's power cap, the generation bound, the battery's
+    levels and the most it can take in one slot), and ``competitor_cols`` are
+    the competitor purchases ``xb`` and ``xbs``.
     Prices change only the objective: ``skeleton`` holds every row and bound,
     with ``c0`` as its objective, and its arrays are read-only because every
     priced LP shares them.
@@ -86,6 +90,8 @@ class FollowerSystem:
     row_sign: np.ndarray        # -1 on <= rows, +1 elsewhere
     row_families: dict          # row family -> row indices
     row_device: np.ndarray      # device of each demand_min/power_cap row, else -1
+    structural_upper: np.ndarray    # per column: upper bound implied by the rows
+    competitor_cols: np.ndarray     # the columns of families xb and xbs
 
     @property
     def n_vars(self) -> int:
@@ -97,7 +103,7 @@ class FollowerSystem:
 
     @property
     def schedule_shape(self) -> tuple[int, int, int]:
-        """(scenario, device, slot): the shape of a device family's schedule."""
+        """(scenario, device, slot): the shape of a schedule's consumption."""
         inst = self.instance
         return inst.tree.n_leaves, len(inst.devices), inst.n_slots
 
@@ -118,7 +124,7 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
     takes the column of the node's first leaf elsewhere; columns are
     numbered leaf by leaf in layout order.
     """
-    n_slots, tree = instance.n_slots, instance.tree
+    n_slots, tree, bat = instance.n_slots, instance.tree, instance.battery
     n_scen, n_dev = tree.n_leaves, len(instance.devices)
     comp = instance.prices.competitor
     nodes = node_map(tree)
@@ -127,18 +133,25 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
               np.asarray(tree.probabilities, dtype=float)[:, None])
     cell_dev, cell_slot = _window_cells(instance)
     n_dcol = len(DEVICE_FAMILIES) * len(cell_dev)
-    s0 = n_dcol + len(SLOT_FAMILIES) * n_slots         # layout position of S[0]
 
     slots = np.arange(n_slots)
     col_slot = np.concatenate([np.repeat(cell_slot, 4), np.repeat(slots, 3),
                                [0], slots])
+    # family of each layout column: x, xb, lam, sd, xs, xbs, lams, S = 0..7
+    col_fam = np.concatenate([np.tile(np.arange(4), len(cell_dev)),
+                              np.tile([4, 5, 6], n_slots), np.full(n_slots + 1, 7)])
     penalty = np.zeros(len(col_slot))
     penalty[:n_dcol] = np.repeat(_penalty_matrix(instance)[cell_dev, cell_slot], 4)
-    competitor = np.zeros(len(col_slot))               # on xb and xbs
-    competitor[1:n_dcol:4] = comp[cell_slot]
-    competitor[n_dcol + 1:s0:3] = comp
-    priced = np.zeros(len(col_slot), dtype=bool)       # x and xs
-    priced[:n_dcol:4] = priced[n_dcol:s0:3] = True
+    bought = (col_fam == 1) | (col_fam == 5)           # xb and xbs
+    competitor = np.where(bought, comp[col_slot], 0.0)
+    priced = (col_fam == 0) | (col_fam == 4)           # x and xs
+    # structural bounds; generation columns also take their leaf's dg bound
+    power = np.array([dev.max_power for dev in instance.devices], dtype=float)
+    charge_cap = max(0.0, (2.0 * bat.max_level - bat.discharge_eff * bat.min_level)
+                     / bat.charge_eff)
+    cap = np.concatenate([np.repeat(power[cell_dev], 4), np.full(3 * n_slots, charge_cap),
+                          np.full(n_slots + 1, max(bat.max_level, bat.initial))])
+    cap[3:n_dcol:4] = np.minimum(power[cell_dev], bat.max_level)      # sd
 
     at = nodes[:, col_slot]                 # the tree node of each leaf's column
     own = at == np.arange(n_scen)[:, None]
@@ -146,13 +159,15 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
     leaf, pos = np.nonzero(own)             # the leaf and layout of each column
     prob = node_prob[leaf, col_slot[pos]]
     c0 = prob * penalty[pos] + prob * competitor[pos]
+    upper = np.where((col_fam[pos] == 2) | (col_fam[pos] == 6),  # lam and lams
+                     np.minimum(cap[pos], tree.dg_matrix()[leaf, col_slot[pos]]),
+                     cap[pos])
 
     window_pos = ((np.arange(n_scen) * (n_dev * n_slots))[:, None]
                   + cell_dev * n_slots + cell_slot).ravel()
     window_cols = cols[:, :n_dcol].reshape(-1, len(DEVICE_FAMILIES)).T
-    stored = cols[:, n_dcol:s0].reshape(n_scen, n_slots, len(SLOT_FAMILIES))
-    slot_cols = {f: stored[:, :, g] for g, f in enumerate(SLOT_FAMILIES)}
-    slot_cols["S"] = cols[:, s0:]
+    slot_cols = {f: cols[:, col_fam == g]
+                 for g, f in enumerate((*SLOT_FAMILIES, "S"), 4)}
 
     skeleton, row_families, row_device = _assemble(
         instance, nodes, cell_dev, cell_slot, cols, c0)
@@ -168,6 +183,8 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
         row_sign=np.where(skeleton.sense == LE, -1.0, 1.0),
         row_families=row_families,
         row_device=row_device,
+        structural_upper=upper,
+        competitor_cols=np.flatnonzero(bought[pos]),
     )
 
 
@@ -296,63 +313,48 @@ def build_follower_lp(instance: Instance, prices: np.ndarray,
 
 @dataclass
 class FollowerSolution:
-    """Per-scenario schedule plus the expected generalized cost, and the one
-    place that totals its decisions by source: ``consumption`` per scenario,
-    device and slot, the others per scenario and slot, storage included."""
+    """A schedule and its expected generalized cost.  ``consumption`` is per
+    scenario, device and slot, zero outside each device's window; the sources
+    are totals per scenario and slot, storage included: ``leader``,
+    ``competitor``, ``generation`` and ``battery_draw`` supply the slot's
+    consumption plus ``battery_charge``, the purchases and generation put
+    into the battery.  Which device used which source is not reported."""
 
-    device: dict               # family -> (n_scen, n_dev, n_slots), 0 off-window
-    stored: dict               # family -> (n_scen, n_slots) array
-    battery_state: np.ndarray  # (n_scen, n_slots + 1)
+    consumption: np.ndarray     # (n_scen, n_dev, n_slots)
+    leader: np.ndarray          # (n_scen, n_slots), as are the four below
+    competitor: np.ndarray
+    generation: np.ndarray
+    battery_draw: np.ndarray
+    battery_charge: np.ndarray
+    battery_state: np.ndarray   # (n_scen, n_slots + 1)
     objective_value: float
 
     @classmethod
-    def zeros(cls, n_scen: int, n_dev: int, n_slots: int,
-              objective_value: float = float("nan")) -> FollowerSolution:
-        """An all-zero schedule; the device families are views of one array."""
-        dense = np.zeros((len(DEVICE_FAMILIES), n_scen, n_dev, n_slots))
-        return cls(dict(zip(DEVICE_FAMILIES, dense)),
-                   {f: np.zeros((n_scen, n_slots)) for f in SLOT_FAMILIES},
-                   np.zeros((n_scen, n_slots + 1)), objective_value)
+    def zeros(cls, n_scen: int, n_dev: int, n_slots: int) -> FollowerSolution:
+        """An all-zero schedule."""
+        return cls(np.zeros((n_scen, n_dev, n_slots)),
+                   *np.zeros((5, n_scen, n_slots)),
+                   np.zeros((n_scen, n_slots + 1)), float("nan"))
 
-    @property
-    def n_scenarios(self) -> int:
-        return self.battery_state.shape[0]
-
-    @property
-    def n_slots(self) -> int:
-        return self.battery_state.shape[1] - 1
-
-    @property
-    def consumption(self) -> np.ndarray:
-        return sum(self.device[f] for f in DEVICE_FAMILIES)
-
-    @property
-    def leader(self) -> np.ndarray:
-        return self.device["x"].sum(axis=1) + self.stored["xs"]
-
-    @property
-    def competitor(self) -> np.ndarray:
-        return self.device["xb"].sum(axis=1) + self.stored["xbs"]
-
-    @property
-    def generation(self) -> np.ndarray:
-        return self.device["lam"].sum(axis=1) + self.stored["lams"]
-
-    @property
-    def battery_draw(self) -> np.ndarray:
-        return self.device["sd"].sum(axis=1)
+    def slot_totals(self) -> tuple[np.ndarray, ...]:
+        """The five per-slot totals, in field order."""
+        return (self.leader, self.competitor, self.generation, self.battery_draw,
+                self.battery_charge)
 
 
 def extract_solution(system: FollowerSystem, x: np.ndarray,
                      objective: float) -> FollowerSolution:
+    """The schedule at the LP point ``x``: the one place that adds columns
+    up into consumption and per-slot totals."""
     x = np.asarray(x)
-    sol = FollowerSolution.zeros(*system.schedule_shape, float(objective))
-    for f, cols in zip(DEVICE_FAMILIES, system.window_cols):
-        sol.device[f].flat[system.window_pos] = x[cols]
-    for f in SLOT_FAMILIES:
-        sol.stored[f][:] = x[system.slot_cols[f]]
-    sol.battery_state[:] = x[system.slot_cols["S"]]
-    return sol
+    n_fam = len(DEVICE_FAMILIES)
+    device = np.zeros((n_fam, *system.schedule_shape))     # 0 off-window
+    device.reshape(n_fam, -1)[:, system.window_pos] = x[system.window_cols]
+    x_h, xb_h, lam_h, sd_h = (fam.sum(axis=1) for fam in device)
+    xs, xbs, lams = (x[system.slot_cols[f]] for f in SLOT_FAMILIES)
+    return FollowerSolution(sum(device), x_h + xs, xb_h + xbs, lam_h + lams, sd_h,
+                            xs + xbs + lams, x[system.slot_cols["S"]],
+                            float(objective))
 
 
 def solve_follower(lp: LinearProgram, backend: str | None = None,

@@ -41,9 +41,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .follower import (DEVICE_FAMILIES, FollowerSolution, FollowerSystem,
-                       build_follower_lp, build_follower_system,
-                       extract_solution, leader_profit, solve_follower)
+from .follower import (FollowerSolution, FollowerSystem, build_follower_lp,
+                       build_follower_system, extract_solution, leader_profit,
+                       solve_follower)
 from .model import Instance, validate
 from .solver import (EQ, GE, LE, LinearProgram, MilpModel, MilpResult,
                      SolveOptions, Status, get_backend, relative_gap,
@@ -95,7 +95,6 @@ class MpccSystem:
 
     system: FollowerSystem
     pair_ref: np.ndarray       # per pair: its skeleton row, or its column
-    var_upper: np.ndarray      # structural upper bounds of primal columns
     primal_bound: np.ndarray   # per pair: structural bound on its primal side
     rule: np.ndarray           # per pair: SWITCHED, or why it needs no switch
 
@@ -186,29 +185,9 @@ def build_mpcc(instance: Instance, system: FollowerSystem | None = None) -> Mpcc
     and classify which pairs need a switch (``_switch_rules``)."""
     system = system or build_follower_system(instance)
     ineq = np.flatnonzero(system.skeleton.sense != EQ)
-    upper = _structural_upper_bounds(system)
-    bound = np.concatenate([_row_primal_bounds(system)[ineq], upper])
+    bound = np.concatenate([_row_primal_bounds(system)[ineq], system.structural_upper])
     return MpccSystem(system, np.concatenate([ineq, np.arange(system.n_vars)]),
-                      upper, bound, _switch_rules(system, ineq, bound))
-
-
-def _structural_upper_bounds(system: FollowerSystem) -> np.ndarray:
-    inst = system.instance
-    bat = inst.battery
-    charge_cap = max(0.0, (2.0 * bat.max_level - bat.discharge_eff * bat.min_level)
-                     / bat.charge_eff)
-    dg = inst.tree.dg_matrix()
-    power = np.array([dev.max_power for dev in inst.devices], dtype=float)[:, None]
-    device_upper = {"x": power, "xb": power, "lam": np.minimum(power, dg[:, None, :]),
-                    "sd": np.minimum(power, bat.max_level)}
-    upper = np.full(system.n_vars, max(bat.max_level, bat.initial))   # battery state
-    cell = np.unravel_index(system.window_pos, system.schedule_shape)
-    for fam, cols in zip(DEVICE_FAMILIES, system.window_cols):
-        upper[cols] = np.broadcast_to(device_upper[fam], system.schedule_shape)[cell]
-    upper[system.slot_cols["xs"]] = charge_cap
-    upper[system.slot_cols["xbs"]] = charge_cap
-    upper[system.slot_cols["lams"]] = np.minimum(charge_cap, dg)
-    return upper
+                      bound, _switch_rules(system, ineq, bound))
 
 
 def _row_primal_bounds(system: FollowerSystem) -> np.ndarray:
@@ -243,7 +222,7 @@ def _switch_rules(system: FollowerSystem, ineq: np.ndarray,
 
     ``ZERO_CAPACITY``: the primal side's structural bound is 0.  That bound
     follows from the model's own primal rows and column bounds
-    (``_row_primal_bounds``, ``_structural_upper_bounds``), so the primal
+    (``_row_primal_bounds``, ``FollowerSystem.structural_upper``), so the primal
     side is 0 at every feasible point and the product with any multiplier
     vanishes: switch value 0.
 
@@ -277,8 +256,7 @@ def _switch_rules(system: FollowerSystem, ineq: np.ndarray,
     if system.instance.battery.min_level == 0.0:
         floor[system.row_families["batt_floor"]] = True
     purchase = np.zeros(system.n_vars, dtype=bool)
-    purchase[system.window_cols[DEVICE_FAMILIES.index("xb")]] = True
-    purchase[system.slot_cols["xbs"]] = True
+    purchase[system.competitor_cols] = True
     rule = np.full(len(primal_bound), SWITCHED, dtype=np.int8)
     rule[:n_ineq][floor[ineq]] = DUPLICATE_FLOOR
     rule[n_ineq:][purchase] = DOMINATED_PURCHASE
@@ -352,7 +330,7 @@ def linearize(mpcc: MpccSystem, config: BigMConfig,
     linked = np.flatnonzero(system.price_slot >= 0)      # the leader's sales
     obj_primal = -system.c0
     obj_primal[linked] -= system.price_prob[linked] * supply[system.price_slot[linked]]
-    col_upper = mpcc.var_upper.copy()
+    col_upper = system.structural_upper.copy()
     col_upper[mpcc.rule[n_ineq:] == DOMINATED_PURCHASE] = 0.0
     dual_upper = np.full(m, np.inf)
     fixed = np.flatnonzero(mpcc.rule[:n_ineq] != SWITCHED)
@@ -522,8 +500,7 @@ def _fallback_points(mpcc: MpccSystem, model: MilpModel,
     profiles = [comp.copy(),
                 np.minimum(comp, np.maximum(0.0, 0.5 * (comp + supply)))]
     upper = system.skeleton.upper.copy()
-    upper[system.window_cols[DEVICE_FAMILIES.index("xb")]] = 0.0
-    upper[system.slot_cols["xbs"]] = 0.0
+    upper[system.competitor_cols] = 0.0
     points = []
     for prof in profiles:
         if pinned_prices:

@@ -78,15 +78,13 @@ def comparison_rows(name: str, cmp: ComparisonReport) -> tuple[list, list]:
 def solution_to_dict(instance: Instance, solution: BilevelSolution) -> dict:
     costs = evaluate_schedule(instance, solution.prices, solution.follower)
     sched = solution.follower
-    leader, competitor, generation = (sched.leader, sched.competitor,
-                                      sched.generation)
     per_scenario = []
-    for s in range(sched.n_scenarios):
+    for s in range(instance.tree.n_leaves):
         per_scenario.append({
             "probability": float(instance.tree.probabilities[s]),
-            "leader_energy": leader[s].tolist(),
-            "competitor_energy": competitor[s].tolist(),
-            "generation_energy": generation[s].tolist(),
+            "leader_energy": sched.leader[s].tolist(),
+            "competitor_energy": sched.competitor[s].tolist(),
+            "generation_energy": sched.generation[s].tolist(),
             "battery_state": sched.battery_state[s].tolist(),
             "billing_cost": costs.per_scenario[s][0],
             "inconvenience_cost": costs.per_scenario[s][1],

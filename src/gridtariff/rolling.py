@@ -7,10 +7,12 @@ just passed, updates residual demands and the battery state, and slides the
 window.  Subwindow scenario trees contain only the base scenarios, weighted
 by a one-step Markov rule conditioned on the previously realized base.
 
-The trajectory holds the committed decisions as one single-scenario
-``FollowerSolution``, copied with their battery states from the realized leaf
-of each window LP; ``audit_trajectory`` re-simulates the battery from the
-committed decisions and measures the committed states against it.
+The trajectory holds the committed schedule as one single-scenario
+``FollowerSolution``: consumption per device and the source totals per slot,
+copied with their battery states from the realized leaf of each window LP.
+Which device used which source is not reported.  ``audit_trajectory``
+re-simulates the battery from the committed draws and charges and measures
+the committed states against it.
 
 The loop runs windows ``{t, ..., min(t + window, H)}`` for ``t = 0, step,
 2*step, ...`` and finishes with the first window that reaches the end of the
@@ -25,8 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .follower import (DEVICE_FAMILIES, SLOT_FAMILIES, FollowerSolution,
-                       _window_cells, evaluate_schedule, leader_profit)
+from .follower import (FollowerSolution, _window_cells, evaluate_schedule,
+                       leader_profit)
 from .model import Battery, Device, Horizon, Instance, PriceData, TimeWindow
 from .reformulation import (BilevelInfeasible, BilevelSolution,
                             LimitWithoutIncumbent, solve_bilevel)
@@ -189,17 +191,41 @@ def make_subinstance(instance: Instance, t: int, trajectory: RhTrajectory,
     return sub, kept
 
 
+def n_windows(instance: Instance, config: RhConfig) -> int:
+    """How many windows a run solves: ``t = 0, step, ...`` up to the first
+    window that reaches the last slot."""
+    over = instance.horizon.last_slot - config.window
+    return 1 + max(0, -(-over // config.step))
+
+
+def check_forced_path(instance: Instance, config: RhConfig,
+                      forced_path: list[int]) -> None:
+    """Raise ``ValueError`` unless the path names a base of the instance for
+    every window of the run."""
+    n_bases, needed = len(instance.tree.bases), n_windows(instance, config)
+    if len(forced_path) < needed:
+        raise ValueError(f"forced path has {len(forced_path)} bases;"
+                         f" the run has {needed} windows")
+    for i, base in enumerate(forced_path):
+        if not 0 <= base < n_bases:
+            raise ValueError(f"forced path base {base} at iteration {i}"
+                             f" is outside [0, {n_bases})")
+
+
 def run(instance: Instance, config: RhConfig,
         forced_path: list[int] | None = None) -> RhTrajectory:
-    """Execute the rolling loop and assemble the full-horizon trajectory."""
+    """Execute the rolling loop and assemble the full-horizon trajectory.
+    A ``forced_path`` is checked (``check_forced_path``) before any solve."""
+    if forced_path is not None:
+        check_forced_path(instance, config, forced_path)
     n_bases = len(instance.tree.bases)
     rng = np.random.default_rng(config.seed)
     traj = RhTrajectory(instance)
-    t = 0
     previous_base: int | None = None
     H = instance.horizon.last_slot
-    while True:
-        final = t + config.window >= H
+    last = n_windows(instance, config) - 1
+    for i in range(last + 1):
+        t, final = i * config.step, i == last
         t_end = min(t + config.window, H)
         sub, kept = make_subinstance(instance, t, traj, config, previous_base)
         committed = traj.price_committed
@@ -216,7 +242,7 @@ def run(instance: Instance, config: RhConfig,
         runtime = time.monotonic() - t0
 
         if forced_path is not None:
-            realized = int(forced_path[len(traj.realized_bases)])
+            realized = int(forced_path[i])
         else:
             realized = realize_next(config.selector, previous_base, rng, n_bases)
 
@@ -234,9 +260,6 @@ def run(instance: Instance, config: RhConfig,
             pinned={t + k: v for k, v in pinned.items()}))
 
         previous_base = realized
-        if final:
-            break
-        t += config.step
 
     traj.complete = True
     return traj
@@ -256,13 +279,12 @@ def _solve_window(sub: Instance, opts: SolveOptions, pinned: dict,
 
 def _commit(traj: RhTrajectory, sol: BilevelSolution, kept: list[int], t: int,
             hi: int, realized: int) -> None:
-    """Copy the realized leaf's decisions for slots t..hi and their states."""
+    """Copy the realized leaf's schedule for slots t..hi and its states."""
     n = hi - t + 1                  # window slots 0..n-1 are slots t..hi
     committed, window = traj.schedule, sol.follower
-    for f in DEVICE_FAMILIES:
-        committed.device[f][0, kept, t: hi + 1] = window.device[f][realized, :, :n]
-    for f in SLOT_FAMILIES:
-        committed.stored[f][0, t: hi + 1] = window.stored[f][realized, :n]
+    committed.consumption[0, kept, t: hi + 1] = window.consumption[realized, :, :n]
+    for mine, theirs in zip(committed.slot_totals(), window.slot_totals()):
+        mine[0, t: hi + 1] = theirs[realized, :n]
     # + 0.0 turns the LP's empty states of -0.0 into 0.0 for the reports
     committed.battery_state[0, t + 1: hi + 2] = \
         window.battery_state[realized, 1: n + 1] + 0.0
@@ -320,8 +342,7 @@ def audit_trajectory(instance: Instance, traj: RhTrajectory) -> TrajectoryAudit:
     short = got < demand - np.maximum(tol, 1e-9 * demand)
     unmet = [(keys[d], float(demand[d] - got[d])) for d in np.flatnonzero(short)]
 
-    draw, stored = sched.battery_draw[0], sched.stored
-    charge = stored["lams"][0] + stored["xs"][0] + stored["xbs"][0]
+    draw, charge = sched.battery_draw[0], sched.battery_charge[0]
     state = np.full(instance.n_slots + 1, bat.initial)
     for h in range(instance.n_slots):
         state[h + 1] = (bat.discharge_eff * state[h] - draw[h]

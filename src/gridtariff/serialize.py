@@ -118,15 +118,6 @@ def read_instance(path: str | Path) -> Instance:
     return instance_from_dict(json.loads(Path(path).read_text()))
 
 
-def write_curve_csv(path: str | Path, values: np.ndarray,
-                    value_name: str = "value") -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", value_name])
-        for h, v in enumerate(np.asarray(values)):
-            writer.writerow([h, f"{float(v):.10g}"])
-
-
 def write_series_csv(path: str | Path, columns: dict[str, np.ndarray]) -> None:
     names = list(columns)
     arrays = [np.asarray(columns[n]) for n in names]
@@ -147,15 +138,15 @@ def write_rows_csv(path: str | Path, header: list[str], rows: list) -> None:
 
 
 def read_forced_path_csv(path: str | Path) -> list[int]:
-    """One base index per rolling-horizon iteration; header optional."""
+    """One base index per rolling-horizon iteration, the last field of each
+    line; blank lines are skipped and line 1 may be a header.  Any later line
+    whose last field is not an integer raises ``ValueError``."""
     out: list[int] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        field = line.split(",")[-1]
+    for k, line in enumerate(Path(path).read_text().splitlines(), 1):
         try:
-            out.append(int(field))
+            out.append(int(line.split(",")[-1]))
         except ValueError:
-            continue                            # header line
+            if k > 1 and line.strip():
+                raise ValueError(f"{path}, line {k}: {line.strip()!r} does not"
+                                 " end in a base index") from None
     return out

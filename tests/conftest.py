@@ -146,6 +146,16 @@ def audit_loop(pair_values: tuple[np.ndarray, np.ndarray], config: BigMConfig,
 # -- reference operator LP ------------------------------------------------------
 
 
+def energy_balance_residual(schedule) -> float:
+    """Largest gap, per scenario and slot, between the energy a schedule
+    sources (leader, competitor, generation, battery draw) and the energy it
+    uses (consumption plus battery charge), relative to the largest use."""
+    sourced = (schedule.leader + schedule.competitor + schedule.generation
+               + schedule.battery_draw)
+    used = schedule.consumption.sum(axis=1) + schedule.battery_charge
+    return float(np.abs(sourced - used).max() / max(1.0, np.abs(used).max()))
+
+
 def device_columns(system) -> dict:
     """Each device family's columns as a dense (scenario, device, slot) map,
     -1 outside the device's window, scattered from ``window_pos`` and

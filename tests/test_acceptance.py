@@ -171,9 +171,7 @@ def test_criterion_6_zero_inconvenience_price_law():
                 1e-6 * (1 + abs(at_pbar)), f"seed {seed}"
             # wherever the supplier actually sells, its price sits at the tariff
             for s in range(inst.tree.n_leaves):
-                sold = (sol.follower.device["x"][s].sum(axis=0)
-                        + sol.follower.stored["xs"][s])
-                active = sold > 1e-6
+                active = sol.follower.leader[s] > 1e-6
                 gap = inst.prices.competitor[active] - sol.prices[active]
                 assert gap.max(initial=0.0) <= 1e-6, f"seed {seed}"
 
@@ -191,16 +189,15 @@ def test_criterion_7_nonanticipativity(oracle_runs):
                 h_max = indistinguishability_time(inst.tree.leaves[a],
                                                   inst.tree.leaves[b])
                 for h in range(h_max + 1):
-                    for f in ("xs", "xbs", "lams"):
-                        assert abs(fs.stored[f][a][h] - fs.stored[f][b][h]) <= 1e-9
+                    for total in fs.slot_totals():
+                        assert abs(total[a][h] - total[b][h]) <= 1e-9
                     assert abs(fs.battery_state[a][h]
                                - fs.battery_state[b][h]) <= 1e-9
                     for d, dev in enumerate(inst.devices):
                         if not (dev.window.first <= h <= dev.window.last):
                             continue
-                        for f in ("x", "xb", "lam", "sd"):
-                            assert abs(fs.device[f][a, d, h]
-                                       - fs.device[f][b, d, h]) <= 1e-9
+                        assert abs(fs.consumption[a, d, h]
+                                   - fs.consumption[b, d, h]) <= 1e-9
         assert checked >= 5
 
         # the node map agrees with the all-pairs set, and two leaves share

@@ -19,6 +19,32 @@ from conftest import (grid_oracle, make_t1, random_tiny_instance,
                       reference_follower)
 
 
+def _lp_point(instance, schedule, index) -> np.ndarray:
+    """An operator LP point with the schedule's consumption and totals.  In
+    each slot the battery draw, then generation, then the supplier's and the
+    competitor's energy serve the devices in order; what is left of
+    generation and of the purchases goes into the battery.  Every row sees a
+    device's sources only through their sum, so the point is feasible when
+    the schedule is."""
+    x = np.zeros(max(index.values()) + 1)
+    for h in range(instance.n_slots):
+        left = {"sd": schedule.battery_draw[0, h], "lam": schedule.generation[0, h],
+                "x": schedule.leader[0, h], "xb": schedule.competitor[0, h]}
+        for d, dev in enumerate(instance.devices):
+            if not dev.window.first <= h <= dev.window.last:
+                continue
+            need = schedule.consumption[0, d, h]
+            for f in left:
+                x[index[(f, 0, d, h)]] = take = min(need, left[f])
+                left[f] -= take
+                need -= take
+        for f, source in (("lams", "lam"), ("xs", "x"), ("xbs", "xb")):
+            x[index[(f, 0, h)]] = left[source]
+    for h in range(instance.n_slots + 1):
+        x[index[("S", 0, h)]] = schedule.battery_state[0, h]
+    return x
+
+
 class TestGreedySchedule:
     def test_fills_window_front_at_max_power(self):
         dev = Device("c", "a", TimeWindow(0, 3), 4.0, 2.0, (0.0,) * 4)
@@ -55,17 +81,7 @@ class TestGreedySchedule:
             single = inst.replace(tree=single_path_tree(dg))
             system = build_follower_system(single)
             lp = build_follower_lp(single, inst.prices.competitor, system)
-            index = reference_follower(single).index
-            x = np.zeros(system.n_vars)
-            for f, vals in ref.schedule.device.items():
-                for d, dev in enumerate(inst.devices):
-                    for h in dev.window.slots:
-                        x[index[(f, 0, d, h)]] = vals[0, d, h]
-            for f in ("xs", "xbs", "lams"):
-                for h in range(inst.n_slots):
-                    x[index[(f, 0, h)]] = ref.schedule.stored[f][0][h]
-            for h in range(inst.n_slots + 1):
-                x[index[("S", 0, h)]] = ref.schedule.battery_state[0][h]
+            x = _lp_point(single, ref.schedule, reference_follower(single).index)
             assert not check_lp_solution(lp, x, tol=1e-7)
 
     def test_reference_minimizes_inconvenience(self):
@@ -108,11 +124,11 @@ class TestGreedySchedule:
                                        generation=True) for _ in range(4)]
         for inst in insts:
             ref = reference_case(inst, inst.tree.leaves[0].dg_bound)
-            for f, vals in ref.schedule.device.items():
-                assert vals.shape == (1, len(inst.devices), inst.n_slots)
-                for d, dev in enumerate(inst.devices):
-                    outside = np.delete(vals[0, d], list(dev.window.slots))
-                    assert not outside.any(), (inst.name, f, d)
+            used = ref.schedule.consumption
+            assert used.shape == (1, len(inst.devices), inst.n_slots)
+            for d, dev in enumerate(inst.devices):
+                outside = np.delete(used[0, d], list(dev.window.slots))
+                assert not outside.any(), (inst.name, d)
 
     def test_battery_floor_decay_top_up(self):
         # a positive floor forces a trickle charge when the state decays

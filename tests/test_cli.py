@@ -15,7 +15,8 @@ import pytest
 import gridtariff
 from gridtariff.baselines import reference_case
 from gridtariff.cli import SENSITIVITY_GRID, _generate, build_parser, main
-from gridtariff.serialize import write_instance
+from gridtariff.generator import generate_mini_instance, greedy_device_profile
+from gridtariff.serialize import read_instance, write_instance
 
 from conftest import make_t1
 
@@ -31,7 +32,19 @@ def test_generate_then_solve_pipeline(tmp_path):
     sol = tmp_path / "sol.json"
     assert run_cli("generate", "--preset", "mini", "--seed", "1",
                    "-o", inst, "--curves-dir", tmp_path / "curves") == 0
-    assert (tmp_path / "curves" / "supply_cost.csv").exists()
+    generated = read_instance(inst)
+    curves = {"supply_cost": ("supply_cost", generated.prices.supply_cost),
+              "competitor_price": ("competitor_price",
+                                   generated.prices.competitor),
+              "unshifted_demand": ("demand", greedy_device_profile(
+                  generated.devices, generated.n_slots).sum(axis=0)),
+              "generation_bound": ("generation_bound",
+                                   generated.tree.bases[0].dg_bound)}
+    for name, (column, values) in curves.items():
+        rows = list(csv.reader((tmp_path / "curves" / f"{name}.csv").open()))
+        assert rows[0] == ["slot", column], name
+        assert rows[1] == ["0", f"{values[0]:.10g}"], name
+        assert len(rows) == 13, name
     assert run_cli("solve", inst, *FAST, "-o", sol,
                    "--series-dir", tmp_path / "series",
                    "--export-lp", tmp_path / "model.lp",
@@ -96,6 +109,21 @@ def test_rh_command(tmp_path):
     traj = json.loads((out / "trajectory.json").read_text())
     assert traj["complete"] is True
     assert (out / "committed.csv").exists()
+
+
+@pytest.mark.parametrize("path, message", [
+    ("iteration,base\n0,1\n1,x\n", "line 3: '1,x' does not end in a base index"),
+    ("0\n1\n", "has 2 bases; the run has 6 windows"),
+    ("0\n1\n2\n3\n0\n1\n", "base 3 at iteration 3 is outside [0, 3)")])
+def test_rh_bad_forced_path_exit_code(tmp_path, capsys, path, message):
+    inst = tmp_path / "inst.json"
+    write_instance(generate_mini_instance(14, n_bases=3), inst)
+    (tmp_path / "path.csv").write_text(path)
+    code = run_cli("rh", inst, "--window", "6", "--forced-path",
+                   tmp_path / "path.csv", *FAST, "-o", tmp_path / "out")
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_rh_stdout_holds_only_the_cli_lines(tmp_path):

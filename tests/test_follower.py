@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gridtariff.baselines import reference_case
 from gridtariff.follower import (DEVICE_FAMILIES, ROW_FAMILIES, SLOT_FAMILIES,
                                  build_follower_lp, build_follower_system,
                                  evaluate_schedule, extract_solution,
@@ -22,8 +23,8 @@ from gridtariff.solver import EQ, LE, Status, check_lp_solution, solve_lp
 from gridtariff.solver.backends import ScipyBackend
 
 from conftest import (DESK_SHAPE, complementarity_products, device_columns,
-                      indistinguishability_time, make_t1, random_tiny_instance,
-                      reference_follower)
+                      energy_balance_residual, indistinguishability_time,
+                      make_t1, random_tiny_instance, reference_follower)
 from test_scenario import random_trees
 from test_solver import assert_dual_certificate
 
@@ -75,7 +76,8 @@ class TestSolveFollower:
     def test_t1_at_competitor_prices(self, t1):
         _, _, sol, fsol, _ = solve_at(t1, [3.0, 3.0])
         assert sol.objective == pytest.approx(6.0)
-        np.testing.assert_allclose(fsol.device["x"][0, 0], [2.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(fsol.consumption[0, 0], [2.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(fsol.leader[0], [2.0, 0.0], atol=1e-9)
 
     def test_zero_prices_zero_penalty(self):
         inst = make_t1(C=(0.0, 0.0))
@@ -87,8 +89,8 @@ class TestSolveFollower:
             tree=single_path_tree(np.array([5.0, 5.0])))
         _, _, sol, fsol, _ = solve_at(inst, [3.0, 3.0])
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
-        assert fsol.device["x"][0, 0].sum() == pytest.approx(0.0, abs=1e-9)
-        assert fsol.device["xb"][0, 0].sum() == pytest.approx(0.0, abs=1e-9)
+        assert fsol.leader[0].sum() == pytest.approx(0.0, abs=1e-9)
+        assert fsol.competitor[0].sum() == pytest.approx(0.0, abs=1e-9)
 
     def test_infeasible_demand_raises(self):
         dev = Device("c", "a", TimeWindow(0, 0), 5.0, 1.0, (0.0,))
@@ -158,17 +160,15 @@ class TestDuality:
         leaves = inst.tree.leaves
         h_max = indistinguishability_time(leaves[0], leaves[1])
         assert h_max >= 0
-        for f in ("xs", "xbs", "lams"):
+        for total in fsol.slot_totals():
             for h in range(h_max + 1):
-                assert fsol.stored[f][0][h] == pytest.approx(
-                    fsol.stored[f][1][h], abs=1e-9)
+                assert total[0][h] == pytest.approx(total[1][h], abs=1e-9)
         for d, dev in enumerate(inst.devices):
             for h in dev.window.slots:
                 if h > h_max:
                     continue
-                for f in ("x", "xb", "lam", "sd"):
-                    assert fsol.device[f][0, d, h] == pytest.approx(
-                        fsol.device[f][1, d, h], abs=1e-9)
+                assert fsol.consumption[0, d, h] == pytest.approx(
+                    fsol.consumption[1, d, h], abs=1e-9)
 
     def test_price_monotonicity(self):
         rng = np.random.default_rng(13)
@@ -243,7 +243,7 @@ def _rh_windows(seed):
     inst = generate_mini_instance(seed, n_bases=3)
     cfg = RhConfig(window=6, step=1, frozen=0)
     traj = RhTrajectory(inst)
-    traj.schedule.device["x"][0] = greedy_device_profile(inst.devices, inst.n_slots)
+    traj.schedule.consumption[0] = greedy_device_profile(inst.devices, inst.n_slots)
     last = inst.horizon.last_slot
     return [make_subinstance(inst, t, traj, cfg, None if t == 0 else t % 3)[0]
             for t in range(last - cfg.window + 1)]
@@ -410,6 +410,30 @@ class TestRepricedHighs:
         np.testing.assert_array_equal(again.x, cold.x)
 
 
+class TestEnergyBalance:
+    """Every schedule sources exactly the energy it consumes and stores; the
+    committed rolling-horizon schedule is checked in ``test_rolling``."""
+
+    @pytest.mark.parametrize("which", ["desk", "mini3", "week"])
+    def test_extracted_schedule(self, which, week3):
+        if which == "week":
+            inst, system, _ = week3
+        else:
+            inst = (generate_instance(1, **DESK_SHAPE) if which == "desk"
+                    else generate_mini_instance(14, n_bases=3))
+            system = build_follower_system(inst)
+        lp = build_follower_lp(inst, _profiles(inst, seed=9)[0], system)
+        _, schedule, _ = solve_follower(lp, backend="scipy", system=system)
+        assert schedule.battery_charge.any() and schedule.generation.any()
+        assert energy_balance_residual(schedule) <= 1e-9
+
+    def test_reference_schedule(self, week3):
+        inst = week3[0]
+        schedule = reference_case(inst, inst.tree.leaves[0].dg_bound).schedule
+        assert schedule.battery_charge.any() and schedule.battery_draw.any()
+        assert energy_balance_residual(schedule) <= 1e-9
+
+
 class TestExtraction:
     """The index-array extractors against the reference keys, bit for bit."""
 
@@ -425,25 +449,29 @@ class TestExtraction:
         inst = ref.instance
         n_scen, n_slots = inst.tree.n_leaves, inst.n_slots
         idx, x = ref.index, sol.x
-        assert (fsol.n_scenarios, fsol.n_slots) == (n_scen, n_slots)
         assert fsol.objective_value == float(sol.objective)
-        assert list(fsol.device) == list(DEVICE_FAMILIES)
         shape = (n_scen, len(inst.devices), n_slots)
+        device = {f: np.zeros(shape) for f in DEVICE_FAMILIES}  # 0 off-window
         for f in DEVICE_FAMILIES:
-            want = np.zeros(shape)                  # zero outside every window
             for s in range(n_scen):
                 for d, dev in enumerate(inst.devices):
                     for h in dev.window.slots:
-                        want[s, d, h] = x[idx[(f, s, d, h)]]
-            got = fsol.device[f]
-            assert got.dtype == want.dtype and got.shape == shape
-            assert (got == want).all()
-        assert sorted(fsol.stored) == sorted(SLOT_FAMILIES)
-        for f in SLOT_FAMILIES:
-            want = np.array([[x[idx[(f, s, h)]] for h in range(n_slots)]
-                             for s in range(n_scen)])
-            assert fsol.stored[f].shape == want.shape
-            assert (fsol.stored[f] == want).all()
+                        device[f][s, d, h] = x[idx[(f, s, d, h)]]
+        stored = {f: np.array([[x[idx[(f, s, h)]] for h in range(n_slots)]
+                               for s in range(n_scen)]) for f in SLOT_FAMILIES}
+        # summed in the order extract_solution sums them
+        want = {"consumption": sum(device[f] for f in DEVICE_FAMILIES),
+                "leader": device["x"].sum(axis=1) + stored["xs"],
+                "competitor": device["xb"].sum(axis=1) + stored["xbs"],
+                "generation": device["lam"].sum(axis=1) + stored["lams"],
+                "battery_draw": device["sd"].sum(axis=1),
+                "battery_charge": stored["xs"] + stored["xbs"] + stored["lams"]}
+        for name, value in want.items():
+            got = getattr(fsol, name)
+            assert got.dtype == value.dtype and got.shape == value.shape, name
+            assert (got == value).all(), name
+        assert fsol.consumption.shape == shape
+        assert fsol.leader.shape == (n_scen, n_slots)
         want = np.array([[x[idx[("S", s, h)]] for h in range(n_slots + 1)]
                          for s in range(n_scen)])
         assert fsol.battery_state.shape == want.shape

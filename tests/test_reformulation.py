@@ -112,7 +112,7 @@ class TestBuildMpcc:
         mpcc = build_mpcc(inst)
         refs, upper, bound, rule = _tag_loop_classification(reference_follower(inst))
         np.testing.assert_array_equal(mpcc.pair_ref, refs)
-        np.testing.assert_array_equal(mpcc.var_upper, upper)
+        np.testing.assert_array_equal(mpcc.system.structural_upper, upper)
         np.testing.assert_array_equal(mpcc.primal_bound, bound)
         np.testing.assert_array_equal(mpcc.rule, rule)
 
@@ -360,7 +360,7 @@ class TestSwitchRules:
     def test_sold_at_tariff_triggers(self):
         inst = _sold_at_tariff()
         sol = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0))
-        sold = sol.follower.device["x"][0].sum(axis=0)
+        sold = sol.follower.leader[0]
         at_tariff = np.isclose(sol.prices, inst.prices.competitor, atol=1e-9)
         assert np.any((sold > 1e-6) & at_tariff)
         mpcc, ref = build_mpcc(inst), reference_follower(inst)
@@ -605,8 +605,8 @@ class TestPriming:
             assert float(model.lp.obj @ point) == pytest.approx(
                 leader_profit(inst, prices, schedule), rel=1e-6)
             # nothing bought from the competitor, at an operator optimum
-            assert not schedule.device["xb"].any()
-            assert not schedule.stored["xbs"].any()
+            assert not x[system.competitor_cols].any()
+            assert not schedule.competitor.any()
             unrestricted, _, _ = solve_follower(
                 build_follower_lp(inst, prices, system), backend=backend)
             assert float(system.objective(prices) @ x) == pytest.approx(

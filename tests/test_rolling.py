@@ -7,7 +7,6 @@ import copy
 import numpy as np
 import pytest
 
-from gridtariff.follower import DEVICE_FAMILIES
 from gridtariff.generator import generate_mini_instance
 from gridtariff.model import Device, TimeWindow
 from gridtariff import rolling
@@ -15,11 +14,12 @@ from gridtariff.reformulation import (MAX_ESCALATIONS, AuditFlag,
                                       LimitWithoutIncumbent,
                                       UncertifiedOptimum, solve_bilevel)
 from gridtariff.rolling import (RhAborted, RhConfig, RhTrajectory,
-                                audit_trajectory, make_subinstance, run)
+                                audit_trajectory, make_subinstance, n_windows,
+                                run)
 from gridtariff.scenario import MarkovSelector, uniform_selector
 from gridtariff.solver import SolveOptions
 
-from conftest import make_t1
+from conftest import energy_balance_residual, make_t1
 from test_reformulation import _NoExactIncumbent, _register
 
 EXACT = dict(rel_gap=1e-9, per_iteration_time_limit=300.0, backend="scipy")
@@ -61,7 +61,7 @@ class TestMakeSubinstance:
     def test_fully_served_device_excluded(self):
         inst = make_t1()
         traj = RhTrajectory(inst)
-        traj.schedule.device["x"][0, 0, 0] = 2.0  # whole demand already served
+        traj.schedule.consumption[0, 0, 0] = 2.0  # whole demand already served
         cfg = RhConfig(window=1, step=1, frozen=0)
         sub, kept = make_subinstance(inst, 1, traj, cfg, 0)
         assert kept == []
@@ -70,8 +70,8 @@ class TestMakeSubinstance:
         dev = Device("c", "a", TimeWindow(0, 3), 10.0, 4.0, (0.0,) * 4)
         inst = generate_mini_instance(1).replace(devices=[dev])
         traj = RhTrajectory(inst)
-        traj.schedule.device["x"][0, 0, 0] = 1.0
-        traj.schedule.device["lam"][0, 0, 1] = 3.0  # 4 consumed before t=2
+        traj.schedule.consumption[0, 0, 0] = 1.0
+        traj.schedule.consumption[0, 0, 1] = 3.0  # 4 consumed before t=2
         cfg = RhConfig(window=4, step=2, frozen=0)
         sub, kept = make_subinstance(inst, 2, traj, cfg, 0)
         assert kept == [0]
@@ -147,9 +147,11 @@ class TestRun:
                                    seed=5, **EXACT),
                     forced_path=list(first.realized_bases))
         np.testing.assert_array_equal(replay.frozen_prices, again.frozen_prices)
-        for f in DEVICE_FAMILIES:
-            np.testing.assert_array_equal(replay.schedule.device[f],
-                                          again.schedule.device[f])
+        np.testing.assert_array_equal(replay.schedule.consumption,
+                                      again.schedule.consumption)
+        for mine, theirs in zip(replay.schedule.slot_totals(),
+                                again.schedule.slot_totals()):
+            np.testing.assert_array_equal(mine, theirs)
 
     def test_exact_runs_have_clean_audits(self):
         inst = generate_mini_instance(5)
@@ -181,23 +183,46 @@ class TestRun:
         assert traj.complete and len(set(traj.realized_bases)) > 1
         p, pbar = traj.frozen_prices, inst.prices.competitor
         cost = inst.prices.supply_cost
-        e = {f: v[0] for f, v in traj.schedule.device.items()}
-        st = {f: v[0] for f, v in traj.schedule.stored.items()}
+        sched = traj.schedule
         billing = inconvenience = profit = 0.0
         for h in range(inst.n_slots):
-            billing += p[h] * st["xs"][h] + pbar[h] * st["xbs"][h]
-            profit += (p[h] - cost[h]) * st["xs"][h]
+            billing += p[h] * sched.leader[0, h] + pbar[h] * sched.competitor[0, h]
+            profit += (p[h] - cost[h]) * sched.leader[0, h]
         for d, dev in enumerate(inst.devices):
             for h in dev.window.slots:
-                billing += p[h] * e["x"][d, h] + pbar[h] * e["xb"][d, h]
-                profit += (p[h] - cost[h]) * e["x"][d, h]
-                used = e["x"][d, h] + e["xb"][d, h] + e["lam"][d, h] + e["sd"][d, h]
-                inconvenience += dev.penalty_at(h) * used
+                inconvenience += dev.penalty_at(h) * sched.consumption[0, d, h]
         assert billing > 0.0 and inconvenience > 0.0
         bc, ic = traj.realized_follower_cost(inst)
         assert bc == pytest.approx(billing, rel=1e-12)
         assert ic == pytest.approx(inconvenience, rel=1e-12)
         assert traj.realized_leader_profit(inst) == pytest.approx(profit, rel=1e-12)
+
+
+class TestForcedPath:
+    """A forced path is checked against the run before any window is solved."""
+
+    @pytest.mark.parametrize("path, match", [
+        ([-1, 0, 1, 2, 0, 1], r"base -1 at iteration 0 is outside \[0, 3\)"),
+        ([0, 1, 2, 3, 0, 1], r"base 3 at iteration 3 is outside \[0, 3\)"),
+        ([0, 1], "has 2 bases; the run has 6 windows")])
+    def test_bad_path_raises_before_any_solve(self, monkeypatch, path, match):
+        calls = []
+        monkeypatch.setattr(rolling, "solve_bilevel",
+                            lambda *args, **kwargs: calls.append(args))
+        inst = generate_mini_instance(14, n_bases=3)
+        cfg = RhConfig(window=6, step=1, frozen=0, backend="scipy")
+        with pytest.raises(ValueError, match=match):
+            run(inst, cfg, forced_path=path)
+        assert not calls
+
+    @pytest.mark.parametrize("window, step", [(1, 1), (6, 1), (6, 2), (4, 3),
+                                              (11, 1), (12, 5), (20, 7)])
+    def test_window_count_matches_the_loop_rule(self, window, step):
+        inst = generate_mini_instance(1)          # slots 0..11
+        t, count = 0, 1
+        while t + window < inst.horizon.last_slot:
+            t, count = t + step, count + 1
+        assert n_windows(inst, RhConfig(window=window, step=step)) == count
 
 
 class TestWindowRetry:
@@ -295,6 +320,12 @@ class TestAuditTrajectory:
                 sol.follower.battery_state[rec.realized_base, 1: n + 1])
         assert audit_trajectory(inst, traj).battery_residual <= 1e-9
 
+    def test_committed_schedule_balances_energy(self, mini_run):
+        inst, traj, _ = mini_run
+        schedule = traj.schedule
+        assert schedule.battery_charge.any() and schedule.battery_draw.any()
+        assert energy_balance_residual(schedule) <= 1e-9
+
     def test_injected_battery_state_detected(self, mini_run):
         inst, traj, _ = mini_run
         traj = copy.deepcopy(traj)
@@ -309,7 +340,7 @@ class TestAuditTrajectory:
         cfg = RhConfig(window=inst.horizon.last_slot, step=1, frozen=0, **EXACT)
         traj = run(inst, cfg)
         slot = int(np.argmax(traj.realized_dg_path(inst)))
-        traj.schedule.stored["lams"][0, slot] += 5.0
+        traj.schedule.generation[0, slot] += 5.0
         audit = audit_trajectory(inst, traj)
         overuses = [v for h, v in audit.dg_violations if h == slot]
         assert overuses and overuses[0] == pytest.approx(5.0, abs=1e-6)
@@ -320,9 +351,6 @@ class TestAuditTrajectory:
         traj = run(inst, cfg)
         d = 0
         dev = inst.devices[d]
-        traj.schedule.device["x"][0, d, :] *= 0.0
-        traj.schedule.device["xb"][0, d, :] *= 0.0
-        traj.schedule.device["lam"][0, d, :] *= 0.0
-        traj.schedule.device["sd"][0, d, :] *= 0.0
+        traj.schedule.consumption[0, d, :] *= 0.0
         audit = audit_trajectory(inst, traj)
         assert any(key == dev.key for key, _ in audit.unmet_demand)

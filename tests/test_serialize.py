@@ -11,8 +11,7 @@ from gridtariff.generator import VariantSpec, generate_mini_instance, generate_w
 from gridtariff.scenario import BaseScenario, MarkovSelector, build_complete_tree
 from gridtariff.serialize import (instance_from_dict, instance_to_dict,
                                   read_forced_path_csv, read_instance,
-                                  write_curve_csv, write_instance,
-                                  write_series_csv)
+                                  write_instance, write_series_csv)
 
 
 def assert_instances_equal(a, b):
@@ -64,8 +63,9 @@ def test_schema_version_checked():
 
 
 def test_curve_csv_layout(tmp_path):
+    # a curve is a one-column series
     path = tmp_path / "curve.csv"
-    write_curve_csv(path, np.array([1.5, 2.5]), "demand")
+    write_series_csv(path, {"demand": np.array([1.5, 2.5])})
     rows = list(csv.reader(path.open()))
     assert rows[0] == ["slot", "demand"]
     assert rows[1] == ["0", "1.5"]
@@ -84,3 +84,11 @@ def test_forced_path_csv(tmp_path):
     path = tmp_path / "path.csv"
     path.write_text("iteration,base\n0,2\n1,0\n2,1\n")
     assert read_forced_path_csv(path) == [2, 0, 1]
+    path.write_text("2\n\n0\n1\n")                  # no header, a blank line
+    assert read_forced_path_csv(path) == [2, 0, 1]
+    path.write_text("iteration,base\n0,1\n1,2.0\n2,x\n3,0\n")
+    with pytest.raises(ValueError, match=r"line 3: '1,2.0'"):
+        read_forced_path_csv(path)
+    path.write_text("0,1\nbase\n")                   # a header only on line 1
+    with pytest.raises(ValueError, match="line 2: 'base'"):
+        read_forced_path_csv(path)
