@@ -74,8 +74,7 @@ def reference_case(instance: Instance, dg_path: np.ndarray) -> BaselineResult:
         # store leftover generation, unless the battery is full
         headroom = bat.max_level - (bat.discharge_eff * s_h - sd[:, h].sum())
         lams[h] = min(dg_left, max(0.0, headroom) / bat.charge_eff)
-        nxt = (bat.discharge_eff * s_h - sd[:, h].sum()
-               + bat.charge_eff * lams[h])
+        nxt = bat.next_level(s_h, sd[:, h].sum(), lams[h])
         if nxt < bat.min_level - 1e-12:
             # decay alone breached the floor: top up from the supplier
             xs[h] = (bat.min_level - nxt) / bat.charge_eff

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,19 @@ def _load_instance(args) -> Instance:
 
 def _solve_opts(args) -> SolveOptions:
     return SolveOptions(time_limit=args.time_limit, rel_gap=args.gap)
+
+
+def _rh_config(args, n_bases: int, frozen: int) -> RhConfig:
+    """The rolling-horizon settings; a bad window, step or frozen prefix
+    exits as a validation failure."""
+    try:
+        return RhConfig(window=args.window, step=args.step, frozen=frozen,
+                        per_iteration_time_limit=args.time_limit,
+                        selector=uniform_selector(n_bases, args.stay),
+                        seed=args.seed, rel_gap=args.gap, backend=args.backend)
+    except ValueError as exc:
+        print(f"validation: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_VALIDATION)
 
 
 def cmd_generate(args) -> int:
@@ -161,10 +175,7 @@ def cmd_baseline(args) -> int:
 
 def cmd_rh(args) -> int:
     inst = _load_instance(args)
-    cfg = RhConfig(window=args.window, step=args.step, frozen=args.frozen,
-                   per_iteration_time_limit=args.time_limit,
-                   selector=uniform_selector(len(inst.tree.bases), args.stay),
-                   seed=args.seed, rel_gap=args.gap, backend=args.backend)
+    cfg = _rh_config(args, len(inst.tree.bases), args.frozen)
     forced = None
     if args.forced_path:
         try:
@@ -262,9 +273,9 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_rh_study(args) -> int:
+    configs = [_rh_config(args, args.bases, int(v))
+               for v in args.frozen_values.split(",")]
     inst = _generate(args)
-    selector = uniform_selector(args.bases, args.stay)
-    frozen_values = [int(v) for v in args.frozen_values.split(",")]
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -280,11 +291,9 @@ def cmd_rh_study(args) -> int:
 
     for path_id in range(args.paths):
         forced: list[int] | None = None
-        for frozen in frozen_values:
-            cfg = RhConfig(window=args.window, step=args.step, frozen=frozen,
-                           per_iteration_time_limit=args.time_limit,
-                           selector=selector, seed=args.seed + path_id,
-                           rel_gap=args.gap, backend=args.backend)
+        for cfg in configs:
+            frozen = cfg.frozen
+            cfg = replace(cfg, seed=args.seed + path_id)
             t0 = time.monotonic()
             try:
                 traj = rolling.run(inst, cfg, forced_path=forced)

@@ -24,11 +24,11 @@ Variable families (per scenario ``s``): ``x`` leader purchase, ``xb``
 competitor purchase, ``lam`` direct generation use, ``sd`` battery draw (all
 per device/slot); ``xs``/``xbs``/``lams`` stored purchases and stored
 generation per slot; ``S`` battery state over slots ``0..H+1``.  The families
-are known only here: ``FollowerSystem`` also carries each column's structural
-upper bound and the competitor purchases, and a schedule
-(``FollowerSolution``) holds consumption per device and totals per slot,
-which ``extract_solution`` adds up from the columns.  Which device used which
-source is not reported.
+are known only here: ``FollowerSystem`` also carries, as arrays, all that
+the single-level reformulation reads of them (bounds, switch-free pairs, a
+multiplier scale), and a schedule (``FollowerSolution``) holds consumption
+per device and totals per slot, which ``extract_solution`` adds up from the
+columns.  Which device used which source is not reported.
 """
 
 from __future__ import annotations
@@ -72,8 +72,10 @@ class FollowerSystem:
     columns: they hold a cell for every leaf, and leaves at one tree node hold
     the same column there.  ``structural_upper`` bounds each column by what
     the rows imply (a device's power cap, the generation bound, the battery's
-    levels and the most it can take in one slot), and ``competitor_cols`` are
-    the competitor purchases ``xb`` and ``xbs``.
+    levels and the most it can take in one slot), and ``slack_upper`` each
+    inequality row's slack.  ``competitor_cols`` are the purchases ``xb`` and
+    ``xbs``; ``repeats_bound`` marks the ``batt_floor`` rows when
+    ``min_level == 0``, which repeat their one column's bound ``S >= 0``.
     Prices change only the objective: ``skeleton`` holds every row and bound,
     with ``c0`` as its objective, and its arrays are read-only because every
     priced LP shares them.
@@ -89,9 +91,11 @@ class FollowerSystem:
     window_cols: np.ndarray     # (device family, window position) -> column
     row_sign: np.ndarray        # -1 on <= rows, +1 elsewhere
     row_families: dict          # row family -> row indices
-    row_device: np.ndarray      # device of each demand_min/power_cap row, else -1
     structural_upper: np.ndarray    # per column: upper bound implied by the rows
+    slack_upper: np.ndarray         # per row: bound on its slack, NaN if equality
     competitor_cols: np.ndarray     # the columns of families xb and xbs
+    repeats_bound: np.ndarray       # per row: repeats its column's bound S >= 0
+    multiplier_scale: float         # worst cost at the tariff / round-trip efficiency
 
     @property
     def n_vars(self) -> int:
@@ -169,22 +173,27 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
     slot_cols = {f: cols[:, col_fam == g]
                  for g, f in enumerate((*SLOT_FAMILIES, "S"), 4)}
 
-    skeleton, row_families, row_device = _assemble(
+    price_prob = np.where(priced[pos], prob, 0.0)
+    worst_c = float((np.abs(c0) + price_prob * comp[col_slot[pos]]).max(initial=0.0))
+    rho = bat.charge_eff * bat.discharge_eff
+    skeleton, row_families, slack_upper, repeats_bound = _assemble(
         instance, nodes, cell_dev, cell_slot, cols, c0)
     return FollowerSystem(
         instance=instance,
         c0=c0,
         price_slot=np.where(priced[pos], col_slot[pos], -1),
-        price_prob=np.where(priced[pos], prob, 0.0),
+        price_prob=price_prob,
         skeleton=skeleton,
         slot_cols=slot_cols,
         window_pos=window_pos,
         window_cols=window_cols,
         row_sign=np.where(skeleton.sense == LE, -1.0, 1.0),
         row_families=row_families,
-        row_device=row_device,
         structural_upper=upper,
+        slack_upper=slack_upper,
         competitor_cols=np.flatnonzero(bought[pos]),
+        repeats_bound=repeats_bound,
+        multiplier_scale=max(1.0, worst_c) / max(rho, 1e-2),
     )
 
 
@@ -199,10 +208,11 @@ def _window_cells(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
 
 def _assemble(instance: Instance, nodes: np.ndarray, cell_dev: np.ndarray,
               cell_slot: np.ndarray, cols: np.ndarray, c0: np.ndarray
-              ) -> tuple[LinearProgram, dict, np.ndarray]:
+              ) -> tuple[LinearProgram, dict, np.ndarray, np.ndarray]:
     """The skeleton LP over the columns ``cols[leaf, layout position]``
     (bounds ``[0, inf)``, objective ``c0``), each row family's row indices,
-    and the device of each row (-1 on slot rows).
+    the bound on each row's slack that the other rows and the column bounds
+    imply (NaN on equality rows), and the rows that repeat a column's bound.
 
     Every leaf has the same row layout: per device its ``demand_min`` and a
     ``power_cap`` per window cell; ``batt_init``; a ``batt_balance`` per
@@ -231,7 +241,7 @@ def _assemble(instance: Instance, nodes: np.ndarray, cell_dev: np.ndarray,
     family = np.empty(n_layout, dtype=np.int64)   # index into ROW_FAMILIES
     row_slot = np.empty(n_layout, dtype=np.int64)
     base_rhs = np.zeros(n_layout)                 # dg_cap's is per leaf
-    row_dev = np.full(n_layout, -1)
+    base_slack = np.full(n_layout, np.nan)        # dg_cap's is its rhs
     family[demand], family[cap], family[init] = 0, 1, 2
     family[slot_rows] = [3, 4, 5, 6, 7]
     row_slot[demand] = [dev.window.last for dev in devices]
@@ -240,7 +250,11 @@ def _assemble(instance: Instance, nodes: np.ndarray, cell_dev: np.ndarray,
     base_rhs[cap] = np.array([dev.max_power for dev in devices])[cell_dev]
     base_rhs[init] = bat.initial
     base_rhs[slot_rows[:, 1]], base_rhs[slot_rows[:, 2]] = bat.min_level, bat.max_level
-    row_dev[demand], row_dev[cap] = np.arange(n_dev), cell_dev
+    base_slack[demand] = [len(dev.window) * dev.max_power - dev.energy_demand
+                          for dev in devices]         # the power caps bound it
+    base_slack[cap] = base_rhs[cap]
+    base_slack[slot_rows[:, 1:3]] = bat.max_level - bat.min_level  # each other
+    base_slack[slot_rows[:, 3]] = max(bat.max_level, bat.initial)  # the top state
 
     # the terms, one stencil per window cell and one per slot.  A cell's x,
     # xb, lam, sd (layout columns 4c + f) enter its device's demand row and
@@ -281,6 +295,7 @@ def _assemble(instance: Instance, nodes: np.ndarray, cell_dev: np.ndarray,
     rhs = base_rhs[pos]
     is_dg = family == ROW_FAMILIES.index("dg_cap")
     rhs[is_dg] = instance.tree.dg_matrix()[leaf[is_dg], row_slot[pos[is_dg]]]
+    slack = np.where(is_dg, rhs, base_slack[pos])
     skeleton = LinearProgram(
         n_vars=n, obj=c0, lower=np.zeros(n), upper=np.full(n, np.inf),
         a_rows=mat, sense=_ROW_SENSE[family], rhs=rhs, maximize=False)
@@ -291,7 +306,8 @@ def _assemble(instance: Instance, nodes: np.ndarray, cell_dev: np.ndarray,
     by_family = np.argsort(family, kind="stable")
     ends = np.searchsorted(family[by_family], np.arange(len(ROW_FAMILIES) + 1))
     families = {f: by_family[ends[k]:ends[k + 1]] for k, f in enumerate(ROW_FAMILIES)}
-    return skeleton, families, row_dev[pos]
+    repeats_bound = (family == ROW_FAMILIES.index("batt_floor")) & (bat.min_level == 0.0)
+    return skeleton, families, slack, repeats_bound
 
 
 def build_follower_lp(instance: Instance, prices: np.ndarray,

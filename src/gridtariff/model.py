@@ -94,6 +94,10 @@ class Battery:
     def usable(self) -> bool:
         return self.max_level > self.min_level
 
+    def next_level(self, level: float, draw: float, charge: float) -> float:
+        """The state after a slot that starts at ``level``, as the LP reads it."""
+        return self.discharge_eff * level - draw + self.charge_eff * charge
+
 
 @dataclass(frozen=True)
 class PriceData:

@@ -10,27 +10,29 @@ sides is zero in every point of the model; complementarity then holds with
 M as a plain bound (``_switch_rules`` proves each case):
 
 - zero-capacity pairs, whose primal side has structural bound 0 (generation
-  columns and ``dg_cap`` rows at slots without generation, battery columns
-  and rows without storage);
-- ``batt_floor`` rows with ``min_level == 0``, which repeat the bound
-  ``S >= 0``: their multiplier is fixed at 0 and the ``S`` column's pair
-  carries the complementarity;
-- competitor purchases ``xb``/``xbs``, fixed at 0 because the leader columns
-  ``x``/``xs`` do the same at a price never higher.
+  at slots without generation, the battery without storage);
+- rows that repeat their column's bound ``v >= 0``
+  (``FollowerSystem.repeats_bound``): their multiplier is fixed at 0 and the
+  column's pair carries the complementarity;
+- competitor purchases (``FollowerSystem.competitor_cols``), fixed at 0
+  because the leader's purchases do the same at a price never higher.
 
 Every other pair carries its own switch.  Strong duality then lets the
 bilinear revenue terms in the supplier objective be replaced by the
 multiplier objective minus the price-independent cost terms, which is what
 the MILP maximizes.
 
-The operator LP enters only through ``FollowerSystem.skeleton``: the MILP is
-assembled from its matrix in blocks (``linearize``), and no row-by-row copy
-of the LP is kept.
+The operator LP enters only through ``FollowerSystem``'s arrays: the MILP is
+assembled from the skeleton's matrix in blocks (``linearize``), and no
+row-by-row copy of the LP is kept.  This module names no row or column
+family of it.
 
-Primal-side M values are structural bounds implied by the constraints, so a
-pair value hitting them never truncates the optimum; multiplier-side M values
-default to a large scalar and are escalated when the post-solve audit flags
-them.
+Primal-side M values are the structural bounds ``FollowerSystem`` carries
+(``slack_upper`` per row, ``structural_upper`` per column), implied by the
+constraints, so a pair value hitting them never truncates the optimum;
+multiplier-side M values default to a large scalar, scaled by
+``FollowerSystem.multiplier_scale``, and are escalated when the post-solve
+audit flags them.
 """
 
 from __future__ import annotations
@@ -185,30 +187,9 @@ def build_mpcc(instance: Instance, system: FollowerSystem | None = None) -> Mpcc
     and classify which pairs need a switch (``_switch_rules``)."""
     system = system or build_follower_system(instance)
     ineq = np.flatnonzero(system.skeleton.sense != EQ)
-    bound = np.concatenate([_row_primal_bounds(system)[ineq], system.structural_upper])
+    bound = np.concatenate([system.slack_upper[ineq], system.structural_upper])
     return MpccSystem(system, np.concatenate([ineq, np.arange(system.n_vars)]),
                       bound, _switch_rules(system, ineq, bound))
-
-
-def _row_primal_bounds(system: FollowerSystem) -> np.ndarray:
-    """Bound on each inequality row's slack, implied by the primal rows and
-    column bounds of the single-level model (NaN on equality rows)."""
-    inst = system.instance
-    bat = inst.battery
-    max_power = np.array([dev.max_power for dev in inst.devices], dtype=float)
-    spare = np.array([len(dev.window) * dev.max_power - dev.energy_demand
-                      for dev in inst.devices], dtype=float)
-    fam, dev = system.row_families, system.row_device
-    bound = np.full(system.n_rows, np.nan)
-    # power caps bound a demand row's total; a floor and a ceiling bound
-    # each other
-    bound[fam["demand_min"]] = spare[dev[fam["demand_min"]]]
-    bound[fam["power_cap"]] = max_power[dev[fam["power_cap"]]]
-    bound[fam["batt_floor"]] = bat.max_level - bat.min_level
-    bound[fam["batt_ceiling"]] = bat.max_level - bat.min_level
-    bound[fam["draw_cap"]] = max(bat.max_level, bat.initial)
-    bound[fam["dg_cap"]] = system.skeleton.rhs[fam["dg_cap"]]
-    return bound
 
 
 def _switch_rules(system: FollowerSystem, ineq: np.ndarray,
@@ -222,61 +203,44 @@ def _switch_rules(system: FollowerSystem, ineq: np.ndarray,
 
     ``ZERO_CAPACITY``: the primal side's structural bound is 0.  That bound
     follows from the model's own primal rows and column bounds
-    (``_row_primal_bounds``, ``FollowerSystem.structural_upper``), so the primal
+    (``FollowerSystem.slack_upper`` and ``structural_upper``), so the primal
     side is 0 at every feasible point and the product with any multiplier
     vanishes: switch value 0.
 
-    ``DUPLICATE_FLOOR``: with ``min_level == 0`` the row ``batt_floor`` reads
-    ``S_h >= 0``, the bound of its only column.  Its multiplier ``mu`` is
+    ``DUPLICATE_FLOOR``: a row of ``FollowerSystem.repeats_bound`` reads
+    ``v >= 0``, the bound of its only column ``v``.  Its multiplier ``mu`` is
     fixed at 0, which keeps every operator optimum: if optimal multipliers
-    have ``mu > 0``, then ``S_h = 0`` by complementarity, and moving ``mu``
-    into the reduced cost of ``S_h`` (coefficient 1) keeps that reduced cost
-    nonnegative and complementary to ``S_h = 0``; the multiplier objective is
+    have ``mu > 0``, then ``v = 0`` by complementarity, and moving ``mu``
+    into the reduced cost of ``v`` (coefficient 1) keeps that reduced cost
+    nonnegative and complementary to ``v = 0``; the multiplier objective is
     unchanged because the row's right-hand side is 0.  The pair of the
-    column ``S_h`` then carries the complementarity: switch value 1.  (Under
+    column ``v`` then carries the complementarity: switch value 1.  (Under
     a finite multiplier M, the reduced cost with ``mu`` moved into it must
     also stay below the column's M.)
 
-    ``DOMINATED_PURCHASE``: a competitor purchase ``xb``/``xbs`` has the same
-    column as its leader twin ``x``/``xs`` and costs ``prob * (pbar - p) >= 0``
-    more, since prices never exceed the tariff.  Moving its amount onto the
-    twin keeps every row (the twin's bound is implied by the same rows) and
-    does not raise the operator's cost, so the result is optimal too, with
+    ``DOMINATED_PURCHASE``: a competitor purchase ``v``
+    (``FollowerSystem.competitor_cols``) has the same matrix column as its
+    leader twin and costs ``prob * (pbar - p) >= 0`` more, since prices never
+    exceed the tariff.  Moving its amount onto the twin keeps every row (the
+    twin's bound is implied by the same rows) and does not raise the
+    operator's cost, so the result is optimal too, with
     the same multipliers: a positive purchase has zero reduced cost, and the
     twin's reduced cost, lower by ``prob * (pbar - p)``, cannot be negative,
     so it is zero as well.  The costs tie only where ``p = pbar`` or
     ``prob = 0``, and there the move changes the leader's profit by
-    ``prob * (pbar - K) * xb >= 0`` because ``validate`` ensures
+    ``prob * (pbar - K) * v >= 0`` because ``validate`` ensures
     ``pbar > K``.  So the optimistic optimum survives fixing the column at 0,
     which makes its primal side 0 (switch value 0); the column and its
     multiplier-feasibility row stay in the model.
     """
     n_ineq = len(ineq)
-    floor = np.zeros(system.n_rows, dtype=bool)
-    if system.instance.battery.min_level == 0.0:
-        floor[system.row_families["batt_floor"]] = True
     purchase = np.zeros(system.n_vars, dtype=bool)
     purchase[system.competitor_cols] = True
     rule = np.full(len(primal_bound), SWITCHED, dtype=np.int8)
-    rule[:n_ineq][floor[ineq]] = DUPLICATE_FLOOR
+    rule[:n_ineq][system.repeats_bound[ineq]] = DUPLICATE_FLOOR
     rule[n_ineq:][purchase] = DOMINATED_PURCHASE
     rule[primal_bound <= 0.0] = ZERO_CAPACITY           # the first rule wins
     return rule
-
-
-def dual_m_scale(system: FollowerSystem) -> float:
-    """Magnitude headroom for multipliers: worst objective coefficient at the
-    competitor tariff, amplified by the battery round-trip losses."""
-    inst = system.instance
-    comp = inst.prices.competitor
-    worst_c = float(np.abs(system.c0).max(initial=0.0))
-    linked = system.price_slot >= 0
-    if linked.any():
-        worst_c = max(worst_c, float((np.abs(system.c0[linked])
-                                      + system.price_prob[linked]
-                                      * comp[system.price_slot[linked]]).max()))
-    rho = inst.battery.charge_eff * inst.battery.discharge_eff
-    return max(1.0, worst_c) / max(rho, 1e-2)
 
 
 def default_big_m(mpcc: MpccSystem, default_dual: float | None = None) -> BigMConfig:
@@ -288,7 +252,7 @@ def default_big_m(mpcc: MpccSystem, default_dual: float | None = None) -> BigMCo
     to be positive, so the audit and escalation treat all pairs alike.
     """
     if default_dual is None:
-        default_dual = min(DEFAULT_DUAL_M, 1e3 * dual_m_scale(mpcc.system))
+        default_dual = min(DEFAULT_DUAL_M, 1e3 * mpcc.system.multiplier_scale)
     return BigMConfig(mpcc.primal_bound.copy(),
                       np.full(mpcc.n_pairs, float(default_dual)))
 
@@ -476,15 +440,15 @@ def _fallback_points(mpcc: MpccSystem, model: MilpModel,
     profiles are the competitor tariff and the midpoint between it and the
     supply cost.
 
-    The operator LPs are solved with the competitor purchases ``xb`` and
-    ``xbs`` bounded at 0, so that no optimum is dropped for buying from the
-    competitor.  The bound keeps the LP's optimal value, so its optima are
-    operator optima, while every price is at most the tariff ``pbar`` (the
-    profiles are, and ``linearize`` rejects pinned prices above it): a
-    purchase has the same column as its leader twin ``x``/``xs`` and costs
-    ``prob * (pbar - p) >= 0`` more, so moving its amount onto the twin keeps
-    every row and does not raise the cost (the ``DOMINATED_PURCHASE`` rule of
-    ``_switch_rules``).  Where ``p = pbar`` the two tie, and which one an
+    The operator LPs are solved with the competitor purchases
+    (``FollowerSystem.competitor_cols``) bounded at 0, so that no optimum is
+    dropped for buying from the competitor.  The bound keeps the LP's optimal
+    value, so its optima are operator optima, while every price is at most
+    the tariff ``pbar`` (the profiles are, and ``linearize`` rejects pinned
+    prices above it): a purchase has the same column as its leader twin and
+    costs ``prob * (pbar - p) >= 0`` more, so moving its amount onto the twin
+    keeps every row and does not raise the cost (the ``DOMINATED_PURCHASE``
+    rule of ``_switch_rules``).  Where ``p = pbar`` the two tie, and which one an
     unrestricted LP buys would be the solver's choice.
 
     ``solve_bilevel`` computes these points only when a limit stops the MILP

@@ -345,8 +345,7 @@ def audit_trajectory(instance: Instance, traj: RhTrajectory) -> TrajectoryAudit:
     draw, charge = sched.battery_draw[0], sched.battery_charge[0]
     state = np.full(instance.n_slots + 1, bat.initial)
     for h in range(instance.n_slots):
-        state[h + 1] = (bat.discharge_eff * state[h] - draw[h]
-                        + bat.charge_eff * charge[h])
+        state[h + 1] = bat.next_level(state[h], draw[h], charge[h])
     draw_viol = [(int(h), float(draw[h] - state[h]))
                  for h in np.flatnonzero(draw > state[:-1] + tol)]
     in_bounds = (bat.min_level - tol <= state) & (state <= bat.max_level + tol)

@@ -126,6 +126,21 @@ def test_rh_bad_forced_path_exit_code(tmp_path, capsys, path, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["rh", "rh-study"])
+def test_rh_step_beyond_window_exit_code(tmp_path, capsys, command):
+    if command == "rh":
+        inst = tmp_path / "inst.json"
+        write_instance(generate_mini_instance(5, n_bases=3), inst)
+        args = ["rh", inst]
+    else:
+        args = ["rh-study", "--preset", "mini", "--seed", "5"]
+    code = run_cli(*args, "--window", "6", "--step", "7", *FAST,
+                   "-o", tmp_path / "out")
+    assert code == 2
+    assert "validation: step 7 exceeds window 6" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_rh_stdout_holds_only_the_cli_lines(tmp_path):
     # HiGHS prints a debug line to stdout from inside the MILP of this run's
     # window t=5.  A subprocess, so that neither C buffering nor pytest's

@@ -290,11 +290,21 @@ class TestReference:
         assert list(system.row_families) == list(ROW_FAMILIES)
         for f, rows in system.row_families.items():
             np.testing.assert_array_equal(rows, want.get(f, []))
-        device_rows = [(i, tag[2]) for i, tag in enumerate(ref.row_tags)
-                       if tag[0] in ("demand_min", "power_cap")]
-        want = np.full(system.n_rows, -1)
-        want[[i for i, _ in device_rows]] = [d for _, d in device_rows]
-        np.testing.assert_array_equal(system.row_device, want)
+        bat = inst.battery
+        spare = [len(dev.window) * dev.max_power - dev.energy_demand
+                 for dev in inst.devices]
+        power = [dev.max_power for dev in inst.devices]
+        want = [spare[tag[2]] if tag[0] == "demand_min"
+                else power[tag[2]] if tag[0] == "power_cap"
+                else bat.max_level - bat.min_level
+                if tag[0] in ("batt_floor", "batt_ceiling")
+                else max(bat.max_level, bat.initial) if tag[0] == "draw_cap"
+                else ref.lp.rhs[i] if tag[0] == "dg_cap" else np.nan
+                for i, tag in enumerate(ref.row_tags)]
+        np.testing.assert_array_equal(system.slack_upper, want)
+        np.testing.assert_array_equal(
+            system.repeats_bound,
+            [tag[0] == "batt_floor" and bat.min_level == 0.0 for tag in ref.row_tags])
         assert inst.tree.n_leaves == len(system.slot_cols["S"])
 
     @pytest.mark.parametrize("case", list(_REFERENCE_CASES))
