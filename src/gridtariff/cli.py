@@ -82,11 +82,12 @@ def _solve_opts(args) -> SolveOptions:
     return SolveOptions(time_limit=args.time_limit, rel_gap=args.gap)
 
 
-def _rh_config(args, n_bases: int, frozen: int) -> RhConfig:
-    """The rolling-horizon settings; a bad window, step or frozen prefix
-    exits as a validation failure."""
+def _rh_config(args, n_bases: int, frozen: int | str) -> RhConfig:
+    """The rolling-horizon settings; a bad window, step, stay probability or
+    frozen prefix (also one that is no integer) exits as a validation
+    failure."""
     try:
-        return RhConfig(window=args.window, step=args.step, frozen=frozen,
+        return RhConfig(window=args.window, step=args.step, frozen=int(frozen),
                         per_iteration_time_limit=args.time_limit,
                         selector=uniform_selector(n_bases, args.stay),
                         seed=args.seed, rel_gap=args.gap, backend=args.backend)
@@ -273,8 +274,7 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_rh_study(args) -> int:
-    configs = [_rh_config(args, args.bases, int(v))
-               for v in args.frozen_values.split(",")]
+    configs = [_rh_config(args, args.bases, v) for v in args.frozen_values.split(",")]
     inst = _generate(args)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)

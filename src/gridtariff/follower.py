@@ -20,6 +20,15 @@ through index arrays stored alongside it.  The skeleton is the
 only copy of the LP kept; the single-level reformulation builds its MILP
 from the skeleton's matrix, too.
 
+Each column's upper bound is the one its rows imply (a device's power cap,
+the generation bound, the battery's levels and the most it can take in one
+slot), so it cuts off no feasible point.  The bounds are there for the
+simplex: after a change of prices a dual simplex clears the reduced costs
+of wrong sign on boxed columns by moving them to their other bound, without
+a dual phase 1, which about halves the work of a re-priced response.  A
+column resting on its implied bound may then have a negative reduced cost
+(``solve_follower``).
+
 Variable families (per scenario ``s``): ``x`` leader purchase, ``xb``
 competitor purchase, ``lam`` direct generation use, ``sd`` battery draw (all
 per device/slot); ``xs``/``xbs``/``lams`` stored purchases and stored
@@ -70,7 +79,7 @@ class FollowerSystem:
     ``sum prob * (p[slot] - K[slot]) * v`` over them.  ``window_pos`` with
     ``window_cols``, and ``slot_cols``, are the one map from decisions to
     columns: they hold a cell for every leaf, and leaves at one tree node hold
-    the same column there.  ``structural_upper`` bounds each column by what
+    the same column there.  ``skeleton.upper`` bounds each column by what
     the rows imply (a device's power cap, the generation bound, the battery's
     levels and the most it can take in one slot), and ``slack_upper`` each
     inequality row's slack.  ``competitor_cols`` are the purchases ``xb`` and
@@ -91,7 +100,6 @@ class FollowerSystem:
     window_cols: np.ndarray     # (device family, window position) -> column
     row_sign: np.ndarray        # -1 on <= rows, +1 elsewhere
     row_families: dict          # row family -> row indices
-    structural_upper: np.ndarray    # per column: upper bound implied by the rows
     slack_upper: np.ndarray         # per row: bound on its slack, NaN if equality
     competitor_cols: np.ndarray     # the columns of families xb and xbs
     repeats_bound: np.ndarray       # per row: repeats its column's bound S >= 0
@@ -177,7 +185,7 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
     worst_c = float((np.abs(c0) + price_prob * comp[col_slot[pos]]).max(initial=0.0))
     rho = bat.charge_eff * bat.discharge_eff
     skeleton, row_families, slack_upper, repeats_bound = _assemble(
-        instance, nodes, cell_dev, cell_slot, cols, c0)
+        instance, nodes, cell_dev, cell_slot, cols, c0, upper)
     return FollowerSystem(
         instance=instance,
         c0=c0,
@@ -189,7 +197,6 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
         window_cols=window_cols,
         row_sign=np.where(skeleton.sense == LE, -1.0, 1.0),
         row_families=row_families,
-        structural_upper=upper,
         slack_upper=slack_upper,
         competitor_cols=np.flatnonzero(bought[pos]),
         repeats_bound=repeats_bound,
@@ -207,10 +214,10 @@ def _window_cells(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _assemble(instance: Instance, nodes: np.ndarray, cell_dev: np.ndarray,
-              cell_slot: np.ndarray, cols: np.ndarray, c0: np.ndarray
-              ) -> tuple[LinearProgram, dict, np.ndarray, np.ndarray]:
+              cell_slot: np.ndarray, cols: np.ndarray, c0: np.ndarray,
+              upper: np.ndarray) -> tuple[LinearProgram, dict, np.ndarray, np.ndarray]:
     """The skeleton LP over the columns ``cols[leaf, layout position]``
-    (bounds ``[0, inf)``, objective ``c0``), each row family's row indices,
+    (bounds ``[0, upper]``, objective ``c0``), each row family's row indices,
     the bound on each row's slack that the other rows and the column bounds
     imply (NaN on equality rows), and the rows that repeat a column's bound.
 
@@ -297,7 +304,7 @@ def _assemble(instance: Instance, nodes: np.ndarray, cell_dev: np.ndarray,
     rhs[is_dg] = instance.tree.dg_matrix()[leaf[is_dg], row_slot[pos[is_dg]]]
     slack = np.where(is_dg, rhs, base_slack[pos])
     skeleton = LinearProgram(
-        n_vars=n, obj=c0, lower=np.zeros(n), upper=np.full(n, np.inf),
+        n_vars=n, obj=c0, lower=np.zeros(n), upper=upper,
         a_rows=mat, sense=_ROW_SENSE[family], rhs=rhs, maximize=False)
     skeleton.validate()
     for arr in (c0, skeleton.lower, skeleton.upper, skeleton.sense,
@@ -378,6 +385,12 @@ def solve_follower(lp: LinearProgram, backend: str | None = None,
                    ) -> tuple[LpSolution, FollowerSolution | None, np.ndarray | None]:
     """Solve the scheduling LP; returns the raw solution, the schedule and
     the row multipliers in the nonnegative convention for inequality rows.
+
+    The multipliers are those of the LP with its implied column bounds: a
+    column resting on its bound ``skeleton.upper`` may have a negative
+    reduced cost, whose bound term ``rc * upper`` joins the row terms in the
+    dual objective.  The optimal value is that of the LP without column
+    upper bounds, since they cut off no feasible point.
 
     The schedule and multipliers require the ``system`` the LP was built
     from, whose index arrays read them.  LPs priced from one system share its

@@ -28,9 +28,9 @@ row-by-row copy of the LP is kept.  This module names no row or column
 family of it.
 
 Primal-side M values are the structural bounds ``FollowerSystem`` carries
-(``slack_upper`` per row, ``structural_upper`` per column), implied by the
-constraints, so a pair value hitting them never truncates the optimum;
-multiplier-side M values default to a large scalar, scaled by
+(``slack_upper`` per row, the skeleton's column bounds ``skeleton.upper``),
+implied by the constraints, so a pair value hitting them never truncates the
+optimum; multiplier-side M values default to a large scalar, scaled by
 ``FollowerSystem.multiplier_scale``, and are escalated when the post-solve
 audit flags them.
 """
@@ -187,7 +187,7 @@ def build_mpcc(instance: Instance, system: FollowerSystem | None = None) -> Mpcc
     and classify which pairs need a switch (``_switch_rules``)."""
     system = system or build_follower_system(instance)
     ineq = np.flatnonzero(system.skeleton.sense != EQ)
-    bound = np.concatenate([system.slack_upper[ineq], system.structural_upper])
+    bound = np.concatenate([system.slack_upper[ineq], system.skeleton.upper])
     return MpccSystem(system, np.concatenate([ineq, np.arange(system.n_vars)]),
                       bound, _switch_rules(system, ineq, bound))
 
@@ -203,7 +203,7 @@ def _switch_rules(system: FollowerSystem, ineq: np.ndarray,
 
     ``ZERO_CAPACITY``: the primal side's structural bound is 0.  That bound
     follows from the model's own primal rows and column bounds
-    (``FollowerSystem.slack_upper`` and ``structural_upper``), so the primal
+    (``FollowerSystem.slack_upper`` and ``skeleton.upper``), so the primal
     side is 0 at every feasible point and the product with any multiplier
     vanishes: switch value 0.
 
@@ -294,7 +294,7 @@ def linearize(mpcc: MpccSystem, config: BigMConfig,
     linked = np.flatnonzero(system.price_slot >= 0)      # the leader's sales
     obj_primal = -system.c0
     obj_primal[linked] -= system.price_prob[linked] * supply[system.price_slot[linked]]
-    col_upper = system.structural_upper.copy()
+    col_upper = system.skeleton.upper.copy()
     col_upper[mpcc.rule[n_ineq:] == DOMINATED_PURCHASE] = 0.0
     dual_upper = np.full(m, np.inf)
     fixed = np.flatnonzero(mpcc.rule[:n_ineq] != SWITCHED)
@@ -440,16 +440,21 @@ def _fallback_points(mpcc: MpccSystem, model: MilpModel,
     profiles are the competitor tariff and the midpoint between it and the
     supply cost.
 
-    The operator LPs are solved with the competitor purchases
-    (``FollowerSystem.competitor_cols``) bounded at 0, so that no optimum is
-    dropped for buying from the competitor.  The bound keeps the LP's optimal
-    value, so its optima are operator optima, while every price is at most
-    the tariff ``pbar`` (the profiles are, and ``linearize`` rejects pinned
-    prices above it): a purchase has the same column as its leader twin and
-    costs ``prob * (pbar - p) >= 0`` more, so moving its amount onto the twin
-    keeps every row and does not raise the cost (the ``DOMINATED_PURCHASE``
-    rule of ``_switch_rules``).  Where ``p = pbar`` the two tie, and which one an
-    unrestricted LP buys would be the solver's choice.
+    The operator LPs are solved without column upper bounds, as the LP of
+    rows alone, because the single-level model's multiplier feasibility
+    rows ask for reduced costs ``>= 0``: with the skeleton's implied bounds a
+    column resting on its bound could take a negative one.  Dropping those
+    bounds keeps every feasible point, since the rows imply them.  The
+    competitor purchases (``FollowerSystem.competitor_cols``) are bounded at
+    0, so that no optimum is dropped for buying from the competitor.  That
+    bound keeps the LP's optimal value, so its optima are operator optima,
+    while every price is at most the tariff ``pbar`` (the profiles are, and
+    ``linearize`` rejects pinned prices above it): a purchase has the same
+    column as its leader twin and costs ``prob * (pbar - p) >= 0`` more, so
+    moving its amount onto the twin keeps every row and does not raise the
+    cost (the ``DOMINATED_PURCHASE`` rule of ``_switch_rules``).  Where
+    ``p = pbar`` the two tie, and which one an unrestricted LP buys would be
+    the solver's choice.
 
     ``solve_bilevel`` computes these points only when a limit stops the MILP
     without an incumbent, and answers with the best of them, re-solved at
@@ -463,7 +468,7 @@ def _fallback_points(mpcc: MpccSystem, model: MilpModel,
     supply = inst.prices.supply_cost
     profiles = [comp.copy(),
                 np.minimum(comp, np.maximum(0.0, 0.5 * (comp + supply)))]
-    upper = system.skeleton.upper.copy()
+    upper = np.full(system.n_vars, np.inf)
     upper[system.competitor_cols] = 0.0
     points = []
     for prof in profiles:

@@ -67,9 +67,13 @@ class MarkovSelector:
 
 
 def uniform_selector(n_bases: int, stay_prob: float) -> MarkovSelector:
+    """Stay with ``stay_prob``, else switch to any other base alike.  With
+    more than one base, raises ``ValueError`` unless ``0 <= stay_prob <= 1``."""
     if n_bases == 1:
         return MarkovSelector(1.0, 0.0)
-    return MarkovSelector(stay_prob, (1.0 - stay_prob) / (n_bases - 1))
+    selector = MarkovSelector(stay_prob, (1.0 - stay_prob) / (n_bases - 1))
+    selector.validate(n_bases)
+    return selector
 
 
 @dataclass

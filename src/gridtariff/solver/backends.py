@@ -26,7 +26,12 @@ kept, one per thread.  The next LP with the very same arrays only swaps in its
 costs and re-optimizes from the kept basis; any other LP releases the kept
 model first.  A re-priced LP's optimal vertex can therefore depend on the
 previous re-pricing on that thread; its objective and duals are optimal either
-way.  Every other LP runs with HiGHS' default, presolve on.
+way.  The operator LP carries its implied column upper bounds, so its duals
+are those of the bounded LP: a column at its upper bound may have a negative
+reduced cost.  Those bounds let the dual simplex answer a change of costs by
+moving columns between their bounds, and halve the iterations of a
+re-priced week response.  Every other LP runs with HiGHS' default, presolve
+on.
 
 A MILP always runs with presolve off.  On the rolling-horizon windows (about
 200 to 300 rows, up to a few dozen nodes) presolve costs more than it saves;

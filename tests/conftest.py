@@ -120,11 +120,32 @@ def all_nonanticipativity_pairs(tree: ScenarioTree) -> list[tuple[int, int, int]
 
 
 def complementarity_products(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
-    """|slack * multiplier| per inequality row and |value * reduced cost| per var."""
+    """|slack * multiplier| per inequality row, then per column a positive
+    reduced cost times the distance to the lower bound and a negative one
+    times the distance to the upper bound."""
     ineq = lp.sense != EQ
     slack = np.where(lp.sense == LE, -1.0, 1.0) * (lp.a_rows @ sol.x - lp.rhs)
-    return np.abs(np.concatenate([(slack * sol.duals)[ineq],
-                                  (sol.x - lp.lower) * sol.reduced_costs]))
+    rc = sol.reduced_costs
+    at_lower = np.where(rc > 0, rc * (sol.x - lp.lower), 0.0)
+    at_upper = np.where(rc < 0, rc * (lp.upper - sol.x), 0.0)
+    return np.abs(np.concatenate([(slack * sol.duals)[ineq], at_lower, at_upper]))
+
+
+def dual_objective(lp: LinearProgram, sol: LpSolution) -> float:
+    """The dual objective of a solved LP: row terms ``duals @ rhs`` plus the
+    bound terms ``max(rc, 0) * lower + min(rc, 0) * upper``."""
+    rc = sol.reduced_costs
+    bounds = (np.where(rc > 0, rc * lp.lower, 0.0)
+              + np.where(rc < 0, rc * lp.upper, 0.0))
+    return float(sol.duals @ lp.rhs + bounds.sum())
+
+
+def rows_only(lp: LinearProgram) -> LinearProgram:
+    """The LP without column upper bounds.  Its upper array is read-only, so
+    the HiGHS backend re-prices the LPs that share it."""
+    free = np.full(lp.n_vars, np.inf)
+    free.setflags(write=False)
+    return lp.with_bounds(lp.lower, free)
 
 
 def audit_loop(pair_values: tuple[np.ndarray, np.ndarray], config: BigMConfig,
@@ -175,7 +196,12 @@ class ReferenceFollower:
     ``("S", s, h)``, ...) to its column; keys of leaves at one tree node map
     to one column, labelled in ``var_tags`` with the key of the node's first
     leaf.  ``row_tags`` labels each row with its family and coordinates.
-    ``lp`` is built row by row with ``LpBuilder``, with objective ``c0``.
+    ``lp`` is built row by row with ``LpBuilder``, with objective ``c0`` and
+    each column's upper bound read from its label: a device's power cap
+    (``x``, ``xb``), also the leaf's generation bound (``lam``) or the
+    battery's top level (``sd``); the most the battery can take in one slot
+    (``xs``, ``xbs``), also the generation bound (``lams``); the top state
+    (``S``).
     """
 
     instance: Instance
@@ -220,6 +246,9 @@ def reference_follower(instance: Instance) -> ReferenceFollower:
     n_slots, tree, bat = instance.n_slots, instance.tree, instance.battery
     probs = np.asarray(tree.probabilities, dtype=float)
     comp = instance.prices.competitor
+    dg = tree.dg_matrix()
+    charge_cap = max(0.0, (2.0 * bat.max_level - bat.discharge_eff * bat.min_level)
+                     / bat.charge_eff)
     nodes = node_map(tree)
     node_prob = np.zeros(nodes.shape)
     for s in range(tree.n_leaves):
@@ -234,7 +263,16 @@ def reference_follower(instance: Instance) -> ReferenceFollower:
     price_prob: list = []
 
     def add(tag, cost0: float, slot: int = -1, prob: float = 0.0) -> None:
-        index[tag] = builder.add_var(tag, 0.0, np.inf, obj=cost0)
+        fam = tag[0]
+        if fam in ("x", "xb", "lam", "sd"):
+            power = instance.devices[tag[2]].max_power
+            upper = (min(power, dg[tag[1], tag[3]]) if fam == "lam"
+                     else min(power, bat.max_level) if fam == "sd" else power)
+        elif fam in ("xs", "xbs", "lams"):
+            upper = min(charge_cap, dg[tag[1], tag[2]]) if fam == "lams" else charge_cap
+        else:
+            upper = max(bat.max_level, bat.initial)
+        index[tag] = builder.add_var(tag, 0.0, upper, obj=cost0)
         tags.append(tag)
         price_slot.append(slot)
         price_prob.append(prob)

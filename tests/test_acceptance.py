@@ -31,8 +31,9 @@ from gridtariff.solver import (LpBuilder, MilpModel, SolveOptions, Status,
                                solve_lp, solve_milp)
 
 from conftest import (OptimisticResponder, complementarity_products,
-                      device_columns, grid_oracle, indistinguishability_time,
-                      random_tiny_instance)
+                      device_columns, dual_objective, grid_oracle,
+                      indistinguishability_time, random_tiny_instance,
+                      rows_only)
 from test_scenario import assert_node_map_matches_oracle, random_trees
 from test_solver import _vertex_enumeration_optimum, knapsack_model
 
@@ -115,9 +116,12 @@ def test_criterion_2_strong_duality():
             prices = rng.uniform(0, 1, inst.n_slots) * inst.prices.competitor
             lp = build_follower_lp(inst, prices)
             sol, _, _ = solve_follower(lp)
-            dual_obj = float(sol.duals @ lp.rhs)
+            dual_obj = dual_objective(lp, sol)
             assert abs(dual_obj - sol.objective) <= 1e-6 * (1 + abs(sol.objective))
             assert complementarity_products(lp, sol).max() <= 1e-6
+            # the implied column bounds cut off no optimum of the rows alone
+            free, _, _ = solve_follower(rows_only(lp))
+            assert abs(free.objective - sol.objective) <= 1e-6 * (1 + abs(sol.objective))
         took = time.monotonic() - t0
         assert took <= 60.0, f"runtime {took:.0f}s exceeds 1 minute"
         print(f"  50 draws in {took:.1f}s", end="")

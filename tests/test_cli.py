@@ -49,7 +49,9 @@ def test_generate_then_solve_pipeline(tmp_path):
                    "--series-dir", tmp_path / "series",
                    "--export-lp", tmp_path / "model.lp",
                    "--export-follower-lp", tmp_path / "schedule.lp") == 0
-    assert (tmp_path / "schedule.lp").read_text().startswith("Minimize")
+    schedule_lp = (tmp_path / "schedule.lp").read_text()
+    assert schedule_lp.startswith("Minimize")
+    assert " <= v" in schedule_lp.split("Bounds")[1]    # the implied bounds
     doc = json.loads(sol.read_text())
     assert doc["status"] == "optimal"
     assert "mip_gap" in doc and np.isfinite(doc["mip_gap"])
@@ -138,6 +140,26 @@ def test_rh_step_beyond_window_exit_code(tmp_path, capsys, command):
                    "-o", tmp_path / "out")
     assert code == 2
     assert "validation: step 7 exceeds window 6" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    ("rh", "--stay", "1.5", "negative transition probability"),
+    ("rh-study", "--stay", "1.5", "negative transition probability"),
+    ("rh-study", "--frozen-values", "0,x", "invalid literal for int()"),
+])
+def test_rh_bad_settings_exit_code(tmp_path, capsys, command, option, value,
+                                   message):
+    if command == "rh":
+        inst = tmp_path / "inst.json"
+        write_instance(generate_mini_instance(5, n_bases=3), inst)
+        args = ["rh", inst, "--window", "6"]
+    else:
+        args = ["rh-study", "--preset", "mini", "--seed", "5", "--paths", "1"]
+    code = run_cli(*args, option, value, *FAST, "-o", tmp_path / "out")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation: ") and message in err
     assert not (tmp_path / "out").exists()
 
 

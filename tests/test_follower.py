@@ -23,8 +23,9 @@ from gridtariff.solver import EQ, LE, Status, check_lp_solution, solve_lp
 from gridtariff.solver.backends import ScipyBackend
 
 from conftest import (DESK_SHAPE, complementarity_products, device_columns,
-                      energy_balance_residual, indistinguishability_time,
-                      make_t1, random_tiny_instance, reference_follower)
+                      dual_objective, energy_balance_residual,
+                      indistinguishability_time, make_t1, random_tiny_instance,
+                      reference_follower, rows_only)
 from test_scenario import random_trees
 from test_solver import assert_dual_certificate
 
@@ -145,9 +146,11 @@ class TestDuality:
                 generation=bool(rng.integers(0, 2)))
             prices = rng.uniform(0, 1, inst.n_slots) * inst.prices.competitor
             system, lp, sol, _, duals = solve_at(inst, prices)
-            dual_obj = float(sol.duals @ lp.rhs)
+            dual_obj = dual_objective(lp, sol)
             assert dual_obj == pytest.approx(sol.objective, rel=1e-6, abs=1e-8)
             assert complementarity_products(lp, sol).max() <= 1e-6
+            free, _, _ = solve_follower(rows_only(lp))
+            assert free.objective == pytest.approx(sol.objective, rel=1e-6, abs=1e-8)
             # positive-sign convention for inequality multipliers
             ineq = system.skeleton.sense != EQ
             assert duals[ineq].min(initial=0.0) >= -1e-9
@@ -356,7 +359,43 @@ class TestSkeleton:
                 arr[0] = arr[0]
         # callers that need other bounds copy them first
         fixed = lp.with_bounds(lp.lower.copy(), np.minimum(lp.upper, 1.0))
-        assert fixed.upper.max() == 1.0 and np.isinf(lp.upper).all()
+        assert fixed.upper.max() == 1.0 and lp.upper.max() > 1.0
+        assert lp.upper is system.skeleton.upper
+
+
+def _bound_cases():
+    """Desk and 3-base mini instances, then tiny ones that mix battery,
+    generation and tree nodes shared by several leaves."""
+    rng = np.random.default_rng(23)
+    tiny = [random_tiny_instance(
+        rng, n_slots=int(rng.integers(2, 5)), n_devices=int(rng.integers(1, 4)),
+        n_scenarios=1 + k % 2, battery=k % 3 != 0, generation=k % 4 != 0)
+        for k in range(26)]
+    return ([generate_instance(s, **DESK_SHAPE) for s in (1, 4, 9)]
+            + [generate_mini_instance(s, n_bases=3) for s in (5, 14)]
+            + tiny + _shared_node_trees())
+
+
+class TestImpliedBounds:
+    def test_implied_bounds_cut_nothing(self):
+        """The skeleton's column bounds hold at every point of its rows: the
+        most each column can take over the LP of rows alone is within its
+        bound.  The MILP's primal M values rest on this too."""
+        backend = ScipyBackend()
+        n_cols, worst = 0, -np.inf
+        for inst in _bound_cases():
+            skel = build_follower_system(inst).skeleton
+            free = rows_only(skel)          # re-priced from column to column
+            for j in range(skel.n_vars):
+                obj = np.zeros(skel.n_vars)
+                obj[j] = -1.0
+                sol = backend.solve_lp(free.with_objective(obj))
+                assert sol.status is Status.OPTIMAL, (inst.name, j)
+                excess = sol.x[j] - skel.upper[j]
+                assert excess <= 1e-9 * (1.0 + skel.upper[j]), (inst.name, j)
+                worst = max(worst, excess)
+            n_cols += skel.n_vars
+        print(f"  {n_cols} columns, worst excess {worst:.1e}", end="")
 
 
 class TestRepricedHighs:

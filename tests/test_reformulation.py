@@ -41,27 +41,10 @@ DESK_SLOW = (5, 12, 20, 25, 35)
 
 def _tag_loop_classification(ref):
     """Pair refs, structural bounds and switch rules read label by label from
-    the reference operator LP: the per-pair reference for ``build_mpcc``'s
-    array classification."""
+    the reference operator LP, whose column bounds its labels give: the
+    per-pair reference for ``build_mpcc``'s array classification."""
     inst, bat = ref.instance, ref.instance.battery
-    dg = inst.tree.dg_matrix()
-    charge_cap = max(0.0, (2.0 * bat.max_level - bat.discharge_eff * bat.min_level)
-                     / bat.charge_eff)
-    upper = []
-    for tag in ref.var_tags:
-        fam = tag[0]
-        if fam in ("x", "xb"):
-            upper.append(inst.devices[tag[2]].max_power)
-        elif fam == "lam":
-            upper.append(min(inst.devices[tag[2]].max_power, dg[tag[1], tag[3]]))
-        elif fam == "sd":
-            upper.append(min(inst.devices[tag[2]].max_power, bat.max_level))
-        elif fam in ("xs", "xbs"):
-            upper.append(charge_cap)
-        elif fam == "lams":
-            upper.append(min(charge_cap, dg[tag[1], tag[2]]))
-        else:
-            upper.append(max(bat.max_level, bat.initial))
+    upper = ref.lp.upper.tolist()
     refs, bound, rule = [], [], []
     skel = ref.lp
     for i, tag in enumerate(ref.row_tags):
@@ -112,7 +95,7 @@ class TestBuildMpcc:
         mpcc = build_mpcc(inst)
         refs, upper, bound, rule = _tag_loop_classification(reference_follower(inst))
         np.testing.assert_array_equal(mpcc.pair_ref, refs)
-        np.testing.assert_array_equal(mpcc.system.structural_upper, upper)
+        np.testing.assert_array_equal(mpcc.system.skeleton.upper, upper)
         np.testing.assert_array_equal(mpcc.primal_bound, bound)
         np.testing.assert_array_equal(mpcc.rule, rule)
 
