@@ -15,9 +15,8 @@ from .generator import (VariantSpec, generate_instance,
                         generate_mini_instance, generate_week_instance)
 from .model import (Battery, Device, Horizon, Instance, PriceData,
                     TimeWindow, validate)
-from .reformulation import (BigMConfig, BilevelSolution, audit_big_m,
-                            build_mpcc, default_big_m, linearize,
-                            solve_bilevel)
+from .reformulation import (BilevelSolution, audit_big_m, build_mpcc,
+                            default_dual_m, linearize, solve_bilevel)
 from .rolling import RhConfig, RhTrajectory, audit_trajectory, make_subinstance
 from .rolling import run as run_rolling_horizon
 from .scenario import (BaseScenario, MarkovSelector, ScenarioTree,
@@ -38,8 +37,8 @@ __all__ = [
     "generate_week_instance",
     "build_follower_lp", "build_follower_system", "evaluate_schedule",
     "leader_profit", "solve_follower",
-    "BigMConfig", "BilevelSolution", "audit_big_m", "build_mpcc",
-    "default_big_m", "linearize", "solve_bilevel",
+    "BilevelSolution", "audit_big_m", "build_mpcc", "default_dual_m",
+    "linearize", "solve_bilevel",
     "RhConfig", "RhTrajectory", "audit_trajectory", "make_subinstance",
     "run_rolling_horizon",
     "compare", "perfect_case", "reference_case",

@@ -123,9 +123,9 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     inst = _load_instance(args)
     if args.export_lp:
-        from .reformulation import build_mpcc, default_big_m, linearize
+        from .reformulation import build_mpcc, default_dual_m, linearize
         mpcc = build_mpcc(inst)
-        write_lp(linearize(mpcc, default_big_m(mpcc)), args.export_lp)
+        write_lp(linearize(mpcc, default_dual_m(mpcc)), args.export_lp)
         print(f"wrote model to {args.export_lp}")
     if args.export_follower_lp:
         from .follower import build_follower_lp

@@ -99,7 +99,6 @@ class FollowerSystem:
     window_pos: np.ndarray      # flat positions in ``schedule_shape`` of window cells
     window_cols: np.ndarray     # (device family, window position) -> column
     row_sign: np.ndarray        # -1 on <= rows, +1 elsewhere
-    row_families: dict          # row family -> row indices
     slack_upper: np.ndarray         # per row: bound on its slack, NaN if equality
     competitor_cols: np.ndarray     # the columns of families xb and xbs
     repeats_bound: np.ndarray       # per row: repeats its column's bound S >= 0
@@ -184,7 +183,7 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
     price_prob = np.where(priced[pos], prob, 0.0)
     worst_c = float((np.abs(c0) + price_prob * comp[col_slot[pos]]).max(initial=0.0))
     rho = bat.charge_eff * bat.discharge_eff
-    skeleton, row_families, slack_upper, repeats_bound = _assemble(
+    skeleton, slack_upper, repeats_bound = _assemble(
         instance, nodes, cell_dev, cell_slot, cols, c0, upper)
     return FollowerSystem(
         instance=instance,
@@ -196,7 +195,6 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
         window_pos=window_pos,
         window_cols=window_cols,
         row_sign=np.where(skeleton.sense == LE, -1.0, 1.0),
-        row_families=row_families,
         slack_upper=slack_upper,
         competitor_cols=np.flatnonzero(bought[pos]),
         repeats_bound=repeats_bound,
@@ -215,11 +213,11 @@ def _window_cells(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
 
 def _assemble(instance: Instance, nodes: np.ndarray, cell_dev: np.ndarray,
               cell_slot: np.ndarray, cols: np.ndarray, c0: np.ndarray,
-              upper: np.ndarray) -> tuple[LinearProgram, dict, np.ndarray, np.ndarray]:
+              upper: np.ndarray) -> tuple[LinearProgram, np.ndarray, np.ndarray]:
     """The skeleton LP over the columns ``cols[leaf, layout position]``
-    (bounds ``[0, upper]``, objective ``c0``), each row family's row indices,
-    the bound on each row's slack that the other rows and the column bounds
-    imply (NaN on equality rows), and the rows that repeat a column's bound.
+    (bounds ``[0, upper]``, objective ``c0``), the bound on each row's slack
+    that the other rows and the column bounds imply (NaN on equality rows),
+    and the rows that repeat a column's bound.
 
     Every leaf has the same row layout: per device its ``demand_min`` and a
     ``power_cap`` per window cell; ``batt_init``; a ``batt_balance`` per
@@ -310,11 +308,8 @@ def _assemble(instance: Instance, nodes: np.ndarray, cell_dev: np.ndarray,
     for arr in (c0, skeleton.lower, skeleton.upper, skeleton.sense,
                 skeleton.rhs, mat.data, mat.indices, mat.indptr):
         arr.setflags(write=False)
-    by_family = np.argsort(family, kind="stable")
-    ends = np.searchsorted(family[by_family], np.arange(len(ROW_FAMILIES) + 1))
-    families = {f: by_family[ends[k]:ends[k + 1]] for k, f in enumerate(ROW_FAMILIES)}
     repeats_bound = (family == ROW_FAMILIES.index("batt_floor")) & (bat.min_level == 0.0)
-    return skeleton, families, slack, repeats_bound
+    return skeleton, slack, repeats_bound
 
 
 def build_follower_lp(instance: Instance, prices: np.ndarray,

@@ -27,12 +27,13 @@ assembled from the skeleton's matrix in blocks (``linearize``), and no
 row-by-row copy of the LP is kept.  This module names no row or column
 family of it.
 
-Primal-side M values are the structural bounds ``FollowerSystem`` carries
-(``slack_upper`` per row, the skeleton's column bounds ``skeleton.upper``),
-implied by the constraints, so a pair value hitting them never truncates the
-optimum; multiplier-side M values default to a large scalar, scaled by
-``FollowerSystem.multiplier_scale``, and are escalated when the post-solve
-audit flags them.
+A pair's primal-side M is always its structural bound
+(``MpccSystem.primal_bound``: ``FollowerSystem.slack_upper`` per row, the
+skeleton's column bounds ``skeleton.upper``), implied by the constraints, so
+a pair value hitting it never truncates the optimum.  The one M setting is
+the multiplier M ``dual_m``, a scalar shared by every pair: it defaults to
+``default_dual_m`` and ``solve_bilevel`` doubles it when the post-solve audit
+flags a multiplier at it.
 """
 
 from __future__ import annotations
@@ -123,20 +124,6 @@ class MpccSystem:
     def refs(self, rule: int) -> np.ndarray:
         """Row or column indices of the pairs classified under ``rule``."""
         return self.pair_ref[self.rule == rule]
-
-
-@dataclass
-class BigMConfig:
-    primal: np.ndarray
-    dual: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.any(self.primal < 0) or np.any(self.dual <= 0):
-            raise ValueError("big-M values must be positive")
-
-    def escalate(self) -> "BigMConfig":
-        """Twice the multiplier M values."""
-        return BigMConfig(self.primal.copy(), self.dual * 2.0)
 
 
 @dataclass
@@ -243,21 +230,13 @@ def _switch_rules(system: FollowerSystem, ineq: np.ndarray,
     return rule
 
 
-def default_big_m(mpcc: MpccSystem, default_dual: float | None = None) -> BigMConfig:
-    """Structural primal bounds; scaled (audited, escalatable) multiplier bounds.
-
-    Every pair has an entry.  Only switched pairs (``mpcc.switched``) use
-    their primal M; the multiplier M of a pair without a switch still caps
-    its multiplier side wherever its implied switch value allows that side
-    to be positive, so the audit and escalation treat all pairs alike.
-    """
-    if default_dual is None:
-        default_dual = min(DEFAULT_DUAL_M, 1e3 * mpcc.system.multiplier_scale)
-    return BigMConfig(mpcc.primal_bound.copy(),
-                      np.full(mpcc.n_pairs, float(default_dual)))
+def default_dual_m(mpcc: MpccSystem) -> float:
+    """The multiplier M a solve starts from: a large scalar, scaled by
+    ``FollowerSystem.multiplier_scale`` and audited after the solve."""
+    return min(DEFAULT_DUAL_M, 1e3 * mpcc.system.multiplier_scale)
 
 
-def linearize(mpcc: MpccSystem, config: BigMConfig,
+def linearize(mpcc: MpccSystem, dual_m: float,
               pinned_prices: dict[int, float] | None = None) -> MilpModel:
     """Big-M MILP for the single-level pricing problem (maximization), over
     columns ``[p | primal | multipliers | switches]`` (``_split_point``).
@@ -266,11 +245,16 @@ def linearize(mpcc: MpccSystem, config: BigMConfig,
     ``(diag(row_sign) A)^T`` or rows of either: primal feasibility ``A``;
     multiplier feasibility ``sum_i sgn_i a_ij d_i - prob_j p_slot(j) <= c0_j``;
     then per pair ``a <= M_a * delta`` (``comp_p``) and
-    ``b <= M_b * (1 - delta)`` (``comp_d``).  A pair without a switch has
-    delta fixed at its implied value (``_switch_rules``): its ``comp_p`` row
-    holds by the bounds and is left out, and its multiplier cap is a column
-    bound for a row pair and a ``comp_d`` row for a column pair.
+    ``b <= M_b * (1 - delta)`` (``comp_d``), where ``M_a`` is the pair's
+    ``mpcc.primal_bound`` and ``M_b`` is ``dual_m`` for every pair.  A pair
+    without a switch has delta fixed at its implied value
+    (``_switch_rules``): its ``comp_p`` row holds by the bounds and is left
+    out, and its multiplier cap is a column bound for a row pair and a
+    ``comp_d`` row for a column pair.  Raises ``ValueError`` unless
+    ``dual_m`` is finite and positive.
     """
+    if not 0.0 < dual_m < np.inf:
+        raise ValueError(f"the multiplier M must be finite and positive, not {dual_m}")
     system = mpcc.system
     skel = system.skeleton
     inst = system.instance
@@ -298,7 +282,7 @@ def linearize(mpcc: MpccSystem, config: BigMConfig,
     col_upper[mpcc.rule[n_ineq:] == DOMINATED_PURCHASE] = 0.0
     dual_upper = np.full(m, np.inf)
     fixed = np.flatnonzero(mpcc.rule[:n_ineq] != SWITCHED)
-    dual_upper[ineq[fixed]] = config.dual[fixed] * (1.0 - mpcc.implied_delta[fixed])
+    dual_upper[ineq[fixed]] = dual_m * (1.0 - mpcc.implied_delta[fixed])
 
     a = skel.a_rows
     signed = sp.csr_matrix((np.repeat(row_sign, np.diff(a.indptr)) * a.data,
@@ -309,8 +293,8 @@ def linearize(mpcc: MpccSystem, config: BigMConfig,
     pick = sp.csr_matrix((np.ones(n_ineq), ineq, np.arange(n_ineq + 1)),
                          shape=(n_ineq, m))                 # the multipliers of row pairs
     cols = (switched, np.arange(n_sw))                      # each switched pair's M
-    big_p = sp.csr_matrix((-config.primal[switched], cols), shape=(n_pairs, n_sw))
-    big_d = sp.csr_matrix((config.dual[switched], cols), shape=(n_pairs, n_sw))
+    big_p = sp.csr_matrix((-mpcc.primal_bound[switched], cols), shape=(n_pairs, n_sw))
+    big_d = sp.csr_matrix((np.full(n_sw, dual_m), cols), shape=(n_pairs, n_sw))
     mat = sp.bmat([
         [None, a, None, None],                              # primal feasibility
         [-price, None, signed_t, None],                     # multiplier feasibility
@@ -321,7 +305,7 @@ def linearize(mpcc: MpccSystem, config: BigMConfig,
     ], format="csr")
     signed_rhs = row_sign * skel.rhs
     comp_rhs = np.concatenate([signed_rhs[ineq], np.zeros(n),
-                               config.dual[:n_ineq], config.dual[n_ineq:] - system.c0])
+                               np.full(n_ineq, dual_m), dual_m - system.c0])
     # interleave per pair: comp_p if switched, then comp_d if switched or a column
     is_switched = mpcc.rule == SWITCHED
     has = np.column_stack([is_switched, is_switched])
@@ -375,8 +359,8 @@ def _split_point(mpcc: MpccSystem, x: np.ndarray
 
 
 def extract_bilevel(mpcc: MpccSystem, result: MilpResult,
-                    config: BigMConfig) -> BilevelSolution:
-    """The solution at an exact MILP point, audited against ``config``.
+                    dual_m: float) -> BilevelSolution:
+    """The solution at an exact MILP point, audited at multiplier M ``dual_m``.
     Raises ``ExtractionMismatch`` when the MILP objective and the direct
     profit disagree; no M causes that, since strong duality holds at any M
     once the switches fix complementarity."""
@@ -395,32 +379,32 @@ def extract_bilevel(mpcc: MpccSystem, result: MilpResult,
         raise ExtractionMismatch(
             f"strong-duality objective {model_obj} vs direct profit {profit}")
 
-    solution = BilevelSolution(
+    pair_values = _pair_values(mpcc, primal, dual, prices)
+    return BilevelSolution(
         prices=prices, follower=fsol, binaries=binaries,
         leader_objective=profit, follower_objective=follower_obj,
         mip_gap=float(result.rel_gap), status=result.status,
-        pair_values=_pair_values(mpcc, primal, dual, prices), milp=result)
-    solution.audit = audit_big_m(solution, config)
-    return solution
+        audit=audit_big_m(mpcc, pair_values, dual_m),
+        pair_values=pair_values, milp=result)
 
 
-def audit_big_m(solution: BilevelSolution, config: BigMConfig) -> AuditReport:
+def audit_big_m(mpcc: MpccSystem, pair_values: tuple[np.ndarray, np.ndarray],
+                dual_m: float) -> AuditReport:
     """Flag pair sides at or beyond (1 - _AT_M_MARGIN) of their M, by pair
-    and the primal side first.  Primal flags are structural (their M is a
-    proven bound); multiplier flags are risky: a larger M might move the
-    optimum."""
-    pv, dv = solution.pair_values
-    primal = (config.primal > 0) & (pv >= (1.0 - _AT_M_MARGIN) * config.primal)
-    dual = dv >= (1.0 - _AT_M_MARGIN) * config.dual
+    and the primal side first.  Primal flags are structural (their M is the
+    proven bound ``mpcc.primal_bound``); multiplier flags are risky: a larger
+    ``dual_m`` might move the optimum."""
+    pv, dv = pair_values
+    bound = mpcc.primal_bound
+    primal = (bound > 0) & (pv >= (1.0 - _AT_M_MARGIN) * bound)
+    dual = dv >= (1.0 - _AT_M_MARGIN) * dual_m
     flags: list[AuditFlag] = []
     for k in np.flatnonzero(primal | dual):
         k = int(k)
         if primal[k]:
-            flags.append(AuditFlag(k, "primal", float(pv[k]),
-                                   float(config.primal[k]), True))
+            flags.append(AuditFlag(k, "primal", float(pv[k]), float(bound[k]), True))
         if dual[k]:
-            flags.append(AuditFlag(k, "dual", float(dv[k]),
-                                   float(config.dual[k]), False))
+            flags.append(AuditFlag(k, "dual", float(dv[k]), float(dual_m), False))
     return AuditReport(flags, float(pv.max(initial=0.0)), float(dv.max(initial=0.0)))
 
 
@@ -559,10 +543,10 @@ def _polish_incumbent(solver, model: MilpModel, mpcc: MpccSystem,
                    rel_gap=relative_gap(obj, result.bound)), n_lps
 
 
-def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
-                  opts: SolveOptions | None = None, *,
+def solve_bilevel(instance: Instance, opts: SolveOptions | None = None, *,
                   backend: str | None = None,
-                  pinned_prices: dict[int, float] | None = None) -> BilevelSolution:
+                  pinned_prices: dict[int, float] | None = None,
+                  dual_m: float | None = None) -> BilevelSolution:
     """Optimistic pricing optimum via the big-M MILP, with audited M escalation.
 
     One attempt: solve the MILP, whose incumbent is exact at its switches
@@ -571,8 +555,9 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
     status and bound; extract it with its audit; only if a multiplier is at
     its M, polish it (``_polish_incumbent``) and re-extract.  A clean audit
     returns.  A risky audit, an infeasible MILP or an optimal one without an
-    exact incumbent doubles the multiplier M, at most ``MAX_ESCALATIONS``
-    times, and then raises ``UncertifiedOptimum`` or ``BilevelInfeasible``;
+    exact incumbent doubles the multiplier M ``dual_m`` (default
+    ``default_dual_m``), at most ``MAX_ESCALATIONS`` times, and then raises
+    ``UncertifiedOptimum`` or ``BilevelInfeasible``;
     a limit that leaves no incumbent raises ``LimitWithoutIncumbent``.
     ``ExtractionMismatch`` and the fallback's operator-LP errors propagate:
     no M causes them.
@@ -583,7 +568,8 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
     opts = opts or SolveOptions()
     system = build_follower_system(instance)
     mpcc = build_mpcc(instance, system)
-    cfg = config or default_big_m(mpcc)
+    if dual_m is None:
+        dual_m = default_dual_m(mpcc)
 
     solver = get_backend(backend)
     best: BilevelSolution | None = None
@@ -595,7 +581,7 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
                 raise UncertifiedOptimum(best, "time budget exhausted")
             raise LimitWithoutIncumbent(
                 f"time budget exhausted after {attempt} attempts")
-        model = linearize(mpcc, cfg, pinned_prices)
+        model = linearize(mpcc, dual_m, pinned_prices)
         result = solver.solve_milp(
             model, replace(opts, time_limit=max(remaining, 0.5)))
         if result.x is None and result.status in (Status.TIME_LIMIT,
@@ -620,14 +606,14 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
                 raise BilevelInfeasible(
                     f"no tolerance-exact incumbent recoverable (MILP"
                     f" {result.status.value}): inconsistent instance or"
-                    " undersized M; consider larger explicit big-M values")
+                    " undersized M; consider a larger `dual_m`")
         else:
-            solution = extract_bilevel(mpcc, result, cfg)
+            solution = extract_bilevel(mpcc, result, dual_m)
             polish_lps = 0
             if not solution.audit.clean:
                 polished, polish_lps = _polish_incumbent(solver, model, mpcc, result)
                 if polished is not None:
-                    solution = extract_bilevel(mpcc, polished, cfg)
+                    solution = extract_bilevel(mpcc, polished, dual_m)
             solution.retries, solution.polish_lps = attempt, polish_lps
             if solution.audit.clean:
                 return solution
@@ -639,5 +625,5 @@ def solve_bilevel(instance: Instance, config: BigMConfig | None = None,
             if attempt == MAX_ESCALATIONS:
                 raise UncertifiedOptimum(solution, f"risky after {attempt} escalations")
             best = solution
-        cfg = cfg.escalate()
+        dual_m *= 2.0
     raise RuntimeError("unreachable: the last attempt returns or raises")

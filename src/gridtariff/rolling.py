@@ -90,9 +90,13 @@ class RhTrajectory:
         self.schedule.battery_state[0, 0] = instance.battery.initial
         self.frozen_prices = np.full(n_slots, np.nan)
         self.base_by_slot = np.full(n_slots, -1, dtype=np.int64)
-        self.realized_bases: list[int] = []                  # one per iteration
         self.per_iteration_log: list[IterationRecord] = []
         self.complete = False
+
+    @property
+    def realized_bases(self) -> list[int]:
+        """The base realized after each iteration, in order."""
+        return [r.realized_base for r in self.per_iteration_log]
 
     @property
     def price_committed(self) -> np.ndarray:
@@ -251,7 +255,6 @@ def run(instance: Instance, config: RhConfig,
         price_hi = t_end if final else min(t + config.step + config.frozen, t_end)
         _commit_prices(traj, sol, t, price_hi)
 
-        traj.realized_bases.append(realized)
         traj.base_by_slot[t: commit_hi + 1] = realized
         traj.per_iteration_log.append(IterationRecord(
             t=t, status=sol.status.value, gap=float(sol.mip_gap),

@@ -36,7 +36,7 @@ from gridtariff.follower import (DEVICE_FAMILIES, SLOT_FAMILIES,
                                  build_follower_lp, build_follower_system)
 from gridtariff.model import (Battery, Device, Horizon, Instance, PriceData,
                               TimeWindow)
-from gridtariff.reformulation import AuditFlag, AuditReport, BigMConfig
+from gridtariff.reformulation import AuditFlag, AuditReport
 from gridtariff.scenario import (BaseScenario, Scenario, ScenarioTree,
                                  flat_tree, node_map, single_path_tree)
 from gridtariff.solver import (EQ, GE, LE, LinearProgram, LpBuilder,
@@ -148,19 +148,19 @@ def rows_only(lp: LinearProgram) -> LinearProgram:
     return lp.with_bounds(lp.lower, free)
 
 
-def audit_loop(pair_values: tuple[np.ndarray, np.ndarray], config: BigMConfig,
-               margin: float = 1e-6) -> AuditReport:
-    """The big-M audit pair by pair, primal side before multiplier side: the
-    reference for ``reformulation.audit_big_m``."""
+def audit_loop(pair_values: tuple[np.ndarray, np.ndarray], primal_m: np.ndarray,
+               dual_m: float, margin: float = 1e-6) -> AuditReport:
+    """The big-M audit pair by pair, primal side before multiplier side, at
+    primal caps ``primal_m`` and multiplier M ``dual_m``: the reference for
+    ``reformulation.audit_big_m``."""
     pv, dv = pair_values
     flags: list[AuditFlag] = []
     for k in range(len(pv)):
-        if config.primal[k] > 0 and pv[k] >= (1.0 - margin) * config.primal[k]:
+        if primal_m[k] > 0 and pv[k] >= (1.0 - margin) * primal_m[k]:
             flags.append(AuditFlag(k, "primal", float(pv[k]),
-                                   float(config.primal[k]), True))
-        if dv[k] >= (1.0 - margin) * config.dual[k]:
-            flags.append(AuditFlag(k, "dual", float(dv[k]),
-                                   float(config.dual[k]), False))
+                                   float(primal_m[k]), True))
+        if dv[k] >= (1.0 - margin) * dual_m:
+            flags.append(AuditFlag(k, "dual", float(dv[k]), float(dual_m), False))
     return AuditReport(flags, float(pv.max(initial=0.0)), float(dv.max(initial=0.0)))
 
 

@@ -22,7 +22,7 @@ from gridtariff.follower import (DEVICE_FAMILIES, SLOT_FAMILIES,
 from gridtariff.generator import (VariantSpec, generate_mini_instance,
                                   generate_week_instance)
 from gridtariff.model import Instance
-from gridtariff.reformulation import (build_mpcc, default_big_m, linearize,
+from gridtariff.reformulation import (build_mpcc, default_dual_m, linearize,
                                       solve_bilevel)
 from gridtariff.rolling import RhConfig, audit_trajectory
 from gridtariff.rolling import run as rh_run
@@ -312,7 +312,7 @@ def test_criterion_10_week_milp_structure():
         t0 = time.monotonic()
         inst = generate_week_instance(1)
         mpcc = build_mpcc(inst)
-        model = linearize(mpcc, default_big_m(mpcc))
+        model = linearize(mpcc, default_dual_m(mpcc))
         build_time = time.monotonic() - t0
         n_rows = model.lp.n_rows
         n_bin = len(model.binary_idx)

@@ -74,14 +74,12 @@ def test_baseline_reference_hand_value(tmp_path):
 def test_solve_uncertified_optimum_exit_code(tmp_path, monkeypatch, capsys):
     import gridtariff.cli as cli
     from gridtariff import reformulation
-    from gridtariff.reformulation import build_mpcc, default_big_m
 
     t1 = make_t1(C=(0.0, 0.0))
-    cramped = default_big_m(build_mpcc(t1), default_dual=1.5)
     real = cli.solve_bilevel
     monkeypatch.setattr(reformulation, "MAX_ESCALATIONS", 0)
     monkeypatch.setattr(cli, "solve_bilevel", lambda inst, **kw: real(
-        inst, config=cramped, **kw))
+        inst, dual_m=1.5, **kw))
     inst_path = tmp_path / "t1.json"
     write_instance(t1, inst_path)
     out = tmp_path / "out.json"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridtariff.follower import build_follower_lp
-from gridtariff.reformulation import build_mpcc, default_big_m, linearize
+from gridtariff.reformulation import build_mpcc, default_dual_m, linearize
 from gridtariff.solver import (LpBuilder, MilpModel, SolveOptions, Status,
                                solve_lp, solve_milp, write_lp)
 
@@ -59,7 +59,7 @@ def test_follower_lp_export_solves_identically(tmp_path):
 def test_bilevel_milp_export_round_trip(tmp_path):
     inst = make_t1()
     mpcc = build_mpcc(inst)
-    model = linearize(mpcc, default_big_m(mpcc))
+    model = linearize(mpcc, default_dual_m(mpcc))
     path = tmp_path / "pricing.lp"
     write_lp(model, path)
     back = read_lp(path)

@@ -16,16 +16,17 @@ from gridtariff.generator import (generate_instance, generate_mini_instance,
                                   generate_week_instance)
 from gridtariff.model import Battery, Device, TimeWindow
 from gridtariff.reformulation import (DOMINATED_PURCHASE, DUPLICATE_FLOOR,
-                                      SWITCHED, ZERO_CAPACITY, AuditReport,
-                                      BigMConfig, BilevelInfeasible,
-                                      BilevelSolution, ExtractionMismatch,
-                                      UncertifiedOptimum, audit_big_m,
-                                      build_mpcc, default_big_m,
+                                      SWITCHED, ZERO_CAPACITY,
+                                      BilevelInfeasible, ExtractionMismatch,
+                                      MpccSystem, UncertifiedOptimum,
+                                      audit_big_m, build_mpcc, default_dual_m,
                                       extract_bilevel, _fallback_points,
                                       _pair_values, _split_point, linearize,
                                       solve_bilevel)
 from gridtariff.reports import solution_to_dict
-from gridtariff.scenario import BaseScenario, flat_tree, single_path_tree
+from gridtariff.rolling import RhConfig, RhTrajectory, make_subinstance
+from gridtariff.scenario import (BaseScenario, flat_tree, single_path_tree,
+                                 uniform_selector)
 from gridtariff.solver import (EQ, LE, MilpResult, SolveOptions, SolverError,
                                Status, get_backend, solve_milp)
 from gridtariff.solver import backends
@@ -102,13 +103,12 @@ class TestBuildMpcc:
     def test_zero_capacity_battery_pairs_forced_tight(self, t1):
         # battery ceiling rows exist with zero structural slack
         mpcc = build_mpcc(t1)
-        cfg = default_big_m(mpcc)
         n_ineq = len(mpcc.ineq_rows)
         row_tags = reference_follower(t1).row_tags
         ceiling = [k for k, ref in enumerate(mpcc.pair_ref)
                    if k < n_ineq and row_tags[ref][0] == "batt_ceiling"]
         assert ceiling
-        assert all(cfg.primal[k] == 0.0 for k in ceiling)
+        assert all(mpcc.primal_bound[k] == 0.0 for k in ceiling)
 
     def test_shared_column_stationarity_sees_both_leaves(self):
         inst = make_t1().replace(tree=flat_tree(
@@ -126,7 +126,7 @@ class TestBuildMpcc:
             ("demand_min", 0, 0), ("demand_min", 1, 0), ("power_cap", 0, 0, 0)}
         # the one multiplier-feasibility row of column j (rows follow the
         # primal rows in column order) holds its price and those multipliers
-        model = linearize(mpcc, default_big_m(mpcc))
+        model = linearize(mpcc, default_dual_m(mpcc))
         dual_cols = _split_point(mpcc, np.arange(model.lp.n_vars))[2]
         stationarity = model.lp.a_rows[mpcc.system.n_rows + j]
         assert set(stationarity.indices.tolist()) \
@@ -136,7 +136,7 @@ class TestBuildMpcc:
         # prices enter no primal row, and no switch row with a primal column
         # (comp_p rows bound a primal side, comp_d rows a multiplier side)
         mpcc = build_mpcc(t1)
-        model = linearize(mpcc, default_big_m(mpcc))
+        model = linearize(mpcc, default_dual_m(mpcc))
         lp = model.lp
         csc = lp.a_rows.tocsc()
         primal = lp.a_rows[:, _split_point(mpcc, np.arange(lp.n_vars))[1]]
@@ -149,10 +149,31 @@ class TestBuildMpcc:
 
 class TestLinearize:
     def test_positive_m_required(self, t1):
-        mpcc = build_mpcc(t1)
-        cfg = default_big_m(mpcc)
-        with pytest.raises(ValueError):
-            BigMConfig(cfg.primal, np.zeros_like(cfg.dual))
+        for dual_m in (0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="multiplier M"):
+                solve_bilevel(t1, dual_m=dual_m)
+
+    @pytest.mark.parametrize("make", [
+        *[pytest.param(lambda seed=seed: _desk(seed), id=f"desk{seed}")
+          for seed in DESK_ROSTER],
+        pytest.param(lambda: _rh_mini3_window(5), id="mini5x3-t0")])
+    def test_primal_m_is_the_structural_bound(self, make):
+        inst = make()
+        mpcc = build_mpcc(inst)
+        m = 2.0 * default_dual_m(mpcc)
+        model = linearize(mpcc, m)
+        switch = model.lp.a_rows.tocsc()[:, model.binary_idx]
+        switch.sort_indices()
+        # each switch column: -M_a in its comp_p row, then M_b in its comp_d row
+        np.testing.assert_array_equal(np.diff(switch.indptr), 2)
+        entries = switch.data.reshape(-1, 2)
+        np.testing.assert_array_equal(entries[:, 0], -mpcc.primal_bound[mpcc.switched])
+        np.testing.assert_array_equal(entries[:, 1], m)
+        sol = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0), backend="scipy")
+        primal = [f for f in sol.audit.flags if f.side == "primal"]
+        assert primal
+        for flag in primal:
+            assert flag.structural and flag.limit == mpcc.primal_bound[flag.pair]
 
     def test_switch_semantics(self):
         # a pair (slack, dual) with slack 0.5 at optimum needs delta = 1
@@ -331,7 +352,7 @@ class TestSwitchRules:
         floors = [mpcc.rule[k] for k in range(mpcc.n_pairs)
                   if _pair_tag(mpcc, ref, k)[0] == "batt_floor"]
         assert floors and set(floors) == {DUPLICATE_FLOOR}
-        model = linearize(mpcc, default_big_m(mpcc))
+        model = linearize(mpcc, default_dual_m(mpcc))
         dual_cols = _split_point(mpcc, np.arange(model.lp.n_vars))[2]
         for i in mpcc.refs(DUPLICATE_FLOOR):
             assert model.lp.upper[dual_cols[i]] == 0.0
@@ -363,34 +384,34 @@ class TestSwitchRules:
         assert by_rule[DUPLICATE_FLOOR] == {"batt_floor": 336}
         assert by_rule[DOMINATED_PURCHASE] == {"xb": 2308, "xbs": 336}
         assert sum(sum(c.values()) for c in by_rule.values()) == 4604
-        model = linearize(mpcc, default_big_m(mpcc))
+        model = linearize(mpcc, default_dual_m(mpcc))
         assert len(model.binary_idx) == len(mpcc.switched) == 9745
 
 
 class TestAudit:
-    def _fake_solution(self, pv, dv):
-        sol = BilevelSolution(
-            prices=np.zeros(1), follower=None,
-            binaries=np.zeros(len(pv)), leader_objective=0.0,
-            follower_objective=0.0, mip_gap=0.0, status=Status.OPTIMAL,
-            pair_values=(np.asarray(pv, float), np.asarray(dv, float)))
-        return sol
+    @staticmethod
+    def _pairs(primal_bound):
+        """Pairs with these structural primal bounds, which is all of an
+        ``MpccSystem`` that the audit reads."""
+        n = len(primal_bound)
+        return MpccSystem(None, np.arange(n), np.asarray(primal_bound, float),
+                          np.full(n, SWITCHED, dtype=np.int8))
 
     def test_clean_when_everything_midrange(self):
-        cfg = BigMConfig(np.array([10.0, 10.0]), np.array([100.0, 100.0]))
-        rep = audit_big_m(self._fake_solution([5.0, 0.0], [0.0, 50.0]), cfg)
+        rep = audit_big_m(self._pairs([10.0, 10.0]),
+                          (np.array([5.0, 0.0]), np.array([0.0, 50.0])), 100.0)
         assert rep.clean and not rep.flags
         assert rep.max_primal == 5.0 and rep.max_dual == 50.0
 
     def test_dual_at_m_flagged(self):
-        cfg = BigMConfig(np.array([10.0]), np.array([100.0]))
-        rep = audit_big_m(self._fake_solution([0.0], [100.0]), cfg)
+        rep = audit_big_m(self._pairs([10.0]), (np.array([0.0]), np.array([100.0])),
+                          100.0)
         assert not rep.clean
         assert rep.flags[0].side == "dual" and not rep.flags[0].structural
 
     def test_structural_primal_at_m_not_risky(self):
-        cfg = BigMConfig(np.array([10.0]), np.array([100.0]))
-        rep = audit_big_m(self._fake_solution([10.0], [0.0]), cfg)
+        rep = audit_big_m(self._pairs([10.0]), (np.array([10.0]), np.array([0.0])),
+                          100.0)
         assert rep.clean                       # flagged but structural
         assert rep.flags and rep.flags[0].structural
 
@@ -402,11 +423,9 @@ class TestAudit:
 
     def test_escalation_recovers_from_tiny_m(self):
         inst = make_t1(C=(0.0, 0.0))
-        mpcc = build_mpcc(inst)
         # true multipliers reach the competitor price (3); doubling from 0.6
         # crosses that within the retry budget
-        cramped = default_big_m(mpcc, default_dual=0.6)
-        sol = solve_bilevel(inst, config=cramped, opts=SolveOptions(rel_gap=0.0))
+        sol = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0), dual_m=0.6)
         assert sol.leader_objective == pytest.approx(4.0, abs=1e-6)
         assert sol.retries >= 1
 
@@ -414,12 +433,10 @@ class TestAudit:
         # true multipliers reach the competitor price (3): an M of 1.5 cuts
         # them off and the MILP optimum is 1.0, not 4.0
         inst = make_t1(C=(0.0, 0.0))
-        mpcc = build_mpcc(inst)
-        cramped = default_big_m(mpcc, default_dual=1.5)
         with monkeypatch.context() as m, \
                 pytest.raises(UncertifiedOptimum) as info:
             m.setattr(reformulation, "MAX_ESCALATIONS", 0)
-            solve_bilevel(inst, config=cramped, opts=SolveOptions(rel_gap=0.0))
+            solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0), dual_m=1.5)
         exc = info.value
         assert not isinstance(exc, BilevelInfeasible)
         assert exc.solution.leader_objective == pytest.approx(1.0, abs=1e-6)
@@ -427,36 +444,36 @@ class TestAudit:
         assert exc.flags == exc.solution.audit.risky
         assert exc.flags and not any(f.structural for f in exc.flags)
         # the same M with its escalation budget certifies the true optimum
-        sol = solve_bilevel(inst, config=cramped, opts=SolveOptions(rel_gap=0.0))
+        sol = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0), dual_m=1.5)
         assert sol.leader_objective == pytest.approx(4.0, abs=1e-6)
         assert sol.audit.clean
 
     def test_hopelessly_tiny_m_raises(self, monkeypatch):
         inst = make_t1(C=(0.0, 0.0))
-        mpcc = build_mpcc(inst)
-        cramped = default_big_m(mpcc, default_dual=0.01)
         monkeypatch.setattr(reformulation, "MAX_ESCALATIONS", 2)
         with pytest.raises(Exception):
-            solve_bilevel(inst, config=cramped, opts=SolveOptions(rel_gap=0.0))
+            solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0), dual_m=0.01)
 
     @staticmethod
-    def _assert_matches_loop(mpcc, sol):
-        """The vectorized audit gives the pair loop's report, at the default
-        M and at caps cut to the solution's own pair values, which flag both
-        sides of many pairs."""
-        pv, dv = sol.pair_values
-        tight = BigMConfig(np.where(pv > 0, pv, mpcc.primal_bound),
-                           np.where(dv > 0, dv, 1.0))
-        for cfg in (default_big_m(mpcc), tight):
-            report = audit_big_m(sol, cfg)
-            assert report == audit_loop(sol.pair_values, cfg)
+    def _assert_matches_loop(mpcc, pair_values):
+        """The vectorized audit gives the pair loop's report at the default
+        M, and at primal caps cut to the pair values with the multiplier M
+        at the median positive multiplier, which flag both sides of many
+        pairs."""
+        pv, dv = pair_values
+        tight = replace(mpcc, primal_bound=np.where(pv > 0, pv, mpcc.primal_bound))
+        for caps, m in ((mpcc, default_dual_m(mpcc)),
+                        (tight, float(np.median(dv[dv > 0])))):
+            report = audit_big_m(caps, pair_values, m)
+            assert report == audit_loop(pair_values, caps.primal_bound, m)
         assert report.flags and not report.clean
+        assert {flag.side for flag in report.flags} == {"primal", "dual"}
 
     @pytest.mark.parametrize("seed", DESK_ROSTER)
     def test_matches_the_pair_loop_on_the_desk_roster(self, seed):
         inst = _desk(seed)
         sol = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0), backend="bundled")
-        self._assert_matches_loop(build_mpcc(inst), sol)
+        self._assert_matches_loop(build_mpcc(inst), sol.pair_values)
 
     def test_matches_the_pair_loop_on_a_week_solve(self):
         inst = generate_week_instance(1, n_bases=3)
@@ -467,11 +484,19 @@ class TestAudit:
                                   backend="scipy")
         pv, dv = _pair_values(mpcc, op.x, op.duals * system.row_sign, prices)
         assert mpcc.n_pairs > 40_000
-        self._assert_matches_loop(mpcc, self._fake_solution(pv, dv))
+        self._assert_matches_loop(mpcc, (pv, dv))
 
 
 def _desk(seed):
     return generate_instance(seed, **DESK_SHAPE)
+
+
+def _rh_mini3_window(seed):
+    """The first window instance of ``rh-mini3`` on 3-base mini ``seed``."""
+    inst = generate_mini_instance(seed, n_bases=3)
+    cfg = RhConfig(window=6, step=1, selector=uniform_selector(3, 0.4))
+    sub, _ = make_subinstance(inst, 0, RhTrajectory(inst), cfg, None)
+    return sub
 
 
 def _register(monkeypatch, backend) -> str:
@@ -578,7 +603,7 @@ class TestPriming:
     def test_points_are_priced_at_the_leader_profit(self, make, backend):
         inst = make()
         mpcc = build_mpcc(inst)
-        model = linearize(mpcc, default_big_m(mpcc))
+        model = linearize(mpcc, default_dual_m(mpcc))
         points = _fallback_points(mpcc, model, None, backend)
         assert len(points) == 2
         system = mpcc.system
@@ -620,24 +645,25 @@ class TestPriming:
         assert log.kinds().count("milp") == 1
 
     def test_optimal_milp_without_exact_incumbent_escalates(self, monkeypatch):
-        escalate = BigMConfig.escalate
-        escalations = []
+        linearize_at = reformulation.linearize
+        ms = []                         # the multiplier M of each MILP built
 
-        def counted(config):
-            escalations.append(config)
-            return escalate(config)
+        def recorded(mpcc, dual_m, pinned_prices=None):
+            ms.append(dual_m)
+            return linearize_at(mpcc, dual_m, pinned_prices)
 
-        monkeypatch.setattr(BigMConfig, "escalate", counted)
+        monkeypatch.setattr(reformulation, "linearize", recorded)
+        m0 = default_dual_m(build_mpcc(_desk(1)))
         stub = _NoExactIncumbent()
         name = _register(monkeypatch, stub)
         monkeypatch.setattr(reformulation, "MAX_ESCALATIONS", 2)
         with pytest.raises(BilevelInfeasible, match="no tolerance-exact incumbent"):
             solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0), backend=name)
-        assert stub.milps == 3 and len(escalations) == 2
+        assert stub.milps == 3 and ms == [m0, 2 * m0, 4 * m0]    # two doublings
         monkeypatch.setattr(reformulation, "MAX_ESCALATIONS", 0)
         with pytest.raises(BilevelInfeasible, match="no tolerance-exact incumbent"):
             solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0), backend=name)
-        assert stub.milps == 4 and len(escalations) == 2
+        assert stub.milps == 4 and ms[3:] == [m0]                # none
 
 
 class TestErrorsPropagate:
@@ -680,7 +706,7 @@ class TestBundledNodes:
 
         monkeypatch.setattr(simplex, "solve_with_workspace", checked_solve)
         mpcc = build_mpcc(_desk(seed))
-        res = solve_milp(linearize(mpcc, default_big_m(mpcc)),
+        res = solve_milp(linearize(mpcc, default_dual_m(mpcc)),
                          SolveOptions(rel_gap=0.0))
         assert res.status is Status.OPTIMAL
         assert res.nodes > 1
@@ -701,7 +727,7 @@ class TestBundledNodes:
 
         monkeypatch.setattr(simplex, "solve_with_workspace", recorded)
         mpcc = build_mpcc(_desk(seed))
-        model = linearize(mpcc, default_big_m(mpcc))
+        model = linearize(mpcc, default_dual_m(mpcc))
         res = solve_milp(model, SolveOptions(rel_gap=0.0))
         [exact] = last
         assert res.status is Status.OPTIMAL
@@ -737,9 +763,9 @@ class TestPolish:
     incumbent is at its M."""
 
     @staticmethod
-    def _rides_m(inst, config, res) -> bool:
-        """Whether the audit flags a multiplier of a MILP result at its M."""
-        return not extract_bilevel(build_mpcc(inst), res, config).audit.clean
+    def _rides_m(inst, dual_m, res) -> bool:
+        """Whether the audit flags a multiplier of a MILP result at ``dual_m``."""
+        return not extract_bilevel(build_mpcc(inst), res, dual_m).audit.clean
 
     @staticmethod
     def _milp_and_lps(log: _CallLog):
@@ -766,20 +792,19 @@ class TestPolish:
         model, res, lps = self._milp_and_lps(log)
         assert lps[0][0].n_rows > model.lp.n_rows   # the multiplier-shrink LP
         mpcc = build_mpcc(inst)
-        assert self._rides_m(inst, default_big_m(mpcc), res)
+        assert self._rides_m(inst, default_dual_m(mpcc), res)
         assert sol.polish_lps == len(lps) in (1, 2)
         assert solution_to_dict(inst, sol)["polish_lps"] == sol.polish_lps
 
     def test_small_m_makes_the_bundled_polish_shrink(self, monkeypatch):
         inst = _desk(4)
-        mpcc = build_mpcc(inst)
         # the bundled exact incumbent's multipliers peak near 10.46, the
         # shrink LP's below 10.1
-        small = default_big_m(mpcc, default_dual=10.2)
+        small = 10.2
         log = _CallLog("bundled")
         monkeypatch.setattr(reformulation, "MAX_ESCALATIONS", 0)
-        sol = solve_bilevel(inst, config=small, opts=SolveOptions(rel_gap=0.0),
-                            backend=_register(monkeypatch, log))
+        sol = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0),
+                            backend=_register(monkeypatch, log), dual_m=small)
         _, res, lps = self._milp_and_lps(log)
         assert self._rides_m(inst, small, res)
         assert sol.polish_lps == len(lps) in (1, 2)

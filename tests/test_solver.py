@@ -19,7 +19,7 @@ from gridtariff.solver import (GE, LE, LinearProgram,
                                register_backend, relative_gap, solve_lp,
                                solve_milp, verify_milp_solution)
 from gridtariff.generator import generate_instance, generate_mini_instance
-from gridtariff.reformulation import (build_mpcc, default_big_m, linearize,
+from gridtariff.reformulation import (build_mpcc, default_dual_m, linearize,
                                       solve_bilevel)
 from gridtariff.rolling import (RhConfig, RhTrajectory, make_subinstance,
                                 run as run_rolling_horizon)
@@ -369,7 +369,7 @@ def _dense_basis(sim) -> np.ndarray:
 
 def _desk_milp(seed: int) -> MilpModel:
     mpcc = build_mpcc(generate_instance(seed, **DESK_SHAPE))
-    return linearize(mpcc, default_big_m(mpcc))
+    return linearize(mpcc, default_dual_m(mpcc))
 
 
 class TestRefactor:
@@ -786,7 +786,7 @@ class TestBackends:
 
 def _mini_milp(seed: int) -> MilpModel:
     mpcc = build_mpcc(generate_mini_instance(seed, n_bases=3))
-    return linearize(mpcc, default_big_m(mpcc))
+    return linearize(mpcc, default_dual_m(mpcc))
 
 
 def _rh_config(seed: int) -> RhConfig:
@@ -802,7 +802,7 @@ def _first_window_milp(seed: int) -> MilpModel:
     sub, _ = make_subinstance(inst, 0, RhTrajectory(inst),
                               _rh_config(seed), None)
     mpcc = build_mpcc(sub)
-    return linearize(mpcc, default_big_m(mpcc))
+    return linearize(mpcc, default_dual_m(mpcc))
 
 
 def _unbounded_milp() -> MilpModel:
