@@ -34,7 +34,6 @@ class BaselineResult:
     billing_cost: float
     inconvenience_cost: float
     generalized_cost: float
-    bilevel: BilevelSolution | None = None
 
 
 def reference_case(instance: Instance, dg_path: np.ndarray) -> BaselineResult:
@@ -104,8 +103,7 @@ def perfect_case(instance: Instance, dg_path: np.ndarray,
     costs = evaluate_schedule(single, sol.prices, sol.follower)
     return BaselineResult("perfect", sol.prices, sol.follower,
                           sol.leader_objective, costs.billing_cost,
-                          costs.inconvenience_cost, costs.generalized_cost,
-                          bilevel=sol)
+                          costs.inconvenience_cost, costs.generalized_cost)
 
 
 @dataclass

@@ -29,12 +29,16 @@ from .model import Instance, validate
 from .reformulation import BilevelInfeasible, UncertifiedOptimum, solve_bilevel
 from .rolling import RhAborted, RhConfig
 from .scenario import uniform_selector
-from .solver import SolveOptions, Status, write_lp
+from .solver import SolveOptions, SolverError, Status, get_backend, write_lp
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_PARTIAL = 4
+
+# what a solve raises when it ends without a usable optimum; anything else is
+# a fault of the program or its input, not a failed run
+SOLVE_FAILURES = (BilevelInfeasible, UncertifiedOptimum, FollowerInfeasible)
 
 SENSITIVITY_GRID: list[tuple[str, VariantSpec]] = [
     ("base", VariantSpec()),
@@ -79,18 +83,25 @@ def _load_instance(args) -> Instance:
 
 
 def _solve_opts(args) -> SolveOptions:
-    return SolveOptions(time_limit=args.time_limit, rel_gap=args.gap)
+    """The solver settings; a time limit that is not positive, a negative
+    gap or an unknown backend exits as a validation failure."""
+    try:
+        get_backend(args.backend)
+        return SolveOptions(time_limit=args.time_limit, rel_gap=args.gap)
+    except (ValueError, SolverError) as exc:
+        print(f"validation: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_VALIDATION)
 
 
 def _rh_config(args, n_bases: int, frozen: int | str) -> RhConfig:
-    """The rolling-horizon settings; a bad window, step, stay probability or
-    frozen prefix (also one that is no integer) exits as a validation
-    failure."""
+    """The rolling-horizon settings; bad solver settings (``_solve_opts``),
+    or a bad window, step, stay probability or frozen prefix (also one that
+    is no integer), exit as a validation failure."""
     try:
         return RhConfig(window=args.window, step=args.step, frozen=int(frozen),
-                        per_iteration_time_limit=args.time_limit,
+                        opts=_solve_opts(args),
                         selector=uniform_selector(n_bases, args.stay),
-                        seed=args.seed, rel_gap=args.gap, backend=args.backend)
+                        seed=args.seed, backend=args.backend)
     except ValueError as exc:
         print(f"validation: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
@@ -122,6 +133,7 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args)
+    opts = _solve_opts(args)
     if args.export_lp:
         from .reformulation import build_mpcc, default_dual_m, linearize
         mpcc = build_mpcc(inst)
@@ -135,7 +147,7 @@ def cmd_solve(args) -> int:
               f" {args.export_follower_lp}")
     t0 = time.monotonic()
     try:
-        sol = solve_bilevel(inst, opts=_solve_opts(args), backend=args.backend)
+        sol = solve_bilevel(inst, opts=opts, backend=args.backend)
     except (BilevelInfeasible, FollowerInfeasible) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -151,12 +163,17 @@ def cmd_solve(args) -> int:
 
 def cmd_baseline(args) -> int:
     inst = _load_instance(args)
-    dg_path = inst.tree.leaves[args.scenario_leaf].dg_bound
+    opts = _solve_opts(args)
+    if not 0 <= args.scenario_leaf < inst.tree.n_leaves:
+        print(f"validation: scenario leaf {args.scenario_leaf} is outside"
+              f" [0, {inst.tree.n_leaves})", file=sys.stderr)
+        return EXIT_VALIDATION
+    dg_path = inst.tree.dg[args.scenario_leaf]
     if args.kind == "reference":
         res = baselines.reference_case(inst, dg_path)
     else:
         try:
-            res = baselines.perfect_case(inst, dg_path, opts=_solve_opts(args),
+            res = baselines.perfect_case(inst, dg_path, opts=opts,
                                          backend=args.backend)
         except BilevelInfeasible as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
@@ -229,6 +246,7 @@ def _write_trajectory(outdir: Path, inst: Instance,
 
 
 def cmd_sensitivity(args) -> int:
+    opts = _solve_opts(args)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     leader_rows, follower_rows, report_rows = [], [], []
@@ -246,8 +264,8 @@ def cmd_sensitivity(args) -> int:
         inst = _generate(args, variants)
         t0 = time.monotonic()
         try:
-            sol = solve_bilevel(inst, opts=_solve_opts(args), backend=args.backend)
-        except Exception as exc:                     # keep the grid going
+            sol = solve_bilevel(inst, opts=opts, backend=args.backend)
+        except SOLVE_FAILURES as exc:                # keep the grid going
             print(f"{name}: FAILED ({exc})", file=sys.stderr)
             leader_rows.append([name, None, None, None])
             follower_rows.append([name] + [None] * 7)
@@ -257,7 +275,7 @@ def cmd_sensitivity(args) -> int:
             continue
         runtime = time.monotonic() - t0
         ref = baselines.reference_case(
-            inst, inst.tree.leaves[int(np.argmax(inst.tree.probabilities))].dg_bound)
+            inst, inst.tree.dg[np.argmax(inst.tree.probabilities)])
         cmp = baselines.compare_solutions(sol, ref, inst)
         lrow, frow = reports.comparison_rows(name, cmp)
         leader_rows.append(lrow)
@@ -329,12 +347,12 @@ def cmd_rh_study(args) -> int:
             if not args.skip_perfect:
                 try:
                     perf = baselines.perfect_case(inst, realized_path,
-                                                  opts=_solve_opts(args),
+                                                  opts=configs[0].opts,
                                                   backend=args.backend)
                     base_rows.append([path_id, "perfect",
                                       f"{perf.leader_profit:.6f}",
                                       f"{perf.generalized_cost:.6f}"])
-                except Exception as exc:
+                except SOLVE_FAILURES as exc:
                     print(f"path {path_id} perfect case failed: {exc}",
                           file=sys.stderr)
                     failures += 1

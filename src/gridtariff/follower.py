@@ -171,7 +171,7 @@ def build_follower_system(instance: Instance) -> FollowerSystem:
     prob = node_prob[leaf, col_slot[pos]]
     c0 = prob * penalty[pos] + prob * competitor[pos]
     upper = np.where((col_fam[pos] == 2) | (col_fam[pos] == 6),  # lam and lams
-                     np.minimum(cap[pos], tree.dg_matrix()[leaf, col_slot[pos]]),
+                     np.minimum(cap[pos], tree.dg[leaf, col_slot[pos]]),
                      cap[pos])
 
     window_pos = ((np.arange(n_scen) * (n_dev * n_slots))[:, None]
@@ -299,7 +299,7 @@ def _assemble(instance: Instance, nodes: np.ndarray, cell_dev: np.ndarray,
     family = family[pos]
     rhs = base_rhs[pos]
     is_dg = family == ROW_FAMILIES.index("dg_cap")
-    rhs[is_dg] = instance.tree.dg_matrix()[leaf[is_dg], row_slot[pos[is_dg]]]
+    rhs[is_dg] = instance.tree.dg[leaf[is_dg], row_slot[pos[is_dg]]]
     slack = np.where(is_dg, rhs, base_slack[pos])
     skeleton = LinearProgram(
         n_vars=n, obj=c0, lower=np.zeros(n), upper=upper,

@@ -29,10 +29,6 @@ class Horizon:
     def last_slot(self) -> int:
         return self.n_slots - 1
 
-    @property
-    def slots(self) -> range:
-        return range(self.n_slots)
-
 
 @dataclass(frozen=True)
 class TimeWindow:

@@ -121,10 +121,6 @@ class MpccSystem:
         multiplier is fixed at 0, 0 where the primal side is."""
         return (self.rule == DUPLICATE_FLOOR).astype(float)
 
-    def refs(self, rule: int) -> np.ndarray:
-        """Row or column indices of the pairs classified under ``rule``."""
-        return self.pair_ref[self.rule == rule]
-
 
 @dataclass
 class AuditFlag:

@@ -49,10 +49,10 @@ class RhConfig:
     window: int                  # slots re-optimized per iteration (l_RH)
     step: int = 1                # slide between iterations (s_RH)
     frozen: int = 0              # pinned price prefix per iteration (l_FH)
-    per_iteration_time_limit: float = 150.0
+    opts: SolveOptions = field(  # every window's solver settings
+        default_factory=lambda: SolveOptions(time_limit=150.0))
     selector: MarkovSelector = MarkovSelector(1.0, 0.0)
     seed: int = 0
-    rel_gap: float = 1e-4
     backend: str | None = None
 
     def __post_init__(self) -> None:
@@ -235,11 +235,9 @@ def run(instance: Instance, config: RhConfig,
         committed = traj.price_committed
         pinned = {h - t: float(traj.frozen_prices[h])
                   for h in range(t, t_end + 1) if committed[h]}
-        opts = SolveOptions(time_limit=config.per_iteration_time_limit,
-                            rel_gap=config.rel_gap)
         t0 = time.monotonic()
         try:
-            sol = _solve_window(sub, opts, pinned, config)
+            sol = _solve_window(sub, pinned, config)
         except BilevelInfeasible as exc:
             raise RhAborted(f"window at t={t} produced no solution"
                             f" ({type(exc).__name__}: {exc})", traj) from exc
@@ -268,9 +266,9 @@ def run(instance: Instance, config: RhConfig,
     return traj
 
 
-def _solve_window(sub: Instance, opts: SolveOptions, pinned: dict,
-                  config: RhConfig) -> BilevelSolution:
+def _solve_window(sub: Instance, pinned: dict, config: RhConfig) -> BilevelSolution:
     """Solve the window; retry once with twice the time, only on a limit."""
+    opts = config.opts
     try:
         return solve_bilevel(sub, opts=opts, backend=config.backend,
                              pinned_prices=pinned)

@@ -1,14 +1,16 @@
 """Scenario trees over uncertain on-site generation.
 
-A leaf scenario is a per-slot bound on distributed generation, assembled by
-concatenating segments of a small set of base scenarios stage by stage.  Two
-leaves must share all decisions while their bound vectors agree on a prefix:
-``node_map`` names the scenario-tree node each leaf is at in each slot, and
-the operator LP builds every decision once per node.
+A tree holds its leaf scenarios once, as one ``(leaf, slot)`` array ``dg`` of
+per-slot bounds on distributed generation.  Each leaf path concatenates
+segments of a small set of base scenarios stage by stage.  Two leaves must
+share all decisions while their paths agree on a prefix: ``node_map`` names
+the scenario-tree node each leaf is at in each slot, and the operator LP
+builds every decision once per node.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +28,6 @@ class BaseScenario:
         if np.any(arr < 0):
             raise ValueError(f"base scenario {self.id}: negative generation bound")
         object.__setattr__(self, "dg_bound", arr)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    id: int
-    stage_choices: tuple[int, ...]
-    dg_bound: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -55,9 +50,6 @@ class MarkovSelector:
         if self.stay_prob < 0 or self.switch_prob < 0:
             raise ValueError("negative transition probability")
 
-    def transition(self, prev: int, nxt: int) -> float:
-        return self.stay_prob if prev == nxt else self.switch_prob
-
     def next_probs(self, previous: int, n_bases: int) -> np.ndarray:
         """Probability of each base following ``previous``."""
         self.validate(n_bases)
@@ -78,27 +70,24 @@ def uniform_selector(n_bases: int, stay_prob: float) -> MarkovSelector:
 
 @dataclass
 class ScenarioTree:
-    """Complete n-ary tree of stage-wise base choices with leaf probabilities."""
+    """Leaf generation paths over a set of base scenarios, with leaf
+    probabilities: ``dg[s, h]`` bounds generation of leaf ``s`` in slot
+    ``h``."""
 
     bases: list[BaseScenario]
     period_length: int
-    depth: int
-    leaves: list[Scenario]
+    dg: np.ndarray              # (n_leaves, n_slots)
     probabilities: np.ndarray
     prob_rule: str = "uniform"
     selector: MarkovSelector | None = None
 
     @property
     def n_slots(self) -> int:
-        return len(self.bases[0].dg_bound) if self.bases else 0
+        return self.dg.shape[1]
 
     @property
     def n_leaves(self) -> int:
-        return len(self.leaves)
-
-    def dg_matrix(self) -> np.ndarray:
-        """Leaf-by-slot matrix of generation bounds."""
-        return np.vstack([leaf.dg_bound for leaf in self.leaves])
+        return len(self.dg)
 
 
 def build_complete_tree(bases: list[BaseScenario], period_length: int,
@@ -106,9 +95,11 @@ def build_complete_tree(bases: list[BaseScenario], period_length: int,
                         selector: MarkovSelector | None = None) -> ScenarioTree:
     """Enumerate every stage-choice path; last stage may be shorter.
 
-    ``prob_rule`` is ``"uniform"`` or ``"markov"``; the latter multiplies
-    selector transition probabilities along the path from a uniform first
-    stage.
+    Leaves come in the order of their stage choices with the last stage
+    varying fastest: with ``n_b`` bases, leaf ``s`` takes base ``(s //
+    n_b ** (depth - 1 - k)) % n_b`` in stage ``k``.  ``prob_rule`` is
+    ``"uniform"`` or ``"markov"``; the latter multiplies selector transition
+    probabilities along the path from a uniform first stage.
     """
     if not bases:
         raise ValueError("need at least one base scenario")
@@ -130,55 +121,38 @@ def build_complete_tree(bases: list[BaseScenario], period_length: int,
     elif prob_rule != "uniform":
         raise ValueError(f"unknown leaf probability rule {prob_rule!r}")
 
-    leaves: list[Scenario] = []
-    probs: list[float] = []
-    choices = [0] * depth
-    while True:
-        dg = np.empty(n_slots)
-        for stage, pick in enumerate(choices):
-            lo = stage * period_length
-            hi = min(lo + period_length, n_slots)
-            dg[lo:hi] = bases[pick].dg_bound[lo:hi]
-        if prob_rule == "uniform":
-            p = 1.0 / n_b ** depth
-        else:
-            p = 1.0 / n_b
-            for prev, nxt in zip(choices, choices[1:]):
-                p *= selector.transition(prev, nxt)
-        leaves.append(Scenario(len(leaves), tuple(choices), dg))
-        probs.append(p)
-        for pos in range(depth - 1, -1, -1):     # odometer increment
-            choices[pos] += 1
-            if choices[pos] < n_b:
-                break
-            choices[pos] = 0
-        else:
-            break
-    return ScenarioTree(list(bases), period_length, depth, leaves,
-                        np.asarray(probs), prob_rule, selector)
+    choices = np.array(list(itertools.product(range(n_b), repeat=depth)),
+                       dtype=np.int64)
+    paths = np.array([base.dg_bound[:n_slots] for base in bases])
+    slots = np.arange(n_slots)
+    dg = paths[choices[:, slots // period_length], slots]
+    if prob_rule == "uniform":
+        probs = np.full(len(choices), 1.0 / n_b ** depth)
+    else:
+        probs = np.full(len(choices), 1.0 / n_b)
+        for prev, nxt in zip(choices.T, choices.T[1:]):
+            probs *= np.where(prev == nxt, selector.stay_prob, selector.switch_prob)
+    return ScenarioTree(list(bases), period_length, dg, probs, prob_rule, selector)
 
 
 def single_path_tree(dg_bound: np.ndarray, base_id: int = 0) -> ScenarioTree:
     """Degenerate one-leaf tree pinned to a known generation path."""
-    dg = np.asarray(dg_bound, dtype=float)
-    base = BaseScenario(base_id, dg)
-    leaf = Scenario(0, (base_id,), dg)
-    return ScenarioTree([base], len(dg), 1, [leaf], np.array([1.0]), "uniform")
+    return flat_tree([BaseScenario(base_id, dg_bound)], len(dg_bound))
 
 
 def flat_tree(bases: list[BaseScenario], n_slots: int,
               probabilities: np.ndarray | None = None) -> ScenarioTree:
-    """One leaf per base scenario over the whole horizon, no mid-horizon branch."""
+    """One leaf per base scenario over the whole horizon, no mid-horizon
+    branch; leaf ``s`` is base ``s``."""
     if not bases:
         raise ValueError("need at least one base scenario")
-    leaves = [Scenario(i, (i,), np.asarray(b.dg_bound[:n_slots], dtype=float))
-              for i, b in enumerate(bases)]
+    dg = np.array([base.dg_bound[:n_slots] for base in bases], dtype=float)
     if probabilities is None:
         probabilities = np.full(len(bases), 1.0 / len(bases))
     probabilities = np.asarray(probabilities, dtype=float)
     if abs(probabilities.sum() - 1.0) > 1e-9:
         raise ValueError("leaf probabilities must sum to 1")
-    return ScenarioTree(list(bases), n_slots, 1, leaves, probabilities, "uniform")
+    return ScenarioTree(list(bases), n_slots, dg, probabilities, "uniform")
 
 
 def node_map(tree: ScenarioTree) -> np.ndarray:
@@ -190,7 +164,7 @@ def node_map(tree: ScenarioTree) -> np.ndarray:
     ``indistinguishability_time`` (``tests/conftest.py``) of the pair is at
     least ``h``.
     """
-    dg = tree.dg_matrix().tolist()
+    dg = tree.dg.tolist()
     nodes = np.empty((tree.n_leaves, tree.n_slots), dtype=np.int64)
     parent = [0] * tree.n_leaves
     for h in range(tree.n_slots):

@@ -188,9 +188,8 @@ class ScipyBackend:
             # HiGHS does not check the rows of an LP without columns: each reads 0
             lower, upper = _row_bounds(lp)
             if np.any(lower > 0.0) or np.any(upper < 0.0):
-                return LpSolution(Status.INFEASIBLE, None, None, None, None)
-            return LpSolution(Status.OPTIMAL, np.zeros(0), np.zeros(lp.n_rows),
-                              np.zeros(0), 0.0)
+                return LpSolution(Status.INFEASIBLE, None, None, None)
+            return LpSolution(Status.OPTIMAL, np.zeros(0), np.zeros(lp.n_rows), 0.0)
         sign = -1.0 if lp.maximize else 1.0
         key = _reprice_key(lp)
         if kept is not None and key is not None \
@@ -204,14 +203,13 @@ class ScipyBackend:
         highs.run()
         status = _status(highs, milp=False)
         if status is not Status.OPTIMAL:
-            return LpSolution(status, None, None, None, None)
+            return LpSolution(status, None, None, None)
         solution = highs.getSolution()
         x = np.asarray(solution.col_value)
         duals = sign * np.asarray(solution.row_dual)
         if key is not None:
             self._kept.model = (key, highs)
-        rc = lp.obj - np.asarray(lp.a_rows.T @ duals).ravel()
-        return LpSolution(Status.OPTIMAL, x, duals, rc, float(lp.obj @ x),
+        return LpSolution(Status.OPTIMAL, x, duals, float(lp.obj @ x),
                           iterations=int(highs.getInfo().simplex_iteration_count))
 
     def solve_milp(self, model, opts=None, initial_solutions=None):

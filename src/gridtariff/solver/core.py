@@ -41,6 +41,8 @@ class SolveOptions:
     def __post_init__(self) -> None:
         if self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
+        if self.rel_gap < 0:
+            raise ValueError("rel_gap must be >= 0")
 
 
 @dataclass
@@ -120,7 +122,6 @@ class LpSolution:
     status: Status
     x: np.ndarray | None
     duals: np.ndarray | None
-    reduced_costs: np.ndarray | None
     objective: float | None
     iterations: int = 0
     farkas: np.ndarray | None = None   # phase-1 multipliers certifying infeasibility

@@ -82,7 +82,7 @@ class Workspace:
         return (np.concatenate([lo, self.slack_lb]),
                 np.concatenate([up, self.slack_ub]))
 
-
+    """Solve an LP, returning primal values and row multipliers."""
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve an LP, returning primal values, row multipliers and reduced costs."""
     ws = Workspace(lp)
@@ -107,7 +107,7 @@ def solve_with_workspace(ws: Workspace, obj: np.ndarray, maximize: bool,
     """
     lb, ub = ws.bounds(lower, upper)
     if np.any(lb > ub + 1e-12):
-        return LpSolution(Status.INFEASIBLE, None, None, None, None)
+        return LpSolution(Status.INFEASIBLE, None, None, None)
     c = np.zeros(ws.n_struct + ws.m)
     c[: ws.n_struct] = -obj if maximize else obj
     sim = _Simplex.restore(ws, lb, ub, c, basis) if basis is not None else None
@@ -120,21 +120,20 @@ def solve_with_workspace(ws: Workspace, obj: np.ndarray, maximize: bool,
     status = sim.phase2(c) if feasible else Status.INFEASIBLE
     sim.keep()
     if status is Status.INFEASIBLE:
-        return LpSolution(Status.INFEASIBLE, None, None, None, None,
+        return LpSolution(Status.INFEASIBLE, None, None, None,
                           iterations=sim.iterations, warm=warm,
                           exchanged=sim.exchanged,
                           farkas=None if warm else sim.multipliers())
     if status is Status.UNBOUNDED:
-        return LpSolution(Status.UNBOUNDED, None, None, None, None,
+        return LpSolution(Status.UNBOUNDED, None, None, None,
                           iterations=sim.iterations, warm=warm,
                           exchanged=sim.exchanged)
     x = sim.x[: ws.n_struct].copy()
     y = sim.multipliers()
-    rc = (c - ws.a_t @ y)[: ws.n_struct]
     obj_val = float(np.dot(obj, x))
     if maximize:
-        y, rc = -y, -rc
-    return LpSolution(Status.OPTIMAL, x, y, rc, obj_val, iterations=sim.iterations,
+        y = -y
+    return LpSolution(Status.OPTIMAL, x, y, obj_val, iterations=sim.iterations,
                       basis=sim.basis.copy(), vstat=sim.vstat[: sim.n_tot].copy(),
                       warm=warm, exchanged=sim.exchanged)
 

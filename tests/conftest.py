@@ -37,8 +37,8 @@ from gridtariff.follower import (DEVICE_FAMILIES, SLOT_FAMILIES,
 from gridtariff.model import (Battery, Device, Horizon, Instance, PriceData,
                               TimeWindow)
 from gridtariff.reformulation import AuditFlag, AuditReport
-from gridtariff.scenario import (BaseScenario, Scenario, ScenarioTree,
-                                 flat_tree, node_map, single_path_tree)
+from gridtariff.scenario import (BaseScenario, ScenarioTree, flat_tree,
+                                 node_map, single_path_tree)
 from gridtariff.solver import (EQ, GE, LE, LinearProgram, LpBuilder,
                                LpSolution, MilpModel, SolverError, Status,
                                simplex)
@@ -95,15 +95,15 @@ def random_tiny_instance(rng: np.random.Generator, *, n_slots: int,
 # -- pairwise oracles ----------------------------------------------------------
 
 
-def indistinguishability_time(a: Scenario, b: Scenario) -> int:
+def indistinguishability_time(a: np.ndarray, b: np.ndarray) -> int:
     """Latest slot up to which the two generation paths agree everywhere.
 
     Returns -1 when they already differ at slot 0 and ``H`` (the last slot)
     when the paths are identical over the whole horizon.
     """
-    diff = np.flatnonzero(a.dg_bound != b.dg_bound)
+    diff = np.flatnonzero(a != b)
     if diff.size == 0:
-        return len(a.dg_bound) - 1
+        return len(a) - 1
     return int(diff[0]) - 1
 
 
@@ -113,10 +113,15 @@ def all_nonanticipativity_pairs(tree: ScenarioTree) -> list[tuple[int, int, int]
     out = []
     for i in range(tree.n_leaves):
         for j in range(i + 1, tree.n_leaves):
-            h = indistinguishability_time(tree.leaves[i], tree.leaves[j])
+            h = indistinguishability_time(tree.dg[i], tree.dg[j])
             if h >= 0:
                 out.append((i, j, h))
     return out
+
+
+def reduced_costs(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
+    """``obj - A^T duals`` of a solved LP: each column's reduced cost."""
+    return lp.obj - lp.a_rows.T @ sol.duals
 
 
 def complementarity_products(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
@@ -125,7 +130,7 @@ def complementarity_products(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
     times the distance to the upper bound."""
     ineq = lp.sense != EQ
     slack = np.where(lp.sense == LE, -1.0, 1.0) * (lp.a_rows @ sol.x - lp.rhs)
-    rc = sol.reduced_costs
+    rc = reduced_costs(lp, sol)
     at_lower = np.where(rc > 0, rc * (sol.x - lp.lower), 0.0)
     at_upper = np.where(rc < 0, rc * (lp.upper - sol.x), 0.0)
     return np.abs(np.concatenate([(slack * sol.duals)[ineq], at_lower, at_upper]))
@@ -134,7 +139,7 @@ def complementarity_products(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
 def dual_objective(lp: LinearProgram, sol: LpSolution) -> float:
     """The dual objective of a solved LP: row terms ``duals @ rhs`` plus the
     bound terms ``max(rc, 0) * lower + min(rc, 0) * upper``."""
-    rc = sol.reduced_costs
+    rc = reduced_costs(lp, sol)
     bounds = (np.where(rc > 0, rc * lp.lower, 0.0)
               + np.where(rc < 0, rc * lp.upper, 0.0))
     return float(sol.duals @ lp.rhs + bounds.sum())
@@ -246,7 +251,7 @@ def reference_follower(instance: Instance) -> ReferenceFollower:
     n_slots, tree, bat = instance.n_slots, instance.tree, instance.battery
     probs = np.asarray(tree.probabilities, dtype=float)
     comp = instance.prices.competitor
-    dg = tree.dg_matrix()
+    dg = tree.dg
     charge_cap = max(0.0, (2.0 * bat.max_level - bat.discharge_eff * bat.min_level)
                      / bat.charge_eff)
     nodes = node_map(tree)
@@ -310,7 +315,7 @@ def reference_follower(instance: Instance) -> ReferenceFollower:
     active = [[d for d, dev in enumerate(instance.devices)
                if dev.window.first <= h <= dev.window.last]
               for h in range(n_slots)]
-    for s, leaf in enumerate(tree.leaves):
+    for s in range(tree.n_leaves):
         first = first_own[s]
         for d, dev in enumerate(instance.devices):
             cells = [[index[(f, s, d, h)] for f in DEVICE_FAMILIES]
@@ -345,7 +350,7 @@ def reference_follower(instance: Instance) -> ReferenceFollower:
         for h in range(first, n_slots):
             terms = [(index[("lams", s, h)], 1.0)]
             terms += [(index[("lam", s, d, h)], 1.0) for d in active[h]]
-            rows.append((("dg_cap", s, h), terms, LE, float(leaf.dg_bound[h])))
+            rows.append((("dg_cap", s, h), terms, LE, float(dg[s, h])))
     for _, terms, sense, rhs in rows:
         builder.add_row(terms, sense, rhs)
     lp = builder.build()
@@ -366,7 +371,7 @@ def greedy_optimistic_profit(instance: Instance, prices: np.ndarray) -> float:
     """
     assert instance.battery.max_level == 0.0
     assert instance.tree.n_leaves == 1
-    assert not np.any(instance.tree.leaves[0].dg_bound > 0)
+    assert not np.any(instance.tree.dg[0] > 0)
     prices = np.asarray(prices, dtype=float)
     pbar = instance.prices.competitor
     supply = instance.prices.supply_cost
@@ -437,7 +442,7 @@ def grid_oracle(instance: Instance, step_frac: float = 0.05,
     if use_greedy is None:
         use_greedy = (instance.battery.max_level == 0.0
                       and instance.tree.n_leaves == 1
-                      and not np.any(instance.tree.leaves[0].dg_bound > 0))
+                      and not np.any(instance.tree.dg[0] > 0))
     responder = None if use_greedy else OptimisticResponder(instance)
     grids = [np.linspace(0.0, pbar[h], int(round(1 / step_frac)) + 1)
              for h in slots]

@@ -139,8 +139,8 @@ def test_criterion_3_kkt_soundness(oracle_runs):
 
 
 def _expected_reference_gc(inst: Instance) -> float:
-    return sum(float(p) * reference_case(inst, leaf.dg_bound).generalized_cost
-               for leaf, p in zip(inst.tree.leaves, inst.tree.probabilities))
+    return sum(float(p) * reference_case(inst, path).generalized_cost
+               for path, p in zip(inst.tree.dg, inst.tree.probabilities))
 
 
 def test_criterion_4_reference_bound(oracle_runs):
@@ -190,8 +190,8 @@ def test_criterion_7_nonanticipativity(oracle_runs):
             checked += 1
             fs = sol.follower
             for a, b in itertools.combinations(range(inst.tree.n_leaves), 2):
-                h_max = indistinguishability_time(inst.tree.leaves[a],
-                                                  inst.tree.leaves[b])
+                h_max = indistinguishability_time(inst.tree.dg[a],
+                                                  inst.tree.dg[b])
                 for h in range(h_max + 1):
                     for total in fs.slot_totals():
                         assert abs(total[a][h] - total[b][h]) <= 1e-9
@@ -208,7 +208,7 @@ def test_criterion_7_nonanticipativity(oracle_runs):
         # a decision column exactly while they are indistinguishable
         rng = np.random.default_rng(41)
         trees = random_trees(rng, ((3, 1, 4), (2, 1, 4), (3, 2, 8), (2, 2, 6)))
-        assert any(indistinguishability_time(t.leaves[0], t.leaves[-1]) < 0
+        assert any(indistinguishability_time(t.dg[0], t.dg[-1]) < 0
                    for t in trees)
         for tree in trees:
             assert tree.n_leaves <= 81
@@ -218,7 +218,7 @@ def test_criterion_7_nonanticipativity(oracle_runs):
             system = build_follower_system(inst)
             dev_cols, slot_cols = device_columns(system), system.slot_cols
             for a, b in itertools.combinations(range(tree.n_leaves), 2):
-                h_max = indistinguishability_time(tree.leaves[a], tree.leaves[b])
+                h_max = indistinguishability_time(tree.dg[a], tree.dg[b])
                 for h in range(tree.n_slots):
                     for f in SLOT_FAMILIES:
                         assert (slot_cols[f][a, h] == slot_cols[f][b, h]) \
@@ -241,9 +241,8 @@ def test_criterion_8_rolling_horizon_integrity():
         selector = uniform_selector(3, 0.4)
         forced = None
         for frozen in (0, 2, 4):
-            cfg = RhConfig(window=6, step=1, frozen=frozen,
-                           per_iteration_time_limit=300.0, selector=selector,
-                           seed=17, rel_gap=1e-9, backend="scipy")
+            cfg = RhConfig(window=6, step=1, frozen=frozen, opts=EXACT_SCIPY,
+                           selector=selector, seed=17, backend="scipy")
             traj = rh_run(inst, cfg, forced_path=forced)
             if forced is None:
                 forced = list(traj.realized_bases)
@@ -262,8 +261,8 @@ def test_criterion_8_rolling_horizon_integrity():
 
         one_shot = solve_bilevel(inst, opts=EXACT_SCIPY, backend="scipy")
         cfg = RhConfig(window=inst.horizon.last_slot, step=1, frozen=0,
-                       per_iteration_time_limit=300.0, selector=selector,
-                       seed=17, rel_gap=1e-9, backend="scipy")
+                       opts=EXACT_SCIPY, selector=selector, seed=17,
+                       backend="scipy")
         traj = rh_run(inst, cfg)
         assert len(traj.per_iteration_log) == 1
         assert abs(traj.realized_leader_profit(inst) - one_shot.leader_objective) \

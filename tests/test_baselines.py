@@ -76,7 +76,7 @@ class TestGreedySchedule:
         for _ in range(6):
             inst = random_tiny_instance(rng, n_slots=4, n_devices=2,
                                         battery=True, generation=True)
-            dg = inst.tree.leaves[0].dg_bound
+            dg = inst.tree.dg[0]
             ref = reference_case(inst, dg)
             single = inst.replace(tree=single_path_tree(dg))
             system = build_follower_system(single)
@@ -90,7 +90,7 @@ class TestGreedySchedule:
         for _ in range(5):
             inst = random_tiny_instance(rng, n_slots=4, n_devices=2,
                                         generation=True)
-            dg = inst.tree.leaves[0].dg_bound
+            dg = inst.tree.dg[0]
             ref = reference_case(inst, dg)
             system = build_follower_system(inst)
             lp = build_follower_lp(inst, np.zeros(inst.n_slots), system)
@@ -105,7 +105,7 @@ class TestGreedySchedule:
         for _ in range(4):
             inst = random_tiny_instance(rng, n_slots=3, n_devices=2,
                                         battery=True, generation=True)
-            dg = inst.tree.leaves[0].dg_bound
+            dg = inst.tree.dg[0]
             ref = reference_case(inst, dg)
             system = build_follower_system(inst)
             sol_opt = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0))
@@ -123,7 +123,7 @@ class TestGreedySchedule:
         insts += [random_tiny_instance(rng, n_slots=5, n_devices=3, battery=True,
                                        generation=True) for _ in range(4)]
         for inst in insts:
-            ref = reference_case(inst, inst.tree.leaves[0].dg_bound)
+            ref = reference_case(inst, inst.tree.dg[0])
             used = ref.schedule.consumption
             assert used.shape == (1, len(inst.devices), inst.n_slots)
             for d, dev in enumerate(inst.devices):
@@ -142,14 +142,14 @@ class TestGreedySchedule:
 class TestPerfectCase:
     def test_single_scenario_equals_one_shot(self, t1):
         direct = solve_bilevel(t1, opts=SolveOptions(rel_gap=0.0))
-        perfect = perfect_case(t1, t1.tree.leaves[0].dg_bound,
+        perfect = perfect_case(t1, t1.tree.dg[0],
                                opts=SolveOptions(rel_gap=0.0))
         assert perfect.kind == "perfect"
         assert perfect.leader_profit == pytest.approx(direct.leader_objective,
                                                       abs=1e-9)
 
     def test_t1_matches_grid_oracle(self, t1):
-        perfect = perfect_case(t1, t1.tree.leaves[0].dg_bound,
+        perfect = perfect_case(t1, t1.tree.dg[0],
                                opts=SolveOptions(rel_gap=0.0))
         best, _ = grid_oracle(t1)
         # the lattice undershoots by at most one step worth of revenue
@@ -199,7 +199,7 @@ class TestCompare:
 
 def test_reference_on_mini_preset():
     inst = generate_mini_instance(4)
-    dg = inst.tree.leaves[0].dg_bound
+    dg = inst.tree.dg[0]
     ref = reference_case(inst, dg)
     # minimal-delay inconvenience has a closed form under front-loading
     expected_ic = 0.0

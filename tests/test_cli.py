@@ -145,20 +145,35 @@ def test_rh_step_beyond_window_exit_code(tmp_path, capsys, command):
     ("rh", "--stay", "1.5", "negative transition probability"),
     ("rh-study", "--stay", "1.5", "negative transition probability"),
     ("rh-study", "--frozen-values", "0,x", "invalid literal for int()"),
+    ("rh", "--time-limit", "0", "time_limit must be positive"),
+    ("rh-study", "--backend", "nope", "unknown backend 'nope'"),
+    ("solve", "--backend", "nope", "unknown backend 'nope'"),
+    ("solve", "--time-limit", "0", "time_limit must be positive"),
+    ("solve", "--gap", "-1", "rel_gap must be >= 0"),
+    ("baseline", "--scenario-leaf", "5", "scenario leaf 5 is outside [0, 3)"),
+    ("baseline", "--scenario-leaf", "-1", "scenario leaf -1 is outside [0, 3)"),
+    ("sensitivity", "--time-limit", "0", "time_limit must be positive"),
 ])
 def test_rh_bad_settings_exit_code(tmp_path, capsys, command, option, value,
                                    message):
-    if command == "rh":
-        inst = tmp_path / "inst.json"
-        write_instance(generate_mini_instance(5, n_bases=3), inst)
-        args = ["rh", inst, "--window", "6"]
-    else:
-        args = ["rh-study", "--preset", "mini", "--seed", "5", "--paths", "1"]
-    code = run_cli(*args, option, value, *FAST, "-o", tmp_path / "out")
+    """Bad settings of every command exit 2 before anything is written."""
+    inst = tmp_path / "inst.json"
+    args = {"rh": ["rh", inst, "--window", "6"],
+            "rh-study": ["rh-study", "--preset", "mini", "--seed", "5",
+                         "--paths", "1"],
+            "solve": ["solve", inst, "--export-lp", tmp_path / "m.lp",
+                      "--series-dir", tmp_path / "series"],
+            "baseline": ["baseline", inst, "--kind", "reference"],
+            "sensitivity": ["sensitivity", "--preset", "mini", "--seed", "1"],
+            }[command]
+    if inst in args:
+        write_instance(generate_mini_instance(1, n_bases=3), inst)
+    code = run_cli(*args, *FAST, option, value, "-o", tmp_path / "out")
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("validation: ") and message in err
-    assert not (tmp_path / "out").exists()
+    assert [p.name for p in tmp_path.iterdir()] == (["inst.json"] if inst in args
+                                                    else [])
 
 
 def test_rh_stdout_holds_only_the_cli_lines(tmp_path):
@@ -218,6 +233,35 @@ def test_sensitivity_run_mini(tmp_path):
                 100.0 * float(row["bc_opt"]) / float(row["bc_ref"]), abs=5e-4)
     zero_inc = next(r for r in follower if r["instance"] == "zero_inconvenience")
     assert zero_inc["pct_ic"] == ""             # undefined ratio left blank
+
+
+@pytest.mark.parametrize("command", ["sensitivity", "rh-study"])
+def test_study_failures_are_classified(tmp_path, monkeypatch, capsys, command):
+    """A solve failure makes a failed row and exit 4; a fault of the program
+    propagates instead of passing for a failed solve."""
+    import gridtariff.cli as cli
+    from gridtariff.reformulation import BilevelInfeasible
+
+    def failing(error):
+        def solve(*args, **kwargs):
+            raise error("no solution")
+        return solve
+    target = (cli, "solve_bilevel") if command == "sensitivity" \
+        else (cli.baselines, "perfect_case")
+    args = [command, "--preset", "mini", "--seed", "3", *FAST]
+    if command == "rh-study":
+        args += ["--window", "6", "--step", "2", "--paths", "1",
+                 "--frozen-values", "0"]
+    monkeypatch.setattr(*target, failing(TypeError))
+    with pytest.raises(TypeError, match="no solution"):
+        run_cli(*args, "-o", tmp_path / "bug")
+    monkeypatch.setattr(*target, failing(BilevelInfeasible))
+    assert run_cli(*args, "-o", tmp_path / "out") == 4
+    if command == "sensitivity":
+        runs = list(csv.DictReader((tmp_path / "out" / "runs.csv").open()))
+        assert len(runs) == 13 and {r["status"] for r in runs} == {"failed"}
+    else:
+        assert "path 0 perfect case failed: no solution" in capsys.readouterr().err
 
 
 def test_rh_study_smoke(tmp_path):

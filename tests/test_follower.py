@@ -161,8 +161,7 @@ class TestDuality:
         inst = random_tiny_instance(rng, n_slots=4, n_devices=2, n_scenarios=2)
         prices = 0.7 * inst.prices.competitor
         _, _, _, fsol, _ = solve_at(inst, prices)
-        leaves = inst.tree.leaves
-        h_max = indistinguishability_time(leaves[0], leaves[1])
+        h_max = indistinguishability_time(inst.tree.dg[0], inst.tree.dg[1])
         assert h_max >= 0
         for total in fsol.slot_totals():
             for h in range(h_max + 1):
@@ -193,7 +192,7 @@ class TestDuality:
         prices = 0.6 * inst.prices.competitor
         _, _, lo, _, _ = solve_at(inst, prices)
         bigger = inst.replace(tree=single_path_tree(
-            inst.tree.leaves[0].dg_bound + 1.0))
+            inst.tree.dg[0] + 1.0))
         _, _, hi, _, _ = solve_at(bigger, prices)
         assert hi.objective <= lo.objective + 1e-9
 
@@ -328,7 +327,7 @@ class TestSkeleton:
     def test_identical_leaves_build_the_one_leaf_lp(self):
         # the three bases of mini seed 1 are all zero: every node is shared
         inst = generate_mini_instance(1, n_bases=3)
-        assert inst.tree.n_leaves == 3 and not inst.tree.dg_matrix().any()
+        assert inst.tree.n_leaves == 3 and not inst.tree.dg.any()
         three = build_follower_system(inst)
         one = build_follower_system(generate_mini_instance(1))
         _assert_same_lp(three.skeleton, one.skeleton)
@@ -475,7 +474,7 @@ class TestEnergyBalance:
 
     def test_reference_schedule(self, week3):
         inst = week3[0]
-        schedule = reference_case(inst, inst.tree.leaves[0].dg_bound).schedule
+        schedule = reference_case(inst, inst.tree.dg[0]).schedule
         assert schedule.battery_charge.any() and schedule.battery_draw.any()
         assert energy_balance_residual(schedule) <= 1e-9
 

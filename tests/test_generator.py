@@ -41,8 +41,8 @@ def test_variant_orthogonality_dg_scale():
 
 def test_zero_dg_scale_kills_generation():
     inst = generate_week_instance(1, VariantSpec(dg_scale=0.0), n_bases=3)
-    for leaf in inst.tree.leaves:
-        assert not np.any(leaf.dg_bound != 0.0)
+    for path in inst.tree.dg:
+        assert not np.any(path != 0.0)
 
 
 def test_zero_inconvenience_scale():

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gridtariff.generator import generate_mini_instance
 from gridtariff.model import (Battery, Device, Horizon, Instance, PriceData,
                               TimeWindow, validate)
-from gridtariff.scenario import single_path_tree
+from gridtariff.scenario import (BaseScenario, build_complete_tree, flat_tree,
+                                 single_path_tree)
 
 from conftest import make_t1
 
@@ -83,6 +85,14 @@ class TestValidate:
     def test_tree_horizon_mismatch(self):
         inst = base_instance(tree=single_path_tree(np.zeros(5)))
         assert "tree_horizon_mismatch" in codes(inst)
+
+    @pytest.mark.parametrize("shape", ["complete", "flat"])
+    def test_tree_from_bases_longer_than_the_horizon(self, shape):
+        inst = generate_mini_instance(1)
+        longer = [BaseScenario(0, np.append(inst.tree.bases[0].dg_bound, 0.5))]
+        tree = (build_complete_tree(longer, 12, 12) if shape == "complete"
+                else flat_tree(longer, 12))
+        assert codes(inst.replace(tree=tree)) == set()
 
     def test_price_vector_length(self):
         inst = base_instance(

@@ -354,7 +354,7 @@ class TestSwitchRules:
         assert floors and set(floors) == {DUPLICATE_FLOOR}
         model = linearize(mpcc, default_dual_m(mpcc))
         dual_cols = _split_point(mpcc, np.arange(model.lp.n_vars))[2]
-        for i in mpcc.refs(DUPLICATE_FLOOR):
+        for i in mpcc.pair_ref[mpcc.rule == DUPLICATE_FLOOR]:
             assert model.lp.upper[dual_cols[i]] == 0.0
         # a positive floor is a row of its own and keeps its switch
         raised = build_mpcc(inst.replace(battery=Battery(

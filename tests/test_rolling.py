@@ -22,7 +22,7 @@ from gridtariff.solver import SolveOptions
 from conftest import energy_balance_residual, make_t1
 from test_reformulation import _NoExactIncumbent, _register
 
-EXACT = dict(rel_gap=1e-9, per_iteration_time_limit=300.0, backend="scipy")
+EXACT = dict(opts=SolveOptions(rel_gap=1e-9, time_limit=300.0), backend="scipy")
 
 
 class TestRhConfig:

@@ -25,31 +25,35 @@ def bases_from(matrix) -> list[BaseScenario]:
 class TestBuildCompleteTree:
     def test_three_bases_period_one_two_slots(self):
         tree = build_complete_tree(bases_from([[0, 0], [1, 1], [2, 2]]), 1, 2)
-        assert tree.n_leaves == 9
-        assert tree.depth == 2
+        assert tree.n_leaves == 3 ** 2
+        assert tree.dg.shape == (9, 2)
         assert tree.probabilities.sum() == pytest.approx(1.0)
 
     def test_segments_concatenate(self):
         tree = build_complete_tree(bases_from([[0, 0, 0, 0], [1, 2, 3, 4]]), 2, 4)
         assert tree.n_leaves == 4
-        dg = {tuple(leaf.stage_choices): leaf.dg_bound for leaf in tree.leaves}
-        np.testing.assert_allclose(dg[(0, 1)], [0, 0, 3, 4])
-        np.testing.assert_allclose(dg[(1, 0)], [1, 2, 0, 0])
+        # leaves in stage-choice order, the last stage varying fastest
+        np.testing.assert_allclose(tree.dg[1], [0, 0, 3, 4])      # (0, 1)
+        np.testing.assert_allclose(tree.dg[2], [1, 2, 0, 0])      # (1, 0)
 
     def test_markov_leaf_probability(self):
         sel = MarkovSelector(0.4, 0.3)
         tree = build_complete_tree(bases_from([[0, 0], [1, 1], [2, 2]]), 1, 2,
                                    prob_rule="markov", selector=sel)
         assert tree.n_leaves == 9
-        stay_leaf = next(l for l in tree.leaves if l.stage_choices == (0, 0))
-        assert tree.probabilities[stay_leaf.id] == pytest.approx((1 / 3) * 0.4)
+        stay_leaf = 0                                  # choices (0, 0)
+        assert tree.probabilities[stay_leaf] == pytest.approx((1 / 3) * 0.4)
         assert tree.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_truncated_last_stage(self):
         tree = build_complete_tree(bases_from([[1] * 5, [2] * 5]), 2, 5)
-        assert tree.depth == 3
-        assert tree.n_leaves == 8
-        assert all(len(l.dg_bound) == 5 for l in tree.leaves)
+        assert tree.n_leaves == 2 ** 3 == 8            # three stages
+        assert tree.dg.shape == (8, 5)
+
+    def test_leaf_order_last_stage_fastest(self):
+        tree = build_complete_tree(bases_from([[0] * 4, [1] * 4, [2] * 4]), 2, 4)
+        choices = list(itertools.product(range(3), repeat=2))
+        np.testing.assert_array_equal(tree.dg, np.repeat(choices, 2, axis=1))
 
     def test_empty_bases_rejected(self):
         with pytest.raises(ValueError):
@@ -68,21 +72,20 @@ class TestBuildCompleteTree:
 class TestIndistinguishability:
     def test_identical_scenarios(self):
         tree = single_path_tree(np.array([1.0, 2.0, 3.0]))
-        leaf = tree.leaves[0]
+        leaf = tree.dg[0]
         assert indistinguishability_time(leaf, leaf) == 2   # all slots agree
 
     def test_prefix_agreement(self):
         t = flat_tree(bases_from([[5, 5, 5, 5, 1], [5, 5, 5, 5, 2]]), 5)
-        assert indistinguishability_time(t.leaves[0], t.leaves[1]) == 3
+        assert indistinguishability_time(t.dg[0], t.dg[1]) == 3
 
     def test_differ_at_first_slot(self):
         t = flat_tree(bases_from([[1, 0], [2, 0]]), 2)
-        assert indistinguishability_time(t.leaves[0], t.leaves[1]) == -1
+        assert indistinguishability_time(t.dg[0], t.dg[1]) == -1
 
     def test_period_tree_branch_point(self):
         tree = build_complete_tree(bases_from([[1] * 6, [2] * 6]), 2, 6)
-        a = next(l for l in tree.leaves if l.stage_choices == (0, 0, 0))
-        b = next(l for l in tree.leaves if l.stage_choices == (0, 0, 1))
+        a, b = tree.dg[0], tree.dg[1]      # choices (0, 0, 0) and (0, 0, 1)
         assert indistinguishability_time(a, b) == 3   # diverge at the third stage
 
     @settings(max_examples=40, deadline=None)
@@ -94,7 +97,7 @@ class TestIndistinguishability:
         tree = build_complete_tree(bases_from(mat), period, n_slots)
         if tree.n_leaves > 81:
             return
-        leaves = tree.leaves
+        leaves = tree.dg
         for a in leaves[: min(9, len(leaves))]:
             for b in leaves[: min(9, len(leaves))]:
                 hab = indistinguishability_time(a, b)

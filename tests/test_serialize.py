@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from gridtariff.generator import VariantSpec, generate_mini_instance, generate_week_instance
-from gridtariff.scenario import BaseScenario, MarkovSelector, build_complete_tree
+from gridtariff.model import validate
+from gridtariff.scenario import (BaseScenario, MarkovSelector, build_complete_tree,
+                                 flat_tree)
 from gridtariff.serialize import (instance_from_dict, instance_to_dict,
                                   read_forced_path_csv, read_instance,
                                   write_instance, write_series_csv)
@@ -25,8 +27,8 @@ def assert_instances_equal(a, b):
     np.testing.assert_array_equal(a.prices.supply_cost, b.prices.supply_cost)
     assert a.tree.n_leaves == b.tree.n_leaves
     np.testing.assert_array_equal(a.tree.probabilities, b.tree.probabilities)
-    for la, lb in zip(a.tree.leaves, b.tree.leaves):
-        np.testing.assert_array_equal(la.dg_bound, lb.dg_bound)
+    for la, lb in zip(a.tree.dg, b.tree.dg):
+        np.testing.assert_array_equal(la, lb)
 
 
 def test_round_trip_mini(tmp_path):
@@ -53,6 +55,19 @@ def test_round_trip_branching_tree():
     back = instance_from_dict(doc)
     assert back.tree.n_leaves == tree.n_leaves
     np.testing.assert_allclose(back.tree.probabilities, tree.probabilities)
+
+
+@pytest.mark.parametrize("period", [4, 12])
+def test_round_trip_bases_longer_than_the_horizon(tmp_path, period):
+    inst = generate_mini_instance(1, n_bases=3)
+    bases = [BaseScenario(b.id, np.append(b.dg_bound, 0.5)) for b in inst.tree.bases]
+    tree = (build_complete_tree(bases, period, inst.n_slots) if period < inst.n_slots
+            else flat_tree(bases, inst.n_slots))
+    path = tmp_path / "inst.json"
+    write_instance(inst.replace(tree=tree), path)
+    back = read_instance(path)
+    assert validate(back).ok
+    np.testing.assert_array_equal(back.tree.dg, tree.dg)
 
 
 def test_schema_version_checked():

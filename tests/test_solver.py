@@ -27,7 +27,7 @@ from gridtariff.scenario import uniform_selector
 from gridtariff.solver import simplex
 from gridtariff.solver.backends import ScipyBackend, _stdout_to_stderr
 
-from conftest import DESK_SHAPE
+from conftest import DESK_SHAPE, reduced_costs
 
 
 def simple_lp(maximize=True):
@@ -172,14 +172,15 @@ class TestSimplex:
             sol = solve_lp(lp)
             if sol.status is not Status.OPTIMAL:
                 continue
+            rc = reduced_costs(lp, sol)
             bound_part = 0.0
             for j in range(lp.n_vars):
-                if abs(sol.reduced_costs[j]) > 1e-7:
+                if abs(rc[j]) > 1e-7:
                     at_lb = abs(sol.x[j] - lp.lower[j]) < 1e-6
                     at_ub = (np.isfinite(lp.upper[j])
                              and abs(sol.x[j] - lp.upper[j]) < 1e-6)
                     assert at_lb or at_ub, "nonzero reduced cost off its bound"
-                    bound_part += sol.reduced_costs[j] * sol.x[j]
+                    bound_part += rc[j] * sol.x[j]
             dual_obj = float(sol.duals @ lp.rhs) + bound_part
             assert dual_obj == pytest.approx(sol.objective, rel=1e-7, abs=1e-7)
             assert not check_lp_solution(lp, sol.x)
@@ -666,7 +667,7 @@ def assert_dual_certificate(lp: LinearProgram, sol, tol: float = 1e-6) -> None:
     reduced cost sits at the bound it pushes against, and the dual objective
     equals the primal one."""
     sign = -1.0 if lp.maximize else 1.0
-    y, rc, x = sign * sol.duals, sign * sol.reduced_costs, sol.x
+    y, rc, x = sign * sol.duals, sign * reduced_costs(lp, sol), sol.x
     act = lp.a_rows @ x
     scale = 1.0 + np.abs(lp.rhs)
     assert np.all(y[lp.sense == GE] >= -tol) and np.all(y[lp.sense == LE] <= tol)
@@ -677,7 +678,7 @@ def assert_dual_certificate(lp: LinearProgram, sol, tol: float = 1e-6) -> None:
     assert np.all((rc <= tol) | at_lower) and np.all((rc >= -tol) | at_upper)
     bound = np.where(rc > 0, lp.lower, lp.upper)
     pushed = np.abs(rc) > tol
-    dual_obj = float(sol.duals @ lp.rhs + sol.reduced_costs[pushed] @ bound[pushed])
+    dual_obj = float(sol.duals @ lp.rhs + reduced_costs(lp, sol)[pushed] @ bound[pushed])
     assert dual_obj == pytest.approx(sol.objective, rel=1e-7, abs=1e-7)
 
 
@@ -761,6 +762,11 @@ class TestBackends:
     def test_unknown_backend(self):
         with pytest.raises(SolverError):
             get_backend("nope")
+
+    @pytest.mark.parametrize("bad", [dict(time_limit=0.0), dict(rel_gap=-1e-9)])
+    def test_options_reject_bad_settings(self, bad):
+        with pytest.raises(ValueError):
+            SolveOptions(**bad)
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(SolverError):
@@ -1052,8 +1058,10 @@ class TestScipyMilpStatus:
 
     def test_refused_option_raises(self):
         model = knapsack_model(np.array([3.0, 2.0]), np.array([1.0, 1.0]), 1.0)
+        opts = SolveOptions()
+        opts.rel_gap = -1.0             # set past the options' own check
         with pytest.raises(SolverError, match="refused option mip_rel_gap"):
-            ScipyBackend().solve_milp(model, SolveOptions(rel_gap=-1.0))
+            ScipyBackend().solve_milp(model, opts)
 
     def test_pure_lp_is_its_own_bound(self):
         res = ScipyBackend().solve_milp(
