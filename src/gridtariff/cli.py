@@ -73,7 +73,16 @@ def _generate(args, variants: VariantSpec | None = None) -> Instance:
 
 
 def _load_instance(args) -> Instance:
-    inst = serialize.read_instance(args.instance)
+    """The instance file, validated; a file that the reader rejects or an
+    invalid instance exits as a validation failure."""
+    try:
+        inst = serialize.read_instance(args.instance)
+    except KeyError as exc:
+        print(f"validation: {args.instance}: missing field {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_VALIDATION)
+    except ValueError as exc:
+        print(f"validation: {args.instance}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_VALIDATION)
     report = validate(inst)
     if not report.ok:
         for v in report:
@@ -175,7 +184,7 @@ def cmd_baseline(args) -> int:
         try:
             res = baselines.perfect_case(inst, dg_path, opts=opts,
                                          backend=args.backend)
-        except BilevelInfeasible as exc:
+        except (BilevelInfeasible, FollowerInfeasible) as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             return EXIT_SOLVER
     doc = {

@@ -49,8 +49,7 @@ from .follower import (FollowerSolution, FollowerSystem, build_follower_lp,
                        solve_follower)
 from .model import Instance, validate
 from .solver import (EQ, GE, LE, LinearProgram, MilpModel, MilpResult,
-                     SolveOptions, Status, get_backend, relative_gap,
-                     verify_milp_solution)
+                     SolveOptions, Status, get_backend, relative_gap)
 
 DEFAULT_DUAL_M = 1e5
 _AT_M_MARGIN = 1e-6        # a pair side within this share of its M is at it
@@ -334,12 +333,19 @@ def _pair_values(mpcc: MpccSystem, primal: np.ndarray, dual: np.ndarray,
     multiplier of each inequality row, then the value and reduced cost
     ``c(p) - (diag(row_sign) A)^T dual`` of each column."""
     system = mpcc.system
+    a = system.skeleton.a_rows
+    reduced = system.objective(prices) - a.T @ (system.row_sign * dual)
+    return (_primal_sides(mpcc, primal),
+            np.concatenate([dual[mpcc.ineq_rows], reduced]))
+
+
+def _primal_sides(mpcc: MpccSystem, primal: np.ndarray) -> np.ndarray:
+    """The primal side of every pair: the slack ``row_sign * (A x - rhs)`` of
+    each inequality row, then the value of each column."""
+    system = mpcc.system
     skel = system.skeleton
-    ineq = mpcc.ineq_rows
     slack = system.row_sign * (skel.a_rows @ primal - skel.rhs)
-    reduced = system.objective(prices) - skel.a_rows.T @ (system.row_sign * dual)
-    return (np.concatenate([slack[ineq], primal]),
-            np.concatenate([dual[ineq], reduced]))
+    return np.concatenate([slack[mpcc.ineq_rows], primal])
 
 
 def _split_point(mpcc: MpccSystem, x: np.ndarray
@@ -407,71 +413,39 @@ def audit_big_m(mpcc: MpccSystem, pair_values: tuple[np.ndarray, np.ndarray],
 # -- solve --------------------------------------------------------------------
 
 
-def _fallback_points(mpcc: MpccSystem, model: MilpModel,
-                     pinned_prices: dict[int, float] | None,
-                     backend: str | None) -> list[np.ndarray]:
-    """Feasible MILP points from operator optima at heuristic price profiles.
+def _fallback_patterns(mpcc: MpccSystem, model: MilpModel,
+                       backend: str | None) -> list[np.ndarray]:
+    """Switch patterns of operator optima at two price profiles: the
+    competitor tariff and the midpoint between it and the supply cost, each
+    clipped to the MILP's price bounds, which hold its pinned prices.
 
-    An optimal primal/multiplier pair at any in-bounds price profile is a
-    feasible point of the single-level model once its complementarity pattern
-    is written into the switches, provided it buys nothing from the
-    competitor and puts no multiplier on a duplicate floor (``_switch_rules``
-    fixes both at 0; a point that does is dropped by the final check).  The
-    profiles are the competitor tariff and the midpoint between it and the
-    supply cost.
-
-    The operator LPs are solved without column upper bounds, as the LP of
-    rows alone, because the single-level model's multiplier feasibility
-    rows ask for reduced costs ``>= 0``: with the skeleton's implied bounds a
-    column resting on its bound could take a negative one.  Dropping those
-    bounds keeps every feasible point, since the rows imply them.  The
-    competitor purchases (``FollowerSystem.competitor_cols``) are bounded at
-    0, so that no optimum is dropped for buying from the competitor.  That
-    bound keeps the LP's optimal value, so its optima are operator optima,
-    while every price is at most the tariff ``pbar`` (the profiles are, and
-    ``linearize`` rejects pinned prices above it): a purchase has the same
-    column as its leader twin and costs ``prob * (pbar - p) >= 0`` more, so
-    moving its amount onto the twin keeps every row and does not raise the
-    cost (the ``DOMINATED_PURCHASE`` rule of ``_switch_rules``).  Where
-    ``p = pbar`` the two tie, and which one an unrestricted LP buys would be
-    the solver's choice.
-
-    ``solve_bilevel`` computes these points only when a limit stops the MILP
-    without an incumbent, and answers with the best of them, re-solved at
-    ``model.fixed_at``: desk seed 1 with ``node_limit=1`` returns
-    ``NODE_LIMIT`` at profit 44.921807 this way instead of raising
-    ``BilevelInfeasible``.
+    A switched pair's switch is 1 where the optimum's primal side is
+    positive.  Each pattern is returned as a MILP point that is 0 but for its
+    switches, for ``model.fixed_at``: the LP at those switches optimizes the
+    prices, the schedule and its multipliers together, so its optimum is an
+    exact incumbent whose objective is the leader's profit.  The operator
+    LPs bound the competitor purchases (``FollowerSystem.competitor_cols``)
+    at 0, which keeps their optimal value (the ``DOMINATED_PURCHASE`` rule
+    of ``_switch_rules``); where a price ties with the tariff, an unbounded
+    purchase would give a pattern that the MILP, which fixes those purchases
+    at 0, cannot hold.
     """
     system = mpcc.system
     inst = system.instance
     comp = inst.prices.competitor
-    supply = inst.prices.supply_cost
-    profiles = [comp.copy(),
-                np.minimum(comp, np.maximum(0.0, 0.5 * (comp + supply)))]
-    upper = np.full(system.n_vars, np.inf)
-    upper[system.competitor_cols] = 0.0
-    points = []
-    for prof in profiles:
-        if pinned_prices:
-            prof = prof.copy()
-            for h, v in pinned_prices.items():
-                prof[h] = v
-        lp = build_follower_lp(inst, prof, system).with_bounds(
-            system.skeleton.lower, upper)
-        sol, _, _ = solve_follower(lp, backend=backend)
-        d_pos = sol.duals * system.row_sign        # paper-positive multipliers
-        pv, dv = _pair_values(mpcc, sol.x, d_pos, prof)
-        delta = (pv > 1e-7).astype(float)
-        conflict = (pv > 1e-7) & (dv > 1e-7)
-        if conflict.any():
-            continue
-        full = np.zeros(model.lp.n_vars)
-        prices, primal, dual, switches = _split_point(mpcc, full)
-        prices[:], primal[:], dual[:] = prof, sol.x, d_pos
-        switches[:] = delta[mpcc.switched]
-        if not verify_milp_solution(model, full, tol=1e-6):
-            points.append(full)
-    return points
+    price_lo = _split_point(mpcc, model.lp.lower)[0]
+    price_up = _split_point(mpcc, model.lp.upper)[0]
+    col_upper = system.skeleton.upper.copy()
+    col_upper[system.competitor_cols] = 0.0
+    patterns = []
+    for profile in (comp, 0.5 * (comp + inst.prices.supply_cost)):
+        lp = build_follower_lp(inst, np.clip(profile, price_lo, price_up), system)
+        sol, _, _ = solve_follower(lp.with_bounds(system.skeleton.lower, col_upper),
+                                   backend=backend)
+        point = np.zeros(model.lp.n_vars)
+        point[model.binary_idx] = _primal_sides(mpcc, sol.x)[mpcc.switched] > 1e-7
+        patterns.append(point)
+    return patterns
 
 
 def _polish_incumbent(solver, model: MilpModel, mpcc: MpccSystem,
@@ -546,15 +520,16 @@ def solve_bilevel(instance: Instance, opts: SolveOptions | None = None, *,
     """Optimistic pricing optimum via the big-M MILP, with audited M escalation.
 
     One attempt: solve the MILP, whose incumbent is exact at its switches
-    (``MilpResult``); if a limit left none, re-solve the best
-    ``_fallback_points`` point at its switches instead, with the MILP's
-    status and bound; extract it with its audit; only if a multiplier is at
-    its M, polish it (``_polish_incumbent``) and re-extract.  A clean audit
-    returns.  A risky audit, an infeasible MILP or an optimal one without an
-    exact incumbent doubles the multiplier M ``dual_m`` (default
-    ``default_dual_m``), at most ``MAX_ESCALATIONS`` times, and then raises
-    ``UncertifiedOptimum`` or ``BilevelInfeasible``;
-    a limit that leaves no incumbent raises ``LimitWithoutIncumbent``.
+    (``MilpResult``); if a limit left none, re-solve every
+    ``_fallback_patterns`` pattern at ``model.fixed_at`` instead and take the
+    best optimal one, with the MILP's status and bound; extract it with its
+    audit; only if a multiplier is at its M, polish it
+    (``_polish_incumbent``) and re-extract.  A clean audit returns.  A risky
+    audit, an infeasible MILP or an optimal one without an exact incumbent
+    doubles the multiplier M ``dual_m`` (default ``default_dual_m``), at
+    most ``MAX_ESCALATIONS`` times, and then raises ``UncertifiedOptimum``
+    or ``BilevelInfeasible``; a limit that leaves no incumbent, the
+    fallback's included, raises ``LimitWithoutIncumbent``.
     ``ExtractionMismatch`` and the fallback's operator-LP errors propagate:
     no M causes them.
     """
@@ -582,18 +557,17 @@ def solve_bilevel(instance: Instance, opts: SolveOptions | None = None, *,
             model, replace(opts, time_limit=max(remaining, 0.5)))
         if result.x is None and result.status in (Status.TIME_LIMIT,
                                                   Status.NODE_LIMIT):
-            points = _fallback_points(mpcc, model, pinned_prices, backend)
-            if points:
-                x = max(points, key=lambda point: float(model.lp.obj @ point))
-                exact = solver.solve_lp(model.fixed_at(x))
-                if exact.status is Status.OPTIMAL:
-                    result = replace(
-                        result, x=exact.x, objective=exact.objective,
-                        rel_gap=relative_gap(exact.objective, result.bound))
+            exact = [solver.solve_lp(model.fixed_at(x))
+                     for x in _fallback_patterns(mpcc, model, backend)]
+            exact = [sol for sol in exact if sol.status is Status.OPTIMAL]
+            if exact:
+                top = max(exact, key=lambda sol: sol.objective)
+                result = replace(result, x=top.x, objective=top.objective,
+                                 rel_gap=relative_gap(top.objective, result.bound))
         if result.x is None:
             if result.status not in (Status.OPTIMAL, Status.INFEASIBLE):
                 raise LimitWithoutIncumbent(
-                    f"no incumbent within limits (status {result.status})")
+                    f"no incumbent within limits (status {result.status.value})")
             # undersized multiplier caps can cut off every exact point, or
             # the whole system; a larger M only enlarges the feasible set
             if best is not None:

@@ -82,9 +82,9 @@ class Workspace:
         return (np.concatenate([lo, self.slack_lb]),
                 np.concatenate([up, self.slack_ub]))
 
-    """Solve an LP, returning primal values and row multipliers."""
+
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve an LP, returning primal values, row multipliers and reduced costs."""
+    """Solve an LP, returning primal values and row multipliers."""
     ws = Workspace(lp)
     return solve_with_workspace(ws, lp.obj, lp.maximize)
 

@@ -13,14 +13,25 @@ import numpy as np
 import pytest
 
 import gridtariff
-from gridtariff.baselines import reference_case
+from gridtariff.baselines import perfect_case, reference_case
 from gridtariff.cli import SENSITIVITY_GRID, _generate, build_parser, main
+from gridtariff.follower import FollowerInfeasible
 from gridtariff.generator import generate_mini_instance, greedy_device_profile
 from gridtariff.serialize import read_instance, write_instance
+from gridtariff.solver import SolveOptions
 
 from conftest import make_t1
 
 FAST = ["--time-limit", "120", "--gap", "1e-6", "--backend", "scipy"]
+
+# edits of a 3-base instance file's scenario tree that its reader rejects
+BAD_TREES = {
+    "bases of 12 and 11 slots": lambda tree: tree.update(
+        bases=[tree["bases"][0], tree["bases"][1][:11]], probabilities=[0.5, 0.5]),
+    "11-slot bases, period 4": lambda tree: tree.update(
+        bases=[base[:11] for base in tree["bases"][:2]], probabilities=[0.5, 0.5],
+        period_length=4),
+}
 
 
 def run_cli(*args) -> int:
@@ -59,6 +70,36 @@ def test_generate_then_solve_pipeline(tmp_path):
     assert len(doc["prices"]) == 12
     assert (tmp_path / "series" / "prices.csv").exists()
     assert (tmp_path / "model.lp").read_text().startswith("Maximize")
+
+
+def test_baseline_perfect_matches_the_library(tmp_path):
+    inst = generate_mini_instance(1, n_bases=3)
+    inst_path = tmp_path / "inst.json"
+    write_instance(inst, inst_path)
+    out = tmp_path / "perfect.json"
+    assert run_cli("baseline", inst_path, "--kind", "perfect", "--scenario-leaf",
+                   "1", *FAST, "-o", out) == 0
+    doc = json.loads(out.read_text())
+    res = perfect_case(inst, inst.tree.dg[1], opts=SolveOptions(time_limit=120.0,
+                                                               rel_gap=1e-6),
+                       backend="scipy")
+    assert doc["kind"] == "perfect"
+    assert doc["leader_profit"] == pytest.approx(res.leader_profit, rel=1e-9)
+    assert doc["prices"] == pytest.approx(res.prices.tolist(), rel=1e-9)
+
+
+def test_baseline_perfect_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
+    import gridtariff.cli as cli
+
+    def infeasible(*args, **kwargs):
+        raise FollowerInfeasible("operator problem infeasible")
+    monkeypatch.setattr(cli.baselines, "perfect_case", infeasible)
+    inst_path = tmp_path / "inst.json"
+    write_instance(make_t1(), inst_path)
+    out = tmp_path / "perfect.json"
+    assert run_cli("baseline", inst_path, "--kind", "perfect", *FAST, "-o", out) == 3
+    assert "solver failure: operator problem infeasible" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_baseline_reference_hand_value(tmp_path):
@@ -153,10 +194,14 @@ def test_rh_step_beyond_window_exit_code(tmp_path, capsys, command):
     ("baseline", "--scenario-leaf", "5", "scenario leaf 5 is outside [0, 3)"),
     ("baseline", "--scenario-leaf", "-1", "scenario leaf -1 is outside [0, 3)"),
     ("sensitivity", "--time-limit", "0", "time_limit must be positive"),
+    ("solve", "file", "bases of 12 and 11 slots", "inhomogeneous shape"),
+    ("rh", "file", "11-slot bases, period 4", "base scenario 0 shorter than horizon"),
 ])
 def test_rh_bad_settings_exit_code(tmp_path, capsys, command, option, value,
                                    message):
-    """Bad settings of every command exit 2 before anything is written."""
+    """Bad settings of every command, and instance files that the reader
+    rejects (option ``file``, edited by ``BAD_TREES[value]``), exit 2 before
+    anything is written."""
     inst = tmp_path / "inst.json"
     args = {"rh": ["rh", inst, "--window", "6"],
             "rh-study": ["rh-study", "--preset", "mini", "--seed", "5",
@@ -168,7 +213,13 @@ def test_rh_bad_settings_exit_code(tmp_path, capsys, command, option, value,
             }[command]
     if inst in args:
         write_instance(generate_mini_instance(1, n_bases=3), inst)
-    code = run_cli(*args, *FAST, option, value, "-o", tmp_path / "out")
+    setting = [option, value]
+    if option == "file":
+        doc = json.loads(inst.read_text())
+        BAD_TREES[value](doc["scenario_tree"])
+        inst.write_text(json.dumps(doc))
+        setting = []
+    code = run_cli(*args, *FAST, *setting, "-o", tmp_path / "out")
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("validation: ") and message in err

@@ -18,17 +18,19 @@ from gridtariff.model import Battery, Device, TimeWindow
 from gridtariff.reformulation import (DOMINATED_PURCHASE, DUPLICATE_FLOOR,
                                       SWITCHED, ZERO_CAPACITY,
                                       BilevelInfeasible, ExtractionMismatch,
-                                      MpccSystem, UncertifiedOptimum,
+                                      LimitWithoutIncumbent, MpccSystem,
+                                      UncertifiedOptimum,
                                       audit_big_m, build_mpcc, default_dual_m,
-                                      extract_bilevel, _fallback_points,
+                                      extract_bilevel, _fallback_patterns,
                                       _pair_values, _split_point, linearize,
                                       solve_bilevel)
 from gridtariff.reports import solution_to_dict
 from gridtariff.rolling import RhConfig, RhTrajectory, make_subinstance
 from gridtariff.scenario import (BaseScenario, flat_tree, single_path_tree,
                                  uniform_selector)
-from gridtariff.solver import (EQ, LE, MilpResult, SolveOptions, SolverError,
-                               Status, get_backend, solve_milp)
+from gridtariff.solver import (EQ, LE, LpSolution, MilpResult, SolveOptions,
+                               SolverError, Status, get_backend, solve_milp,
+                               verify_milp_solution)
 from gridtariff.solver import backends
 
 from conftest import (DESK_SHAPE, OptimisticResponder, audit_loop,
@@ -499,6 +501,15 @@ def _rh_mini3_window(seed):
     return sub
 
 
+def _week_day_window(n_bases):
+    """The first day window of the rolling horizon on week seed 1 (window
+    24, step 24, stay 0.8)."""
+    inst = generate_week_instance(1, n_bases=n_bases)
+    cfg = RhConfig(window=24, step=24, selector=uniform_selector(n_bases, 0.8))
+    sub, _ = make_subinstance(inst, 0, RhTrajectory(inst), cfg, None)
+    return sub
+
+
 def _register(monkeypatch, backend) -> str:
     """Register ``backend`` for the length of one test; returns its name."""
     monkeypatch.setitem(backends._REGISTRY, backend.name, backend)
@@ -512,11 +523,28 @@ class _NoIncumbent:
     name = "no-incumbent"
     bound = 50.0
 
+    def __init__(self) -> None:
+        self.milps = 0
+
     def solve_lp(self, lp, opts=None):
         return get_backend("scipy").solve_lp(lp, opts)
 
     def solve_milp(self, model, opts=None):
+        self.milps += 1
         return MilpResult(Status.TIME_LIMIT, None, None, self.bound, np.inf, 0)
+
+
+class _NoIncumbentNoPattern(_NoIncumbent):
+    """Stops every MILP at its time limit without an incumbent; the operator
+    LPs go to HiGHS, but no LP at a pattern's switches (the only
+    maximizations) has an optimum."""
+
+    name = "no-incumbent-no-pattern"
+
+    def solve_lp(self, lp, opts=None):
+        if lp.maximize:
+            return LpSolution(Status.INFEASIBLE, None, None, None)
+        return super().solve_lp(lp, opts)
 
 
 class _NoExactIncumbent:
@@ -534,6 +562,28 @@ class _NoExactIncumbent:
     def solve_milp(self, model, opts=None):
         self.milps += 1
         return MilpResult(Status.OPTIMAL, None, None, 50.0, np.inf, 0)
+
+
+class _NoPolish:
+    """Solves the first ``solved`` MILPs on HiGHS and reports later ones
+    optimal without an exact incumbent; no LP has an optimum, so the polish
+    never shrinks a multiplier that rides its M.  HiGHS leaves some of
+    ``make_t1()``'s multipliers at every M."""
+
+    name = "no-polish"
+
+    def __init__(self, solved: float = np.inf) -> None:
+        self.solved = solved
+        self.milps = 0
+
+    def solve_lp(self, lp, opts=None):
+        return LpSolution(Status.INFEASIBLE, None, None, None)
+
+    def solve_milp(self, model, opts=None):
+        self.milps += 1
+        if self.milps > self.solved:
+            return MilpResult(Status.OPTIMAL, None, None, 50.0, np.inf, 0)
+        return get_backend("scipy").solve_milp(model, opts)
 
 
 class _OffObjective:
@@ -589,9 +639,10 @@ class _CallLog:
 
 
 class TestPriming:
-    """Operator optima written into the MILP: feasible points whose MILP
-    objective is the leader's profit, which ``solve_bilevel`` falls back on
-    when a limit stops the MILP without an incumbent."""
+    """Switch patterns of operator optima, re-solved at their switches: exact
+    MILP points whose objective is the leader's profit, which
+    ``solve_bilevel`` falls back on when a limit stops the MILP without an
+    incumbent."""
 
     @pytest.mark.parametrize("backend", ["bundled", "scipy"])
     @pytest.mark.parametrize("make", [
@@ -604,13 +655,16 @@ class TestPriming:
         inst = make()
         mpcc = build_mpcc(inst)
         model = linearize(mpcc, default_dual_m(mpcc))
-        points = _fallback_points(mpcc, model, None, backend)
-        assert len(points) == 2
+        patterns = _fallback_patterns(mpcc, model, backend)
+        assert len(patterns) == 2
         system = mpcc.system
-        for point in points:
-            prices, x, _, _ = _split_point(mpcc, point)
+        for pattern in patterns:
+            point = get_backend(backend).solve_lp(model.fixed_at(pattern))
+            assert point.status is Status.OPTIMAL
+            assert not verify_milp_solution(model, point.x, tol=1e-6)
+            prices, x, _, _ = _split_point(mpcc, point.x)
             schedule = extract_solution(system, x, 0.0)
-            assert float(model.lp.obj @ point) == pytest.approx(
+            assert point.objective == pytest.approx(
                 leader_profit(inst, prices, schedule), rel=1e-6)
             # nothing bought from the competitor, at an operator optimum
             assert not x[system.competitor_cols].any()
@@ -623,17 +677,29 @@ class TestPriming:
     def test_node_limited_bundled_solve_falls_back_to_an_operator_point(self):
         sol = solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0, node_limit=1))
         assert sol.status is Status.NODE_LIMIT
-        assert sol.leader_objective == pytest.approx(44.921807, rel=1e-6)
+        assert sol.leader_objective == pytest.approx(45.665345, rel=1e-6)
 
     def test_fallback_gap_is_measured_from_the_milp_bound(self, monkeypatch):
         name = _register(monkeypatch, _NoIncumbent())
         sol = solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0), backend=name)
         assert sol.status is Status.TIME_LIMIT
-        assert sol.leader_objective == pytest.approx(44.921807, rel=1e-6)
+        assert sol.leader_objective == pytest.approx(45.665345, rel=1e-6)
         assert sol.milp.bound == _NoIncumbent.bound
         assert sol.mip_gap == pytest.approx(
             (_NoIncumbent.bound - sol.leader_objective) / sol.leader_objective,
             rel=1e-9)
+
+    @pytest.mark.parametrize("n_bases, floor", [(1, 1013.02), (3, 1011.22)])
+    def test_week_day_window_keeps_the_better_pattern(self, n_bases, floor,
+                                                      monkeypatch):
+        # 1 base: 1013.021165 is the window's optimum.  3 bases: the tariff
+        # pattern re-solves to 955.2627, the midpoint pattern to 1011.221745,
+        # 1.42% below the bound HiGHS reaches in 30 s
+        sol = solve_bilevel(_week_day_window(n_bases), opts=SolveOptions(rel_gap=0.0),
+                            backend=_register(monkeypatch, _NoIncumbent()))
+        assert sol.status is Status.TIME_LIMIT
+        assert sol.leader_objective >= floor
+        assert sol.audit.clean
 
     @pytest.mark.parametrize("backend", ["bundled", "scipy"])
     def test_no_operator_lp_before_the_milp(self, backend, monkeypatch):
@@ -664,6 +730,51 @@ class TestPriming:
         with pytest.raises(BilevelInfeasible, match="no tolerance-exact incumbent"):
             solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0), backend=name)
         assert stub.milps == 4 and ms[3:] == [m0]                # none
+
+
+class TestExits:
+    """The exits of ``solve_bilevel`` that no real solve in the suite takes,
+    each reached through a stub backend."""
+
+    def test_no_pattern_re_solves(self, monkeypatch):
+        stub = _NoIncumbentNoPattern()
+        with pytest.raises(LimitWithoutIncumbent,
+                           match=r"^no incumbent within limits \(status time_limit\)$"):
+            solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0),
+                          backend=_register(monkeypatch, stub))
+        assert stub.milps == 1
+
+    def test_time_budget_exhausted_without_an_answer(self, monkeypatch):
+        stub = _NoExactIncumbent()
+        with pytest.raises(LimitWithoutIncumbent,
+                           match=r"^time budget exhausted after 1 attempts$"):
+            solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0, time_limit=0.1),
+                          backend=_register(monkeypatch, stub))
+        assert stub.milps == 1
+
+    def test_time_budget_exhausted_with_a_risky_answer(self, monkeypatch):
+        stub = _NoPolish()
+        with pytest.raises(UncertifiedOptimum,
+                           match=r"^time budget exhausted: profit 3\.800000 has"):
+            solve_bilevel(make_t1(), opts=SolveOptions(rel_gap=0.0, time_limit=0.1),
+                          backend=_register(monkeypatch, stub))
+        assert stub.milps == 1
+
+    def test_larger_m_gives_no_exact_incumbent(self, monkeypatch):
+        stub = _NoPolish(solved=1)
+        with pytest.raises(UncertifiedOptimum,
+                           match=r"^a larger M gave no exact incumbent: profit 3\.800000"):
+            solve_bilevel(make_t1(), opts=SolveOptions(rel_gap=0.0),
+                          backend=_register(monkeypatch, stub))
+        assert stub.milps == 2
+
+    def test_larger_m_does_not_move_the_profit(self, monkeypatch):
+        stub = _NoPolish()
+        with pytest.raises(UncertifiedOptimum,
+                           match=r"^a larger M did not move the profit: profit 3\.800000"):
+            solve_bilevel(make_t1(), opts=SolveOptions(rel_gap=0.0),
+                          backend=_register(monkeypatch, stub))
+        assert stub.milps == 2
 
 
 class TestErrorsPropagate:
