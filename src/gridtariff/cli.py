@@ -73,14 +73,15 @@ def _generate(args, variants: VariantSpec | None = None) -> Instance:
 
 
 def _load_instance(args) -> Instance:
-    """The instance file, validated; a file that the reader rejects or an
-    invalid instance exits as a validation failure."""
+    """The instance file, validated; a file that cannot be read, one that
+    the reader rejects (a missing field, or a value of the wrong type or
+    shape) or an invalid instance exits as a validation failure."""
     try:
         inst = serialize.read_instance(args.instance)
     except KeyError as exc:
         print(f"validation: {args.instance}: missing field {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
-    except ValueError as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"validation: {args.instance}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
     report = validate(inst)

@@ -24,8 +24,9 @@ the MILP maximizes.
 
 The operator LP enters only through ``FollowerSystem``'s arrays: the MILP is
 assembled from the skeleton's matrix in blocks (``linearize``), and no
-row-by-row copy of the LP is kept.  This module names no row or column
-family of it.
+row-by-row copy of the LP is kept.  The LPs solved after the MILP take
+their arrays from it: the fallback's operator LPs its column bounds, the
+shrink LP its rows.  This module names no row or column family of it.
 
 A pair's primal-side M is always its structural bound
 (``MpccSystem.primal_bound``: ``FollowerSystem.slack_upper`` per row, the
@@ -424,24 +425,21 @@ def _fallback_patterns(mpcc: MpccSystem, model: MilpModel,
     switches, for ``model.fixed_at``: the LP at those switches optimizes the
     prices, the schedule and its multipliers together, so its optimum is an
     exact incumbent whose objective is the leader's profit.  The operator
-    LPs bound the competitor purchases (``FollowerSystem.competitor_cols``)
-    at 0, which keeps their optimal value (the ``DOMINATED_PURCHASE`` rule
-    of ``_switch_rules``); where a price ties with the tariff, an unbounded
-    purchase would give a pattern that the MILP, which fixes those purchases
-    at 0, cannot hold.
+    LPs take the MILP's own column bounds, which fix the competitor
+    purchases at 0 (the ``DOMINATED_PURCHASE`` rule of ``_switch_rules``)
+    and keep the operator's optimal value; where a price ties with the
+    tariff, an unbounded purchase would give a pattern that the MILP cannot
+    hold.
     """
     system = mpcc.system
     inst = system.instance
     comp = inst.prices.competitor
-    price_lo = _split_point(mpcc, model.lp.lower)[0]
-    price_up = _split_point(mpcc, model.lp.upper)[0]
-    col_upper = system.skeleton.upper.copy()
-    col_upper[system.competitor_cols] = 0.0
+    price_lo, col_lo = _split_point(mpcc, model.lp.lower)[:2]
+    price_up, col_up = _split_point(mpcc, model.lp.upper)[:2]
     patterns = []
     for profile in (comp, 0.5 * (comp + inst.prices.supply_cost)):
         lp = build_follower_lp(inst, np.clip(profile, price_lo, price_up), system)
-        sol, _, _ = solve_follower(lp.with_bounds(system.skeleton.lower, col_upper),
-                                   backend=backend)
+        sol, _, _ = solve_follower(lp.with_bounds(col_lo, col_up), backend=backend)
         point = np.zeros(model.lp.n_vars)
         point[model.binary_idx] = _primal_sides(mpcc, sol.x)[mpcc.switched] > 1e-7
         patterns.append(point)
@@ -453,13 +451,18 @@ def _polish_incumbent(solver, model: MilpModel, mpcc: MpccSystem,
     """The minimal-multiplier point among the exact incumbent's alternate
     optima at the same switches.
 
-    The shrink LP minimizes total multiplier magnitude (free equality
-    multipliers included, via absolute-value splits) at the optimal
+    The shrink LP minimizes total multiplier magnitude at the optimal
     objective, so degenerate multipliers do not ride their M and trip the
     audit; ``solve_bilevel`` runs it only when the audit flags one that
-    does.  Returns the polished result, or ``None`` when the shrink LP has no
-    optimum, and the number of LPs solved: 1, or 2 with the shrink LP's
-    retry.
+    does.  Its columns are the MILP's and one ``aux_i`` per equality row
+    ``i``; its rows are ``model.fixed_at`` at the incumbent, the hold row
+    ``obj x >= f*`` (``<=`` when minimizing) and the split
+    ``aux_i - d_i >= 0``, ``aux_i + d_i >= 0`` of each free multiplier
+    ``d_i``; it minimizes the inequality multipliers plus ``sum aux``.  When
+    it has no optimum, a retry moves the hold row alone by
+    ``1e-9 (1 + |f*|)`` towards feasibility.  Returns the polished result,
+    or ``None`` when neither LP has an optimum, and the number of LPs
+    solved: 1, or 2 with the retry.
     """
     lp = model.lp
     fixed = model.fixed_at(result.x)
@@ -467,43 +470,34 @@ def _polish_incumbent(solver, model: MilpModel, mpcc: MpccSystem,
     n = lp.n_vars
     eq = mpcc.system.skeleton.sense == EQ
     dual_cols = _split_point(mpcc, np.arange(n))[2]
+    n_aux = int(eq.sum())
     shrink = np.zeros(n)
     shrink[dual_cols[~eq]] = 1.0
-    eq_cols = dual_cols[eq]
-    n_aux = len(eq_cols)
-    hold_sense = GE if lp.maximize else LE
+    one_each = np.arange(2 * n_aux + 1)          # one entry per split row
+    split_d = sp.csr_matrix((np.tile([-1.0, 1.0], n_aux),
+                             np.repeat(dual_cols[eq], 2), one_each),
+                            shape=(2 * n_aux, n))
+    split_aux = sp.csr_matrix((np.ones(2 * n_aux), np.repeat(np.arange(n_aux), 2),
+                               one_each), shape=(2 * n_aux, n_aux))
+    shrink_lp = LinearProgram(
+        n_vars=n + n_aux,
+        obj=np.concatenate([shrink, np.ones(n_aux)]),
+        lower=np.concatenate([fixed.lower, np.zeros(n_aux)]),
+        upper=np.concatenate([fixed.upper, np.full(n_aux, np.inf)]),
+        a_rows=sp.bmat([[fixed.a_rows, None],
+                        [sp.csr_matrix(lp.obj), None],        # the hold row
+                        [split_d, split_aux]], format="csr"),
+        sense=np.concatenate([fixed.sense, [GE if lp.maximize else LE],
+                              np.full(2 * n_aux, GE, dtype=object)]),
+        rhs=np.concatenate([fixed.rhs, [fstar], np.zeros(2 * n_aux)]),
+        maximize=False)
 
-    def shrink_lp(hold_rhs: float) -> LinearProgram:
-        base = sp.vstack([fixed.a_rows, sp.csr_matrix(lp.obj.reshape(1, -1))],
-                         format="csr")
-        sense2 = np.append(fixed.sense, hold_sense)
-        rhs2 = np.append(fixed.rhs, hold_rhs)
-        obj2, lower2, upper2 = shrink, fixed.lower, fixed.upper
-        if n_aux:
-            # aux_i >= |d_eq_i| rows: aux - d >= 0 and aux + d >= 0
-            rows_i = np.repeat(np.arange(2 * n_aux), 2)
-            aux = n + np.arange(n_aux)
-            cols = np.column_stack([aux, eq_cols, aux, eq_cols]).ravel()
-            vals = np.tile([1.0, -1.0, 1.0, 1.0], n_aux)
-            abs_block = sp.coo_matrix((vals, (rows_i, cols)),
-                                      shape=(2 * n_aux, n + n_aux)).tocsr()
-            base = sp.hstack([base, sp.csr_matrix((base.shape[0], n_aux))],
-                             format="csr")
-            base = sp.vstack([base, abs_block], format="csr")
-            sense2 = np.append(sense2, np.full(2 * n_aux, GE, dtype=object))
-            rhs2 = np.append(rhs2, np.zeros(2 * n_aux))
-            obj2 = np.concatenate([shrink, np.ones(n_aux)])
-            lower2 = np.concatenate([fixed.lower, np.zeros(n_aux)])
-            upper2 = np.concatenate([fixed.upper, np.full(n_aux, np.inf)])
-        return LinearProgram(n_vars=base.shape[1], obj=obj2, lower=lower2,
-                             upper=upper2, a_rows=base, sense=sense2, rhs=rhs2,
-                             maximize=False)
-
-    s2 = solver.solve_lp(shrink_lp(fstar))      # hold the optimum exactly
+    s2 = solver.solve_lp(shrink_lp)              # hold the optimum exactly
     n_lps = 1
     if s2.status is not Status.OPTIMAL:
-        slack = (-1 if lp.maximize else 1) * 1e-9 * (1.0 + abs(fstar))
-        s2 = solver.solve_lp(shrink_lp(fstar + slack))
+        rhs = shrink_lp.rhs.copy()
+        rhs[lp.n_rows] += (-1 if lp.maximize else 1) * 1e-9 * (1.0 + abs(fstar))
+        s2 = solver.solve_lp(replace(shrink_lp, rhs=rhs))
         n_lps = 2
     if s2.status is not Status.OPTIMAL:
         return None, n_lps

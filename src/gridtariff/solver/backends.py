@@ -241,19 +241,16 @@ class ScipyBackend:
             bound, nodes = sign * info.mip_dual_bound, int(info.mip_node_count)
         else:                   # solved as an LP, which sets no MIP information
             bound, nodes = sign * info.objective_function_value, 0
-        if status is Status.UNBOUNDED or info.primal_solution_status \
-                != highs_core.SolutionStatus.kSolutionStatusFeasible:
-            return MilpResult(status, None, None, bound, np.inf, nodes,
-                              lp_iterations=iterations)
-        fixed = model.fixed_at(np.asarray(highs.getSolution().col_value))
-        del highs                   # free the MILP before loading its fixed LP
-        exact = self.solve_lp(fixed)
-        iterations += exact.iterations
-        if exact.status is not Status.OPTIMAL:
-            return MilpResult(status, None, None, bound, np.inf, nodes,
-                              lp_iterations=iterations)
-        return MilpResult(status, exact.x, exact.objective, bound,
-                          relative_gap(exact.objective, bound), nodes,
+        x = objective = None        # no exact incumbent unless re-solved
+        if status is not Status.UNBOUNDED and info.primal_solution_status \
+                == highs_core.SolutionStatus.kSolutionStatusFeasible:
+            fixed = model.fixed_at(np.asarray(highs.getSolution().col_value))
+            del highs               # free the MILP before loading its fixed LP
+            exact = self.solve_lp(fixed)
+            iterations += exact.iterations
+            x, objective = exact.x, exact.objective     # None unless optimal
+        return MilpResult(status, x, objective, bound,
+                          relative_gap(objective, bound), nodes,
                           lp_iterations=iterations)
 
 

@@ -51,7 +51,8 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult
     The incumbent is re-solved at ``model.fixed_at`` on the node workspace,
     from its node's optimal basis, so the result is exact.  A solve stopped
     by its time or node limit before finding an incumbent returns that
-    limit's status with ``x=None`` and the bound of the open nodes."""
+    limit's status with ``x=None`` and the bound of the open nodes; one
+    stopped by ``opts.rel_gap`` reports that bound too."""
     opts = opts or SolveOptions()
     model.validate()
     lp = model.lp
@@ -109,7 +110,7 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult
         if nodes_done >= opts.node_limit:
             stop_status = Status.NODE_LIMIT
             break
-        bound, _, node = heapq.heappop(heap)
+        bound = heap[0][0]
         dual_bound = max(dual_bound, bound)
         if incumbent_obj is not None:
             if bound >= incumbent_obj - 1e-9:
@@ -118,8 +119,8 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult
                 heap.clear()
                 break
             if relative_gap(incumbent_obj, bound) <= opts.rel_gap:
-                heap.clear()
-                break
+                break                   # the open nodes' bound stands
+        _, _, node = heapq.heappop(heap)
 
         lo, up = node_bounds(node)
         sol = node_lp(lo, up, node.basis)

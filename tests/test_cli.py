@@ -24,13 +24,17 @@ from conftest import make_t1
 
 FAST = ["--time-limit", "120", "--gap", "1e-6", "--backend", "scipy"]
 
-# edits of a 3-base instance file's scenario tree that its reader rejects
-BAD_TREES = {
-    "bases of 12 and 11 slots": lambda tree: tree.update(
-        bases=[tree["bases"][0], tree["bases"][1][:11]], probabilities=[0.5, 0.5]),
-    "11-slot bases, period 4": lambda tree: tree.update(
-        bases=[base[:11] for base in tree["bases"][:2]], probabilities=[0.5, 0.5],
-        period_length=4),
+# edits of a 3-base instance file that its reader rejects; None deletes it
+BAD_FILES = {
+    "bases of 12 and 11 slots": lambda doc: doc["scenario_tree"].update(
+        bases=[doc["scenario_tree"]["bases"][0],
+               doc["scenario_tree"]["bases"][1][:11]], probabilities=[0.5, 0.5]),
+    "11-slot bases, period 4": lambda doc: doc["scenario_tree"].update(
+        bases=[base[:11] for base in doc["scenario_tree"]["bases"][:2]],
+        probabilities=[0.5, 0.5], period_length=4),
+    "n_slots null": lambda doc: doc.update(n_slots=None),
+    "no battery": lambda doc: doc.pop("battery"),
+    "no file": None,
 }
 
 
@@ -130,6 +134,21 @@ def test_solve_uncertified_optimum_exit_code(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_solve_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
+    import gridtariff.cli as cli
+    from gridtariff.reformulation import BilevelInfeasible
+
+    def infeasible(*args, **kwargs):
+        raise BilevelInfeasible("no incumbent")
+    monkeypatch.setattr(cli, "solve_bilevel", infeasible)
+    inst_path = tmp_path / "t1.json"
+    write_instance(make_t1(), inst_path)
+    out = tmp_path / "solution.json"
+    assert run_cli("solve", inst_path, *FAST, "-o", out) == 3
+    assert "solver failure: no incumbent" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_invalid_instance_exit_code(tmp_path):
     inst_path = tmp_path / "bad.json"
     bad = make_t1()
@@ -150,6 +169,39 @@ def test_rh_command(tmp_path):
     traj = json.loads((out / "trajectory.json").read_text())
     assert traj["complete"] is True
     assert (out / "committed.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["rh", "rh-study"])
+def test_aborted_run_exit_code(tmp_path, monkeypatch, capsys, command):
+    """A window without a solution aborts the run: ``rh`` writes the partial
+    trajectory without ``committed.csv``, ``rh-study`` counts the run as
+    failed, and both exit 4."""
+    from gridtariff import rolling
+    from gridtariff.reformulation import BilevelInfeasible
+
+    real, windows = rolling.solve_bilevel, []
+
+    def second_window_fails(*args, **kwargs):
+        windows.append(None)
+        if len(windows) == 2:
+            raise BilevelInfeasible("no incumbent")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(rolling, "solve_bilevel", second_window_fails)
+    out = tmp_path / "out"
+    if command == "rh":
+        inst = tmp_path / "inst.json"
+        write_instance(generate_mini_instance(5, n_bases=3), inst)
+        assert run_cli("rh", inst, "--window", "6", *FAST, "-o", out) == 4
+        traj = json.loads((out / "trajectory.json").read_text())
+        assert traj["complete"] is False and len(traj["realized_bases"]) == 1
+        assert not (out / "committed.csv").exists()
+        assert "aborted: window at t=1 produced no solution" in capsys.readouterr().err
+    else:
+        assert run_cli("rh-study", "--preset", "mini", "--seed", "5",
+                       "--window", "6", "--paths", "1", "--frozen-values", "0",
+                       "--skip-perfect", *FAST, "-o", out) == 4
+        assert "path 0 frozen 0: aborted (window at t=1" in capsys.readouterr().err
+        assert list(csv.DictReader((out / "study.csv").open())) == []
 
 
 @pytest.mark.parametrize("path, message", [
@@ -196,12 +248,15 @@ def test_rh_step_beyond_window_exit_code(tmp_path, capsys, command):
     ("sensitivity", "--time-limit", "0", "time_limit must be positive"),
     ("solve", "file", "bases of 12 and 11 slots", "inhomogeneous shape"),
     ("rh", "file", "11-slot bases, period 4", "base scenario 0 shorter than horizon"),
+    ("solve", "file", "n_slots null", "not 'NoneType'"),
+    ("baseline", "file", "no battery", "missing field 'battery'"),
+    ("solve", "file", "no file", "No such file or directory"),
 ])
 def test_rh_bad_settings_exit_code(tmp_path, capsys, command, option, value,
                                    message):
-    """Bad settings of every command, and instance files that the reader
-    rejects (option ``file``, edited by ``BAD_TREES[value]``), exit 2 before
-    anything is written."""
+    """Bad settings of every command, and instance files that cannot be read
+    or that the reader rejects (option ``file``, edited by
+    ``BAD_FILES[value]``), exit 2 before anything is written."""
     inst = tmp_path / "inst.json"
     args = {"rh": ["rh", inst, "--window", "6"],
             "rh-study": ["rh-study", "--preset", "mini", "--seed", "5",
@@ -215,15 +270,18 @@ def test_rh_bad_settings_exit_code(tmp_path, capsys, command, option, value,
         write_instance(generate_mini_instance(1, n_bases=3), inst)
     setting = [option, value]
     if option == "file":
-        doc = json.loads(inst.read_text())
-        BAD_TREES[value](doc["scenario_tree"])
-        inst.write_text(json.dumps(doc))
+        if BAD_FILES[value] is None:
+            inst.unlink()
+        else:
+            doc = json.loads(inst.read_text())
+            BAD_FILES[value](doc)
+            inst.write_text(json.dumps(doc))
         setting = []
     code = run_cli(*args, *FAST, *setting, "-o", tmp_path / "out")
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("validation: ") and message in err
-    assert [p.name for p in tmp_path.iterdir()] == (["inst.json"] if inst in args
+    assert [p.name for p in tmp_path.iterdir()] == (["inst.json"] if inst.exists()
                                                     else [])
 
 

@@ -638,6 +638,21 @@ class _CallLog:
         return [kind for kind, _, _ in self.calls]
 
 
+class _FirstLpInfeasible(_CallLog):
+    """A ``_CallLog`` of HiGHS whose first LP has no optimum."""
+
+    def __init__(self) -> None:
+        super().__init__("scipy")
+        self.name = "first-lp-infeasible"
+
+    def solve_lp(self, lp, opts=None):
+        if "lp" in self.kinds():
+            return super().solve_lp(lp, opts)
+        sol = LpSolution(Status.INFEASIBLE, None, None, None)
+        self.calls.append(("lp", lp, sol))
+        return sol
+
+
 class TestPriming:
     """Switch patterns of operator optima, re-solved at their switches: exact
     MILP points whose objective is the leader's profit, which
@@ -906,6 +921,25 @@ class TestPolish:
         assert self._rides_m(inst, default_dual_m(mpcc), res)
         assert sol.polish_lps == len(lps) in (1, 2)
         assert solution_to_dict(inst, sol)["polish_lps"] == sol.polish_lps
+
+    def test_retry_moves_only_the_hold_row(self, monkeypatch):
+        log = _FirstLpInfeasible()
+        sol = solve_bilevel(_desk(1), opts=SolveOptions(rel_gap=0.0),
+                            backend=_register(monkeypatch, log))
+        assert sol.status is Status.OPTIMAL and sol.audit.clean
+        assert sol.polish_lps == 2
+        model, res, [(first, _), (retry, polished)] = self._milp_and_lps(log)
+        assert polished.status is Status.OPTIMAL
+        for a, b in ((first.obj, retry.obj), (first.lower, retry.lower),
+                     (first.upper, retry.upper), (first.a_rows.data, retry.a_rows.data),
+                     (first.a_rows.indices, retry.a_rows.indices),
+                     (first.a_rows.indptr, retry.a_rows.indptr)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert first.sense.tolist() == retry.sense.tolist()
+        hold = model.lp.n_rows                  # the row after the MILP's
+        assert first.rhs[hold] == res.objective
+        assert np.flatnonzero(first.rhs != retry.rhs).tolist() == [hold]
+        assert retry.rhs[hold] == first.rhs[hold] - 1e-9 * (1.0 + abs(res.objective))
 
     def test_small_m_makes_the_bundled_polish_shrink(self, monkeypatch):
         inst = _desk(4)

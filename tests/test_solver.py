@@ -650,6 +650,16 @@ class TestBranchAndBound:
         assert res.nodes == 1
         assert np.isfinite(res.bound)
 
+    def test_gap_stop_reports_the_open_bound(self):
+        # the search stops with an open node whose bound 53.704125 is within
+        # 2% of the incumbent; HiGHS proves 53.730111 on the same MILP
+        res = solve_milp(_desk_milp(9), SolveOptions(rel_gap=0.02))
+        assert res.status is Status.OPTIMAL and res.nodes == 33
+        assert res.objective == pytest.approx(53.597135, abs=1e-6)
+        assert res.bound == pytest.approx(53.704125, abs=1e-6)
+        assert res.rel_gap == pytest.approx(0.0019962, abs=1e-6)
+        assert res.rel_gap == relative_gap(res.objective, res.bound)
+
     def test_incumbents_feasible(self):
         rng = np.random.default_rng(23)
         v = rng.uniform(1, 10, 11)
