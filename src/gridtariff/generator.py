@@ -206,7 +206,7 @@ MINI_PRESETS = {
 
 def generate_mini_instance(seed: int, variants: VariantSpec | None = None,
                            preset: str = "mini", n_bases: int = 1) -> Instance:
-    """Desk-scale presets (12-48 slots) solvable exactly by the bundled solver."""
+    """Desk-scale presets (12-48 slots)."""
     if preset not in MINI_PRESETS:
         raise InvalidVariant(f"unknown mini preset {preset!r}")
     kw = dict(MINI_PRESETS[preset])

@@ -1,13 +1,13 @@
-"""Self-contained LP/MILP solving with dual certificates and backend plugins."""
+"""LP/MILP solving on HiGHS through scipy's binding, the repository's own
+branch-and-bound over HiGHS node LPs, and backend plugins."""
 
 from .backends import (BundledBackend, ScipyBackend, get_backend,
-                       register_backend)
+                       register_backend, solve_lp)
 from .bnb import solve_milp, verify_milp_solution
 from .core import (EQ, GE, LE, LinearProgram, LpBuilder, LpSolution,
                    MilpModel, MilpResult, SolveOptions, SolverError, Status,
                    check_lp_solution, relative_gap)
 from .lpfile import write_lp
-from .simplex import solve_lp
 
 __all__ = [
     "EQ", "GE", "LE",

@@ -1,7 +1,8 @@
 """Pluggable solver backends.
 
-The bundled simplex/branch-and-bound is the default and the reference used
-by the test suite; a HiGHS adapter covers large instances.  Select a
+Both backends solve on HiGHS.  The bundled one, the default, runs the
+repository's own best-bound branch-and-bound (``bnb``) on HiGHS node LPs;
+the scipy one runs HiGHS' MIP solver.  They solve LPs alike.  Select a
 backend per call, or globally through the ``GRIDTARIFF_BACKEND`` environment
 variable.
 
@@ -16,7 +17,8 @@ none.  Neither keeps anything from one MILP for a later call.
 
 ``ScipyBackend`` solves LPs and MILPs through one HiGHS binding, the one that
 scipy vendors (``scipy.optimize._highspy._core``), and one map turns HiGHS'
-model status into a ``Status`` for both.  A model goes to HiGHS in row-bound
+model status into a ``Status`` for both; ``bnb``'s node LPs load through the
+same ``_load`` and read the same map.  A model goes to HiGHS in row-bound
 form (``row_lower <= A x <= row_upper``), its CSR matrix passed row-wise as it
 is.  An LP whose matrix, senses, right-hand sides and bounds are all read-only
 arrays is *re-priceable*: every LP that ``build_follower_lp`` prices from one
@@ -58,7 +60,7 @@ from typing import Protocol
 import numpy as np
 from scipy.optimize._highspy import _core as highs_core
 
-from . import bnb, simplex
+from . import bnb
 from .core import (GE, LE, LinearProgram, LpSolution, MilpModel,
                    MilpResult, SolveOptions, SolverError, Status, relative_gap)
 
@@ -77,16 +79,6 @@ class SolverBackend(Protocol):
                    opts: SolveOptions | None = None) -> MilpResult: ...
 
 
-class BundledBackend:
-    name = "bundled"
-
-    def solve_lp(self, lp, opts=None):
-        return simplex.solve_lp(lp)
-
-    def solve_milp(self, model, opts=None, initial_solutions=None):
-        return bnb.solve_milp(model, opts)
-
-
 def _row_bounds(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
     """Each row's ``[lower, upper]`` interval from its sense and rhs."""
     return (np.where(lp.sense == LE, -np.inf, lp.rhs),
@@ -101,8 +93,15 @@ def _reprice_key(lp: LinearProgram) -> tuple | None:
     return None if any(arr.flags.writeable for arr in key) else key
 
 
-def _load(lp: LinearProgram, cost: np.ndarray, presolve: bool):
-    """A new HiGHS instance holding ``lp`` with objective ``cost`` (minimized)."""
+# tight tolerances matter: slack allowed on a big-M row is the tolerance times
+# the row scale, which can flip switch patterns
+TOLERANCES = (("primal_feasibility_tolerance", 1e-9),
+              ("dual_feasibility_tolerance", 1e-9))
+
+
+def _load(lp: LinearProgram, cost: np.ndarray, presolve: bool, options=()):
+    """A new HiGHS instance holding ``lp`` with objective ``cost`` (minimized)
+    and the ``(name, value)`` ``options`` set."""
     model = highs_core.HighsLp()
     model.num_col_, model.num_row_ = lp.n_vars, lp.n_rows
     model.col_cost_, model.col_lower_, model.col_upper_ = cost, lp.lower, lp.upper
@@ -119,6 +118,9 @@ def _load(lp: LinearProgram, cost: np.ndarray, presolve: bool):
         highs.setOptionValue("presolve", "off")
     if highs.passModel(model) == highs_core.HighsStatus.kError:
         raise SolverError("HiGHS rejected the model")
+    for option, value in options:
+        if highs.setOptionValue(option, value) != highs_core.HighsStatus.kOk:
+            raise SolverError(f"HiGHS refused option {option}={value!r}")
     return highs
 
 
@@ -217,21 +219,14 @@ class ScipyBackend:
         model.validate()
         lp, binaries = model.lp, model.binary_idx
         sign = -1.0 if lp.maximize else 1.0
-        highs = _load(lp, sign * lp.obj, presolve=False)
+        highs = _load(lp, sign * lp.obj, presolve=False, options=(
+            ("time_limit", opts.time_limit), ("mip_rel_gap", opts.rel_gap),
+            ("mip_max_nodes", opts.node_limit),
+            ("mip_heuristic_run_feasibility_jump", False),
+            ("mip_feasibility_tolerance", 1e-9), *TOLERANCES))
         highs.changeColsIntegrality(
             len(binaries), binaries.astype(np.int32),
             np.full(len(binaries), highs_core.HighsVarType.kInteger))
-        # tight tolerances matter: slack allowed on a big-M row is the
-        # tolerance times the row scale, which can flip switch patterns
-        for option, value in (("time_limit", opts.time_limit),
-                              ("mip_rel_gap", opts.rel_gap),
-                              ("mip_max_nodes", opts.node_limit),
-                              ("mip_heuristic_run_feasibility_jump", False),
-                              ("mip_feasibility_tolerance", 1e-9),
-                              ("primal_feasibility_tolerance", 1e-9),
-                              ("dual_feasibility_tolerance", 1e-9)):
-            if highs.setOptionValue(option, value) != highs_core.HighsStatus.kOk:
-                raise SolverError(f"HiGHS refused option {option}={value!r}")
         with _stdout_to_stderr():
             highs.run()
         status = _status(highs, milp=True)
@@ -252,6 +247,16 @@ class ScipyBackend:
         return MilpResult(status, x, objective, bound,
                           relative_gap(objective, bound), nodes,
                           lp_iterations=iterations)
+
+
+class BundledBackend(ScipyBackend):
+    """The repository's own branch-and-bound (``bnb``) on HiGHS node LPs;
+    its LPs are ``ScipyBackend``'s."""
+
+    name = "bundled"
+
+    def solve_milp(self, model, opts=None, initial_solutions=None):
+        return bnb.solve_milp(model, opts)
 
 
 _REGISTRY: dict[str, SolverBackend] = {}
@@ -277,3 +282,8 @@ def get_backend(name: str | None = None) -> SolverBackend:
 
 register_backend(BundledBackend())
 register_backend(ScipyBackend())
+
+
+def solve_lp(lp: LinearProgram, opts: SolveOptions | None = None) -> LpSolution:
+    """``lp`` solved on HiGHS, as every backend solves its LPs."""
+    return _REGISTRY["scipy"].solve_lp(lp, opts)

@@ -1,15 +1,14 @@
-"""Best-bound branch-and-bound over binary variables.
+"""Best-bound branch-and-bound over binary variables, on HiGHS node LPs.
 
 Nodes are LP relaxations with tightened binary bounds; selection is
 best-bound with FIFO tie-breaking, branching picks the most fractional
-binary (ties by lowest variable index).  The root LP starts from the slack
-crash basis; every other node starts from its parent's optimal basis, which
-a fixed binary leaves dual feasible, so a few dual simplex steps re-solve it.
-All nodes share one ``simplex.Workspace``, so a node reaches its parent's
-basis by a few column exchanges on the inverse the previous node left there,
-and refactorizes only when that is not possible.  Everything is
-deterministic for a fixed model, so repeated runs produce identical node
-trails.
+binary (ties by lowest variable index).  The MILP's LP relaxation is loaded
+into one HiGHS model per solve, with presolve off.  A node sets its binary
+columns' bounds and restores its parent's optimal basis, which a fixed
+binary leaves dual feasible, so a few steps of HiGHS' dual simplex re-solve
+it (Huangfu & Hall 2018, *Parallelizing the dual revised simplex method*).
+The root starts from HiGHS' own crash.  Everything is deterministic for a
+fixed model, so repeated runs produce identical node trails.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import simplex
-from .core import (MilpModel, MilpResult, SolveOptions, Status,
+from . import backends
+from .core import (LinearProgram, MilpModel, MilpResult, SolveOptions, Status,
                    check_lp_solution, relative_gap)
 
 _INT_TOL = 1e-6
@@ -29,11 +28,10 @@ _INT_TOL = 1e-6
 
 @dataclass
 class _Node:
-    lb_patch: dict
-    ub_patch: dict
+    fixed: dict                     # position in ``binary_idx`` -> 0.0 or 1.0
     bound: float
     depth: int
-    basis: tuple | None = None      # the parent's (basis, vstat)
+    basis: object = None            # the parent's optimal HighsBasis
 
 
 def verify_milp_solution(model: MilpModel, x: np.ndarray, tol: float = 1e-6) -> list[str]:
@@ -45,71 +43,82 @@ def verify_milp_solution(model: MilpModel, x: np.ndarray, tol: float = 1e-6) -> 
     return issues
 
 
-def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult:
-    """Branch-and-bound on the bundled simplex.  Internally minimizes.
+class NodeLp:
+    """A MILP's LP relaxation, loaded once into HiGHS with presolve off.
+    Each ``solve`` sets the bounds of the columns ``cols`` and re-solves it,
+    from ``basis`` when one is given and from the last solve's basis
+    otherwise; ``iterations`` sums the simplex iterations of every solve."""
 
-    The incumbent is re-solved at ``model.fixed_at`` on the node workspace,
-    from its node's optimal basis, so the result is exact.  A solve stopped
-    by its time or node limit before finding an incumbent returns that
-    limit's status with ``x=None`` and the bound of the open nodes; one
-    stopped by ``opts.rel_gap`` reports that bound too."""
+    def __init__(self, lp: LinearProgram, cols: np.ndarray) -> None:
+        self.cost = (-1.0 if lp.maximize else 1.0) * lp.obj
+        self.cols = np.asarray(cols, dtype=np.int32)
+        self.highs = backends._load(lp, self.cost, presolve=False,
+                                    options=backends.TOLERANCES)
+        self.iterations = 0
+
+    def solve(self, lo: np.ndarray, up: np.ndarray, basis=None) -> tuple:
+        """``(status, x, objective)``, the objective in the minimized sense;
+        ``x`` and ``objective`` are None unless the status is ``OPTIMAL``."""
+        highs = self.highs
+        highs.changeColsBounds(len(self.cols), self.cols, lo, up)
+        if basis is not None:
+            highs.setBasis(basis)
+        highs.run()
+        self.iterations += int(highs.getInfo().simplex_iteration_count)
+        status = backends._status(highs, milp=False)
+        if status is not Status.OPTIMAL:
+            return status, None, None
+        x = np.asarray(highs.getSolution().col_value)
+        return status, x, float(self.cost @ x)
+
+    def basis(self):
+        """The optimal basis of the last solve."""
+        return self.highs.getBasis()
+
+
+def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult:
+    """Branch-and-bound on HiGHS node LPs.  Internally minimizes.
+
+    The incumbent is re-solved at ``model.fixed_at`` on the node model, from
+    its node's optimal basis, so the result is exact.  A solve stopped by its
+    time or node limit before finding an incumbent returns that limit's
+    status with ``x=None`` and the bound of the open nodes; one stopped by
+    ``opts.rel_gap`` reports that bound too.  A node LP without a finite
+    optimum ends the search ``UNBOUNDED``; an infeasible one is pruned."""
     opts = opts or SolveOptions()
     model.validate()
     lp = model.lp
     sign = -1.0 if lp.maximize else 1.0
-    work_lp = lp.with_objective(sign * lp.obj, maximize=False)
     binaries = np.asarray(model.binary_idx, dtype=np.int64)
+    nodes = NodeLp(lp, binaries)
 
-    incumbent_x: np.ndarray | None = None
+    incumbent_switches: np.ndarray | None = None
     incumbent_obj: float | None = None          # internal (min) sense
-    incumbent_start: tuple | None = None
-
-    ws = simplex.Workspace(work_lp)
-
-    def node_bounds(node: _Node) -> tuple[np.ndarray, np.ndarray]:
-        lo = work_lp.lower.copy()
-        up = work_lp.upper.copy()
-        for j, v in node.lb_patch.items():
-            lo[j] = v
-        for j, v in node.ub_patch.items():
-            up[j] = v
-        return lo, up
-
-    lp_iterations = 0
-    cold_nodes = 0
-    refactored_nodes = 0
-
-    def node_lp(lo: np.ndarray, up: np.ndarray, basis: tuple | None):
-        nonlocal lp_iterations, cold_nodes, refactored_nodes
-        sol = simplex.solve_with_workspace(ws, work_lp.obj, False, lo, up,
-                                           basis=basis)
-        lp_iterations += sol.iterations
-        cold_nodes += not sol.warm
-        refactored_nodes += sol.warm and not sol.exchanged
-        return sol
+    incumbent_start = None
 
     def result(status: Status, x=None, objective=None, bound=np.nan,
                gap=np.inf) -> MilpResult:
         return MilpResult(status, x, objective, bound, gap, nodes_done, log,
-                          lp_iterations=lp_iterations, cold_nodes=cold_nodes,
-                          refactored_nodes=refactored_nodes)
+                          lp_iterations=nodes.iterations)
+
+    base_lo, base_up = lp.lower[binaries], lp.upper[binaries]
+
+    def node_bounds(node: _Node) -> tuple[np.ndarray, np.ndarray]:
+        lo, up = base_lo.copy(), base_up.copy()
+        for k, v in node.fixed.items():
+            lo[k] = up[k] = v
+        return lo, up
 
     t0 = time.monotonic()
     log: list[tuple] = []
     nodes_done = 0
     counter = 1
-    heap: list[tuple[float, int, _Node]] = [(-np.inf, 0, _Node({}, {}, -np.inf, 0))]
+    heap: list[tuple[float, int, _Node]] = [(-np.inf, 0, _Node({}, -np.inf, 0))]
     stop_status: Status | None = None
     proven_optimal = False
     dual_bound = -np.inf
 
     while heap:
-        if time.monotonic() - t0 > opts.time_limit:
-            stop_status = Status.TIME_LIMIT
-            break
-        if nodes_done >= opts.node_limit:
-            stop_status = Status.NODE_LIMIT
-            break
         bound = heap[0][0]
         dual_bound = max(dual_bound, bound)
         if incumbent_obj is not None:
@@ -120,51 +129,53 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult
                 break
             if relative_gap(incumbent_obj, bound) <= opts.rel_gap:
                 break                   # the open nodes' bound stands
+        if time.monotonic() - t0 > opts.time_limit:
+            stop_status = Status.TIME_LIMIT
+            break
+        if nodes_done >= opts.node_limit:
+            stop_status = Status.NODE_LIMIT
+            break
         _, _, node = heapq.heappop(heap)
 
-        lo, up = node_bounds(node)
-        sol = node_lp(lo, up, node.basis)
+        status, x, objective = nodes.solve(*node_bounds(node), node.basis)
         nodes_done += 1
-        if sol.status is Status.UNBOUNDED:
+        if status is Status.UNBOUNDED:
             return result(Status.UNBOUNDED)
-        if sol.status is not Status.OPTIMAL:
+        if status is not Status.OPTIMAL:
             log.append((nodes_done, node.depth, None, "infeasible"))
             continue
-        node_bound = max(bound, sol.objective) if np.isfinite(bound) else sol.objective
+        node_bound = max(bound, objective) if np.isfinite(bound) else objective
         if incumbent_obj is not None and node_bound >= incumbent_obj - 1e-9:
             log.append((nodes_done, node.depth, node_bound, "pruned"))
             continue
 
-        frac = (np.abs(sol.x[binaries] - np.round(sol.x[binaries]))
+        frac = (np.abs(x[binaries] - np.round(x[binaries]))
                 if len(binaries) else np.empty(0))
         if frac.size == 0 or frac.max() <= _INT_TOL:
             if frac.size and frac.max() > 1e-12:
                 # re-solve at exactly integral switches: near-integral values
                 # scaled by big row coefficients can hide real slack
-                fixed = model.fixed_at(sol.x)
-                sol = node_lp(fixed.lower, fixed.upper, (sol.basis, sol.vstat))
-                if sol.status is not Status.OPTIMAL:
+                fixed = np.round(x[binaries])
+                status, x, objective = nodes.solve(fixed, fixed, None)
+                if status is not Status.OPTIMAL:
                     log.append((nodes_done, node.depth, node_bound, "leaf"))
                     continue
-            if incumbent_obj is None or sol.objective < incumbent_obj - 1e-12:
-                incumbent_obj = sol.objective
-                incumbent_x = sol.x
-                incumbent_start = (sol.basis, sol.vstat)
+            if incumbent_obj is None or objective < incumbent_obj - 1e-12:
+                incumbent_obj = objective
+                incumbent_switches = np.round(x[binaries])
+                incumbent_start = nodes.basis()
             log.append((nodes_done, node.depth, node_bound, "leaf"))
             continue
 
         dist = np.minimum(frac, 1.0 - frac)
         cand = np.flatnonzero(dist >= dist.max() - 1e-12)
-        branch_var = int(binaries[cand.min()])
-        log.append((nodes_done, node.depth, node_bound, branch_var))
+        k = int(cand.min())
+        log.append((nodes_done, node.depth, node_bound, int(binaries[k])))
+        basis = nodes.basis()
         for fix in (0.0, 1.0):
-            lbp = dict(node.lb_patch)
-            ubp = dict(node.ub_patch)
-            lbp[branch_var] = fix
-            ubp[branch_var] = fix
             heapq.heappush(heap, (node_bound, counter,
-                                  _Node(lbp, ubp, node_bound, node.depth + 1,
-                                        (sol.basis, sol.vstat))))
+                                  _Node({**node.fixed, k: fix}, node_bound,
+                                        node.depth + 1, basis)))
             counter += 1
 
     if heap:                                   # stopped early; open nodes remain
@@ -186,12 +197,10 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult
     status = Status.OPTIMAL if stop_status is None else stop_status
     if status is not Status.OPTIMAL and gap <= opts.rel_gap:
         status = Status.OPTIMAL
-    fixed = model.fixed_at(incumbent_x)
-    exact = simplex.solve_with_workspace(ws, work_lp.obj, False, fixed.lower,
-                                         fixed.upper, basis=incumbent_start)
-    lp_iterations += exact.iterations
+    status_exact, x, _ = nodes.solve(incumbent_switches, incumbent_switches,
+                                     incumbent_start)
     bound = sign * dual_bound
-    if exact.status is not Status.OPTIMAL:
+    if status_exact is not Status.OPTIMAL:
         return result(status, bound=bound)
-    objective = float(lp.obj @ exact.x)
-    return result(status, exact.x, objective, bound, relative_gap(objective, bound))
+    objective = float(lp.obj @ x)
+    return result(status, x, objective, bound, relative_gap(objective, bound))

@@ -1,4 +1,4 @@
-"""Core model containers for the bundled LP/MILP machinery.
+"""Core model containers that every LP/MILP backend reads.
 
 A ``LinearProgram`` is a sparse row-oriented model with variable bounds and
 row senses; rows and columns are known by position only.  Models that need
@@ -32,7 +32,7 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolveOptions:
-    """Knobs shared by the bundled solver and external backends."""
+    """Knobs shared by the backends."""
 
     time_limit: float = 600.0
     rel_gap: float = 1e-4
@@ -124,17 +124,6 @@ class LpSolution:
     duals: np.ndarray | None
     objective: float | None
     iterations: int = 0
-    farkas: np.ndarray | None = None   # phase-1 multipliers certifying infeasibility
-    # bundled simplex only: the column of [A | I] basic in each row and the
-    # status of every structural and slack column at the optimum, which can
-    # seed a re-solve under tighter bounds; ``warm`` says the solve started
-    # from such a basis (and has no ``farkas``) instead of the crash basis,
-    # and ``exchanged`` that the start's inverse came from the workspace's
-    # kept one by column exchanges instead of a refactorization
-    basis: np.ndarray | None = None
-    vstat: np.ndarray | None = None
-    warm: bool = False
-    exchanged: bool = False
 
 
 @dataclass
@@ -155,9 +144,6 @@ class MilpResult:
     lp_iterations: int = 0     # simplex iterations of the search (bundled:
                                # its node LPs; HiGHS: its own count) plus
                                # the incumbent's fixed-switch re-solve
-    cold_nodes: int = 0        # bundled: node LPs solved from the crash basis
-    refactored_nodes: int = 0  # bundled: warm node LPs whose start basis was
-                               # refactorized instead of exchanged
 
 
 def relative_gap(incumbent: float | None, bound: float) -> float:

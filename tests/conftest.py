@@ -40,8 +40,8 @@ from gridtariff.reformulation import AuditFlag, AuditReport
 from gridtariff.scenario import (BaseScenario, ScenarioTree, flat_tree,
                                  node_map, single_path_tree)
 from gridtariff.solver import (EQ, GE, LE, LinearProgram, LpBuilder,
-                               LpSolution, MilpModel, SolverError, Status,
-                               simplex)
+                               LpSolution, MilpModel, SolverError, Status)
+from gridtariff.solver import backends
 
 # the instance shape of perfbench's desk workload
 DESK_SHAPE = dict(n_bases=1, n_slots=4, n_devices=2, slot_minutes=360,
@@ -122,6 +122,27 @@ def all_nonanticipativity_pairs(tree: ScenarioTree) -> list[tuple[int, int, int]
 def reduced_costs(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
     """``obj - A^T duals`` of a solved LP: each column's reduced cost."""
     return lp.obj - lp.a_rows.T @ sol.duals
+
+
+def assert_dual_certificate(lp: LinearProgram, sol, tol: float = 1e-6) -> None:
+    """The duals and reduced costs of an optimal ``sol`` certify it: row
+    duals have the sign of their row and vanish on slack rows, a nonzero
+    reduced cost sits at the bound it pushes against, and the dual objective
+    equals the primal one."""
+    sign = -1.0 if lp.maximize else 1.0
+    y, rc, x = sign * sol.duals, sign * reduced_costs(lp, sol), sol.x
+    act = lp.a_rows @ x
+    scale = 1.0 + np.abs(lp.rhs)
+    assert np.all(y[lp.sense == GE] >= -tol) and np.all(y[lp.sense == LE] <= tol)
+    slack = (lp.sense != "=") & (np.abs(act - lp.rhs) > tol * scale)
+    assert np.all(np.abs(y[slack]) <= tol)
+    at_lower = np.isclose(x, lp.lower, rtol=0.0, atol=tol)
+    at_upper = np.isclose(x, lp.upper, rtol=0.0, atol=tol)
+    assert np.all((rc <= tol) | at_lower) and np.all((rc >= -tol) | at_upper)
+    bound = np.where(rc > 0, lp.lower, lp.upper)
+    pushed = np.abs(rc) > tol
+    dual_obj = float(sol.duals @ lp.rhs + reduced_costs(lp, sol)[pushed] @ bound[pushed])
+    assert dual_obj == pytest.approx(sol.objective, rel=1e-7, abs=1e-7)
 
 
 def complementarity_products(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
@@ -397,15 +418,18 @@ def greedy_optimistic_profit(instance: Instance, prices: np.ndarray) -> float:
 
 
 class OptimisticResponder:
-    """Reusable follower solver: min cost - eps * leader profit at fixed prices."""
+    """Reusable follower solver: min cost - eps * leader profit at fixed
+    prices, re-priced on one HiGHS model with 1e-9 feasibility tolerances:
+    at HiGHS' default 1e-7 the eps tie-break can go unseen."""
 
     def __init__(self, instance: Instance, eps: float = 1e-7):
         self.instance = instance
         self.system = build_follower_system(instance)
         self.eps = eps
         lp = build_follower_lp(instance, np.zeros(instance.n_slots), self.system)
-        self.lp = lp
-        self.ws = simplex.Workspace(lp)
+        self.highs = backends._load(lp, lp.obj, presolve=False,
+                                    options=backends.TOLERANCES)
+        self.cols = np.arange(lp.n_vars, dtype=np.int32)
         self.supply = instance.prices.supply_cost
 
     def profit(self, prices: np.ndarray) -> float:
@@ -414,10 +438,11 @@ class OptimisticResponder:
         prob, slot = sysm.price_prob[sold], sysm.price_slot[sold]
         obj = sysm.objective(prices)
         obj[sold] -= self.eps * prob * (prices[slot] - self.supply[slot])
-        sol = simplex.solve_with_workspace(self.ws, obj, False)
-        assert sol.status is Status.OPTIMAL, sol.status
-        return float(np.sum(prob * (prices[slot] - self.supply[slot])
-                            * sol.x[sold]))
+        self.highs.changeColsCost(len(self.cols), self.cols, obj)
+        self.highs.run()
+        assert backends._status(self.highs, milp=False) is Status.OPTIMAL
+        x = np.asarray(self.highs.getSolution().col_value)
+        return float(np.sum(prob * (prices[slot] - self.supply[slot]) * x[sold]))
 
 
 def relevant_price_slots(instance: Instance) -> list[int]:

@@ -13,7 +13,8 @@ from gridtariff.generator import generate_mini_instance, greedy_device_profile
 from gridtariff.model import Battery, Device, TimeWindow, validate
 from gridtariff.reformulation import solve_bilevel
 from gridtariff.scenario import single_path_tree
-from gridtariff.solver import SolveOptions, Status, check_lp_solution, simplex
+from gridtariff.solver import (SolveOptions, Status, check_lp_solution,
+                               solve_lp)
 
 from conftest import (grid_oracle, make_t1, random_tiny_instance,
                       reference_follower)
@@ -95,7 +96,7 @@ class TestGreedySchedule:
             system = build_follower_system(inst)
             lp = build_follower_lp(inst, np.zeros(inst.n_slots), system)
             obj = system.c0.copy()          # purely the delay penalties
-            sol = simplex.solve_with_workspace(simplex.Workspace(lp), obj, False)
+            sol = solve_lp(lp.with_objective(obj))
             assert sol.status is Status.OPTIMAL
             assert ref.inconvenience_cost == pytest.approx(
                 sol.objective, rel=1e-6, abs=1e-6)

@@ -22,12 +22,12 @@ from gridtariff.scenario import BaseScenario, flat_tree, single_path_tree
 from gridtariff.solver import EQ, LE, Status, check_lp_solution, solve_lp
 from gridtariff.solver.backends import ScipyBackend
 
-from conftest import (DESK_SHAPE, complementarity_products, device_columns,
-                      dual_objective, energy_balance_residual,
-                      indistinguishability_time, make_t1, random_tiny_instance,
-                      reference_follower, rows_only)
+from conftest import (DESK_SHAPE, assert_dual_certificate,
+                      complementarity_products, device_columns, dual_objective,
+                      energy_balance_residual, indistinguishability_time,
+                      make_t1, random_tiny_instance, reference_follower,
+                      rows_only)
 from test_scenario import random_trees
-from test_solver import assert_dual_certificate
 
 
 def solve_at(instance, prices):

@@ -29,9 +29,10 @@ from gridtariff.rolling import RhConfig, RhTrajectory, make_subinstance
 from gridtariff.scenario import (BaseScenario, flat_tree, single_path_tree,
                                  uniform_selector)
 from gridtariff.solver import (EQ, LE, LpSolution, MilpResult, SolveOptions,
-                               SolverError, Status, get_backend, solve_milp,
-                               verify_milp_solution)
+                               SolverError, Status, get_backend, solve_lp,
+                               solve_milp, verify_milp_solution)
 from gridtariff.solver import backends
+from gridtariff.solver.bnb import NodeLp
 
 from conftest import (DESK_SHAPE, OptimisticResponder, audit_loop,
                       grid_oracle, make_t1, random_tiny_instance,
@@ -813,54 +814,51 @@ class TestBundledNodes:
 
     @pytest.mark.parametrize("seed", DESK_ROSTER)
     def test_warm_nodes_match_cold_resolves(self, seed, monkeypatch):
-        from gridtariff.solver import simplex
-        solve = simplex.solve_with_workspace
-        checked = []
-
-        def checked_solve(ws, obj, maximize, lower=None, upper=None,
-                          basis=None):
-            sol = solve(ws, obj, maximize, lower, upper, basis)
-            if basis is not None:
-                cold = solve(ws, obj, maximize, lower, upper)
-                assert sol.warm and not cold.warm
-                assert sol.status is cold.status
-                if cold.status is Status.OPTIMAL:
-                    assert sol.objective == pytest.approx(cold.objective,
-                                                          rel=1e-9, abs=1e-9)
-                checked.append(sol.status)
-            return sol
-
-        monkeypatch.setattr(simplex, "solve_with_workspace", checked_solve)
         mpcc = build_mpcc(_desk(seed))
-        res = solve_milp(linearize(mpcc, default_dual_m(mpcc)),
-                         SolveOptions(rel_gap=0.0))
+        model = linearize(mpcc, default_dual_m(mpcc))
+        lp, solve, checked = model.lp, NodeLp.solve, []
+
+        def checked_solve(nodes, lo, up, basis=None):
+            warm = solve(nodes, lo, up, basis)
+            if basis is not None:
+                lower, upper = lp.lower.copy(), lp.upper.copy()
+                lower[nodes.cols], upper[nodes.cols] = lo, up
+                cold = solve_lp(lp.with_bounds(lower, upper))
+                assert warm[0] is cold.status
+                if cold.status is Status.OPTIMAL:
+                    assert warm[2] == pytest.approx(-cold.objective,
+                                                    rel=1e-9, abs=1e-9)
+                checked.append(warm[0])
+            return warm
+
+        monkeypatch.setattr(NodeLp, "solve", checked_solve)
+        assert lp.maximize               # the node LPs minimize -obj
+        res = solve_milp(model, SolveOptions(rel_gap=0.0))
         assert res.status is Status.OPTIMAL
         assert res.nodes > 1
         assert len(checked) >= res.nodes - 1   # every node but the root
-        assert res.cold_nodes == 1
 
     @pytest.mark.parametrize("seed", DESK_ROSTER)
     def test_exact_resolve_is_warm(self, seed, monkeypatch):
         # the search's last LP, the incumbent at its fixed switches, starts
-        # from the incumbent node's basis on the node workspace
-        from gridtariff.solver import simplex
-        solve = simplex.solve_with_workspace
-        last = []
+        # from the incumbent node's basis on the node model
+        solve, calls = NodeLp.solve, []
 
-        def recorded(*args, **kwargs):
-            last[:] = [solve(*args, **kwargs)]
-            return last[0]
+        def recorded(nodes, lo, up, basis=None):
+            before = nodes.iterations
+            out = solve(nodes, lo, up, basis)
+            calls.append((basis, out, nodes.iterations - before))
+            return out
 
-        monkeypatch.setattr(simplex, "solve_with_workspace", recorded)
+        monkeypatch.setattr(NodeLp, "solve", recorded)
         mpcc = build_mpcc(_desk(seed))
         model = linearize(mpcc, default_dual_m(mpcc))
         res = solve_milp(model, SolveOptions(rel_gap=0.0))
-        [exact] = last
+        basis, (_, x, _), iterations = calls[-1]
         assert res.status is Status.OPTIMAL
-        assert exact.warm and exact.iterations <= 2
-        assert np.array_equal(res.x, exact.x)
-        cold = simplex.solve_lp(model.fixed_at(res.x))
-        assert not cold.warm
+        assert basis is not None and iterations <= 2
+        assert np.array_equal(res.x, x)
+        cold = solve_lp(model.fixed_at(res.x))
         assert res.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("seed", DESK_ROSTER)
@@ -868,8 +866,6 @@ class TestBundledNodes:
         opts = SolveOptions(rel_gap=0.0)
         first = solve_bilevel(_desk(seed), opts=opts).milp
         again = solve_bilevel(_desk(seed), opts=opts).milp
-        assert first.cold_nodes == again.cold_nodes == 1
-        assert first.refactored_nodes == again.refactored_nodes < first.nodes - 1
         assert first.lp_iterations == again.lp_iterations > 0
         assert first.nodes == again.nodes
         assert first.log == again.log
@@ -881,7 +877,7 @@ class TestBundledNodes:
         sol = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0, time_limit=60.0),
                             backend="bundled")
         assert sol.status is Status.OPTIMAL
-        assert sol.leader_objective == pytest.approx(ref.leader_objective, rel=1e-6)
+        assert sol.leader_objective == pytest.approx(ref.leader_objective, rel=1e-9)
 
 
 class TestPolish:
@@ -900,8 +896,9 @@ class TestPolish:
         return model, res, [call[1:] for call in log.calls if call[0] == "lp"]
 
     def test_clean_point_solves_no_lp(self, monkeypatch):
-        inst = _desk(4)
-        log = _CallLog("bundled")
+        # HiGHS' incumbent on desk seed 39 has no multiplier at its M
+        inst = _desk(39)
+        log = _CallLog("scipy")
         sol = solve_bilevel(inst, opts=SolveOptions(rel_gap=0.0),
                             backend=_register(monkeypatch, log))
         assert sol.status is Status.OPTIMAL and sol.audit.clean
