@@ -25,7 +25,8 @@ from gridtariff.reformulation import (build_mpcc, default_dual_m, linearize,
 from gridtariff.rolling import (RhConfig, RhTrajectory, make_subinstance,
                                 run as run_rolling_horizon)
 from gridtariff.scenario import uniform_selector
-from gridtariff.solver.backends import ScipyBackend, _stdout_to_stderr
+from gridtariff.solver.backends import (BundledBackend, ScipyBackend,
+                                        _stdout_to_stderr)
 from gridtariff.solver.bnb import NodeLp
 
 from conftest import DESK_SHAPE, assert_dual_certificate, reduced_costs
@@ -275,6 +276,76 @@ class TestWarmStart:
         assert statuses.count(Status.OPTIMAL) >= 50
         assert statuses.count(Status.INFEASIBLE) >= 20
 
+    def test_basis_with_artificial_falls_back(self):
+        lp = _redundant_rows_lp()
+        node = NodeLp(lp, np.arange(lp.n_vars))
+        assert node.solve(lp.lower, lp.upper)[0] is Status.OPTIMAL
+        parent = node.basis()
+        # an equality row's logical stays basic, where phase 1 left an artificial
+        assert _BASIC in list(parent.row_status)
+        up = lp.upper.copy()
+        up[0] = 2.0                                       # x <= 2
+        child = node.solve(lp.lower, up, parent)
+        self._same(child, lp.with_bounds(lp.lower, up))
+        assert child[2] == pytest.approx(4.0)
+
+    def test_dual_infeasible_basis_falls_back(self):
+        lp = simple_lp(maximize=True)
+        top = NodeLp(lp, np.arange(lp.n_vars))
+        assert top.solve(lp.lower, lp.upper)[2] == pytest.approx(-5.0)
+        bottom = lp.with_objective(lp.obj, maximize=False)
+        other = NodeLp(bottom, np.arange(lp.n_vars))
+        # x = 5 is optimal for the max, and its reduced cost has the wrong sign
+        # for the min
+        sol = other.solve(bottom.lower, bottom.upper, top.basis())
+        self._same(sol, bottom)
+        assert sol[2] == pytest.approx(0.0)
+
+    def test_singular_basis_falls_back(self):
+        b = LpBuilder(maximize=True)
+        x1 = b.add_var("x1", 0, np.inf, obj=1.0)
+        x2 = b.add_var("x2", 0, np.inf, obj=2.0)
+        x3 = b.add_var("x3", 0, np.inf, obj=1.0)
+        b.add_row([(x1, 1.0), (x2, 1.0), (x3, 1.0)], "<", 4.0)
+        b.add_row([(x3, 1.0)], "<", 1.0)
+        lp = b.build()
+        node = NodeLp(lp, np.arange(lp.n_vars))
+        start = _core.HighsBasis()
+        start.col_status = [_BASIC, _BASIC, _core.HighsBasisStatus.kLower]
+        start.row_status = [_core.HighsBasisStatus.kUpper] * 2
+        start.valid = True
+        sol = node.solve(lp.lower, lp.upper, start)   # x1 and x2 share one column
+        self._same(sol, lp)
+        assert sol[2] == pytest.approx(-8.0)
+
+    def test_plain_solve_lp_is_cold(self):
+        rng = np.random.default_rng(7)
+        counts = []
+        for _ in range(10):
+            lp = _random_mixed_lp(rng)
+            # a writeable LP could change between calls: each loads a new model
+            first, again = solve_lp(lp), solve_lp(lp)
+            assert first.status is again.status is Status.OPTIMAL
+            assert again.iterations == first.iterations
+            counts.append(first.iterations)
+            frozen = _read_only(lp)
+            solve_lp(frozen)
+            assert solve_lp(frozen).iterations == 0
+        assert max(counts) > 0
+
+
+def _redundant_rows_lp() -> LinearProgram:
+    """Two copies of one equality."""
+    b = LpBuilder()
+    x = b.add_var("x", 0, 4, obj=1.0)
+    y = b.add_var("y", 0, 4, obj=2.0)
+    b.add_row([(x, 1.0), (y, 1.0)], "=", 3.0)
+    b.add_row([(x, 2.0), (y, 2.0)], "=", 6.0)
+    return b.build()
+
+
+_BASIC = _core.HighsBasisStatus.kBasic
+
 
 def _desk_milp(seed: int) -> MilpModel:
     mpcc = build_mpcc(generate_instance(seed, **DESK_SHAPE))
@@ -484,9 +555,9 @@ class TestScipyLp:
     LP, checked by dual certificates, and the classification of HiGHS'
     statuses."""
 
-    def test_repriced_random_lps_are_certified(self):
+    def test_repriced_random_lps_match_bundled(self):
         rng = np.random.default_rng(43)
-        sci = ScipyBackend()
+        sci, bundled = ScipyBackend(), BundledBackend()
         for _ in range(25):
             lp = _read_only(_random_mixed_lp(rng))
             for _ in range(4):
@@ -496,10 +567,14 @@ class TestScipyLp:
                 assert ref.status is Status.OPTIMAL    # every column is boxed by rows
                 assert not check_lp_solution(priced, ref.x)
                 assert_dual_certificate(priced, ref)
+                mine = bundled.solve_lp(priced)
+                assert mine.status is ref.status
+                assert mine.objective == pytest.approx(ref.objective,
+                                                       rel=1e-7, abs=1e-7)
             # the same costs again start from the kept optimal basis
             assert sci.solve_lp(priced).iterations == 0
 
-    def test_statuses_of_small_lps(self):
+    def test_statuses_match_bundled(self):
         b = LpBuilder(maximize=True)
         x = b.add_var("x", 0, np.inf, obj=1.0)
         b.add_row([(x, 1.0)], GE, 1.0)
@@ -518,7 +593,7 @@ class TestScipyLp:
             for frozen in (False, True):
                 lp = _read_only(lp) if frozen else lp
                 ref = ScipyBackend().solve_lp(lp)
-                assert ref.status is status
+                assert ref.status is BundledBackend().solve_lp(lp).status is status
                 if ref.status is Status.OPTIMAL:
                     assert ref.objective == 0.0
                     assert ref.duals.tolist() == [0.0]
