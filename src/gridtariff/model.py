@@ -152,13 +152,20 @@ class ValidationReport:
 
 
 def validate(instance: Instance) -> ValidationReport:
-    """Check every structural invariant and feasibility precondition."""
+    """Check every structural invariant and feasibility precondition.  Every
+    number must be finite (``non_finite``): a NaN passes every comparison
+    below and would reach the solver."""
     rep = ValidationReport()
     hz = instance.horizon
     H = hz.last_slot
 
     for dev in instance.devices:
         w = dev.window
+        inc = np.asarray(dev.inconvenience)
+        if not (np.isfinite(inc).all() and np.isfinite(dev.energy_demand)
+                and np.isfinite(dev.max_power)):
+            rep.add("non_finite", f"device {dev.key}: demand, max power and"
+                    " delay penalties must be finite")
         if w.last > H:
             rep.add("window_out_of_horizon",
                     f"device {dev.key}: window ends at {w.last} > horizon {H}")
@@ -170,7 +177,6 @@ def validate(instance: Instance) -> ValidationReport:
             rep.add("demand_unsatisfiable",
                     f"device {dev.key}: demand {dev.energy_demand} exceeds window "
                     f"capacity {len(w) * dev.max_power}")
-        inc = np.asarray(dev.inconvenience)
         if np.any(inc < -1e-12):
             rep.add("negative_inconvenience", f"device {dev.key}")
         if np.any(np.diff(inc) < -1e-12):
@@ -178,6 +184,9 @@ def validate(instance: Instance) -> ValidationReport:
                     f"device {dev.key}: delay penalties must not decrease")
 
     bat = instance.battery
+    if not np.isfinite([bat.initial, bat.min_level, bat.max_level,
+                        bat.charge_eff, bat.discharge_eff]).all():
+        rep.add("non_finite", "battery levels and efficiencies must be finite")
     if bat.min_level < 0:
         rep.add("negative_battery_floor", f"min level {bat.min_level}")
     if bat.max_level < bat.min_level:
@@ -192,6 +201,8 @@ def validate(instance: Instance) -> ValidationReport:
 
     pr = instance.prices
     for name, vec in (("competitor", pr.competitor), ("supply_cost", pr.supply_cost)):
+        if not np.isfinite(vec).all():
+            rep.add("non_finite", f"{name} prices must be finite")
         if len(vec) != hz.n_slots:
             rep.add("price_vector_length",
                     f"{name} has {len(vec)} entries, expected {hz.n_slots}")
@@ -210,11 +221,16 @@ def validate(instance: Instance) -> ValidationReport:
         rep.add("tree_horizon_mismatch",
                 f"tree covers {tree.n_slots} slots, instance has {hz.n_slots}")
     probs = np.asarray(tree.probabilities)
+    if not np.isfinite(probs).all():
+        rep.add("non_finite", "leaf probabilities must be finite")
     if abs(probs.sum() - 1.0) > 1e-9:
         rep.add("leaf_probabilities", f"leaf probabilities sum to {probs.sum()}")
     if np.any(probs < -1e-12):
         rep.add("negative_probability", "leaf probability below zero")
     for base in tree.bases:
+        if not np.isfinite(base.dg_bound).all():
+            rep.add("non_finite", f"base scenario {base.id}: generation bounds"
+                    " must be finite")
         if np.any(np.asarray(base.dg_bound) < -1e-12):
             rep.add("negative_dg_bound", f"base scenario {base.id}")
 

@@ -22,11 +22,14 @@ bilinear revenue terms in the supplier objective be replaced by the
 multiplier objective minus the price-independent cost terms, which is what
 the MILP maximizes.
 
-The operator LP enters only through ``FollowerSystem``'s arrays: the MILP is
-assembled from the skeleton's matrix in blocks (``linearize``), and no
-row-by-row copy of the LP is kept.  The LPs solved after the MILP take
-their arrays from it: the fallback's operator LPs its column bounds, the
-shrink LP its rows.  This module names no row or column family of it.
+The operator LP enters only through ``FollowerSystem``'s arrays.
+``linearize`` writes the MILP's matrix in one pass over the skeleton's CSR
+arrays and their transpose: the skeleton rows, one multiplier-feasibility
+row per column, then each pair's kept complementarity rows, every nonzero
+written once at its final row; no row-by-row copy of the LP is kept.  The
+LPs solved after the MILP take their arrays from it: the fallback's operator
+LPs its column bounds, the shrink LP (``_shrink_lp``) its CSR rows, to which
+it appends its own.  This module names no row or column family of it.
 
 A pair's primal-side M is always its structural bound
 (``MpccSystem.primal_bound``: ``FollowerSystem.slack_upper`` per row, the
@@ -237,17 +240,25 @@ def linearize(mpcc: MpccSystem, dual_m: float,
     """Big-M MILP for the single-level pricing problem (maximization), over
     columns ``[p | primal | multipliers | switches]`` (``_split_point``).
 
-    Every block is the skeleton matrix ``A``, its sign-adjusted transpose
-    ``(diag(row_sign) A)^T`` or rows of either: primal feasibility ``A``;
-    multiplier feasibility ``sum_i sgn_i a_ij d_i - prob_j p_slot(j) <= c0_j``;
-    then per pair ``a <= M_a * delta`` (``comp_p``) and
-    ``b <= M_b * (1 - delta)`` (``comp_d``), where ``M_a`` is the pair's
-    ``mpcc.primal_bound`` and ``M_b`` is ``dual_m`` for every pair.  A pair
-    without a switch has delta fixed at its implied value
-    (``_switch_rules``): its ``comp_p`` row holds by the bounds and is left
-    out, and its multiplier cap is a column bound for a row pair and a
-    ``comp_d`` row for a column pair.  Raises ``ValueError`` unless
-    ``dual_m`` is finite and positive.
+    Its rows, in order:
+
+    - the skeleton rows ``A``: primal feasibility;
+    - one multiplier-feasibility row per column ``j``,
+      ``sum_i sgn_i a_ij d_i - prob_j p_slot(j) <= c0_j``;
+    - per pair, in pair order, its ``comp_p`` row ``a <= M_a * delta`` if
+      it is switched, then its ``comp_d`` row ``b <= M_b * (1 - delta)`` if
+      it is switched or a column pair.  ``a`` is a row's slack
+      ``sgn_i (A x - rhs)_i`` or a column's value, ``b`` a row's multiplier
+      or a column's reduced cost; ``M_a`` is the pair's
+      ``mpcc.primal_bound`` and ``M_b`` is ``dual_m`` for every pair.
+
+    A pair without a switch has delta fixed at its implied value
+    (``_switch_rules``): its ``comp_p`` row holds by the bounds, and its
+    multiplier cap is a column bound for a row pair and a ``comp_d`` row
+    for a column pair.  Each nonzero is written once, at its final row, and
+    the matrix is canonical CSR.  Raises ``ValueError`` unless ``dual_m`` is
+    finite and positive, and for a pin outside the horizon's slots or the
+    slot's price range ``[0, competitor]``.
     """
     if not 0.0 < dual_m < np.inf:
         raise ValueError(f"the multiplier M must be finite and positive, not {dual_m}")
@@ -259,17 +270,25 @@ def linearize(mpcc: MpccSystem, dual_m: float,
     supply = inst.prices.supply_cost
     row_sign = system.row_sign
     ineq = mpcc.ineq_rows
-    n_ineq, n_pairs = len(ineq), mpcc.n_pairs
+    n_ineq = len(ineq)
     switched = mpcc.switched
     n_sw = len(switched)
 
     p_lo, p_up = np.zeros(n_slots), np.array(comp, dtype=float)
-    for h in range(n_slots):
-        if pinned_prices and h in pinned_prices:
-            v = float(pinned_prices[h])
-            if not (-1e-9 <= v <= comp[h] + 1e-9):
-                raise ValueError(f"pinned price {v} at slot {h} outside [0, {comp[h]}]")
-            p_lo[h] = p_up[h] = min(max(v, 0.0), float(comp[h]))
+    if pinned_prices:
+        slots = np.fromiter(pinned_prices, dtype=float, count=len(pinned_prices))
+        v = np.fromiter(pinned_prices.values(), dtype=float, count=len(pinned_prices))
+        outside = ~((slots >= 0) & (slots < n_slots) & (slots == np.floor(slots)))
+        if outside.any():
+            raise ValueError(f"pinned price at slot {list(pinned_prices)[np.argmax(outside)]}"
+                             f" outside the horizon's slots 0..{n_slots - 1}")
+        h = slots.astype(np.int64)
+        bad = ~((-1e-9 <= v) & (v <= comp[h] + 1e-9))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"pinned price {v[k]} at slot {h[k]} outside [0, {comp[h[k]]}]")
+        v = np.where(v < 0.0, 0.0, v)
+        p_lo[h] = p_up[h] = np.where(comp[h] < v, comp[h], v)
 
     linked = np.flatnonzero(system.price_slot >= 0)      # the leader's sales
     obj_primal = -system.c0
@@ -280,49 +299,91 @@ def linearize(mpcc: MpccSystem, dual_m: float,
     fixed = np.flatnonzero(mpcc.rule[:n_ineq] != SWITCHED)
     dual_upper[ineq[fixed]] = dual_m * (1.0 - mpcc.implied_delta[fixed])
 
+    # after the skeleton and multiplier-feasibility rows, pair by pair: the
+    # comp_p row if switched, then the comp_d row if switched or a column pair
+    is_sw = mpcc.rule == SWITCHED
+    per_pair = 2 * is_sw.astype(np.int64)
+    per_pair[n_ineq:] = 1 + is_sw[n_ineq:]
+    first = m + n + np.cumsum(per_pair) - per_pair
+    p_row = first[switched]                  # a switched pair's comp_d is next
+    col_d = first[n_ineq:] + is_sw[n_ineq:]  # the comp_d rows of column pairs
+    n_sw_rows = int(np.searchsorted(switched, n_ineq))   # switched row pairs
+    sw_ineq = ineq[switched[:n_sw_rows]]
+    x0, d0, s0 = n_slots, n_slots + n, n_slots + n + m     # column offsets
+
     a = skel.a_rows
-    signed = sp.csr_matrix((np.repeat(row_sign, np.diff(a.indptr)) * a.data,
-                            a.indices, a.indptr), shape=a.shape)   # rows as >= or =
-    signed_t = signed.T.tocsr()
-    price = sp.csr_matrix((system.price_prob[linked],
-                           (linked, system.price_slot[linked])), shape=(n, n_slots))
-    pick = sp.csr_matrix((np.ones(n_ineq), ineq, np.arange(n_ineq + 1)),
-                         shape=(n_ineq, m))                 # the multipliers of row pairs
-    cols = (switched, np.arange(n_sw))                      # each switched pair's M
-    big_p = sp.csr_matrix((-mpcc.primal_bound[switched], cols), shape=(n_pairs, n_sw))
-    big_d = sp.csr_matrix((np.full(n_sw, dual_m), cols), shape=(n_pairs, n_sw))
-    mat = sp.bmat([
-        [None, a, None, None],                              # primal feasibility
-        [-price, None, signed_t, None],                     # multiplier feasibility
-        [None, signed[ineq], None, big_p[:n_ineq]],         # comp_p of row pairs
-        [None, sp.identity(n), None, big_p[n_ineq:]],       # comp_p of column pairs
-        [None, None, pick, big_d[:n_ineq]],                 # comp_d of row pairs
-        [price, None, -signed_t, big_d[n_ineq:]],           # comp_d of column pairs
-    ], format="csr")
+    at = a.tocsc()                                       # A^T as CSR arrays
+    signed_t = row_sign[at.indices] * at.data            # (diag(row_sign) A)^T
+    col_counts = np.diff(at.indptr)
+    sw_counts = np.diff(a.indptr)[sw_ineq]
+    src = _ranges(a.indptr[sw_ineq], sw_counts)
+    sales = linked[system.price_prob[linked] != 0.0]
+    prob, slot = system.price_prob[sales], system.price_slot[sales]
+    mat = _csr_from_rows((m + n + int(per_pair.sum()), s0 + n_sw), [
+        (m + sales, None, slot, -prob),                  # price in multiplier feasibility
+        (col_d[sales], None, slot, prob),                # price in comp_d of columns
+        (np.arange(m), np.diff(a.indptr), x0 + a.indices, a.data),
+        (p_row[:n_sw_rows], sw_counts, x0 + a.indices[src],
+         np.repeat(row_sign[sw_ineq], sw_counts) * a.data[src]),
+        (p_row[n_sw_rows:], None, x0 + switched[n_sw_rows:] - n_ineq, 1.0),
+        (m + np.arange(n), col_counts, d0 + at.indices, signed_t),
+        (p_row[:n_sw_rows] + 1, None, d0 + sw_ineq, 1.0),
+        (col_d, col_counts, d0 + at.indices, -signed_t),
+        (p_row, None, s0 + np.arange(n_sw), -mpcc.primal_bound[switched]),
+        (p_row + 1, None, s0 + np.arange(n_sw), dual_m),
+    ])
     signed_rhs = row_sign * skel.rhs
-    comp_rhs = np.concatenate([signed_rhs[ineq], np.zeros(n),
-                               np.full(n_ineq, dual_m), dual_m - system.c0])
-    # interleave per pair: comp_p if switched, then comp_d if switched or a column
-    is_switched = mpcc.rule == SWITCHED
-    has = np.column_stack([is_switched, is_switched])
-    has[n_ineq:, 1] = True
-    comp_rows = np.column_stack([np.arange(n_pairs), n_pairs + np.arange(n_pairs)])[has]
-    mat = mat[np.concatenate([np.arange(m + n), m + n + comp_rows])]
-    mat.eliminate_zeros()
-    mat.sort_indices()
+    rhs = np.empty(mat.shape[0])
+    rhs[:m], rhs[m:m + n] = skel.rhs, system.c0
+    rhs[p_row[:n_sw_rows]] = signed_rhs[sw_ineq]
+    rhs[p_row[n_sw_rows:]] = 0.0
+    rhs[p_row[:n_sw_rows] + 1] = dual_m
+    rhs[col_d] = dual_m - system.c0
 
     lp = LinearProgram(
-        n_vars=n_slots + n + m + n_sw,
+        n_vars=mat.shape[1],
         obj=np.concatenate([np.zeros(n_slots), obj_primal, signed_rhs, np.zeros(n_sw)]),
         lower=np.concatenate([p_lo, np.zeros(n), np.where(skel.sense == EQ, -np.inf, 0.0),
                               np.zeros(n_sw)]),
         upper=np.concatenate([p_up, col_upper, dual_upper, np.ones(n_sw)]),
         a_rows=mat,
-        sense=np.concatenate([skel.sense, np.full(n + len(comp_rows), LE, dtype=object)]),
-        rhs=np.concatenate([skel.rhs, system.c0, comp_rhs[comp_rows]]),
+        sense=np.concatenate([skel.sense, np.full(mat.shape[0] - m, LE, dtype=object)]),
+        rhs=rhs,
         maximize=True)
     lp.validate()
-    return MilpModel(lp, np.arange(n_slots + n + m, lp.n_vars, dtype=np.int64))
+    return MilpModel(lp, np.arange(s0, lp.n_vars, dtype=np.int64))
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i] .. starts[i] + counts[i] - 1``, concatenated."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) \
+        + np.arange(int(counts.sum()))
+
+
+def _csr_from_rows(shape: tuple[int, int], fragments: list) -> sp.csr_matrix:
+    """One CSR matrix from row fragments ``(rows, counts, indices, data)``:
+    row ``rows[i]`` takes the next ``counts[i]`` entries of ``indices`` and
+    ``data`` (one each when ``counts`` is ``None``).  Every row's fragments
+    come in increasing column order, so its entries end up sorted."""
+    per_row = np.zeros(shape[0], dtype=np.int64)
+    for rows, counts, _, _ in fragments:
+        per_row[rows] += 1 if counts is None else counts
+    index_dtype = np.int32 if max(*shape, per_row.sum()) < 2 ** 31 else np.int64
+    indptr = np.zeros(shape[0] + 1, dtype=index_dtype)
+    np.cumsum(per_row, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=index_dtype)
+    data = np.empty(indptr[-1])
+    cursor = indptr[:-1].astype(np.int64)
+    for rows, counts, idx, val in fragments:
+        if counts is None:
+            at = cursor[rows]
+            cursor[rows] += 1
+        else:
+            at = _ranges(cursor[rows], counts)
+            cursor[rows] += counts
+        indices[at] = idx
+        data[at] = val
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
 # -- extraction and audit ------------------------------------------------------
@@ -446,52 +507,60 @@ def _fallback_patterns(mpcc: MpccSystem, model: MilpModel,
     return patterns
 
 
-def _polish_incumbent(solver, model: MilpModel, mpcc: MpccSystem,
-                      result: MilpResult) -> tuple[MilpResult | None, int]:
-    """The minimal-multiplier point among the exact incumbent's alternate
-    optima at the same switches.
+def _shrink_lp(model: MilpModel, mpcc: MpccSystem, x: np.ndarray,
+               fstar: float) -> LinearProgram:
+    """The multiplier-shrink LP at MILP point ``x`` with objective ``f*``.
 
-    The shrink LP minimizes total multiplier magnitude at the optimal
-    objective, so degenerate multipliers do not ride their M and trip the
-    audit; ``solve_bilevel`` runs it only when the audit flags one that
-    does.  Its columns are the MILP's and one ``aux_i`` per equality row
-    ``i``; its rows are ``model.fixed_at`` at the incumbent, the hold row
-    ``obj x >= f*`` (``<=`` when minimizing) and the split
-    ``aux_i - d_i >= 0``, ``aux_i + d_i >= 0`` of each free multiplier
-    ``d_i``; it minimizes the inequality multipliers plus ``sum aux``.  When
-    it has no optimum, a retry moves the hold row alone by
-    ``1e-9 (1 + |f*|)`` towards feasibility.  Returns the polished result,
-    or ``None`` when neither LP has an optimum, and the number of LPs
-    solved: 1, or 2 with the retry.
+    Its columns are the MILP's and one ``aux_i`` per equality row ``i``;
+    its rows are ``model.fixed_at(x)``'s, the hold row ``obj x >= f*``
+    (``<=`` when minimizing) and the split ``aux_i - d_i >= 0``,
+    ``aux_i + d_i >= 0`` of each free multiplier ``d_i``, joined as CSR
+    arrays.  It minimizes the inequality multipliers plus ``sum aux``.
     """
     lp = model.lp
-    fixed = model.fixed_at(result.x)
-    fstar = float(result.objective)
+    fixed = model.fixed_at(x)
     n = lp.n_vars
     eq = mpcc.system.skeleton.sense == EQ
     dual_cols = _split_point(mpcc, np.arange(n))[2]
     n_aux = int(eq.sum())
     shrink = np.zeros(n)
     shrink[dual_cols[~eq]] = 1.0
-    one_each = np.arange(2 * n_aux + 1)          # one entry per split row
-    split_d = sp.csr_matrix((np.tile([-1.0, 1.0], n_aux),
-                             np.repeat(dual_cols[eq], 2), one_each),
-                            shape=(2 * n_aux, n))
-    split_aux = sp.csr_matrix((np.ones(2 * n_aux), np.repeat(np.arange(n_aux), 2),
-                               one_each), shape=(2 * n_aux, n_aux))
-    shrink_lp = LinearProgram(
+    a = fixed.a_rows
+    hold = np.flatnonzero(lp.obj)
+    aux = n + np.arange(n_aux)
+    split = np.column_stack([dual_cols[eq], aux, dual_cols[eq], aux]).ravel()
+    return LinearProgram(
         n_vars=n + n_aux,
         obj=np.concatenate([shrink, np.ones(n_aux)]),
         lower=np.concatenate([fixed.lower, np.zeros(n_aux)]),
         upper=np.concatenate([fixed.upper, np.full(n_aux, np.inf)]),
-        a_rows=sp.bmat([[fixed.a_rows, None],
-                        [sp.csr_matrix(lp.obj), None],        # the hold row
-                        [split_d, split_aux]], format="csr"),
+        a_rows=sp.csr_matrix(
+            (np.concatenate([a.data, lp.obj[hold], np.tile([-1.0, 1.0, 1.0, 1.0], n_aux)]),
+             np.concatenate([a.indices, hold, split]),
+             np.concatenate([a.indptr, a.nnz + len(hold) + 2 * np.arange(2 * n_aux + 1)])),
+            shape=(fixed.n_rows + 1 + 2 * n_aux, n + n_aux)),
         sense=np.concatenate([fixed.sense, [GE if lp.maximize else LE],
                               np.full(2 * n_aux, GE, dtype=object)]),
         rhs=np.concatenate([fixed.rhs, [fstar], np.zeros(2 * n_aux)]),
         maximize=False)
 
+
+def _polish_incumbent(solver, model: MilpModel, mpcc: MpccSystem,
+                      result: MilpResult) -> tuple[MilpResult | None, int]:
+    """The minimal-multiplier point among the exact incumbent's alternate
+    optima at the same switches.
+
+    The shrink LP (``_shrink_lp``) minimizes total multiplier magnitude at
+    the optimal objective, so degenerate multipliers do not ride their M and
+    trip the audit; ``solve_bilevel`` runs it only when the audit flags one
+    that does.  When it has no optimum, a retry moves the hold row alone by
+    ``1e-9 (1 + |f*|)`` towards feasibility.  Returns the polished result,
+    or ``None`` when neither LP has an optimum, and the number of LPs
+    solved: 1, or 2 with the retry.
+    """
+    lp = model.lp
+    fstar = float(result.objective)
+    shrink_lp = _shrink_lp(model, mpcc, result.x, fstar)
     s2 = solver.solve_lp(shrink_lp)              # hold the optimum exactly
     n_lps = 1
     if s2.status is not Status.OPTIMAL:
@@ -501,7 +570,7 @@ def _polish_incumbent(solver, model: MilpModel, mpcc: MpccSystem,
         n_lps = 2
     if s2.status is not Status.OPTIMAL:
         return None, n_lps
-    x = s2.x[:n]
+    x = s2.x[:lp.n_vars]
     obj = float(lp.obj @ x)
     return replace(result, x=x, objective=obj,
                    rel_gap=relative_gap(obj, result.bound)), n_lps

@@ -20,6 +20,12 @@ composite objective (cost minus a vanishing leader-profit bonus).
 
 ``read_lp`` parses the LP-format files that ``write_lp`` exports, so models
 round-trip through a file.
+
+``reference_linearize`` and ``reference_shrink_lp`` build the single-level
+MILP and the multiplier-shrink LP from scipy blocks (``sp.bmat``, a comp row
+for every pair, then row selection); the array assembly in
+``gridtariff.reformulation`` must reproduce them byte for byte
+(``assert_same_lp``).
 """
 
 from __future__ import annotations
@@ -31,12 +37,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gridtariff.follower import (DEVICE_FAMILIES, SLOT_FAMILIES,
                                  build_follower_lp, build_follower_system)
 from gridtariff.model import (Battery, Device, Horizon, Instance, PriceData,
                               TimeWindow)
-from gridtariff.reformulation import AuditFlag, AuditReport
+from gridtariff.reformulation import (DOMINATED_PURCHASE, SWITCHED, AuditFlag,
+                                      AuditReport, _split_point)
 from gridtariff.scenario import (BaseScenario, ScenarioTree, flat_tree,
                                  node_map, single_path_tree)
 from gridtariff.solver import (EQ, GE, LE, LinearProgram, LpBuilder,
@@ -378,6 +386,134 @@ def reference_follower(instance: Instance) -> ReferenceFollower:
     return ReferenceFollower(instance, index, tags, [tag for tag, _, _, _ in rows],
                              lp.obj, np.asarray(price_slot), np.asarray(price_prob),
                              lp)
+
+
+# -- the single-level MILP and the shrink LP, assembled from scipy blocks ------
+
+
+def reference_linearize(mpcc, dual_m: float,
+                        pinned_prices: dict | None = None) -> MilpModel:
+    """``reformulation.linearize`` the block way: a comp row for every pair in
+    one ``sp.bmat``, then the kept rows selected.  The array assembly must
+    reproduce it byte for byte."""
+    system = mpcc.system
+    skel = system.skeleton
+    inst = system.instance
+    n_slots, n, m = inst.n_slots, system.n_vars, system.n_rows
+    comp = inst.prices.competitor
+    supply = inst.prices.supply_cost
+    row_sign = system.row_sign
+    ineq = mpcc.ineq_rows
+    n_ineq, n_pairs = len(ineq), mpcc.n_pairs
+    switched = mpcc.switched
+    n_sw = len(switched)
+
+    p_lo, p_up = np.zeros(n_slots), np.array(comp, dtype=float)
+    for h in range(n_slots):
+        if pinned_prices and h in pinned_prices:
+            v = float(pinned_prices[h])
+            p_lo[h] = p_up[h] = min(max(v, 0.0), float(comp[h]))
+
+    linked = np.flatnonzero(system.price_slot >= 0)
+    obj_primal = -system.c0
+    obj_primal[linked] -= system.price_prob[linked] * supply[system.price_slot[linked]]
+    col_upper = system.skeleton.upper.copy()
+    col_upper[mpcc.rule[n_ineq:] == DOMINATED_PURCHASE] = 0.0
+    dual_upper = np.full(m, np.inf)
+    fixed = np.flatnonzero(mpcc.rule[:n_ineq] != SWITCHED)
+    dual_upper[ineq[fixed]] = dual_m * (1.0 - mpcc.implied_delta[fixed])
+
+    a = skel.a_rows
+    signed = sp.csr_matrix((np.repeat(row_sign, np.diff(a.indptr)) * a.data,
+                            a.indices, a.indptr), shape=a.shape)
+    signed_t = signed.T.tocsr()
+    price = sp.csr_matrix((system.price_prob[linked],
+                           (linked, system.price_slot[linked])), shape=(n, n_slots))
+    pick = sp.csr_matrix((np.ones(n_ineq), ineq, np.arange(n_ineq + 1)),
+                         shape=(n_ineq, m))
+    cols = (switched, np.arange(n_sw))
+    big_p = sp.csr_matrix((-mpcc.primal_bound[switched], cols), shape=(n_pairs, n_sw))
+    big_d = sp.csr_matrix((np.full(n_sw, dual_m), cols), shape=(n_pairs, n_sw))
+    mat = sp.bmat([
+        [None, a, None, None],
+        [-price, None, signed_t, None],
+        [None, signed[ineq], None, big_p[:n_ineq]],
+        [None, sp.identity(n), None, big_p[n_ineq:]],
+        [None, None, pick, big_d[:n_ineq]],
+        [price, None, -signed_t, big_d[n_ineq:]],
+    ], format="csr")
+    signed_rhs = row_sign * skel.rhs
+    comp_rhs = np.concatenate([signed_rhs[ineq], np.zeros(n),
+                               np.full(n_ineq, dual_m), dual_m - system.c0])
+    is_switched = mpcc.rule == SWITCHED
+    has = np.column_stack([is_switched, is_switched])
+    has[n_ineq:, 1] = True
+    comp_rows = np.column_stack([np.arange(n_pairs), n_pairs + np.arange(n_pairs)])[has]
+    mat = mat[np.concatenate([np.arange(m + n), m + n + comp_rows])]
+    mat.eliminate_zeros()
+    mat.sort_indices()
+
+    lp = LinearProgram(
+        n_vars=n_slots + n + m + n_sw,
+        obj=np.concatenate([np.zeros(n_slots), obj_primal, signed_rhs, np.zeros(n_sw)]),
+        lower=np.concatenate([p_lo, np.zeros(n), np.where(skel.sense == EQ, -np.inf, 0.0),
+                              np.zeros(n_sw)]),
+        upper=np.concatenate([p_up, col_upper, dual_upper, np.ones(n_sw)]),
+        a_rows=mat,
+        sense=np.concatenate([skel.sense, np.full(n + len(comp_rows), LE, dtype=object)]),
+        rhs=np.concatenate([skel.rhs, system.c0, comp_rhs[comp_rows]]),
+        maximize=True)
+    return MilpModel(lp, np.arange(n_slots + n + m, lp.n_vars, dtype=np.int64))
+
+
+def reference_shrink_lp(model: MilpModel, mpcc, x: np.ndarray,
+                        fstar: float) -> LinearProgram:
+    """``reformulation._shrink_lp`` the block way: one ``sp.bmat`` over the
+    fixed-switch rows, the hold row and the split rows."""
+    lp = model.lp
+    fixed = model.fixed_at(x)
+    n = lp.n_vars
+    eq = mpcc.system.skeleton.sense == EQ
+    dual_cols = _split_point(mpcc, np.arange(n))[2]
+    n_aux = int(eq.sum())
+    shrink = np.zeros(n)
+    shrink[dual_cols[~eq]] = 1.0
+    one_each = np.arange(2 * n_aux + 1)
+    split_d = sp.csr_matrix((np.tile([-1.0, 1.0], n_aux),
+                             np.repeat(dual_cols[eq], 2), one_each),
+                            shape=(2 * n_aux, n))
+    split_aux = sp.csr_matrix((np.ones(2 * n_aux), np.repeat(np.arange(n_aux), 2),
+                               one_each), shape=(2 * n_aux, n_aux))
+    return LinearProgram(
+        n_vars=n + n_aux,
+        obj=np.concatenate([shrink, np.ones(n_aux)]),
+        lower=np.concatenate([fixed.lower, np.zeros(n_aux)]),
+        upper=np.concatenate([fixed.upper, np.full(n_aux, np.inf)]),
+        a_rows=sp.bmat([[fixed.a_rows, None],
+                        [sp.csr_matrix(lp.obj), None],
+                        [split_d, split_aux]], format="csr"),
+        sense=np.concatenate([fixed.sense, [GE if lp.maximize else LE],
+                              np.full(2 * n_aux, GE, dtype=object)]),
+        rhs=np.concatenate([fixed.rhs, [fstar], np.zeros(2 * n_aux)]),
+        maximize=False)
+
+
+def assert_same_lp(lp: LinearProgram, ref: LinearProgram) -> None:
+    """Every array of ``lp`` equals ``ref``'s byte for byte, dtype included,
+    and ``lp``'s matrix is canonical CSR: sorted indices, no explicit zeros."""
+    a, b = lp.a_rows, ref.a_rows
+    assert (lp.n_vars, a.shape, lp.maximize) == (ref.n_vars, b.shape, ref.maximize)
+    for got, want in ((lp.obj, ref.obj), (lp.lower, ref.lower),
+                      (lp.upper, ref.upper), (lp.rhs, ref.rhs),
+                      (a.data, b.data), (a.indices, b.indices),
+                      (a.indptr, b.indptr)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert lp.sense.dtype == ref.sense.dtype
+    assert lp.sense.tolist() == ref.sense.tolist()
+    assert np.all(a.data != 0)
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    assert np.all((np.diff(a.indices) > 0) | (np.diff(rows) > 0))
 
 
 # -- analytic follower response (no battery, no generation, one scenario) -----

@@ -33,6 +33,7 @@ BAD_FILES = {
         bases=[base[:11] for base in doc["scenario_tree"]["bases"][:2]],
         probabilities=[0.5, 0.5], period_length=4),
     "n_slots null": lambda doc: doc.update(n_slots=None),
+    "NaN demand": lambda doc: doc["devices"][0].update(energy_demand=float("nan")),
     "no battery": lambda doc: doc.pop("battery"),
     "no file": None,
 }
@@ -249,6 +250,8 @@ def test_rh_step_beyond_window_exit_code(tmp_path, capsys, command):
     ("solve", "file", "bases of 12 and 11 slots", "inhomogeneous shape"),
     ("rh", "file", "11-slot bases, period 4", "base scenario 0 shorter than horizon"),
     ("solve", "file", "n_slots null", "not 'NoneType'"),
+    ("solve", "file", "NaN demand", "non_finite: device"),
+    ("rh", "file", "NaN demand", "non_finite: device"),
     ("baseline", "file", "no battery", "missing field 'battery'"),
     ("solve", "file", "no file", "No such file or directory"),
 ])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,14 @@ def base_instance(**overrides):
 
 def codes(instance):
     return {v.code for v in validate(instance)}
+
+
+def _first_device(inst, **fields):
+    dev = inst.devices[0]
+    return inst.replace(devices=[replace(dev, **fields), *inst.devices[1:]])
+
+
+NAN = float("nan")
 
 
 class TestTimeWindow:
@@ -102,3 +112,28 @@ class TestValidate:
     def test_empty_device_list_is_valid(self):
         assert validate(base_instance(devices=[])).ok
 
+    # a NaN fails every comparison, so each number is checked for
+    # finiteness on its own instead of slipping past the range checks
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda inst: _first_device(inst, energy_demand=NAN), id="demand"),
+        pytest.param(lambda inst: _first_device(inst, max_power=NAN), id="max_power"),
+        pytest.param(lambda inst: _first_device(
+            inst, inconvenience=(inst.devices[0].inconvenience[0], NAN)),
+            id="inconvenience"),
+        pytest.param(lambda inst: inst.replace(prices=PriceData(
+            np.array([3.0, NAN]), inst.prices.supply_cost)), id="competitor"),
+        pytest.param(lambda inst: inst.replace(prices=PriceData(
+            inst.prices.competitor, np.array([NAN, 1.0]))), id="supply_cost"),
+        pytest.param(lambda inst: inst.replace(
+            tree=single_path_tree(np.array([0.0, NAN]))), id="generation_bound"),
+    ])
+    def test_nan_is_its_only_violation(self, edit):
+        assert codes(edit(base_instance())) == {"non_finite"}
+
+    def test_nan_battery_level(self):
+        inst = base_instance(battery=replace(base_instance().battery, initial=NAN))
+        assert codes(inst) == {"non_finite", "initial_battery_out_of_range"}
+
+    def test_infinite_demand(self):
+        inst = _first_device(base_instance(), energy_demand=np.inf)
+        assert codes(inst) == {"non_finite", "demand_unsatisfiable"}

@@ -22,8 +22,8 @@ from gridtariff.reformulation import (DOMINATED_PURCHASE, DUPLICATE_FLOOR,
                                       UncertifiedOptimum,
                                       audit_big_m, build_mpcc, default_dual_m,
                                       extract_bilevel, _fallback_patterns,
-                                      _pair_values, _split_point, linearize,
-                                      solve_bilevel)
+                                      _pair_values, _shrink_lp, _split_point,
+                                      linearize, solve_bilevel)
 from gridtariff.reports import solution_to_dict
 from gridtariff.rolling import RhConfig, RhTrajectory, make_subinstance
 from gridtariff.scenario import (BaseScenario, flat_tree, single_path_tree,
@@ -34,9 +34,10 @@ from gridtariff.solver import (EQ, LE, LpSolution, MilpResult, SolveOptions,
 from gridtariff.solver import backends
 from gridtariff.solver.bnb import NodeLp
 
-from conftest import (DESK_SHAPE, OptimisticResponder, audit_loop,
-                      grid_oracle, make_t1, random_tiny_instance,
-                      reference_follower)
+from conftest import (DESK_SHAPE, OptimisticResponder, assert_same_lp,
+                      audit_loop, grid_oracle, make_t1, random_tiny_instance,
+                      reference_follower, reference_linearize,
+                      reference_shrink_lp)
 
 # perfbench's desk-bundled roster, and the desk seeds it leaves out as slow
 DESK_ROSTER = (1, 4, 7, 9, 13, 21)
@@ -202,6 +203,56 @@ class TestLinearize:
         assert sol.leader_objective == pytest.approx(0.0, abs=1e-9)
 
 
+def _pins(inst):
+    """Pins inside the price range, within 1e-9 outside either end, and at
+    -0.0, which the bounds keep as the reference's ``max(v, 0.0)`` does."""
+    comp = inst.prices.competitor
+    return {0: 0.5 * comp[0], 1: -0.0, 3: -5e-10, 4: comp[4] + 5e-10,
+            5: float(comp[5])}
+
+
+class TestAssembly:
+    """The array assembly writes the MILP and the shrink LP that scipy's
+    block assembly (``conftest.reference_linearize``,
+    ``reference_shrink_lp``) writes, byte for byte."""
+
+    @pytest.mark.parametrize("make, pinned", [
+        pytest.param(make_t1, False, id="t1"),
+        *[pytest.param(lambda seed=seed: _desk(seed), False, id=f"desk{seed}")
+          for seed in DESK_ROSTER],
+        *[pytest.param(lambda seed=seed: _rh_mini3_window(seed), pinned,
+                       id=f"mini{seed}x3-t0{'-pinned' if pinned else ''}")
+          for seed in (5, 6, 14) for pinned in (False, True)],
+        pytest.param(lambda: generate_week_instance(1, n_bases=1), False,
+                     id="week1"),
+    ])
+    def test_same_bytes_as_block_assembly(self, make, pinned):
+        inst = make()
+        mpcc = build_mpcc(inst)
+        pins = _pins(inst) if pinned else None
+        rng = np.random.default_rng(7)
+        for dual_m in (default_dual_m(mpcc), 1.5):
+            model = linearize(mpcc, dual_m, pins)
+            ref = reference_linearize(mpcc, dual_m, pins)
+            assert_same_lp(model.lp, ref.lp)
+            assert model.binary_idx.tobytes() == ref.binary_idx.tobytes()
+            x = np.zeros(model.lp.n_vars)
+            x[model.binary_idx] = rng.integers(0, 2, len(model.binary_idx))
+            for fstar in (0.0, -3.25):
+                assert_same_lp(_shrink_lp(model, mpcc, x, fstar),
+                               reference_shrink_lp(model, mpcc, x, fstar))
+
+    def test_polish_solves_the_reference_shrink_lp(self, monkeypatch):
+        # desk seed 4's HiGHS incumbent rides its M, so the polish runs
+        log = _CallLog("scipy")
+        solve_bilevel(_desk(4), opts=SolveOptions(rel_gap=0.0),
+                      backend=_register(monkeypatch, log))
+        [(_, model, res)] = [call for call in log.calls if call[0] == "milp"]
+        shrink = [call[1] for call in log.calls if call[0] == "lp"][0]
+        assert_same_lp(shrink, reference_shrink_lp(
+            model, build_mpcc(_desk(4)), res.x, float(res.objective)))
+
+
 class TestSolveBilevel:
     def test_t1_zero_penalty_grid(self):
         inst = make_t1(C=(0.0, 0.0))
@@ -259,8 +310,14 @@ class TestSolveBilevel:
         assert sol.prices[0] == pytest.approx(2.5, abs=1e-12)
 
     def test_pinned_price_out_of_bounds_rejected(self, t1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"pinned price 99.0 at slot 0 outside"):
             solve_bilevel(t1, pinned_prices={0: 99.0})
+
+    @pytest.mark.parametrize("slot", [7, 2, -1, 0.5])
+    def test_pin_outside_the_horizon_rejected(self, t1, slot):
+        with pytest.raises(ValueError, match=rf"pinned price at slot {slot} outside"
+                                             r" the horizon's slots 0\.\.1"):
+            solve_bilevel(t1, pinned_prices={slot: 1.0, 0: 0.5})
 
     def test_invalid_instance_rejected(self, t1):
         bad = t1.replace(battery=Battery(5.0, 0.0, 1.0, 0.9, 0.9))
