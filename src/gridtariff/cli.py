@@ -65,11 +65,17 @@ def _variant_from_args(args) -> VariantSpec:
 
 
 def _generate(args, variants: VariantSpec | None = None) -> Instance:
+    """The generated instance; a variant setting the generator rejects or a
+    negative seed exits as a validation failure."""
     variants = variants if variants is not None else _variant_from_args(args)
-    if args.preset == "week":
-        return generate_week_instance(args.seed, variants, n_bases=args.bases)
-    return generate_mini_instance(args.seed, variants, preset=args.preset,
-                                  n_bases=args.bases)
+    try:
+        if args.preset == "week":
+            return generate_week_instance(args.seed, variants, n_bases=args.bases)
+        return generate_mini_instance(args.seed, variants, preset=args.preset,
+                                      n_bases=args.bases)
+    except ValueError as exc:
+        print(f"validation: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_VALIDATION)
 
 
 def _load_instance(args) -> Instance:
@@ -105,8 +111,8 @@ def _solve_opts(args) -> SolveOptions:
 
 def _rh_config(args, n_bases: int, frozen: int | str) -> RhConfig:
     """The rolling-horizon settings; bad solver settings (``_solve_opts``),
-    or a bad window, step, stay probability or frozen prefix (also one that
-    is no integer), exit as a validation failure."""
+    or a bad window, step, stay probability, seed or frozen prefix (also one
+    that is no integer), exit as a validation failure."""
     try:
         return RhConfig(window=args.window, step=args.step, frozen=int(frozen),
                         opts=_solve_opts(args),
@@ -258,7 +264,6 @@ def _write_trajectory(outdir: Path, inst: Instance,
 def cmd_sensitivity(args) -> int:
     opts = _solve_opts(args)
     outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
     leader_rows, follower_rows, report_rows = [], [], []
     failures = 0
 
@@ -272,6 +277,7 @@ def cmd_sensitivity(args) -> int:
 
     for name, variants in SENSITIVITY_GRID:
         inst = _generate(args, variants)
+        outdir.mkdir(parents=True, exist_ok=True)   # a bad seed exits above
         t0 = time.monotonic()
         try:
             sol = solve_bilevel(inst, opts=opts, backend=args.backend)
@@ -378,11 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bilevel time-of-use pricing toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_gen_opts(p, bases=1):
+    def add_gen_opts(p, bases=1, variants=True):
         p.add_argument("--preset", default="mini",
                        choices=["week"] + sorted(MINI_PRESETS))
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--bases", type=int, default=bases, choices=[1, 3])
+        if not variants:        # the command sets its own variants
+            return
         p.add_argument("--dg-scale", type=float, default=1.0)
         p.add_argument("--battery-scale", type=float, default=1.0)
         p.add_argument("--inconvenience-scale", type=float, default=1.0)
@@ -431,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rh)
 
     p = sub.add_parser("sensitivity", help="thirteen-variant study grid")
-    add_gen_opts(p)
+    add_gen_opts(p, variants=False)
     add_solver_opts(p, time_limit=1200.0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_sensitivity)

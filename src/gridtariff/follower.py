@@ -294,7 +294,7 @@ def _assemble(instance: Instance, nodes: np.ndarray, cell_dev: np.ndarray,
     indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(t_row, minlength=n_layout)[pos], out=indptr[1:])
     mat = sp.csr_matrix((t_val[t], cols[t_leaf, t_col[t]], indptr), shape=(m, n))
-    mat.sum_duplicates()            # canonical form, as LpBuilder builds it
+    mat.sum_duplicates()            # canonical form: sorted, no duplicate entries
     mat.eliminate_zeros()
     family = family[pos]
     rhs = base_rhs[pos]

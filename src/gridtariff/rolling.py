@@ -62,6 +62,8 @@ class RhConfig:
             raise ValueError(f"step {self.step} exceeds window {self.window}")
         if self.frozen < 0:
             raise ValueError("frozen prefix must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.frozen + self.step > self.window:
             raise ValueError(
                 f"frozen prefix {self.frozen} + step {self.step} exceeds window "

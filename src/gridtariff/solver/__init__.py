@@ -3,18 +3,18 @@ branch-and-bound over HiGHS node LPs, and backend plugins."""
 
 from .backends import (BundledBackend, ScipyBackend, get_backend,
                        register_backend, solve_lp)
-from .bnb import solve_milp, verify_milp_solution
-from .core import (EQ, GE, LE, LinearProgram, LpBuilder, LpSolution,
+from .bnb import solve_milp
+from .core import (EQ, GE, LE, LinearProgram, LpSolution,
                    MilpModel, MilpResult, SolveOptions, SolverError, Status,
                    check_lp_solution, relative_gap)
 from .lpfile import write_lp
 
 __all__ = [
     "EQ", "GE", "LE",
-    "LinearProgram", "LpBuilder", "LpSolution", "MilpModel", "MilpResult",
+    "LinearProgram", "LpSolution", "MilpModel", "MilpResult",
     "SolveOptions", "SolverError", "Status",
     "BundledBackend", "ScipyBackend",
     "get_backend", "register_backend",
-    "solve_lp", "solve_milp", "verify_milp_solution", "check_lp_solution",
+    "solve_lp", "solve_milp", "check_lp_solution",
     "relative_gap", "write_lp",
 ]

@@ -2,13 +2,13 @@
 
 Nodes are LP relaxations with tightened binary bounds; selection is
 best-bound with FIFO tie-breaking, branching picks the most fractional
-binary (ties by lowest variable index).  The MILP's LP relaxation is loaded
-into one HiGHS model per solve, with presolve off.  A node sets its binary
-columns' bounds and restores its parent's optimal basis, which a fixed
-binary leaves dual feasible, so a few steps of HiGHS' dual simplex re-solve
-it (Huangfu & Hall 2018, *Parallelizing the dual revised simplex method*).
-The root starts from HiGHS' own crash.  Everything is deterministic for a
-fixed model, so repeated runs produce identical node trails.
+binary (ties by lowest variable index).  Each solve loads the MILP's LP
+relaxation into one ``backends.HighsModel``, presolve off; a node
+(``solve_node``) sets its binaries' bounds and restores its parent's optimal
+basis, which a fixed binary leaves dual feasible, so a few steps of HiGHS'
+dual simplex re-solve it (Huangfu & Hall 2018, *Parallelizing the dual
+revised simplex method*).  The root starts from HiGHS' own crash, and each
+run of a fixed model repeats the same node trail.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends
-from .core import (LinearProgram, MilpModel, MilpResult, SolveOptions, Status,
-                   check_lp_solution, relative_gap)
+from .core import MilpModel, MilpResult, SolveOptions, Status, relative_gap
 
 _INT_TOL = 1e-6
 
@@ -32,48 +31,6 @@ class _Node:
     bound: float
     depth: int
     basis: object = None            # the parent's optimal HighsBasis
-
-
-def verify_milp_solution(model: MilpModel, x: np.ndarray, tol: float = 1e-6) -> list[str]:
-    issues = check_lp_solution(model.lp, x, tol)
-    if len(model.binary_idx):
-        frac = np.abs(x[model.binary_idx] - np.round(x[model.binary_idx]))
-        if frac.max() > tol:
-            issues.append(f"binary integrality violated by {frac.max():.3e}")
-    return issues
-
-
-class NodeLp:
-    """A MILP's LP relaxation, loaded once into HiGHS with presolve off.
-    Each ``solve`` sets the bounds of the columns ``cols`` and re-solves it,
-    from ``basis`` when one is given and from the last solve's basis
-    otherwise; ``iterations`` sums the simplex iterations of every solve."""
-
-    def __init__(self, lp: LinearProgram, cols: np.ndarray) -> None:
-        self.cost = (-1.0 if lp.maximize else 1.0) * lp.obj
-        self.cols = np.asarray(cols, dtype=np.int32)
-        self.highs = backends._load(lp, self.cost, presolve=False,
-                                    options=backends.TOLERANCES)
-        self.iterations = 0
-
-    def solve(self, lo: np.ndarray, up: np.ndarray, basis=None) -> tuple:
-        """``(status, x, objective)``, the objective in the minimized sense;
-        ``x`` and ``objective`` are None unless the status is ``OPTIMAL``."""
-        highs = self.highs
-        highs.changeColsBounds(len(self.cols), self.cols, lo, up)
-        if basis is not None:
-            highs.setBasis(basis)
-        highs.run()
-        self.iterations += int(highs.getInfo().simplex_iteration_count)
-        status = backends._status(highs, milp=False)
-        if status is not Status.OPTIMAL:
-            return status, None, None
-        x = np.asarray(highs.getSolution().col_value)
-        return status, x, float(self.cost @ x)
-
-    def basis(self):
-        """The optimal basis of the last solve."""
-        return self.highs.getBasis()
 
 
 def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult:
@@ -88,9 +45,9 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult
     opts = opts or SolveOptions()
     model.validate()
     lp = model.lp
-    sign = -1.0 if lp.maximize else 1.0
     binaries = np.asarray(model.binary_idx, dtype=np.int64)
-    nodes = NodeLp(lp, binaries)
+    cols = binaries.astype(np.int32)
+    nodes = backends.HighsModel(lp, presolve=False, options=backends.TOLERANCES)
 
     incumbent_switches: np.ndarray | None = None
     incumbent_obj: float | None = None          # internal (min) sense
@@ -137,7 +94,8 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult
             break
         _, _, node = heapq.heappop(heap)
 
-        status, x, objective = nodes.solve(*node_bounds(node), node.basis)
+        status, x, objective = nodes.solve_node(cols, *node_bounds(node),
+                                                node.basis)
         nodes_done += 1
         if status is Status.UNBOUNDED:
             return result(Status.UNBOUNDED)
@@ -156,7 +114,7 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult
                 # re-solve at exactly integral switches: near-integral values
                 # scaled by big row coefficients can hide real slack
                 fixed = np.round(x[binaries])
-                status, x, objective = nodes.solve(fixed, fixed, None)
+                status, x, objective = nodes.solve_node(cols, fixed, fixed)
                 if status is not Status.OPTIMAL:
                     log.append((nodes_done, node.depth, node_bound, "leaf"))
                     continue
@@ -187,7 +145,7 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult
 
     if incumbent_obj is None:
         if stop_status is not None:
-            return result(stop_status, bound=sign * dual_bound
+            return result(stop_status, bound=nodes.sign * dual_bound
                           if np.isfinite(dual_bound) else np.nan)
         return result(Status.INFEASIBLE)
 
@@ -197,9 +155,9 @@ def solve_milp(model: MilpModel, opts: SolveOptions | None = None) -> MilpResult
     status = Status.OPTIMAL if stop_status is None else stop_status
     if status is not Status.OPTIMAL and gap <= opts.rel_gap:
         status = Status.OPTIMAL
-    status_exact, x, _ = nodes.solve(incumbent_switches, incumbent_switches,
-                                     incumbent_start)
-    bound = sign * dual_bound
+    status_exact, x, _ = nodes.solve_node(cols, incumbent_switches,
+                                          incumbent_switches, incumbent_start)
+    bound = nodes.sign * dual_bound
     if status_exact is not Status.OPTIMAL:
         return result(status, bound=bound)
     objective = float(lp.obj @ x)

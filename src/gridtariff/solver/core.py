@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Hashable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -151,77 +150,6 @@ def relative_gap(incumbent: float | None, bound: float) -> float:
     if incumbent is None or not np.isfinite(bound):
         return np.inf
     return abs(incumbent - bound) / max(1.0, abs(incumbent))
-
-
-class LpBuilder:
-    """Incremental triplet-based construction of a LinearProgram; variables
-    are added under unique names."""
-
-    def __init__(self, maximize: bool = False) -> None:
-        self.maximize = maximize
-        self._lb: list[float] = []
-        self._ub: list[float] = []
-        self._obj: list[float] = []
-        self._rows_i: list[int] = []
-        self._rows_j: list[int] = []
-        self._rows_v: list[float] = []
-        self._sense: list[str] = []
-        self._rhs: list[float] = []
-        self._names: set[Hashable] = set()
-
-    @property
-    def n_vars(self) -> int:
-        return len(self._obj)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self._rhs)
-
-    def add_var(self, name: Hashable, lb: float = 0.0, ub: float = np.inf,
-                obj: float = 0.0) -> int:
-        if name in self._names:
-            raise SolverError(f"duplicate variable name {name!r}")
-        self._names.add(name)
-        self._lb.append(float(lb))
-        self._ub.append(float(ub))
-        self._obj.append(float(obj))
-        return len(self._obj) - 1
-
-    def set_obj(self, idx: int, coef: float) -> None:
-        self._obj[idx] = float(coef)
-
-    def add_row(self, terms: Sequence[tuple[int, float]], sense: str,
-                rhs: float) -> int:
-        if sense not in _SENSES:
-            raise SolverError(f"bad sense {sense!r}")
-        row = len(self._rhs)
-        for j, v in terms:
-            if v != 0.0:
-                self._rows_i.append(row)
-                self._rows_j.append(j)
-                self._rows_v.append(float(v))
-        self._sense.append(sense)
-        self._rhs.append(float(rhs))
-        return row
-
-    def build(self) -> LinearProgram:
-        n, m = self.n_vars, self.n_rows
-        mat = sp.coo_matrix(
-            (self._rows_v, (self._rows_i, self._rows_j)), shape=(m, n)
-        ).tocsr()
-        mat.sum_duplicates()
-        lp = LinearProgram(
-            n_vars=n,
-            obj=np.asarray(self._obj, dtype=float),
-            lower=np.asarray(self._lb, dtype=float),
-            upper=np.asarray(self._ub, dtype=float),
-            a_rows=mat,
-            sense=np.asarray(self._sense, dtype=object),
-            rhs=np.asarray(self._rhs, dtype=float),
-            maximize=self.maximize,
-        )
-        lp.validate()
-        return lp
 
 
 def check_lp_solution(lp: LinearProgram, x: np.ndarray, tol: float = 1e-6) -> list[str]:

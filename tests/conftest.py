@@ -4,7 +4,9 @@
 tuple key per decision and leaf, one labelled row at a time, through
 ``LpBuilder``.  The array build in ``gridtariff.follower`` must reproduce it
 bit for bit, and tests that need to know what a column or row is read its
-labels.
+labels.  The tests also write their small hand-made models with
+``LpBuilder``, and ``verify_milp_solution`` checks a MILP point's rows,
+bounds and integrality.
 
 ``indistinguishability_time`` and ``all_nonanticipativity_pairs`` list the
 decisions two leaves must share pair by pair, the quadratic way that
@@ -34,6 +36,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Hashable, Sequence
 
 import numpy as np
 import pytest
@@ -47,14 +50,101 @@ from gridtariff.reformulation import (DOMINATED_PURCHASE, SWITCHED, AuditFlag,
                                       AuditReport, _split_point)
 from gridtariff.scenario import (BaseScenario, ScenarioTree, flat_tree,
                                  node_map, single_path_tree)
-from gridtariff.solver import (EQ, GE, LE, LinearProgram, LpBuilder,
-                               LpSolution, MilpModel, SolverError, Status)
-from gridtariff.solver import backends
+from gridtariff.solver import (EQ, GE, LE, LinearProgram, LpSolution,
+                               MilpModel, SolverError, Status,
+                               check_lp_solution)
+from gridtariff.solver.backends import TOLERANCES, HighsModel
 
 # the instance shape of perfbench's desk workload
 DESK_SHAPE = dict(n_bases=1, n_slots=4, n_devices=2, slot_minutes=360,
                   total_demand=8, duration_range=(1, 2), battery_hours=1.5,
                   dg_level=0.8)
+
+
+# -- row-by-row models ---------------------------------------------------------
+
+
+class LpBuilder:
+    """Incremental triplet-based construction of a LinearProgram; variables
+    are added under unique names."""
+
+    def __init__(self, maximize: bool = False) -> None:
+        self.maximize = maximize
+        self._lb: list[float] = []
+        self._ub: list[float] = []
+        self._obj: list[float] = []
+        self._rows_i: list[int] = []
+        self._rows_j: list[int] = []
+        self._rows_v: list[float] = []
+        self._sense: list[str] = []
+        self._rhs: list[float] = []
+        self._names: set[Hashable] = set()
+
+    @property
+    def n_vars(self) -> int:
+        return len(self._obj)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self._rhs)
+
+    def add_var(self, name: Hashable, lb: float = 0.0, ub: float = np.inf,
+                obj: float = 0.0) -> int:
+        if name in self._names:
+            raise SolverError(f"duplicate variable name {name!r}")
+        self._names.add(name)
+        self._lb.append(float(lb))
+        self._ub.append(float(ub))
+        self._obj.append(float(obj))
+        return len(self._obj) - 1
+
+    def set_obj(self, idx: int, coef: float) -> None:
+        self._obj[idx] = float(coef)
+
+    def add_row(self, terms: Sequence[tuple[int, float]], sense: str,
+                rhs: float) -> int:
+        if sense not in (LE, EQ, GE):
+            raise SolverError(f"bad sense {sense!r}")
+        row = len(self._rhs)
+        for j, v in terms:
+            if v != 0.0:
+                self._rows_i.append(row)
+                self._rows_j.append(j)
+                self._rows_v.append(float(v))
+        self._sense.append(sense)
+        self._rhs.append(float(rhs))
+        return row
+
+    def build(self) -> LinearProgram:
+        n, m = self.n_vars, self.n_rows
+        mat = sp.coo_matrix(
+            (self._rows_v, (self._rows_i, self._rows_j)), shape=(m, n)
+        ).tocsr()
+        mat.sum_duplicates()
+        lp = LinearProgram(
+            n_vars=n,
+            obj=np.asarray(self._obj, dtype=float),
+            lower=np.asarray(self._lb, dtype=float),
+            upper=np.asarray(self._ub, dtype=float),
+            a_rows=mat,
+            sense=np.asarray(self._sense, dtype=object),
+            rhs=np.asarray(self._rhs, dtype=float),
+            maximize=self.maximize,
+        )
+        lp.validate()
+        return lp
+
+
+def verify_milp_solution(model: MilpModel, x: np.ndarray, tol: float = 1e-6) -> list[str]:
+    issues = check_lp_solution(model.lp, x, tol)
+    if len(model.binary_idx):
+        frac = np.abs(x[model.binary_idx] - np.round(x[model.binary_idx]))
+        if frac.max() > tol:
+            issues.append(f"binary integrality violated by {frac.max():.3e}")
+    return issues
+
+
+# -- tiny instances -------------------------------------------------------------
 
 
 def make_t1(C=(0.0, 0.1), K=(2.5, 1.0), pbar=(3.0, 3.0)) -> Instance:
@@ -563,9 +653,7 @@ class OptimisticResponder:
         self.system = build_follower_system(instance)
         self.eps = eps
         lp = build_follower_lp(instance, np.zeros(instance.n_slots), self.system)
-        self.highs = backends._load(lp, lp.obj, presolve=False,
-                                    options=backends.TOLERANCES)
-        self.cols = np.arange(lp.n_vars, dtype=np.int32)
+        self.model = HighsModel(lp, presolve=False, options=TOLERANCES)
         self.supply = instance.prices.supply_cost
 
     def profit(self, prices: np.ndarray) -> float:
@@ -574,10 +662,9 @@ class OptimisticResponder:
         prob, slot = sysm.price_prob[sold], sysm.price_slot[sold]
         obj = sysm.objective(prices)
         obj[sold] -= self.eps * prob * (prices[slot] - self.supply[slot])
-        self.highs.changeColsCost(len(self.cols), self.cols, obj)
-        self.highs.run()
-        assert backends._status(self.highs, milp=False) is Status.OPTIMAL
-        x = np.asarray(self.highs.getSolution().col_value)
+        self.model.reprice(obj, maximize=False)
+        assert self.model.run() is Status.OPTIMAL
+        x, _ = self.model.solution()
         return float(np.sum(prob * (prices[slot] - self.supply[slot]) * x[sold]))
 
 

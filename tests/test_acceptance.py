@@ -27,10 +27,10 @@ from gridtariff.reformulation import (build_mpcc, default_dual_m, linearize,
 from gridtariff.rolling import RhConfig, audit_trajectory
 from gridtariff.rolling import run as rh_run
 from gridtariff.scenario import uniform_selector
-from gridtariff.solver import (LpBuilder, MilpModel, SolveOptions, Status,
-                               solve_lp, solve_milp)
+from gridtariff.solver import (MilpModel, SolveOptions, Status, solve_lp,
+                               solve_milp)
 
-from conftest import (OptimisticResponder, complementarity_products,
+from conftest import (LpBuilder, OptimisticResponder, complementarity_products,
                       device_columns, dual_objective, grid_oracle,
                       indistinguishability_time, random_tiny_instance,
                       rows_only)

@@ -235,6 +235,20 @@ def test_rh_step_beyond_window_exit_code(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag", [["--dg-scale", "0.5"],
+                                  ["--battery-scale", "0.5"],
+                                  ["--inconvenience-scale", "2"],
+                                  ["--spot-uplift"],
+                                  ["--window-class", "wide"]])
+def test_sensitivity_rejects_variant_flags(tmp_path, capsys, flag):
+    # the grid sets every variant itself, so these flags would change nothing
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sensitivity", *flag, "-o", tmp_path / "out")
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, option, value, message", [
     ("rh", "--stay", "1.5", "negative transition probability"),
     ("rh-study", "--stay", "1.5", "negative transition probability"),
@@ -254,6 +268,15 @@ def test_rh_step_beyond_window_exit_code(tmp_path, capsys, command):
     ("rh", "file", "NaN demand", "non_finite: device"),
     ("baseline", "file", "no battery", "missing field 'battery'"),
     ("solve", "file", "no file", "No such file or directory"),
+    ("generate", "--dg-scale", "0.7", "dg_scale must be one of"),
+    ("generate", "--battery-scale", "0.7", "battery_scale must be one of"),
+    ("generate", "--inconvenience-scale", "0.7",
+     "inconvenience_scale must be one of"),
+    ("rh-study", "--dg-scale", "0.7", "dg_scale must be one of"),
+    ("generate", "--seed", "-1", "expected non-negative integer"),
+    ("rh", "--seed", "-1", "seed must be >= 0"),
+    ("rh-study", "--seed", "-1", "seed must be >= 0"),
+    ("sensitivity", "--seed", "-1", "expected non-negative integer"),
 ])
 def test_rh_bad_settings_exit_code(tmp_path, capsys, command, option, value,
                                    message):
@@ -268,6 +291,7 @@ def test_rh_bad_settings_exit_code(tmp_path, capsys, command, option, value,
                       "--series-dir", tmp_path / "series"],
             "baseline": ["baseline", inst, "--kind", "reference"],
             "sensitivity": ["sensitivity", "--preset", "mini", "--seed", "1"],
+            "generate": ["generate", "--preset", "week"],
             }[command]
     if inst in args:
         write_instance(generate_mini_instance(1, n_bases=3), inst)
@@ -280,7 +304,8 @@ def test_rh_bad_settings_exit_code(tmp_path, capsys, command, option, value,
             BAD_FILES[value](doc)
             inst.write_text(json.dumps(doc))
         setting = []
-    code = run_cli(*args, *FAST, *setting, "-o", tmp_path / "out")
+    solver = [] if command == "generate" else FAST
+    code = run_cli(*args, *solver, *setting, "-o", tmp_path / "out")
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("validation: ") and message in err

@@ -7,10 +7,10 @@ import pytest
 
 from gridtariff.follower import build_follower_lp
 from gridtariff.reformulation import build_mpcc, default_dual_m, linearize
-from gridtariff.solver import (LpBuilder, MilpModel, SolveOptions, Status,
-                               solve_lp, solve_milp, write_lp)
+from gridtariff.solver import (MilpModel, SolveOptions, Status, solve_lp,
+                               solve_milp, write_lp)
 
-from conftest import make_t1, read_lp
+from conftest import LpBuilder, make_t1, read_lp
 
 
 def test_lp_round_trip(tmp_path):

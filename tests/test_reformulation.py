@@ -30,14 +30,14 @@ from gridtariff.scenario import (BaseScenario, flat_tree, single_path_tree,
                                  uniform_selector)
 from gridtariff.solver import (EQ, LE, LpSolution, MilpResult, SolveOptions,
                                SolverError, Status, get_backend, solve_lp,
-                               solve_milp, verify_milp_solution)
+                               solve_milp)
 from gridtariff.solver import backends
-from gridtariff.solver.bnb import NodeLp
+from gridtariff.solver.backends import HighsModel
 
 from conftest import (DESK_SHAPE, OptimisticResponder, assert_same_lp,
                       audit_loop, grid_oracle, make_t1, random_tiny_instance,
                       reference_follower, reference_linearize,
-                      reference_shrink_lp)
+                      reference_shrink_lp, verify_milp_solution)
 
 # perfbench's desk-bundled roster, and the desk seeds it leaves out as slow
 DESK_ROSTER = (1, 4, 7, 9, 13, 21)
@@ -873,13 +873,13 @@ class TestBundledNodes:
     def test_warm_nodes_match_cold_resolves(self, seed, monkeypatch):
         mpcc = build_mpcc(_desk(seed))
         model = linearize(mpcc, default_dual_m(mpcc))
-        lp, solve, checked = model.lp, NodeLp.solve, []
+        lp, solve, checked = model.lp, HighsModel.solve_node, []
 
-        def checked_solve(nodes, lo, up, basis=None):
-            warm = solve(nodes, lo, up, basis)
+        def checked_solve(nodes, cols, lo, up, basis=None):
+            warm = solve(nodes, cols, lo, up, basis)
             if basis is not None:
                 lower, upper = lp.lower.copy(), lp.upper.copy()
-                lower[nodes.cols], upper[nodes.cols] = lo, up
+                lower[cols], upper[cols] = lo, up
                 cold = solve_lp(lp.with_bounds(lower, upper))
                 assert warm[0] is cold.status
                 if cold.status is Status.OPTIMAL:
@@ -888,7 +888,7 @@ class TestBundledNodes:
                 checked.append(warm[0])
             return warm
 
-        monkeypatch.setattr(NodeLp, "solve", checked_solve)
+        monkeypatch.setattr(HighsModel, "solve_node", checked_solve)
         assert lp.maximize               # the node LPs minimize -obj
         res = solve_milp(model, SolveOptions(rel_gap=0.0))
         assert res.status is Status.OPTIMAL
@@ -899,15 +899,15 @@ class TestBundledNodes:
     def test_exact_resolve_is_warm(self, seed, monkeypatch):
         # the search's last LP, the incumbent at its fixed switches, starts
         # from the incumbent node's basis on the node model
-        solve, calls = NodeLp.solve, []
+        solve, calls = HighsModel.solve_node, []
 
-        def recorded(nodes, lo, up, basis=None):
+        def recorded(nodes, cols, lo, up, basis=None):
             before = nodes.iterations
-            out = solve(nodes, lo, up, basis)
+            out = solve(nodes, cols, lo, up, basis)
             calls.append((basis, out, nodes.iterations - before))
             return out
 
-        monkeypatch.setattr(NodeLp, "solve", recorded)
+        monkeypatch.setattr(HighsModel, "solve_node", recorded)
         mpcc = build_mpcc(_desk(seed))
         model = linearize(mpcc, default_dual_m(mpcc))
         res = solve_milp(model, SolveOptions(rel_gap=0.0))

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import os
+import subprocess
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,22 +17,24 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core
 
-from gridtariff.solver import (EQ, GE, LE, LinearProgram,
-                               LpBuilder, MilpModel, SolveOptions, SolverError,
-                               Status, check_lp_solution, get_backend,
+import gridtariff
+from gridtariff.solver import (EQ, GE, LE, LinearProgram, MilpModel,
+                               SolveOptions, SolverError, Status,
+                               check_lp_solution, get_backend,
                                register_backend, relative_gap, solve_lp,
-                               solve_milp, verify_milp_solution)
+                               solve_milp)
 from gridtariff.generator import generate_instance, generate_mini_instance
 from gridtariff.reformulation import (build_mpcc, default_dual_m, linearize,
                                       solve_bilevel)
 from gridtariff.rolling import (RhConfig, RhTrajectory, make_subinstance,
                                 run as run_rolling_horizon)
 from gridtariff.scenario import uniform_selector
-from gridtariff.solver.backends import (BundledBackend, ScipyBackend,
+from gridtariff.solver.backends import (TOLERANCES, BundledBackend,
+                                        HighsModel, ScipyBackend,
                                         _stdout_to_stderr)
-from gridtariff.solver.bnb import NodeLp
 
-from conftest import DESK_SHAPE, assert_dual_certificate, reduced_costs
+from conftest import (DESK_SHAPE, LpBuilder, assert_dual_certificate,
+                      reduced_costs, verify_milp_solution)
 
 
 def simple_lp(maximize=True):
@@ -240,8 +245,16 @@ def _tighten(rng, lo, up, x):
 
 
 class TestWarmStart:
-    """A ``NodeLp`` re-solve from an earlier optimal basis against a cold
-    solve of the same LP."""
+    """A node LP re-solve (``HighsModel.solve_node``) from an earlier optimal
+    basis against a cold solve of the same LP.  Each solve sets the bounds of
+    every column."""
+
+    @staticmethod
+    def _node_lp(lp):
+        """``lp`` loaded as the bundled search loads its node LPs, and its
+        columns."""
+        return (HighsModel(lp, presolve=False, options=TOLERANCES),
+                np.arange(lp.n_vars, dtype=np.int32))
 
     @staticmethod
     def _same(warm, lp):
@@ -258,46 +271,46 @@ class TestWarmStart:
         statuses = []
         for _ in range(60):
             lp = _random_mixed_lp(rng)
-            node = NodeLp(lp, np.arange(lp.n_vars))
-            status, x, _ = node.solve(lp.lower, lp.upper)
+            node, cols = self._node_lp(lp)
+            status, x, _ = node.solve_node(cols, lp.lower, lp.upper)
             if status is not Status.OPTIMAL:
                 continue
             parent = node.basis()
             for _ in range(4):
                 lo, up = _tighten(rng, lp.lower, lp.upper, x)
-                child = node.solve(lo, up, parent)
+                child = node.solve_node(cols, lo, up, parent)
                 self._same(child, lp.with_bounds(lo, up))
                 statuses.append(child[0])
                 if child[0] is Status.OPTIMAL:
                     assert not check_lp_solution(lp.with_bounds(lo, up), child[1])
                     lo2, up2 = _tighten(rng, lo, up, child[1])
-                    self._same(node.solve(lo2, up2, node.basis()),
+                    self._same(node.solve_node(cols, lo2, up2, node.basis()),
                                lp.with_bounds(lo2, up2))
         assert statuses.count(Status.OPTIMAL) >= 50
         assert statuses.count(Status.INFEASIBLE) >= 20
 
     def test_basis_with_artificial_falls_back(self):
         lp = _redundant_rows_lp()
-        node = NodeLp(lp, np.arange(lp.n_vars))
-        assert node.solve(lp.lower, lp.upper)[0] is Status.OPTIMAL
+        node, cols = self._node_lp(lp)
+        assert node.solve_node(cols, lp.lower, lp.upper)[0] is Status.OPTIMAL
         parent = node.basis()
         # an equality row's logical stays basic, where phase 1 left an artificial
         assert _BASIC in list(parent.row_status)
         up = lp.upper.copy()
         up[0] = 2.0                                       # x <= 2
-        child = node.solve(lp.lower, up, parent)
+        child = node.solve_node(cols, lp.lower, up, parent)
         self._same(child, lp.with_bounds(lp.lower, up))
         assert child[2] == pytest.approx(4.0)
 
     def test_dual_infeasible_basis_falls_back(self):
         lp = simple_lp(maximize=True)
-        top = NodeLp(lp, np.arange(lp.n_vars))
-        assert top.solve(lp.lower, lp.upper)[2] == pytest.approx(-5.0)
+        top, cols = self._node_lp(lp)
+        assert top.solve_node(cols, lp.lower, lp.upper)[2] == pytest.approx(-5.0)
         bottom = lp.with_objective(lp.obj, maximize=False)
-        other = NodeLp(bottom, np.arange(lp.n_vars))
+        other, _ = self._node_lp(bottom)
         # x = 5 is optimal for the max, and its reduced cost has the wrong sign
         # for the min
-        sol = other.solve(bottom.lower, bottom.upper, top.basis())
+        sol = other.solve_node(cols, bottom.lower, bottom.upper, top.basis())
         self._same(sol, bottom)
         assert sol[2] == pytest.approx(0.0)
 
@@ -309,12 +322,13 @@ class TestWarmStart:
         b.add_row([(x1, 1.0), (x2, 1.0), (x3, 1.0)], "<", 4.0)
         b.add_row([(x3, 1.0)], "<", 1.0)
         lp = b.build()
-        node = NodeLp(lp, np.arange(lp.n_vars))
+        node, cols = self._node_lp(lp)
         start = _core.HighsBasis()
         start.col_status = [_BASIC, _BASIC, _core.HighsBasisStatus.kLower]
         start.row_status = [_core.HighsBasisStatus.kUpper] * 2
         start.valid = True
-        sol = node.solve(lp.lower, lp.upper, start)   # x1 and x2 share one column
+        # x1 and x2 share one column
+        sol = node.solve_node(cols, lp.lower, lp.upper, start)
         self._same(sol, lp)
         assert sol[2] == pytest.approx(-8.0)
 
@@ -615,9 +629,10 @@ class TestBackends:
     def test_default_is_bundled(self):
         assert get_backend().name == "bundled"
 
-    def test_env_var_selects(self, monkeypatch):
+    def test_env_var_is_ignored(self, monkeypatch):
+        # the backend is chosen per call only: no environment variable picks it
         monkeypatch.setenv("GRIDTARIFF_BACKEND", "scipy")
-        assert get_backend().name == "scipy"
+        assert get_backend().name == "bundled"
 
     def test_unknown_backend(self):
         with pytest.raises(SolverError):
@@ -648,6 +663,51 @@ class TestBackends:
         mine = solve_milp(model, SolveOptions(rel_gap=0.0))
         ref = ScipyBackend().solve_milp(model, SolveOptions(rel_gap=0.0))
         assert ref.objective == pytest.approx(mine.objective, rel=1e-9)
+
+
+class TestHighsBinding:
+    """Only ``solver/backends.py`` reaches HiGHS' binding, a private module of
+    scipy's, and a scipy without it fails at import with a clear message."""
+
+    SRC = Path(gridtariff.__file__).parent
+
+    def test_only_backends_imports_the_binding(self):
+        importers = []
+        for path in sorted(self.SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                         else [])
+                if any(n.startswith("scipy.optimize._highspy") for n in names):
+                    importers.append(path.relative_to(self.SRC).as_posix())
+        assert importers == ["solver/backends.py"]
+
+    def test_search_and_test_helpers_call_no_binding_method(self):
+        # the binding's camel-case methods (changeColsBounds, getSolution, ...),
+        # and the ``highs`` attribute through which ``HighsModel`` calls them
+        binding = {name for name in dir(_core._Highs) if name != name.lower()}
+        for path in (self.SRC / "solver" / "bnb.py",
+                     Path(__file__).parent / "conftest.py"):
+            tree = ast.parse(path.read_text())
+            called = {node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)}
+            assert not called & (binding | {"highs"}), path.name
+
+    def test_missing_binding_fails_at_import(self):
+        code = ("import sys\n"
+                "sys.modules['scipy.optimize._highspy._core'] = None\n"
+                "import gridtariff\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(self.SRC.parent), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode != 0
+        last = out.stderr.strip().splitlines()[-1]
+        assert last.startswith("ImportError: ")
+        import scipy
+        for needed in ("scipy.optimize._highspy._core",
+                       f"scipy {scipy.__version__}", "scipy 1.17.1"):
+            assert needed in last
 
 
 def _mini_milp(seed: int) -> MilpModel:
